@@ -40,6 +40,8 @@ from .measures import (
     compose_bures,
     entanglement_degree,
     output_port_fidelity,
+    separable_distance,
+    symmetric_degree,
     trace_overlap,
 )
 from .mixer import (
@@ -96,7 +98,9 @@ __all__ = [
     "params_from_matrix",
     "partial_transpose",
     "schur_terms",
+    "separable_distance",
     "solve_decoupling_phases",
+    "symmetric_degree",
     "tmtss_params",
     "trace_overlap",
     "transform_blocks",

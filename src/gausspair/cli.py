@@ -51,10 +51,14 @@ class SweepConfig:
             raise ValueError("reference squeezing r must be positive")
         if self.n_steps < 2 or self.m_steps < 2:
             raise ValueError("grids need at least 2 steps per axis")
+        bounds = (self.n_min, self.n_max, self.m_min, self.m_max)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError("grid bounds must be finite")
         if not (self.n_max > self.n_min and self.m_max > self.m_min):
             raise ValueError("grid maxima must exceed minima")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not (self.tol > 0.0) or not math.isfinite(self.tol):
+            raise ValueError("tol must be positive and finite")
+        measures.separable_distance(self.r)  # typed error where r over- or underflows
 
     def n_values(self) -> np.ndarray:
         return np.linspace(self.n_min, self.n_max, self.n_steps)
@@ -64,26 +68,26 @@ class SweepConfig:
 
 
 @dataclass(frozen=True)
-class SweepRecord:
-    n: float
-    m: float
-    label: str
-    degree: float | None
+class SweepResult:
+    """The surface over the grid: ``label[i, j]`` and ``degree[i, j]`` belong
+    to the point ``(n[i], m[j])``; ``degree`` is NaN where nonphysical."""
+
+    n: np.ndarray
+    m: np.ndarray
+    label: np.ndarray
+    degree: np.ndarray
 
 
-def sweep_grid(cfg: SweepConfig) -> list[SweepRecord]:
-    """Classify and score every grid point, row-major with n as the outer axis."""
-    records = []
-    for n in cfg.n_values():
-        for m in cfg.m_values():
-            label = tmtss.classify_symmetric(float(n), float(m), cfg.tol)
-            degree = None
-            if label != "nonphysical":
-                state = GaussianParams(n1=float(n), n2=float(n), m_c=float(m))
-                report = measures.entanglement_degree(state, cfg.r, cfg.tol)
-                degree = report.degree
-            records.append(SweepRecord(n=float(n), m=float(m), label=label, degree=degree))
-    return records
+def sweep_grid(cfg: SweepConfig) -> SweepResult:
+    """Classify and score every grid point in one array pass."""
+    n, m = cfg.n_values(), cfg.m_values()
+    nn, mm = np.meshgrid(n, m, indexing="ij")
+    codes = tmtss.symmetric_class_codes(nn, mm, cfg.tol)
+    physical = codes > 0
+    degree = np.full(nn.shape, np.nan)
+    degree[physical] = measures.symmetric_degree(nn[physical], mm[physical], cfg.r)
+    label = np.array(tmtss.SYMMETRIC_CLASSES)[codes]
+    return SweepResult(n=n, m=m, label=label, degree=degree)
 
 
 def run_check(p: GaussianParams, r: float, tol: float = DEFAULT_TOL) -> dict:
@@ -103,25 +107,30 @@ def run_check(p: GaussianParams, r: float, tol: float = DEFAULT_TOL) -> dict:
     }
 
 
-def write_sweep_csv(records: list[SweepRecord], stream) -> None:
-    # 9 significant digits, '\n' endings, empty E column for nonphysical rows
-    stream.write("n,m,class,E\n")
-    for rec in records:
-        e = f"{rec.degree:.8e}" if rec.degree is not None else ""
-        stream.write(f"{rec.n:.8e},{rec.m:.8e},{rec.label},{e}\n")
+def _cells(values: np.ndarray) -> list[str]:
+    # 9 significant digits; NaN formats as "nan"
+    return [f"{x:.8e}" for x in values.tolist()]
 
 
-def write_sweep_matrix(cfg: SweepConfig, records: list[SweepRecord], stream) -> None:
+def write_sweep_csv(result: SweepResult, stream) -> None:
+    # '\n' endings, empty E column for nonphysical rows
+    m_cells = _cells(result.m)
+    lines = ["n,m,class,E\n"]
+    for n_cell, labels, degrees in zip(_cells(result.n), result.label.tolist(), result.degree.tolist()):
+        lines += [
+            f"{n_cell},{m_cell},{label},{'' if e != e else f'{e:.8e}'}\n"
+            for m_cell, label, e in zip(m_cells, labels, degrees)
+        ]
+    stream.write("".join(lines))
+
+
+def write_sweep_matrix(result: SweepResult, stream) -> None:
     # gnuplot nonuniform-matrix block: first row holds the m coordinates,
     # each following row is n followed by the E values (nan where nonphysical)
-    m_vals = cfg.m_values()
-    stream.write(" ".join([str(len(m_vals))] + [f"{m:.8e}" for m in m_vals]) + "\n")
-    for i in range(cfg.n_steps):
-        row = records[i * cfg.m_steps : (i + 1) * cfg.m_steps]
-        cells = [f"{row[0].n:.8e}"]
-        for rec in row:
-            cells.append(f"{rec.degree:.8e}" if rec.degree is not None else "nan")
-        stream.write(" ".join(cells) + "\n")
+    lines = [" ".join([str(result.m.size)] + _cells(result.m)) + "\n"]
+    for n_cell, degrees in zip(_cells(result.n), result.degree):
+        lines.append(" ".join([n_cell] + _cells(degrees)) + "\n")
+    stream.write("".join(lines))
 
 
 def parse_complex(text: str) -> complex:
@@ -273,15 +282,13 @@ def cmd_sweep(args) -> int:
         m_min=args.m_min, m_max=args.m_max, m_steps=args.m_steps,
         tol=args.tol,
     )
-    records = sweep_grid(cfg)
-    writer = write_sweep_csv if args.format == "csv" else (
-        lambda recs, stream: write_sweep_matrix(cfg, recs, stream)
-    )
+    result = sweep_grid(cfg)
+    writer = write_sweep_csv if args.format == "csv" else write_sweep_matrix
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer(records, fh)
+            writer(result, fh)
     else:
-        writer(records, sys.stdout)
+        writer(result, sys.stdout)
     return 0
 
 

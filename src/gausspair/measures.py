@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,23 @@ import numpy as np
 from .classicality import ModeParams
 from .covariance import DEFAULT_TOL, GaussianParams, build_covariance, is_physical, is_separable
 from .errors import DegenerateStateError, NonPhysicalStateError, NumericDomainError
+
+
+def _reference_moments(r: float) -> tuple[float, float]:
+    """Occupation ``N = cosh(2r)/2`` and cross-moment magnitude ``M = sinh(2r)/2``
+    of the twin-beam reference.
+
+    Raises :class:`NumericDomainError` where ``cosh(2r)^2``, which every
+    fidelity against the reference contains, overflows float64 (``r`` above
+    about 177).
+    """
+    try:
+        big_n = 0.5 * math.cosh(2.0 * r)
+    except OverflowError:
+        big_n = math.inf
+    if not math.isfinite(4.0 * big_n * big_n):
+        raise NumericDomainError(f"reference squeezing r={r:g} overflows float64")
+    return big_n, 0.5 * math.sinh(2.0 * r)
 
 
 @dataclass(frozen=True)
@@ -42,8 +60,8 @@ class ReferenceStates:
         r = float(r)
         if not math.isfinite(r) or r < 0.0:
             raise ValueError("squeezing parameter must be finite and nonnegative")
-        n = 0.5 * math.cosh(2.0 * r)
-        m = -0.5 * math.sinh(2.0 * r)
+        n, m_abs = _reference_moments(r)
+        m = -m_abs
         return cls(
             r=r,
             lam=math.tanh(r),
@@ -110,6 +128,56 @@ def bures_from_fidelity(f: float) -> float:
     return 2.0 - 2.0 * math.sqrt(f)
 
 
+def _distance(one_minus_f, f):
+    # Bures distance 2 - 2 sqrt(F) as 2 (1 - F)/(1 + sqrt(F)): no cancellation
+    # as F -> 1 once 1 - F itself is; elementwise on arrays
+    return 2.0 * one_minus_f / (1.0 + np.sqrt(f))
+
+
+def _symmetric_distance(n, m, r: float):
+    # Distance of (n, n, m_c=m) from the twin-beam reference.  F = 1/det with
+    # det = (n+N)^2 - (m+M)^2 = (n - m + e^(-2r)/2)(n + m + e^(2r)/2), and
+    # 1 - F = (det - 1)/det.  At small r, det - 1 is taken relative to the
+    # traced-out reference (N, 0), where it is 3M^2 and a plain det - 1 would
+    # cancel.  separable_distance is this function at (N, 0), so that point
+    # scores exactly 0.
+    big_n, big_m = _reference_moments(r)
+    det = (n - m + 0.5 * math.exp(-2.0 * r)) * (n + m + 0.5 * math.exp(2.0 * r))
+    sep_excess = 3.0 * big_m * big_m
+    if sep_excess < 1.0:
+        excess = sep_excess + (n - big_n) * (n + 3.0 * big_n) - m * (m + 2.0 * big_m)
+    else:
+        excess = det - 1.0
+    return _distance(excess / det, 1.0 / det)
+
+
+def separable_distance(r: float) -> float:
+    """Closed-form Bures distance of the traced-out reference from the twin-beam one.
+
+    The two overlap as ``F_sep = 1/(4N^2 - M^2)``, and ``1 - F_sep`` is
+    ``3M^2/(4N^2 - M^2)``, so the distance keeps full relative precision as
+    ``r`` goes to 0, where ``2 - 2 sqrt(F_sep)`` cancels.  Raises
+    :class:`NumericDomainError` where the distance underflows (``r`` below
+    about 1e-154) or the moments overflow.
+    """
+    big_n, _ = _reference_moments(r)
+    d_sep = float(_symmetric_distance(big_n, 0.0, r))
+    if not d_sep > 2.0 / sys.float_info.max:  # degrees divide distances <= 2 by it
+        raise NumericDomainError(f"separable normalizer underflows at r={r:g}")
+    return d_sep
+
+
+def symmetric_degree(n, m, r: float):
+    """Entanglement degree of symmetric-class states ``(n, n, m_c=m)`` with ``m >= 0``.
+
+    The closed form of :func:`entanglement_degree` on that class: the state
+    overlaps the phase-aligned reference as ``F = 1/((n+N)^2 - (m+M)^2)``.
+    Takes floats or arrays (elementwise) of physical points; the caller
+    classifies them first.
+    """
+    return 1.0 - _symmetric_distance(n, m, r) / separable_distance(r)
+
+
 def compose_bures(d1: float, d2: float) -> float:
     """Combine per-port Bures distances into the joint one.
 
@@ -129,27 +197,22 @@ def entanglement_degree(
     anomalous cross moments add coherently and the result does not depend on
     an arbitrary phase convention.  The degree is 1 minus the ratio of the
     state's Bures distance from the twin-beam reference to the traced-out
-    reference's distance; it is reported even when negative.
+    reference's distance; it is reported even when negative.  Both
+    distances enter the degree in cancellation-free form, the traced-out
+    one from :func:`separable_distance`.
     """
     if not is_physical(p, tol):
         raise NonPhysicalStateError("entanglement degree requires a physical state")
     if r <= 0.0:
         raise DegenerateStateError("zero squeezing collapses the separable normalizer")
-    refs = ReferenceStates.for_squeezing(r)
+    big_n, big_m = _reference_moments(r)
     phase = cmath.phase(p.m_c) if p.m_c != 0 else 0.0
-    sigma = GaussianParams(
-        n1=refs.tmsv.n1,
-        n2=refs.tmsv.n2,
-        m_c=abs(refs.tmsv.m_c) * cmath.exp(1j * phase),
-    )
+    sigma = GaussianParams(n1=big_n, n2=big_n, m_c=big_m * cmath.exp(1j * phase))
     fid = trace_overlap(build_covariance(p), build_covariance(sigma))
-    fid_sep = trace_overlap(build_covariance(refs.sep), build_covariance(refs.tmsv))
-    d_state = bures_from_fidelity(fid)
-    d_sep = bures_from_fidelity(fid_sep)
     return MeasureReport(
         fidelity=fid,
-        bures=d_state,
-        degree=1.0 - d_state / d_sep,
+        bures=bures_from_fidelity(fid),
+        degree=float(1.0 - _distance(1.0 - fid, fid) / separable_distance(r)),
         physical=True,
         separable=is_separable(p, tol),
     )

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .covariance import DEFAULT_TOL, GaussianParams, is_physical
 from .errors import DegenerateStateError, NonPhysicalStateError
@@ -143,32 +142,16 @@ def solve_decoupling_phases(
     The anomalous residual pins the phase sum (possible only when
     ``|m1| == |m2|``); at the 50:50 point the occupation residual magnitude
     is independent of the phase difference, so the remaining freedom is the
-    phase sum itself whenever the anomalous moments vanish.  That case is
-    resolved by a bracketed 1-D root search on the signed part of the
-    occupation residual.  Returns None when no phases work.
+    phase sum itself whenever the anomalous moments vanish.  The signed part
+    of the occupation residual is then ``|m_s| sin(arg(m_s) - psi)``, whose
+    root in ``[0, pi)`` is ``arg(m_s) mod pi``.  Returns None when no phases
+    work.
     """
     if abs(abs(p.m1) - abs(p.m2)) > tol:
         return None
 
     if abs(p.m1) <= tol and abs(p.m2) <= tol:
-        if abs(p.m_s) <= tol:
-            psi = 0.0
-        else:
-            def f(x: float) -> float:
-                return (p.m_s * cmath.exp(-1j * x)).imag
-
-            psi = None
-            samples = np.linspace(0.0, 2.0 * math.pi, 65)
-            values = [f(x) for x in samples]
-            for left, right, fl, fr in zip(samples, samples[1:], values, values[1:]):
-                if fl == 0.0:
-                    psi = float(left)
-                    break
-                if fl * fr < 0.0:
-                    psi = float(brentq(f, left, right, xtol=1e-14))
-                    break
-            if psi is None:
-                return None
+        psi = cmath.phase(p.m_s) % math.pi if abs(p.m_s) > tol else 0.0
     else:
         psi = 0.5 * (cmath.phase(p.m1) - cmath.phase(p.m2))
 

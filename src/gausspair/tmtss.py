@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
+import numpy as np
+
 from .covariance import DEFAULT_TOL, GaussianParams, is_physical
 from .errors import DegenerateStateError, ModelValidityError
 
@@ -83,16 +85,23 @@ def tmtss_params(inputs: TmtssInputs, tol: float = DEFAULT_TOL) -> GaussianParam
     return p
 
 
-def classify_symmetric(n: float, m: float, tol: float = DEFAULT_TOL) -> StateClass:
-    """Classify a symmetric-class point (m taken nonnegative, phase removed).
+#: class names, indexed by the codes of :func:`symmetric_class_codes`
+SYMMETRIC_CLASSES: tuple[StateClass, ...] = ("nonphysical", "entangled", "separable")
 
-    Physical states satisfy ``n >= sqrt(m^2 + 1/4)``, separable ones
-    ``n >= m + 1/2``; boundary points classify on the accepting side.
+
+def symmetric_class_codes(n, m, tol: float = DEFAULT_TOL):
+    """Class codes of symmetric-class points, elementwise on arrays.
+
+    Indexes :data:`SYMMETRIC_CLASSES`.  Physical states satisfy
+    ``n >= sqrt(m^2 + 1/4)``, separable ones ``n >= m + 1/2``; boundary
+    points classify on the accepting side.
     """
+    physical = n >= np.sqrt(m * m + 0.25) - tol
+    return physical * (1 + (n >= m + 0.5 - tol))
+
+
+def classify_symmetric(n: float, m: float, tol: float = DEFAULT_TOL) -> StateClass:
+    """Classify a symmetric-class point (m taken nonnegative, phase removed)."""
     if m < 0.0:
         raise ValueError("m must be nonnegative (phase removed)")
-    if n < math.sqrt(m * m + 0.25) - tol:
-        return "nonphysical"
-    if n < m + 0.5 - tol:
-        return "entangled"
-    return "separable"
+    return SYMMETRIC_CLASSES[symmetric_class_codes(n, m, tol)]

@@ -29,6 +29,7 @@ from gausspair import (
     mode_params,
     output_port_fidelity,
     partial_transpose,
+    separable_distance,
     tmtss_params,
     trace_overlap,
     transform_blocks,
@@ -221,10 +222,10 @@ def test_criterion_5_bures_composition():
 def test_criterion_6_surface_sweep(tmp_path):
     start = time.monotonic()
     cfg = cli.SweepConfig()
-    records = cli.sweep_grid(cfg)
+    result = cli.sweep_grid(cfg)
     path = tmp_path / "sweep.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        cli.write_sweep_csv(records, fh)
+        cli.write_sweep_csv(result, fh)
     elapsed = time.monotonic() - start
 
     rows = [line.split(",") for line in path.read_text(encoding="utf-8").strip().split("\n")[1:]]
@@ -244,9 +245,8 @@ def test_criterion_6_surface_sweep(tmp_path):
             boundary_ok = False
 
     mono_ok = True
-    for i in range(cfg.n_steps):
-        row = records[i * cfg.m_steps:(i + 1) * cfg.m_steps]
-        degrees = [rec.degree for rec in row if rec.degree is not None]
+    for row in result.degree:
+        degrees = row[~np.isnan(row)].tolist()
         if any(b <= a for a, b in zip(degrees, degrees[1:])):
             mono_ok = False
 
@@ -272,7 +272,7 @@ def test_criterion_6_surface_sweep(tmp_path):
     ok = elapsed < 60.0 and boundary_ok and mono_ok and anchors_ok
     _report(
         6, ok,
-        f"surface sweep: {len(records)} points in {elapsed:.1f}s, separability "
+        f"surface sweep: {result.degree.size} points in {elapsed:.1f}s, separability "
         f"boundary within one cell ({boundary_ok}), E monotone in m ({mono_ok}), "
         f"anchors E=0/E=1 ({e_sep_anchor:.1e}, {abs(e_ent_anchor - 1):.1e} off)",
     )
@@ -286,12 +286,14 @@ def test_criterion_7_derived_anchors():
     report = entanglement_degree(GaussianParams(n1=1.88107, n2=1.88107, m_c=1.6), 1.0)
     ok = (
         abs(f_sep - f_closed) <= 1e-12
+        and abs(separable_distance(1.0) - d_sep) <= 1e-12
         and abs(d_sep - 1.39326) <= 1e-4
         and abs(report.degree - 0.4719) <= 1e-3
     )
     _report(
         7, ok,
-        f"derived anchors: d_B(sep, reference)={d_sep:.6f} (want 1.39326+-1e-4), "
+        f"derived anchors: d_B(sep, reference)={d_sep:.6f} (want 1.39326+-1e-4, "
+        f"closed form off by {abs(separable_distance(1.0) - d_sep):.1e}), "
         f"degree at (1.88107, 1.6)={report.degree:.5f} (want 0.4719+-1e-3)",
     )
 

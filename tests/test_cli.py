@@ -61,6 +61,12 @@ class TestCheck:
         assert out == ""
         assert json.loads(err)["error"] == "NonPhysicalStateError"
 
+    def test_overflowing_reference_exits_2(self, capsys):
+        code, out, err = run_cli(["check", "--n1", "1", "--n2", "1", "--r", "1e3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "NumericDomainError"
+
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["check", "--n1", "oops", "--n2", "1"])

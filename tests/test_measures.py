@@ -17,10 +17,12 @@ from gausspair import (
     entanglement_degree,
     mode_covariance,
     output_port_fidelity,
+    separable_distance,
+    symmetric_degree,
     trace_overlap,
     transform_full,
 )
-from gausspair import oracle
+from gausspair import measures, oracle
 
 from conftest import draw_symmetric_physical
 
@@ -272,3 +274,63 @@ class TestEntanglementDegree:
     def test_zero_reference_rejected(self):
         with pytest.raises(DegenerateStateError):
             entanglement_degree(GaussianParams(n1=1, n2=1), 0.0)
+
+
+class TestSeparableDistance:
+    def test_matches_determinant_route(self):
+        for r in (0.05, 0.3, 0.5, 1.0, 2.0, 4.0):
+            refs = ReferenceStates.for_squeezing(r)
+            f = trace_overlap(build_covariance(refs.sep), build_covariance(refs.tmsv))
+            assert separable_distance(r) == pytest.approx(bures_from_fidelity(f), rel=1e-12)
+
+    def test_value_at_unit_squeezing(self):
+        assert separable_distance(1.0) == pytest.approx(DB_SEP_R1, abs=1e-12)
+
+    def test_small_squeezing_keeps_relative_precision(self):
+        # d_sep = 2 (1 - F)/(1 + sqrt F) with 1 - F = 3M^2/(1 + 3M^2), M = sinh(2r)/2
+        for r in (1e-8, 1e-6, 1e-4, 1e-2):
+            m = math.sinh(2 * r) / 2
+            excess = 3 * m * m
+            want = 2 * (excess / (1 + excess)) / (1 + 1 / math.sqrt(1 + excess))
+            assert separable_distance(r) == pytest.approx(want, rel=1e-14)
+
+    def test_extremes_raise_typed_errors(self):
+        for r in (1e-160, 178.0, 400.0, math.nan):
+            with pytest.raises(NumericDomainError):
+                separable_distance(r)
+
+
+class TestExtremeSqueezing:
+    def test_tiny_squeezing_gives_a_finite_degree(self):
+        report = entanglement_degree(GaussianParams(n1=1.0, n2=1.0, m_c=0.5), 1e-9)
+        assert math.isfinite(report.degree) and report.degree < 0.0
+
+    @pytest.mark.parametrize("r", [178.0, 400.0, 1e3])
+    def test_overflowing_reference_is_a_typed_error(self, r):
+        with pytest.raises(NumericDomainError):
+            entanglement_degree(GaussianParams(n1=1.0, n2=1.0), r)
+        with pytest.raises(NumericDomainError):
+            ReferenceStates.for_squeezing(r)
+
+
+class TestSymmetricDegree:
+    def test_matches_entanglement_degree(self):
+        rng = np.random.default_rng(56)
+        for p in draw_symmetric_physical(rng, 200, complex_phase=False):
+            r = rng.uniform(0.05, 3.0)
+            want = entanglement_degree(p, r).degree
+            assert symmetric_degree(p.n1, p.m_c.real, r) == pytest.approx(want, abs=1e-10)
+
+    def test_reference_anchors(self):
+        # the traced-out reference scores exactly 0: its distance is the normalizer
+        for r in (0.1, 0.5, 1.0, 3.0):
+            refs = ReferenceStates.for_squeezing(r)
+            assert symmetric_degree(refs.sep.n1, 0.0, r) == 0.0
+            assert symmetric_degree(refs.tmsv.n1, -refs.tmsv.m_c.real, r) == pytest.approx(1.0, abs=1e-9)
+
+    def test_one_determinant_overlap_per_degree(self, monkeypatch):
+        calls = []
+        original = measures.trace_overlap
+        monkeypatch.setattr(measures, "trace_overlap", lambda *a: calls.append(a) or original(*a))
+        entanglement_degree(GaussianParams(n1=2, n2=2, m_c=1.8), 1.0)
+        assert len(calls) == 1

@@ -193,6 +193,23 @@ class TestSolveDecouplingPhases:
         r1, r2 = coupling_residuals(p, MixerConfig(math.pi / 4, *phases))
         assert abs(r1) < 1e-12 and abs(r2) < 1e-12
 
+    @pytest.mark.parametrize(
+        "arg", [0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, math.pi - 1e-15]
+    )
+    @pytest.mark.parametrize("mag", [0.4, 3e-9])
+    def test_cross_moment_phase_closed_form(self, arg, mag):
+        # psi = arg(m_s) mod pi, including the branch cut and moments just above tol
+        p = GaussianParams(n1=1.7, n2=1.7, m_s=mag * complex(math.cos(arg), math.sin(arg)))
+        phases = solve_decoupling_phases(p)
+        assert phases is not None
+        assert 0.0 <= 2.0 * phases[0] <= math.pi
+        r1, r2 = coupling_residuals(p, MixerConfig(math.pi / 4, *phases))
+        assert abs(r1) < 1e-9 and abs(r2) < 1e-9
+
+    def test_cross_moment_below_tol_keeps_zero_phases(self):
+        p = GaussianParams(n1=1.7, n2=1.7, m_s=-5e-10)
+        assert solve_decoupling_phases(p) == (0.0, 0.0)
+
     def test_solved_phases_decouple_ssld_states(self):
         rng = np.random.default_rng(32)
         solved = 0
