@@ -56,6 +56,8 @@ class SweepConfig:
             raise ValueError("grid bounds must be finite")
         if not (self.n_max > self.n_min and self.m_max > self.m_min):
             raise ValueError("grid maxima must exceed minima")
+        if self.m_min < 0.0:
+            raise ValueError("m must be nonnegative (phase removed)")
         if not (self.tol > 0.0) or not math.isfinite(self.tol):
             raise ValueError("tol must be positive and finite")
         measures.separable_distance(self.r)  # typed error where r over- or underflows

@@ -60,8 +60,11 @@ class ReferenceStates:
         r = float(r)
         if not math.isfinite(r) or r < 0.0:
             raise ValueError("squeezing parameter must be finite and nonnegative")
-        n, m_abs = _reference_moments(r)
-        m = -m_abs
+        try:
+            n = 0.5 * math.cosh(2.0 * r)
+            m = -0.5 * math.sinh(2.0 * r)
+        except OverflowError:
+            raise NumericDomainError(f"reference squeezing r={r:g} overflows float64") from None
         return cls(
             r=r,
             lam=math.tanh(r),
@@ -128,19 +131,15 @@ def bures_from_fidelity(f: float) -> float:
     return 2.0 - 2.0 * math.sqrt(f)
 
 
-def _distance(one_minus_f, f):
-    # Bures distance 2 - 2 sqrt(F) as 2 (1 - F)/(1 + sqrt(F)): no cancellation
-    # as F -> 1 once 1 - F itself is; elementwise on arrays
-    return 2.0 * one_minus_f / (1.0 + np.sqrt(f))
-
-
 def _symmetric_distance(n, m, r: float):
-    # Distance of (n, n, m_c=m) from the twin-beam reference.  F = 1/det with
-    # det = (n+N)^2 - (m+M)^2 = (n - m + e^(-2r)/2)(n + m + e^(2r)/2), and
-    # 1 - F = (det - 1)/det.  At small r, det - 1 is taken relative to the
-    # traced-out reference (N, 0), where it is 3M^2 and a plain det - 1 would
-    # cancel.  separable_distance is this function at (N, 0), so that point
-    # scores exactly 0.
+    # Bures distance of (n, n, m_c=m) from the twin-beam reference, elementwise
+    # on arrays.  F = 1/det with det = (n+N)^2 - (m+M)^2
+    # = (n - m + e^(-2r)/2)(n + m + e^(2r)/2), and 2 - 2 sqrt(F) is taken as
+    # 2 (1 - F)/(1 + sqrt(F)) with 1 - F = (det - 1)/det, which the moments
+    # give without cancellation where a fidelity alone cannot.  At small r,
+    # det - 1 is taken relative to the traced-out reference (N, 0), where it
+    # is 3M^2 and a plain det - 1 would cancel.  separable_distance is this
+    # function at (N, 0), so that point scores exactly 0.
     big_n, big_m = _reference_moments(r)
     det = (n - m + 0.5 * math.exp(-2.0 * r)) * (n + m + 0.5 * math.exp(2.0 * r))
     sep_excess = 3.0 * big_m * big_m
@@ -148,7 +147,7 @@ def _symmetric_distance(n, m, r: float):
         excess = sep_excess + (n - big_n) * (n + 3.0 * big_n) - m * (m + 2.0 * big_m)
     else:
         excess = det - 1.0
-    return _distance(excess / det, 1.0 / det)
+    return 2.0 * (excess / det) / (1.0 + np.sqrt(1.0 / det))
 
 
 def separable_distance(r: float) -> float:
@@ -197,9 +196,8 @@ def entanglement_degree(
     anomalous cross moments add coherently and the result does not depend on
     an arbitrary phase convention.  The degree is 1 minus the ratio of the
     state's Bures distance from the twin-beam reference to the traced-out
-    reference's distance; it is reported even when negative.  Both
-    distances enter the degree in cancellation-free form, the traced-out
-    one from :func:`separable_distance`.
+    reference's distance; it is reported even when negative.  The traced-out
+    reference's distance is the closed form :func:`separable_distance`.
     """
     if not is_physical(p, tol):
         raise NonPhysicalStateError("entanglement degree requires a physical state")
@@ -209,10 +207,11 @@ def entanglement_degree(
     phase = cmath.phase(p.m_c) if p.m_c != 0 else 0.0
     sigma = GaussianParams(n1=big_n, n2=big_n, m_c=big_m * cmath.exp(1j * phase))
     fid = trace_overlap(build_covariance(p), build_covariance(sigma))
+    bures = bures_from_fidelity(fid)
     return MeasureReport(
         fidelity=fid,
-        bures=bures_from_fidelity(fid),
-        degree=float(1.0 - _distance(1.0 - fid, fid) / separable_distance(r)),
+        bures=bures,
+        degree=1.0 - bures / separable_distance(r),
         physical=True,
         separable=is_separable(p, tol),
     )

@@ -309,8 +309,23 @@ class TestExtremeSqueezing:
     def test_overflowing_reference_is_a_typed_error(self, r):
         with pytest.raises(NumericDomainError):
             entanglement_degree(GaussianParams(n1=1.0, n2=1.0), r)
-        with pytest.raises(NumericDomainError):
-            ReferenceStates.for_squeezing(r)
+
+    def test_reference_states_stay_finite_while_representable(self):
+        # cosh(2r)^2 overflows above r ~ 177, but the moments themselves not until ~355
+        refs = ReferenceStates.for_squeezing(300.0)
+        assert math.isfinite(refs.tmsv.n1) and math.isfinite(refs.tmsv.m_c.real)
+        assert refs.lam == 1.0
+        for r in (400.0, 1e3):
+            with pytest.raises(NumericDomainError):
+                ReferenceStates.for_squeezing(r)
+
+    def test_degree_and_bures_agree_at_the_reference(self):
+        # an overlap rounding just above 1 clamps to distance 0 and degree 1 in both fields
+        for r in (1e-3, 0.1, 0.5, 1.0, 3.0):
+            report = entanglement_degree(ReferenceStates.for_squeezing(r).tmsv, r)
+            assert report.bures >= 0.0 and report.degree <= 1.0
+            assert report.degree == 1.0 - report.bures / separable_distance(r)
+            assert report.degree == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSymmetricDegree:

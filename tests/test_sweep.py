@@ -196,6 +196,15 @@ class TestValidation:
         assert cli.main(["sweep", bound, "inf"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
 
+    def test_negative_m_is_a_cli_error(self, capsys):
+        # the kernel's bounds hold for m >= 0 only (the phase is removed)
+        with pytest.raises(ValueError):
+            cli.SweepConfig(m_min=-0.5)
+        assert cli.main(["sweep", "--m-min", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "ValueError"
+
     def test_nan_tol_is_a_cli_error(self, capsys):
         assert cli.main(["sweep", "--tol", "nan"]) == 2
         captured = capsys.readouterr()
