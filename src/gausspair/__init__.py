@@ -48,15 +48,14 @@ from .mixer import (
     LocalOperations,
     MixerConfig,
     OutputBlocks,
-    build_mixer,
     coupling_residuals,
     is_ssld,
     local_normal_form,
-    mixer_inverse,
+    mix_params,
     solve_decoupling_phases,
     transform_blocks,
-    transform_full,
 )
+from .oracle import build_mixer, mixer_inverse, transform_full
 from .tmtss import TmtssInputs, classify_symmetric, tmtss_params
 
 __version__ = "0.1.0"
@@ -89,6 +88,7 @@ __all__ = [
     "is_separable",
     "is_ssld",
     "local_normal_form",
+    "mix_params",
     "mixer_inverse",
     "mode_covariance",
     "mode_is_physical",

@@ -159,16 +159,34 @@ def _complex_from_json(value) -> complex:
     if isinstance(value, (int, float)):
         return complex(value, 0.0)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        try:
+            return complex(float(value[0]), float(value[1]))
+        except (TypeError, ValueError):
+            pass
     raise ValueError(f"cannot read complex value from {value!r}")
 
 
+def _real_from_json(data: dict, key: str) -> float:
+    if key not in data:
+        raise ValueError(f"state file has no {key!r}")
+    try:
+        return float(data[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"cannot read real value {key!r} from {data[key]!r}") from None
+
+
 def load_state(path: str) -> GaussianParams:
+    """Read a state file: a JSON object with ``n1``, ``n2`` and optional moments.
+
+    Raises ValueError naming the missing key or the wrong top-level type.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"state file must hold a JSON object, not {type(data).__name__}")
     return GaussianParams(
-        n1=float(data["n1"]),
-        n2=float(data["n2"]),
+        n1=_real_from_json(data, "n1"),
+        n2=_real_from_json(data, "n2"),
         m1=_complex_from_json(data.get("m1", 0.0)),
         m2=_complex_from_json(data.get("m2", 0.0)),
         m_s=_complex_from_json(data.get("ms", 0.0)),
@@ -189,8 +207,10 @@ def state_to_json(p: GaussianParams) -> dict:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        # usage errors are JSON on stderr too, with exit code 1
+        payload = {"error": "UsageError", "message": f"{self.prog}: {message}",
+                   "usage": self.format_usage().strip()}
+        self.exit(1, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _add_state_flags(parser: argparse.ArgumentParser) -> None:
@@ -260,6 +280,8 @@ def cmd_check(args) -> dict:
 
 
 def cmd_transform(args) -> dict:
+    if not 0.0 < args.tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     p = load_state(args.state)
     cfg = mixer.MixerConfig(theta=args.theta, phi0=args.phi0, phi1=args.phi1)
     blocks = mixer.transform_blocks(p, cfg)
@@ -325,21 +347,26 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "check":
-            payload = cmd_check(args)
-        elif args.command == "transform":
-            payload = cmd_transform(args)
-        elif args.command == "sweep":
-            return cmd_sweep(args)
-        elif args.command == "tmtss":
-            payload = cmd_tmtss(args)
-        else:
-            payload = cmd_oracle(args)
+        # numpy overflow and invalid results become errors, not warnings on stderr
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if args.command == "check":
+                payload = cmd_check(args)
+            elif args.command == "transform":
+                payload = cmd_transform(args)
+            elif args.command == "sweep":
+                return cmd_sweep(args)
+            elif args.command == "tmtss":
+                payload = cmd_tmtss(args)
+            else:
+                payload = cmd_oracle(args)
     except ModelValidityError as err:
         _print_error(err, n=err.n, m=err.m)
         return 2
     except (NonPhysicalStateError, DegenerateStateError, NumericDomainError, ValueError) as err:
         _print_error(err)
+        return 2
+    except FloatingPointError as err:
+        _print_error(NumericDomainError(f"float64 arithmetic failed: {err}"))
         return 2
     except OSError as err:
         _print_error(err)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPhysicalStateError
+from .errors import NonPhysicalStateError, NumericDomainError
 
 DEFAULT_TOL = 1e-9
 
@@ -61,15 +61,18 @@ class GaussianParams:
     m_c: complex = 0j
 
     def __post_init__(self):
-        object.__setattr__(self, "n1", float(self.n1))
-        object.__setattr__(self, "n2", float(self.n2))
-        for name in ("m1", "m2", "m_s", "m_c"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
-        finite = math.isfinite(self.n1) and math.isfinite(self.n2) and all(
-            cmath.isfinite(getattr(self, name)) for name in ("m1", "m2", "m_s", "m_c")
-        )
-        if not finite:
+        n1, n2 = float(self.n1), float(self.n2)
+        m1, m2, m_s, m_c = complex(self.m1), complex(self.m2), complex(self.m_s), complex(self.m_c)
+        if not (math.isfinite(n1) and math.isfinite(n2) and cmath.isfinite(m1)
+                and cmath.isfinite(m2) and cmath.isfinite(m_s) and cmath.isfinite(m_c)):
             raise ValueError("Gaussian parameters must be finite")
+        set_field = object.__setattr__  # the dataclass is frozen
+        set_field(self, "n1", n1)
+        set_field(self, "n2", n2)
+        set_field(self, "m1", m1)
+        set_field(self, "m2", m2)
+        set_field(self, "m_s", m_s)
+        set_field(self, "m_c", m_c)
 
 
 @dataclass(frozen=True)
@@ -138,31 +141,46 @@ def schur_terms(p: GaussianParams) -> SchurTerms:
 
     ``s`` and ``d`` are real by construction; ``d <= 0`` signals a singular
     (or nonphysical) party-1 pivot and must be handled by the caller.
+    Raises :class:`NumericDomainError` when a term overflows float64.
     """
-    w = p.m_c * p.m_s * p.m1.conjugate()
-    s = p.n1 * (abs(p.m_c) ** 2 + abs(p.m_s) ** 2) - 2.0 * w.real
-    c = (
-        2.0 * p.n1 * p.m_s.conjugate() * p.m_c
-        - p.m_c ** 2 * p.m1.conjugate()
-        - p.m_s.conjugate() ** 2 * p.m1
-    )
-    d = p.n1 ** 2 - 0.25 - abs(p.m1) ** 2
+    try:
+        w = p.m_c * p.m_s * p.m1.conjugate()
+        s = p.n1 * (abs(p.m_c) ** 2 + abs(p.m_s) ** 2) - 2.0 * w.real
+        c = (
+            2.0 * p.n1 * p.m_s.conjugate() * p.m_c
+            - p.m_c ** 2 * p.m1.conjugate()
+            - p.m_s.conjugate() ** 2 * p.m1
+        )
+        d = p.n1 ** 2 - 0.25 - abs(p.m1) ** 2
+    except OverflowError:
+        raise NumericDomainError("moments overflow float64 in the Schur terms") from None
+    if not (math.isfinite(s) and cmath.isfinite(c) and math.isfinite(d)):
+        raise NumericDomainError("moments overflow float64 in the Schur terms")
     return SchurTerms(s=float(s), c=c, d=float(d))
 
 
 def _pivot_bound(p: GaussianParams) -> float:
-    return math.sqrt(abs(p.m1) ** 2 + 0.25)
+    try:
+        return math.sqrt(abs(p.m1) ** 2 + 0.25)
+    except OverflowError:
+        raise NumericDomainError("moments overflow float64 in the pivot bound") from None
 
 
 def _schur_bound(p: GaussianParams, t: SchurTerms, shift: float) -> float:
     # Schur complement of the party-1 pivot, as a lower bound on n2.
     # shift = -1 tests plain positivity, +1 the partially transposed matrix
     # (the mirror swaps m_s and m_c, flipping the sign of k; s, d and c/d are
-    # invariant under it).
+    # invariant under it).  Valid only for d > 0.
     k = abs(p.m_c) ** 2 - abs(p.m_s) ** 2
-    return t.s / t.d + math.sqrt(
-        0.25 * (k / t.d + shift) ** 2 + abs(p.m2 - t.c / t.d) ** 2
-    )
+    try:
+        bound = t.s / t.d + math.sqrt(
+            0.25 * (k / t.d + shift) ** 2 + abs(p.m2 - t.c / t.d) ** 2
+        )
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise NumericDomainError("Schur bound overflows float64")
+    return bound
 
 
 def _min_eig(h: np.ndarray) -> float:
@@ -173,15 +191,17 @@ def is_physical(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
     """Uncertainty-principle test for the two-mode covariance data.
 
     Boundary states (pure states) count as physical: every comparison gets
-    ``tol`` of slack on the accept side.  A near-singular pivot ``|d| <= tol``
-    routes the decision to the eigenvalue form, which needs no inversion.
+    ``tol`` of slack on the accept side.  A pivot determinant ``d <= tol``
+    (near singular, or negative when ``n1`` sits within ``tol`` below the
+    pivot bound) routes the decision to the eigenvalue form, which needs no
+    inversion.  ``tol`` must be positive and finite.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if p.n1 < _pivot_bound(p) - tol:
         return False
     t = schur_terms(p)
-    if abs(t.d) <= tol:
+    if t.d <= tol:
         v = build_covariance(p) + 0.5 * COMMUTATOR_SIGNATURE
         return _min_eig(v) >= -tol
     return p.n2 >= _schur_bound(p, t, -1.0) - tol
@@ -192,13 +212,12 @@ def is_separable(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
 
     Same structure as :func:`is_physical` with the mirrored sign in the
     square root, which is the only change the partial transpose induces.
+    Physicality already rules out a pivot below its bound.
     """
     if not is_physical(p, tol):
         raise NonPhysicalStateError("separability is undefined for a nonphysical state")
     t = schur_terms(p)
-    if abs(t.d) <= tol:
+    if t.d <= tol:
         v = partial_transpose(build_covariance(p)) + 0.5 * COMMUTATOR_SIGNATURE
         return _min_eig(v) >= -tol
-    if p.n1 < _pivot_bound(p) - tol:
-        return False
     return p.n2 >= _schur_bound(p, t, +1.0) - tol

@@ -2,12 +2,13 @@
 
 The mixer is the bilinear Bogoliubov family of an ideal beam splitter:
 a mixing angle ``theta`` and two phases ``phi0`` (reflected arm) and
-``phi1`` (transmitted arm).  It acts on the mode vector by a unitary
-4x4 matrix built from two diagonal 2x2 blocks, and on covariance data by
-conjugation.  Besides the transform itself this module knows when the two
-output ports decouple (the off-diagonal block of the output vanishes),
-which phases achieve that, and the local-determinant symmetry class on
-which decoupling is achievable at the 50:50 point.
+``phi1`` (transmitted arm).  Its two 2x2 blocks are diagonal, so on
+covariance data it is a closed-form map from the six moments to six
+moments (:func:`mix_params`).  Besides the transform itself this module
+knows when the two output ports decouple (the off-diagonal block of the
+output vanishes), which phases achieve that, and the local-determinant
+symmetry class on which decoupling is achievable at the 50:50 point.  The
+4x4 matrix route lives in :mod:`gausspair.oracle`, as the referee.
 """
 
 from __future__ import annotations
@@ -31,11 +32,13 @@ class MixerConfig:
     phi1: float = 0.0
 
     def __post_init__(self):
-        for name in ("theta", "phi0", "phi1"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError("mixer angles must be finite")
-            object.__setattr__(self, name, value)
+        theta, phi0, phi1 = float(self.theta), float(self.phi0), float(self.phi1)
+        if not (math.isfinite(theta) and math.isfinite(phi0) and math.isfinite(phi1)):
+            raise ValueError("mixer angles must be finite")
+        set_field = object.__setattr__  # the dataclass is frozen
+        set_field(self, "theta", theta)
+        set_field(self, "phi0", phi0)
+        set_field(self, "phi1", phi1)
 
     @property
     def inverse(self) -> "MixerConfig":
@@ -73,47 +76,45 @@ class LocalOperations:
         raise ValueError("party must be 1 or 2")
 
 
-def _half_blocks(cfg: MixerConfig) -> tuple[np.ndarray, np.ndarray]:
-    r = math.cos(cfg.theta) * np.diag([cmath.exp(1j * cfg.phi0), cmath.exp(-1j * cfg.phi0)])
-    s = math.sin(cfg.theta) * np.diag([cmath.exp(1j * cfg.phi1), cmath.exp(-1j * cfg.phi1)])
-    return r, s
+def mix_params(p: GaussianParams, cfg: MixerConfig) -> GaussianParams:
+    """The output moments of the mixer, in closed form.
 
-
-def build_mixer(cfg: MixerConfig) -> np.ndarray:
-    """The 4x4 mode-vector matrix of the mixer."""
-    r, s = _half_blocks(cfg)
-    return np.block([[r, s], [-s.conj(), r.conj()]])
-
-
-def mixer_inverse(cfg: MixerConfig) -> np.ndarray:
-    """Closed-form inverse; the block structure makes the mixer unitary."""
-    r, s = _half_blocks(cfg)
-    return np.block([[r.conj(), -s], [s.conj(), r]])
-
-
-def transform_full(v: np.ndarray, cfg: MixerConfig) -> np.ndarray:
-    """Conjugate a covariance matrix through the mixer (inverse on the left)."""
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {v.shape}")
-    return mixer_inverse(cfg) @ v @ build_mixer(cfg)
+    With ``r = cos(theta) diag(e^{i phi0}, e^{-i phi0})`` and
+    ``s = sin(theta) diag(e^{i phi1}, e^{-i phi1})`` every output entry is one
+    scalar sum, e.g. ``v1p[j,k] = conj(r_j) r_k v1[j,k] + s_j conj(s_k) v2[j,k]
+    - s_j r_k c^dagger[j,k] - conj(r_j) conj(s_k) c[j,k]``.  Row 0 of the three
+    output blocks holds the six moments; the other rows follow from the layout.
+    """
+    c, s = math.cos(cfg.theta), math.sin(cfg.theta)
+    cc, ss, cs = c * c, s * s, c * s
+    rho = cmath.exp(1j * cfg.phi0)
+    sigma = cmath.exp(1j * cfg.phi1)
+    rho2 = rho * rho
+    sigma2 = sigma * sigma
+    e_sum = rho * sigma  # e^{i(phi0 + phi1)}
+    e_dif = sigma * rho.conjugate()  # e^{i(phi1 - phi0)}
+    cross = 2.0 * cs * (e_sum * p.m_s.conjugate()).real
+    mix_c = 2.0 * cs * p.m_c
+    return GaussianParams(
+        n1=cc * p.n1 + ss * p.n2 - cross,
+        n2=ss * p.n1 + cc * p.n2 + cross,
+        m1=cc * rho2.conjugate() * p.m1 + ss * sigma2 * p.m2 - e_dif * mix_c,
+        m2=ss * sigma2.conjugate() * p.m1 + cc * rho2 * p.m2 + e_dif.conjugate() * mix_c,
+        m_s=(cs * e_dif * (p.n1 - p.n2) + cc * rho2.conjugate() * p.m_s
+             - ss * sigma2 * p.m_s.conjugate()),
+        m_c=cs * (e_sum.conjugate() * p.m1 - e_sum * p.m2) + (cc - ss) * p.m_c,
+    )
 
 
 def transform_blocks(p: GaussianParams, cfg: MixerConfig) -> OutputBlocks:
-    """Blockwise input-output relations of the mixer.
-
-    Algebraically identical to :func:`transform_full` but computed from the
-    2x2 blocks directly, so the two routes can referee each other.
-    """
-    r, s = _half_blocks(cfg)
-    rc, sc = r.conj(), s.conj()
-    v1 = np.array([[p.n1, p.m1], [p.m1.conjugate(), p.n1]])
-    v2 = np.array([[p.n2, p.m2], [p.m2.conjugate(), p.n2]])
-    c = np.array([[p.m_s, p.m_c], [p.m_c.conjugate(), p.m_s.conjugate()]])
-    cd = c.conj().T
-    v1p = rc @ v1 @ r + s @ v2 @ sc - s @ cd @ r - rc @ c @ sc
-    v2p = sc @ v1 @ s + r @ v2 @ rc + r @ cd @ s + sc @ c @ rc
-    cp = rc @ v1 @ s - s @ v2 @ rc - s @ cd @ s + rc @ c @ rc
+    """The output covariance of the mixer in block form, from :func:`mix_params`."""
+    q = mix_params(p, cfg)
+    m1, m2, ms, mc = q.m1, q.m2, q.m_s, q.m_c
+    v1p, v2p, cp = np.array([
+        q.n1, m1, m1.conjugate(), q.n1,
+        q.n2, m2, m2.conjugate(), q.n2,
+        ms, mc, mc.conjugate(), ms.conjugate(),
+    ], dtype=complex).reshape(3, 2, 2)
     return OutputBlocks(v1p=v1p, v2p=v2p, cp=cp)
 
 
@@ -178,6 +179,13 @@ def _squeeze(z: float) -> np.ndarray:
     return np.array([[ch, sh], [sh, ch]], dtype=complex)
 
 
+def _normal_op(n: float, m: complex) -> tuple[float, float]:
+    # the rotation making m real, then the squeeze removing it
+    if m == 0:
+        return 0.0, 0.0
+    return 0.5 * cmath.phase(m), 0.5 * math.atanh(-abs(m) / n)
+
+
 def local_normal_form(
     p: GaussianParams, tol: float = DEFAULT_TOL
 ) -> tuple[GaussianParams, LocalOperations]:
@@ -189,30 +197,25 @@ def local_normal_form(
     separability verdicts are invariant under this, and states with equal
     local determinants come out with equal occupations.
     """
-    dets = [p.n1 ** 2 - abs(p.m1) ** 2, p.n2 ** 2 - abs(p.m2) ** 2]
-    if min(dets) <= 1e-12:
+    det1 = p.n1 ** 2 - abs(p.m1) ** 2
+    det2 = p.n2 ** 2 - abs(p.m2) ** 2
+    if min(det1, det2) <= 1e-12:
         raise DegenerateStateError("local block is singular")
     if not is_physical(p, tol):
         raise NonPhysicalStateError("normal form requires a physical state")
 
-    ops = []
-    occupations = []
-    for n, m, det in ((p.n1, p.m1, dets[0]), (p.n2, p.m2, dets[1])):
-        phi = 0.5 * cmath.phase(m) if m != 0 else 0.0
-        mag = abs(m)
-        z = 0.5 * math.atanh(-mag / n) if mag else 0.0
-        ops.append((phi, z))
-        occupations.append(math.sqrt(det))
-
-    record = LocalOperations(
-        rotation1=ops[0][0], squeeze1=ops[0][1],
-        rotation2=ops[1][0], squeeze2=ops[1][1],
-    )
-    l1 = record.matrix(1)
-    l2 = record.matrix(2)
-    c = np.array([[p.m_s, p.m_c], [p.m_c.conjugate(), p.m_s.conjugate()]])
-    cp = l1.conj().T @ c @ l2
+    phi1, z1 = _normal_op(p.n1, p.m1)
+    phi2, z2 = _normal_op(p.n2, p.m2)
+    record = LocalOperations(rotation1=phi1, squeeze1=z1, rotation2=phi2, squeeze2=z2)
+    # cp = L1^dagger C L2 with L = [[e ch, e sh], [conj(e) sh, conj(e) ch]]
+    e1, e2 = cmath.exp(1j * phi1), cmath.exp(1j * phi2)
+    ch1, sh1, ch2, sh2 = math.cosh(z1), math.sinh(z1), math.cosh(z2), math.sinh(z2)
+    a = e1.conjugate() * ch1 * p.m_s + e1 * sh1 * p.m_c.conjugate()  # row 0 of L1^dagger C
+    b = e1.conjugate() * ch1 * p.m_c + e1 * sh1 * p.m_s.conjugate()
     normal = GaussianParams(
-        n1=occupations[0], n2=occupations[1], m_s=cp[0, 0], m_c=cp[0, 1]
+        n1=math.sqrt(det1),
+        n2=math.sqrt(det2),
+        m_s=e2 * ch2 * a + e2.conjugate() * sh2 * b,
+        m_c=e2 * sh2 * a + e2.conjugate() * ch2 * b,
     )
     return normal, record

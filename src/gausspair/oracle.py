@@ -2,16 +2,20 @@
 
 Nothing in this module is imported by the decision code; the test suite uses
 these routines to cross-check closed-form results through unrelated
-algorithms (Jacobi rotations, Fock-basis sums, and direct quadrature).
+algorithms (Jacobi rotations, Fock-basis sums, direct quadrature, and the
+full 4x4 conjugation through the mixer matrix).
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericDomainError
+from .mixer import MixerConfig
 
 _OFFDIAG_TARGET = 1e-15
 _MAX_SWEEPS = 60
@@ -57,7 +61,7 @@ def eig_min_hermitian(h: np.ndarray, herm_tol: float = 1e-10):
                 phi = np.angle(apq)
                 tau = (a[:, q, q].real - a[:, p, p].real) / (2.0 * safe_r)
                 sign = np.where(tau >= 0.0, 1.0, -1.0)
-                t = np.where(active, sign / (np.abs(tau) + np.sqrt(1.0 + tau * tau)), 0.0)
+                t = np.where(active, sign / (np.abs(tau) + np.hypot(1.0, tau)), 0.0)
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = t * c
                 e = np.exp(1j * phi)
@@ -157,3 +161,33 @@ def overlap_numint(va: np.ndarray, vb: np.ndarray, grid: QuadratureSpec | None =
         total += w[i] * float(np.dot(w_tail, g))
 
     return float(alpha ** dims * total / np.pi ** n_modes)
+
+
+def _half_blocks(cfg: MixerConfig) -> tuple[np.ndarray, np.ndarray]:
+    r = math.cos(cfg.theta) * np.diag([cmath.exp(1j * cfg.phi0), cmath.exp(-1j * cfg.phi0)])
+    s = math.sin(cfg.theta) * np.diag([cmath.exp(1j * cfg.phi1), cmath.exp(-1j * cfg.phi1)])
+    return r, s
+
+
+def build_mixer(cfg: MixerConfig) -> np.ndarray:
+    """The 4x4 mode-vector matrix of the mixer."""
+    r, s = _half_blocks(cfg)
+    return np.block([[r, s], [-s.conj(), r.conj()]])
+
+
+def mixer_inverse(cfg: MixerConfig) -> np.ndarray:
+    """Closed-form inverse; the block structure makes the mixer unitary."""
+    r, s = _half_blocks(cfg)
+    return np.block([[r.conj(), -s], [s.conj(), r]])
+
+
+def transform_full(v: np.ndarray, cfg: MixerConfig) -> np.ndarray:
+    """Conjugate a covariance matrix through the mixer (inverse on the left).
+
+    The matrix route to what :func:`gausspair.mixer.mix_params` computes in
+    closed form.
+    """
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {v.shape}")
+    return mixer_inverse(cfg) @ v @ build_mixer(cfg)

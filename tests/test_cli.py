@@ -1,8 +1,11 @@
 import argparse
+import itertools
 import json
 import math
+import random
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -77,6 +80,34 @@ class TestCheck:
             cli.main([])
         assert exc.value.code == 1
 
+    def test_usage_error_is_json(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["check", "--n1", "oops", "--n2", "1"])
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "UsageError"
+        assert "--n1" in payload["message"]
+        assert payload["usage"].startswith("usage: gausspair check")
+
+    def test_nan_tol_exits_2(self, capsys):
+        code, out, err = run_cli(["check", "--n1", "2", "--n2", "2", "--tol", "nan"], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "ValueError", "message": "tol must be positive and finite"}
+
+    def test_overflowing_moments_exit_2(self, capsys):
+        code, out, err = run_cli(
+            ["check", "--n1", "1e200", "--n2", "1e200", "--mc", "1e200"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "NumericDomainError"
+
+    def test_overflowing_overlap_exits_2(self, capsys):
+        code, out, err = run_cli(["check", "--n1", "1e100", "--n2", "1e200"], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "NumericDomainError"
+
 
 class TestRunCheck:
     def test_composition_matches_library(self):
@@ -129,6 +160,33 @@ class TestTransform:
         )
         assert code == 2
         assert "error" in json.loads(err)
+
+    @pytest.mark.parametrize("text, fragment", [
+        ('{"n1": 2.0}', "'n2'"),
+        ('{"n2": 2.0}', "'n1'"),
+        ("[2.0, 2.0]", "JSON object, not list"),
+        ('"state"', "JSON object, not str"),
+        ('{"n1": 2.0, "n2": null}', "'n2'"),
+        ('{"n1": 2.0, "n2": 2.0, "mc": [null, 1.0]}', "complex"),
+    ])
+    def test_malformed_state_file_names_the_problem(self, tmp_path, capsys, text, fragment):
+        path = tmp_path / "state.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(["transform", "--state", str(path), "--theta", "0.5"], capsys)
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert fragment in payload["message"]
+
+    def test_nan_tol_exits_2(self, tmp_path, capsys):
+        path = self.write_state(tmp_path, n1=2.0, n2=2.0, mc=[1.8, 0.0])
+        code, out, err = run_cli(
+            ["transform", "--state", path, "--theta", "0.7", "--tol", "nan"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "tol" in json.loads(err)["message"]
 
 
 class TestTmtssCommand:
@@ -249,6 +307,95 @@ class TestOracleCommand:
         )
         assert code == 0
         assert json.loads(out)["overlap"] == pytest.approx(1.0, abs=1e-6)
+
+
+FUZZ_PLAIN = ["0.2", "0.5", "1.5", "2", "3"]
+FUZZ_EXTREME = ["0", "-1", "1e-300", "1e100", "1e154", "1e200", "1e308", "inf", "-inf", "nan", "oops"]
+
+
+def _fuzz_value(rng) -> str:
+    # mostly ordinary values, so that successes are fuzzed as well as failures
+    return rng.choice(FUZZ_PLAIN if rng.random() < 0.7 else FUZZ_EXTREME)
+
+FUZZ_STATE_FILES = [
+    "", "{", "null", "3", "[]", '"n1"', "{}", '{"n1": 2}', '{"n1": 2, "n2": "x"}',
+    '{"n1": 2, "n2": []}', '{"n1": 2, "n2": {}}', '{"n1": NaN, "n2": 2}',
+    '{"n1": Infinity, "n2": 2}', '{"n1": 2, "n2": 2, "m1": "x"}', '{"n1": 2, "n2": 2, "m1": [1]}',
+    '{"n1": 2, "n2": 2, "ms": [1, 2, 3]}', '{"n1": 2, "n2": 2, "mc": {"re": 1}}',
+    '{"n1": 1e308, "n2": 1e308, "mc": [1e308, 1e308]}', '{"n1": 1e200, "n2": 0, "ms": 1e200}',
+    '{"n1": 2, "n2": 2, "m1": [1e308, -1e308], "m2": 1e-320}',
+]
+
+
+def _run_guarded(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _assert_clean_outcome(argv, code, out, err) -> int:
+    if code == 0:
+        json.loads(out)
+        assert err == "", argv
+    else:
+        assert code in (1, 2), argv
+        assert out == "", argv
+        assert "error" in json.loads(err), argv
+    return code
+
+
+@pytest.mark.filterwarnings("error")
+class TestCliFuzz:
+    """Extreme, non-finite and malformed inputs end in JSON, never a traceback."""
+
+    def test_check_flags(self, capsys):
+        rng = random.Random(7)
+        codes = Counter()
+        flags = ["--n1", "--n2", "--m1", "--m2", "--ms", "--mc", "--r", "--tol"]
+        for _ in range(400):
+            argv = ["check"]
+            for flag in flags:
+                if flag in ("--n1", "--n2") or rng.random() < 0.5:
+                    value = _fuzz_value(rng)
+                    if flag.startswith("--m") and rng.random() < 0.3:
+                        value += "," + _fuzz_value(rng)
+                    argv.append(f"{flag}={value}")
+            codes[_assert_clean_outcome(argv, *_run_guarded(argv, capsys))] += 1
+        assert min(codes.values()) >= 10, codes
+
+    def test_transform_flags(self, tmp_path, capsys):
+        rng = random.Random(8)
+        codes = Counter()
+        keys = ["n1", "n2", "m1", "m2", "ms", "mc"]
+        path = tmp_path / "state.json"
+        for _ in range(300):
+            state = {}
+            for key in keys:
+                if rng.random() < 0.9:
+                    value = float(_fuzz_value(rng).replace("oops", "7"))
+                    if key.startswith("m") and rng.random() < 0.5:
+                        value = [value, float(_fuzz_value(rng).replace("oops", "7"))]
+                    state[key] = value
+            path.write_text(json.dumps(state), encoding="utf-8")
+            argv = ["transform", "--state", str(path), f"--theta={_fuzz_value(rng)}"]
+            for flag in ("--phi0", "--phi1", "--tol"):
+                if rng.random() < 0.3:
+                    argv.append(f"{flag}={_fuzz_value(rng)}")
+            codes[_assert_clean_outcome(argv, *_run_guarded(argv, capsys))] += 1
+        assert min(codes.values()) >= 10, codes
+
+    def test_malformed_state_files(self, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        for text, command in itertools.product(FUZZ_STATE_FILES, ("transform", "eigmin")):
+            path.write_text(text, encoding="utf-8")
+            if command == "transform":
+                argv = ["transform", "--state", str(path), "--theta", "0.7853981633974483"]
+            else:
+                argv = ["oracle", "eigmin", "--state", str(path)]
+            _assert_clean_outcome(argv, *_run_guarded(argv, capsys))
 
 
 def test_module_entry_point():

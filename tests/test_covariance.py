@@ -1,11 +1,17 @@
+import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gausspair import (
+    DEFAULT_TOL,
     GaussianParams,
     NonPhysicalStateError,
+    NumericDomainError,
     build_covariance,
     is_physical,
     is_separable,
@@ -13,7 +19,7 @@ from gausspair import (
     partial_transpose,
     schur_terms,
 )
-from gausspair.covariance import COMMUTATOR_SIGNATURE
+from gausspair.covariance import COMMUTATOR_SIGNATURE, _schur_bound
 from gausspair import oracle
 
 from conftest import draw_params, draw_physical
@@ -182,3 +188,112 @@ class TestSymmetricClassClosedForms:
             n = 0.5 * math.cosh(2 * r)
             m = 0.5 * math.sinh(2 * r)
             assert is_physical(GaussianParams(n1=n, n2=n, m_c=m))
+
+
+def moments(hi):
+    """Complex moments of magnitude up to ``hi``, with exact zeros mixed in."""
+    polar = st.builds(
+        lambda mag, arg: mag * cmath.exp(1j * arg),
+        st.floats(0.0, hi), st.floats(-math.pi, math.pi),
+    )
+    return st.one_of(st.just(0j), polar)
+
+
+def tol_offsets():
+    """A few ``tol`` either side of a boundary, the boundary itself included."""
+    return st.one_of(st.just(0.0), st.floats(-5.0, 5.0)).map(lambda k: k * DEFAULT_TOL)
+
+
+@st.composite
+def pivot_band_states(draw, cross_hi):
+    """``n1`` within a few tol of the party-1 pivot bound ``sqrt(|m1|^2 + 1/4)``.
+
+    A singular pivot leaves a state physical only if the cross moments are
+    of order ``sqrt(tol)`` or smaller, hence ``cross_hi``.
+    """
+    m1 = draw(moments(10.0))
+    return GaussianParams(
+        n1=math.sqrt(abs(m1) ** 2 + 0.25) + draw(tol_offsets()),
+        n2=draw(st.floats(0.5, 12.0)),
+        m1=m1, m2=draw(moments(2.0)), m_s=draw(moments(cross_hi)), m_c=draw(moments(cross_hi)),
+    )
+
+
+@st.composite
+def schur_band_states(draw, shift):
+    """``n2`` within a few tol of the Schur bound (shift -1: physicality, +1: PPT)."""
+    m1 = draw(moments(2.0))
+    base = GaussianParams(
+        n1=math.sqrt(abs(m1) ** 2 + 0.25) + draw(st.floats(1e-3, 3.0)),
+        n2=1.0,
+        m1=m1, m2=draw(moments(2.0)), m_s=draw(moments(2.0)), m_c=draw(moments(2.0)),
+    )
+    bound = _schur_bound(base, schur_terms(base), shift)
+    return replace(base, n2=bound + draw(tol_offsets()))
+
+
+def _eig(h: np.ndarray) -> float:
+    return float(oracle.eig_min_hermitian(h))
+
+
+def _consistent(verdict: bool, e: float, p: GaussianParams) -> bool:
+    # Accepting needs the smallest eigenvalue no lower than -tol, rejecting
+    # needs it below 0; the slack covers rounding in both routes.
+    slack = 1e-11 * max(1.0, float(np.abs(build_covariance(p)).max()))
+    return e >= -DEFAULT_TOL - slack if verdict else e < slack
+
+
+class TestBoundaryBands:
+    """Verdicts near the pivot and Schur boundaries, refereed by the Jacobi oracle."""
+
+    def test_pivot_within_tol_below_bound_is_rejected(self):
+        p = GaussianParams(n1=math.sqrt(100.25) - 5e-10, n2=3, m1=10, m_c=5)
+        assert _eig(build_covariance(p) + 0.5 * COMMUTATOR_SIGNATURE) < -3.0
+        assert not is_physical(p)
+        with pytest.raises(NonPhysicalStateError):
+            is_separable(p)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pivot_band_states(cross_hi=2.0))
+    def test_physicality_at_the_pivot_bound(self, p):
+        e = _eig(build_covariance(p) + 0.5 * COMMUTATOR_SIGNATURE)
+        assert _consistent(is_physical(p), e, p), e
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pivot_band_states(cross_hi=1e-5))
+    def test_separability_at_the_pivot_bound(self, p):
+        assume(is_physical(p))
+        e = _eig(partial_transpose(build_covariance(p)) + 0.5 * COMMUTATOR_SIGNATURE)
+        assert _consistent(is_separable(p), e, p), e
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(schur_band_states(-1.0))
+    def test_physicality_at_the_schur_bound(self, p):
+        e = _eig(build_covariance(p) + 0.5 * COMMUTATOR_SIGNATURE)
+        assert _consistent(is_physical(p), e, p), e
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(schur_band_states(+1.0))
+    def test_separability_at_the_schur_bound(self, p):
+        assume(is_physical(p))
+        e = _eig(partial_transpose(build_covariance(p)) + 0.5 * COMMUTATOR_SIGNATURE)
+        assert _consistent(is_separable(p), e, p), e
+
+
+class TestTolAndOverflow:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            is_physical(VACUUM, tol)
+        with pytest.raises(ValueError, match="tol"):
+            is_separable(VACUUM, tol)
+
+    @pytest.mark.parametrize("big", [1e120, 1e160, 1e200, 1e300])
+    def test_overflowing_moments_are_a_domain_error(self, big):
+        p = GaussianParams(n1=2.0 * big, n2=2.0 * big, m_c=big)
+        with pytest.raises(NumericDomainError):
+            is_physical(p)
+
+    def test_overflowing_pivot_bound_is_a_domain_error(self):
+        with pytest.raises(NumericDomainError):
+            is_physical(GaussianParams(n1=1e200, n2=1.0, m1=1e200))

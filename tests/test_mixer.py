@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gausspair
 from gausspair import (
     DegenerateStateError,
     GaussianParams,
@@ -15,11 +18,13 @@ from gausspair import (
     is_separable,
     is_ssld,
     local_normal_form,
+    mix_params,
     mixer_inverse,
     solve_decoupling_phases,
     transform_blocks,
     transform_full,
 )
+from gausspair import mixer, oracle
 from gausspair.covariance import COMMUTATOR_SIGNATURE
 
 from conftest import draw_mixer, draw_params, draw_physical
@@ -137,6 +142,115 @@ class TestTransformBlocks:
             for blk in (b.v1p, b.v2p):
                 assert np.abs(blk - blk.conj().T).max() < 1e-12
                 assert abs(blk[0, 0].imag) < 1e-14
+
+
+def _fields(p: GaussianParams) -> np.ndarray:
+    return np.array([p.n1, p.n2, p.m1, p.m2, p.m_s, p.m_c])
+
+
+def _phys_eig(p: GaussianParams) -> float:
+    return oracle.eig_min_hermitian(build_covariance(p) + 0.5 * COMMUTATOR_SIGNATURE)
+
+
+class TestMixParams:
+    def test_matches_full_conjugation(self):
+        rng = np.random.default_rng(35)
+        for _ in range(1000):
+            p = draw_params(rng, m_hi=2.0)
+            cfg = draw_mixer(rng)
+            want = oracle.transform_full(build_covariance(p), cfg)
+            got = build_covariance(mix_params(p, cfg))
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_inverse_config_round_trip(self):
+        rng = np.random.default_rng(36)
+        for _ in range(500):
+            p = draw_params(rng)
+            cfg = draw_mixer(rng)
+            back = mix_params(mix_params(p, cfg), cfg.inverse)
+            assert np.abs(_fields(back) - _fields(p)).max() <= 1e-12 * np.abs(_fields(p)).max()
+
+    def test_mixers_chain_by_adding_angles(self):
+        rng = np.random.default_rng(37)
+        for _ in range(200):
+            p = draw_params(rng)
+            a, b = rng.uniform(-np.pi, np.pi, size=2)
+            chained = mix_params(mix_params(p, MixerConfig(a)), MixerConfig(b))
+            direct = mix_params(p, MixerConfig(a + b))
+            assert np.abs(_fields(chained) - _fields(direct)).max() <= 1e-12 * np.abs(_fields(p)).max()
+
+    def test_residuals_are_the_output_cross_moments(self):
+        rng = np.random.default_rng(38)
+        for _ in range(500):
+            p = draw_params(rng, m_hi=2.0)
+            cfg = draw_mixer(rng)
+            q = mix_params(p, cfg)
+            r1, r2 = coupling_residuals(p, cfg)
+            scale = np.abs(_fields(p)).max()
+            assert abs(r1 + 2.0 * q.m_c) <= 1e-12 * scale
+            assert abs(r2 - 2.0 * q.m_s) <= 1e-12 * scale
+
+    def test_preserves_physicality(self):
+        # the mixer commutes with the commutator signature, so V + Sigma/2 is
+        # only rotated: its spectrum and the physicality verdict carry over
+        rng = np.random.default_rng(39)
+        for i in range(400):
+            p = draw_params(rng, m_hi=1.2 if i % 2 else 5.0)
+            q = mix_params(p, draw_mixer(rng))
+            e_in, e_out = _phys_eig(p), _phys_eig(q)
+            assert abs(e_out - e_in) <= 1e-11 * max(1.0, np.abs(_fields(p)).max())
+            if abs(e_in) > 1e-7:
+                assert is_physical(q) == is_physical(p) == (e_in > 0)
+
+    def test_blocks_are_the_mixed_moments(self):
+        rng = np.random.default_rng(40)
+        p, cfg = draw_params(rng), draw_mixer(rng)
+        assert np.array_equal(
+            transform_blocks(p, cfg).assemble(), build_covariance(mix_params(p, cfg))
+        )
+
+
+class TestOracleSplit:
+    DECISION_MODULES = ("covariance", "measures", "mixer", "tmtss", "classicality")
+
+    @staticmethod
+    def _package_imports(module: str) -> set[str]:
+        tree = ast.parse((Path(gausspair.__file__).parent / f"{module}.py").read_text())
+        found = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level == 0 and not base.startswith("gausspair"):
+                    continue
+                base = base.removeprefix("gausspair").lstrip(".")
+                if base:
+                    found.add(base.split(".")[0])
+                else:
+                    found.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("gausspair."):
+                        found.add(alias.name.split(".")[1])
+        return found
+
+    def test_decision_modules_never_reach_the_oracle(self):
+        for start in self.DECISION_MODULES:
+            seen, todo = set(), [start]
+            while todo:
+                name = todo.pop()
+                if name not in seen:
+                    seen.add(name)
+                    todo.extend(self._package_imports(name))
+            assert "oracle" not in seen, f"{start} imports the oracle"
+
+    def test_import_scan_sees_the_cli_import(self):
+        assert "oracle" in self._package_imports("cli")
+
+    def test_matrix_routes_live_in_the_oracle(self):
+        for name in ("transform_full", "build_mixer", "mixer_inverse", "_half_blocks"):
+            assert not hasattr(mixer, name)
+            assert hasattr(oracle, name)
+        assert gausspair.transform_full is oracle.transform_full
 
 
 class TestCouplingResiduals:
@@ -285,6 +399,16 @@ class TestLocalNormalForm:
             ])
             want = loc.conj().T @ build_covariance(p) @ loc
             assert np.abs(build_covariance(q) - want).max() < 1e-10
+
+    def test_cross_moments_match_matrix_congruence(self):
+        rng = np.random.default_rng(41)
+        for p in draw_physical(rng, 300, m_hi=1.0):
+            q, ops = local_normal_form(p)
+            c = np.array([[p.m_s, p.m_c], [p.m_c.conjugate(), p.m_s.conjugate()]])
+            cp = ops.matrix(1).conj().T @ c @ ops.matrix(2)
+            scale = max(1.0, float(np.abs(cp).max()))
+            assert abs(q.m_s - cp[0, 0]) <= 1e-12 * scale
+            assert abs(q.m_c - cp[0, 1]) <= 1e-12 * scale
 
     def test_nonphysical_rejected(self):
         with pytest.raises(NonPhysicalStateError):
