@@ -23,8 +23,8 @@ from .covariance import (
     build_covariance,
     is_physical,
     is_separable,
+    mirror_party2,
     params_from_matrix,
-    partial_transpose,
     schur_terms,
 )
 from .errors import (
@@ -55,7 +55,7 @@ from .mixer import (
     solve_decoupling_phases,
     transform_blocks,
 )
-from .oracle import build_mixer, mixer_inverse, transform_full
+from .oracle import build_mixer, mixer_inverse, partial_transpose, transform_full
 from .tmtss import TmtssInputs, classify_symmetric, tmtss_params
 
 __version__ = "0.1.0"
@@ -88,6 +88,7 @@ __all__ = [
     "is_separable",
     "is_ssld",
     "local_normal_form",
+    "mirror_party2",
     "mix_params",
     "mixer_inverse",
     "mode_covariance",

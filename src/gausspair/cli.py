@@ -15,16 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classicality, measures, mixer, oracle, tmtss
-from .covariance import (
-    COMMUTATOR_SIGNATURE,
-    DEFAULT_TOL,
-    GaussianParams,
-    build_covariance,
-    is_physical,
-    is_separable,
-    params_from_matrix,
-    partial_transpose,
-)
+from .covariance import COMMUTATOR_SIGNATURE, DEFAULT_TOL, GaussianParams, build_covariance
 from .errors import (
     DegenerateStateError,
     ModelValidityError,
@@ -58,7 +49,7 @@ class SweepConfig:
             raise ValueError("grid maxima must exceed minima")
         if self.m_min < 0.0:
             raise ValueError("m must be nonnegative (phase removed)")
-        if not (self.tol > 0.0) or not math.isfinite(self.tol):
+        if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
         measures.separable_distance(self.r)  # typed error where r over- or underflows
 
@@ -93,9 +84,10 @@ def sweep_grid(cfg: SweepConfig) -> SweepResult:
 
 
 def run_check(p: GaussianParams, r: float, tol: float = DEFAULT_TOL) -> dict:
-    """Full classification of one state: criteria flags plus the measure chain."""
-    if not is_physical(p, tol):
-        raise NonPhysicalStateError("state violates the uncertainty principle")
+    """Full classification of one state: criteria flags plus the measure chain.
+
+    Raises :class:`NonPhysicalStateError` for a nonphysical state.
+    """
     report = measures.entanglement_degree(p, r, tol)
     v = build_covariance(p)
     return {
@@ -333,7 +325,7 @@ def cmd_oracle(args) -> dict:
         if args.which == "phys":
             h = v + 0.5 * COMMUTATOR_SIGNATURE
         elif args.which == "sep":
-            h = partial_transpose(v) + 0.5 * COMMUTATOR_SIGNATURE
+            h = oracle.partial_transpose(v) + 0.5 * COMMUTATOR_SIGNATURE
         else:
             h = v - 0.5 * np.eye(4)
         return {"eig_min": oracle.eig_min_hermitian(h)}

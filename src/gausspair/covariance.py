@@ -11,13 +11,15 @@ Two questions are decided here in closed form:
 
 * physicality, i.e. whether the matrix is compatible with the uncertainty
   principle (``V`` plus half the commutator signature is positive), and
-* separability, i.e. the same positivity after mirroring the second party
-  in phase space (the PPT test, necessary and sufficient for these states).
+* separability, i.e. physicality of the state after mirroring the second
+  party in phase space (:func:`mirror_party2`, the partial transpose on the
+  moments; the PPT test, necessary and sufficient for these states).
 
-Both reduce, through a Schur block decomposition with the party-1 block as
-pivot, to a pair of scalar inequalities.  When the pivot determinant ``d``
-is (near) singular the Schur form is invalid and the decision falls back to
-a direct eigenvalue test, which is the primitive form of both criteria.
+Physicality reduces, through a Schur block decomposition with the party-1
+block as pivot, to a pair of scalar inequalities.  When the pivot
+determinant ``d`` is (near) singular the Schur form is invalid and the
+decision falls back to a direct eigenvalue test, which is the primitive
+form of the criterion.
 """
 
 from __future__ import annotations
@@ -32,21 +34,9 @@ from .errors import NonPhysicalStateError, NumericDomainError
 
 DEFAULT_TOL = 1e-9
 
-#: sign pattern of the mode commutators [v, v+] for one mode (a+, a ordering)
-MODE_SIGNATURE = np.diag([1.0, -1.0]).astype(complex)
-
-#: the same pattern for both modes of the pair
+#: sign pattern of the mode commutators [v, v+] for both modes of the pair
+#: in the (a1+, a1, a2+, a2) ordering
 COMMUTATOR_SIGNATURE = np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)
-
-#: swaps the creation/annihilation slots of one mode
-PAIR_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-#: phase-space mirror acting on party 2 only; conjugation by it implements
-#: the partial transpose at covariance level
-PARTY2_MIRROR = np.block(
-    [[np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)],
-     [np.zeros((2, 2), dtype=complex), PAIR_SWAP]]
-)
 
 
 @dataclass(frozen=True)
@@ -124,16 +114,14 @@ def params_from_matrix(v: np.ndarray, tol: float = 1e-12) -> GaussianParams:
     return p
 
 
-def partial_transpose(v: np.ndarray) -> np.ndarray:
-    """Mirror party 2 in phase space: conjugate the matrix by the party-2 swap.
+def mirror_party2(p: GaussianParams) -> GaussianParams:
+    """The partial transpose on the six moments: mirror party 2 in phase space.
 
-    Equivalent to exchanging rows 2 and 3 together with columns 2 and 3, and
-    an involution.
+    Exchanging ``a2+`` with ``a2`` conjugates ``m2`` and swaps ``m_s`` with
+    ``m_c``; :func:`build_covariance` of the result is the partially
+    transposed matrix entry for entry.  An involution.
     """
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {v.shape}")
-    return PARTY2_MIRROR @ v @ PARTY2_MIRROR
+    return GaussianParams(n1=p.n1, n2=p.n2, m1=p.m1, m2=p.m2.conjugate(), m_s=p.m_c, m_c=p.m_s)
 
 
 def schur_terms(p: GaussianParams) -> SchurTerms:
@@ -166,16 +154,12 @@ def _pivot_bound(p: GaussianParams) -> float:
         raise NumericDomainError("moments overflow float64 in the pivot bound") from None
 
 
-def _schur_bound(p: GaussianParams, t: SchurTerms, shift: float) -> float:
+def _schur_bound(p: GaussianParams, t: SchurTerms) -> float:
     # Schur complement of the party-1 pivot, as a lower bound on n2.
-    # shift = -1 tests plain positivity, +1 the partially transposed matrix
-    # (the mirror swaps m_s and m_c, flipping the sign of k; s, d and c/d are
-    # invariant under it).  Valid only for d > 0.
+    # Valid only for d > 0.
     k = abs(p.m_c) ** 2 - abs(p.m_s) ** 2
     try:
-        bound = t.s / t.d + math.sqrt(
-            0.25 * (k / t.d + shift) ** 2 + abs(p.m2 - t.c / t.d) ** 2
-        )
+        bound = t.s / t.d + math.sqrt(0.25 * (k / t.d - 1.0) ** 2 + abs(p.m2 - t.c / t.d) ** 2)
     except OverflowError:
         bound = math.inf
     if not math.isfinite(bound):
@@ -204,20 +188,16 @@ def is_physical(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
     if t.d <= tol:
         v = build_covariance(p) + 0.5 * COMMUTATOR_SIGNATURE
         return _min_eig(v) >= -tol
-    return p.n2 >= _schur_bound(p, t, -1.0) - tol
+    return p.n2 >= _schur_bound(p, t) - tol
 
 
 def is_separable(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
     """PPT separability test; defined only for physical states.
 
-    Same structure as :func:`is_physical` with the mirrored sign in the
-    square root, which is the only change the partial transpose induces.
-    Physicality already rules out a pivot below its bound.
+    A physical state is separable exactly when its party-2 mirror
+    (:func:`mirror_party2`) is physical too.  Raises
+    :class:`NonPhysicalStateError` for a nonphysical state.
     """
     if not is_physical(p, tol):
-        raise NonPhysicalStateError("separability is undefined for a nonphysical state")
-    t = schur_terms(p)
-    if t.d <= tol:
-        v = partial_transpose(build_covariance(p)) + 0.5 * COMMUTATOR_SIGNATURE
-        return _min_eig(v) >= -tol
-    return p.n2 >= _schur_bound(p, t, +1.0) - tol
+        raise NonPhysicalStateError("state violates the uncertainty principle")
+    return is_physical(mirror_party2(p), tol)

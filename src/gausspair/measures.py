@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classicality import ModeParams
-from .covariance import DEFAULT_TOL, GaussianParams, build_covariance, is_physical, is_separable
-from .errors import DegenerateStateError, NonPhysicalStateError, NumericDomainError
+from .covariance import DEFAULT_TOL, GaussianParams, build_covariance, is_separable
+from .errors import DegenerateStateError, NumericDomainError
 
 
 def _reference_moments(r: float) -> tuple[float, float]:
@@ -76,12 +76,11 @@ class ReferenceStates:
 
 @dataclass(frozen=True)
 class MeasureReport:
-    """Fidelity, Bures distance, entanglement degree and classification flags."""
+    """Fidelity, Bures distance, entanglement degree and the separability verdict."""
 
     fidelity: float
     bures: float
     degree: float
-    physical: bool
     separable: bool
 
 
@@ -198,9 +197,9 @@ def entanglement_degree(
     state's Bures distance from the twin-beam reference to the traced-out
     reference's distance; it is reported even when negative.  The traced-out
     reference's distance is the closed form :func:`separable_distance`.
+    Raises :class:`NonPhysicalStateError` for a nonphysical state.
     """
-    if not is_physical(p, tol):
-        raise NonPhysicalStateError("entanglement degree requires a physical state")
+    separable = is_separable(p, tol)
     if r <= 0.0:
         raise DegenerateStateError("zero squeezing collapses the separable normalizer")
     big_n, big_m = _reference_moments(r)
@@ -212,6 +211,5 @@ def entanglement_degree(
         fidelity=fid,
         bures=bures,
         degree=1.0 - bures / separable_distance(r),
-        physical=True,
-        separable=is_separable(p, tol),
+        separable=separable,
     )

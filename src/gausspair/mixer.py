@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import DEFAULT_TOL, GaussianParams, is_physical
-from .errors import DegenerateStateError, NonPhysicalStateError
+from .errors import DegenerateStateError, NonPhysicalStateError, NumericDomainError
 
 
 @dataclass(frozen=True)
@@ -163,10 +163,18 @@ def solve_decoupling_phases(
     return None
 
 
+def _local_determinants(p: GaussianParams) -> tuple[float, float]:
+    # n^2 - |m|^2 of each local block; a float square that overflows raises,
+    # so a result is always finite
+    try:
+        return p.n1 ** 2 - abs(p.m1) ** 2, p.n2 ** 2 - abs(p.m2) ** 2
+    except OverflowError:
+        raise NumericDomainError("moments overflow float64 in the local determinants") from None
+
+
 def is_ssld(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
     """Whether the two local blocks have equal determinants."""
-    det1 = p.n1 ** 2 - abs(p.m1) ** 2
-    det2 = p.n2 ** 2 - abs(p.m2) ** 2
+    det1, det2 = _local_determinants(p)
     return abs(det1 - det2) <= tol
 
 
@@ -197,8 +205,7 @@ def local_normal_form(
     separability verdicts are invariant under this, and states with equal
     local determinants come out with equal occupations.
     """
-    det1 = p.n1 ** 2 - abs(p.m1) ** 2
-    det2 = p.n2 ** 2 - abs(p.m2) ** 2
+    det1, det2 = _local_determinants(p)
     if min(det1, det2) <= 1e-12:
         raise DegenerateStateError("local block is singular")
     if not is_physical(p, tol):

@@ -2,8 +2,8 @@
 
 Nothing in this module is imported by the decision code; the test suite uses
 these routines to cross-check closed-form results through unrelated
-algorithms (Jacobi rotations, Fock-basis sums, direct quadrature, and the
-full 4x4 conjugation through the mixer matrix).
+algorithms (Jacobi rotations, Fock-basis sums, direct quadrature, the full
+4x4 conjugation through the mixer matrix, and the matrix partial transpose).
 """
 
 from __future__ import annotations
@@ -191,3 +191,16 @@ def transform_full(v: np.ndarray, cfg: MixerConfig) -> np.ndarray:
     if v.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {v.shape}")
     return mixer_inverse(cfg) @ v @ build_mixer(cfg)
+
+
+def partial_transpose(v: np.ndarray) -> np.ndarray:
+    """Mirror party 2 in phase space: swap rows 2 and 3 and columns 2 and 3.
+
+    The matrix route to what :func:`gausspair.covariance.mirror_party2`
+    computes on the moments; an involution.
+    """
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {v.shape}")
+    order = [0, 1, 3, 2]
+    return v[np.ix_(order, order)]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gausspair import GaussianParams, MixerConfig, NonPhysicalStateError, transform_blocks
-from gausspair import cli
+from gausspair import cli, covariance
 
 
 def run_cli(argv, capsys):
@@ -117,8 +117,27 @@ class TestRunCheck:
         assert payload["p_representable"] is True
 
     def test_nonphysical_raises(self):
-        with pytest.raises(NonPhysicalStateError):
+        with pytest.raises(NonPhysicalStateError, match="violates the uncertainty principle"):
             cli.run_check(GaussianParams(n1=1, n2=1, m_c=1.8), 1.0)
+
+    def test_physicality_is_decided_once(self, monkeypatch):
+        # one test of the state and one of its party-2 mirror
+        calls = Counter()
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "gausspair"]
+        for name in ("schur_terms", "is_physical"):
+            original = getattr(covariance, name)
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        payload = cli.run_check(GaussianParams(n1=2, n2=2, m1=0.3, m2=0.2j, m_s=0.4, m_c=1.2), 1.0)
+        assert payload["physical"] is True
+        assert calls["schur_terms"] <= 2 and calls["is_physical"] <= 2, calls
 
 
 class TestTransform:
@@ -298,6 +317,17 @@ class TestOracleCommand:
             ["oracle", "eigmin", "--state", str(path), "--which", "prep"], capsys
         )
         assert json.loads(out)["eig_min"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_eigmin_of_the_mirror(self, tmp_path, capsys):
+        # the mirror of (n, n, m_c=m) has smallest eigenvalue n - m - 1/2,
+        # negative here: the state is entangled
+        path = tmp_path / "ent.json"
+        path.write_text(json.dumps({"n1": 2, "n2": 2, "mc": 1.8}), encoding="utf-8")
+        code, out, _ = run_cli(
+            ["oracle", "eigmin", "--state", str(path), "--which", "sep"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["eig_min"] == pytest.approx(2 - 1.8 - 0.5, abs=1e-12)
 
     def test_quad(self, tmp_path, capsys):
         path = tmp_path / "vac.json"

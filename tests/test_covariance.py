@@ -15,6 +15,7 @@ from gausspair import (
     build_covariance,
     is_physical,
     is_separable,
+    mirror_party2,
     params_from_matrix,
     partial_transpose,
     schur_terms,
@@ -220,15 +221,17 @@ def pivot_band_states(draw, cross_hi):
 
 
 @st.composite
-def schur_band_states(draw, shift):
-    """``n2`` within a few tol of the Schur bound (shift -1: physicality, +1: PPT)."""
+def schur_band_states(draw, mirrored):
+    """``n2`` within a few tol of the Schur bound of the state (physicality)
+    or of its party-2 mirror (PPT)."""
     m1 = draw(moments(2.0))
     base = GaussianParams(
         n1=math.sqrt(abs(m1) ** 2 + 0.25) + draw(st.floats(1e-3, 3.0)),
         n2=1.0,
         m1=m1, m2=draw(moments(2.0)), m_s=draw(moments(2.0)), m_c=draw(moments(2.0)),
     )
-    bound = _schur_bound(base, schur_terms(base), shift)
+    target = mirror_party2(base) if mirrored else base
+    bound = _schur_bound(target, schur_terms(target))
     return replace(base, n2=bound + draw(tol_offsets()))
 
 
@@ -241,6 +244,22 @@ def _consistent(verdict: bool, e: float, p: GaussianParams) -> bool:
     # needs it below 0; the slack covers rounding in both routes.
     slack = 1e-11 * max(1.0, float(np.abs(build_covariance(p)).max()))
     return e >= -DEFAULT_TOL - slack if verdict else e < slack
+
+
+class TestMirrorParty2:
+    """The partial transpose on the moments, refereed by the matrix route."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.builds(
+        GaussianParams,
+        n1=st.floats(-10.0, 10.0), n2=st.floats(-10.0, 10.0),
+        m1=moments(10.0), m2=moments(10.0), m_s=moments(10.0), m_c=moments(10.0),
+    ))
+    def test_matches_matrix_partial_transpose_and_is_an_involution(self, p):
+        assert np.array_equal(
+            build_covariance(mirror_party2(p)), oracle.partial_transpose(build_covariance(p))
+        )
+        assert mirror_party2(mirror_party2(p)) == p
 
 
 class TestBoundaryBands:
@@ -267,13 +286,13 @@ class TestBoundaryBands:
         assert _consistent(is_separable(p), e, p), e
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(schur_band_states(-1.0))
+    @given(schur_band_states(mirrored=False))
     def test_physicality_at_the_schur_bound(self, p):
         e = _eig(build_covariance(p) + 0.5 * COMMUTATOR_SIGNATURE)
         assert _consistent(is_physical(p), e, p), e
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(schur_band_states(+1.0))
+    @given(schur_band_states(mirrored=True))
     def test_separability_at_the_schur_bound(self, p):
         assume(is_physical(p))
         e = _eig(partial_transpose(build_covariance(p)) + 0.5 * COMMUTATOR_SIGNATURE)

@@ -228,7 +228,7 @@ class TestEntanglementDegree:
         assert report.fidelity == pytest.approx(0.39958, abs=1e-5)
         assert report.bures == pytest.approx(0.73574, abs=1e-5)
         assert report.degree == pytest.approx(0.4719, abs=1e-4)
-        assert report.physical and not report.separable
+        assert not report.separable
 
     def test_separable_normalizer_value(self):
         refs = ReferenceStates.for_squeezing(1.0)

@@ -11,6 +11,7 @@ from gausspair import (
     GaussianParams,
     MixerConfig,
     NonPhysicalStateError,
+    NumericDomainError,
     build_covariance,
     build_mixer,
     coupling_residuals,
@@ -252,6 +253,10 @@ class TestOracleSplit:
             assert hasattr(oracle, name)
         assert gausspair.transform_full is oracle.transform_full
 
+    def test_matrix_partial_transpose_lives_in_the_oracle(self):
+        assert not hasattr(gausspair.covariance, "partial_transpose")
+        assert gausspair.partial_transpose is oracle.partial_transpose
+
 
 class TestCouplingResiduals:
     def test_symmetric_class_any_phases(self):
@@ -356,6 +361,10 @@ class TestIsSsld:
     def test_unequal_occupations(self):
         assert not is_ssld(GaussianParams(n1=2, n2=1))
 
+    def test_overflowing_moments_are_a_domain_error(self):
+        with pytest.raises(NumericDomainError):
+            is_ssld(GaussianParams(n1=1e200, n2=1, m1=1e155))
+
 
 class TestLocalNormalForm:
     def test_symmetric_input_unchanged(self):
@@ -417,3 +426,7 @@ class TestLocalNormalForm:
     def test_singular_block_rejected(self):
         with pytest.raises(DegenerateStateError):
             local_normal_form(GaussianParams(n1=0.5, n2=1.0, m1=0.5))
+
+    def test_overflowing_moments_are_a_domain_error(self):
+        with pytest.raises(NumericDomainError):
+            local_normal_form(GaussianParams(n1=1e200, n2=1, m1=1e155))
