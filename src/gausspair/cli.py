@@ -14,14 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import classicality, measures, mixer, oracle, tmtss
-from .covariance import COMMUTATOR_SIGNATURE, DEFAULT_TOL, GaussianParams, build_covariance
-from .errors import (
-    DegenerateStateError,
-    ModelValidityError,
-    NonPhysicalStateError,
-    NumericDomainError,
-)
+from . import classicality, measures, mixer, tmtss
+from .covariance import DEFAULT_TOL, GaussianParams, build_covariance
+from .errors import ModelValidityError, NumericDomainError
 
 
 @dataclass(frozen=True)
@@ -248,20 +243,6 @@ def build_parser() -> _Parser:
     model.add_argument("--nbar", type=float, default=0.0)
     model.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
-    # debugging surface, deliberately absent from the help text
-    probe = sub.add_parser("oracle")
-    probe_sub = probe.add_subparsers(dest="oracle_command", required=True)
-    fock = probe_sub.add_parser("fock")
-    fock.add_argument("--l1", type=float, required=True)
-    fock.add_argument("--l2", type=float, required=True)
-    eig = probe_sub.add_parser("eigmin")
-    eig.add_argument("--state", required=True)
-    eig.add_argument("--which", choices=("phys", "sep", "prep"), default="phys")
-    quad = probe_sub.add_parser("quad")
-    quad.add_argument("--state-a", required=True)
-    quad.add_argument("--state-b", required=True)
-    quad.add_argument("--nodes", type=int, default=32)
-
     return parser
 
 
@@ -317,24 +298,6 @@ def cmd_tmtss(args) -> dict:
     return out
 
 
-def cmd_oracle(args) -> dict:
-    if args.oracle_command == "fock":
-        return {"overlap": oracle.overlap_fock_tmsv(args.l1, args.l2)}
-    if args.oracle_command == "eigmin":
-        v = build_covariance(load_state(args.state))
-        if args.which == "phys":
-            h = v + 0.5 * COMMUTATOR_SIGNATURE
-        elif args.which == "sep":
-            h = oracle.partial_transpose(v) + 0.5 * COMMUTATOR_SIGNATURE
-        else:
-            h = v - 0.5 * np.eye(4)
-        return {"eig_min": oracle.eig_min_hermitian(h)}
-    va = build_covariance(load_state(args.state_a))
-    vb = build_covariance(load_state(args.state_b))
-    value = oracle.overlap_numint(va, vb, oracle.QuadratureSpec(nodes=args.nodes))
-    return {"overlap": value}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -347,21 +310,16 @@ def main(argv=None) -> int:
                 payload = cmd_transform(args)
             elif args.command == "sweep":
                 return cmd_sweep(args)
-            elif args.command == "tmtss":
-                payload = cmd_tmtss(args)
             else:
-                payload = cmd_oracle(args)
+                payload = cmd_tmtss(args)
     except ModelValidityError as err:
         _print_error(err, n=err.n, m=err.m)
         return 2
-    except (NonPhysicalStateError, DegenerateStateError, NumericDomainError, ValueError) as err:
+    except (ValueError, OSError) as err:  # the typed errors all subclass ValueError
         _print_error(err)
         return 2
     except FloatingPointError as err:
         _print_error(NumericDomainError(f"float64 arithmetic failed: {err}"))
-        return 2
-    except OSError as err:
-        _print_error(err)
         return 2
     print(json.dumps(payload, sort_keys=True))
     return 0

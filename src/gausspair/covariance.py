@@ -89,31 +89,6 @@ def build_covariance(p: GaussianParams) -> np.ndarray:
     )
 
 
-def params_from_matrix(v: np.ndarray, tol: float = 1e-12) -> GaussianParams:
-    """Extract the six observables from a covariance matrix, validating its layout.
-
-    Raises ValueError when the matrix is not Hermitian within ``tol`` (relative
-    to its largest entry) or does not carry the two-mode block structure.
-    """
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {v.shape}")
-    scale = max(1.0, float(np.abs(v).max()))
-    if float(np.abs(v - v.conj().T).max()) > tol * scale:
-        raise ValueError("matrix is not Hermitian")
-    p = GaussianParams(
-        n1=v[0, 0].real,
-        n2=v[2, 2].real,
-        m1=v[0, 1],
-        m2=v[2, 3],
-        m_s=v[0, 2],
-        m_c=v[0, 3],
-    )
-    if float(np.abs(build_covariance(p) - v).max()) > tol * scale:
-        raise ValueError("matrix does not have the two-mode covariance layout")
-    return p
-
-
 def mirror_party2(p: GaussianParams) -> GaussianParams:
     """The partial transpose on the six moments: mirror party 2 in phase space.
 

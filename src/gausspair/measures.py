@@ -26,10 +26,12 @@ def _reference_moments(r: float) -> tuple[float, float]:
     """Occupation ``N = cosh(2r)/2`` and cross-moment magnitude ``M = sinh(2r)/2``
     of the twin-beam reference.
 
-    Raises :class:`NumericDomainError` where ``cosh(2r)^2``, which every
-    fidelity against the reference contains, overflows float64 (``r`` above
-    about 177).
+    Raises :class:`NumericDomainError` for a NaN ``r`` and where
+    ``cosh(2r)^2``, which every fidelity against the reference contains,
+    overflows float64 (``r`` above about 177).
     """
+    if math.isnan(r):
+        raise NumericDomainError("reference squeezing r=nan is not a number")
     try:
         big_n = 0.5 * math.cosh(2.0 * r)
     except OverflowError:
@@ -90,13 +92,18 @@ def trace_overlap(va: np.ndarray, vb: np.ndarray) -> float:
     Returns ``1/sqrt(det(va + vb))`` in this covariance convention.  Equals
     the Uhlmann fidelity only when at least one of the states is pure, which
     is the caller's contract.  Works for one-mode (2x2) and two-mode (4x4)
-    matrices of equal size.
+    matrices of equal size.  Raises :class:`NumericDomainError`, without a
+    numpy warning, where the determinant overflows float64.
     """
     va = np.asarray(va, dtype=complex)
     vb = np.asarray(vb, dtype=complex)
     if va.shape != vb.shape or va.shape not in {(2, 2), (4, 4)}:
         raise ValueError("need two covariance matrices of equal shape (2x2 or 4x4)")
-    det = np.linalg.det(va + vb)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            det = np.linalg.det(va + vb)
+    except FloatingPointError as err:
+        raise NumericDomainError(f"overlap determinant is not finite in float64: {err}") from None
     if abs(det.imag) > 1e-9 * max(1.0, abs(det)):
         raise NumericDomainError("overlap determinant is not real")
     if det.real <= 0.0:
@@ -201,7 +208,7 @@ def entanglement_degree(
     """
     separable = is_separable(p, tol)
     if r <= 0.0:
-        raise DegenerateStateError("zero squeezing collapses the separable normalizer")
+        raise DegenerateStateError(f"reference squeezing r={r:g} must be positive")
     big_n, big_m = _reference_moments(r)
     phase = cmath.phase(p.m_c) if p.m_c != 0 else 0.0
     sigma = GaussianParams(n1=big_n, n2=big_n, m_c=big_m * cmath.exp(1j * phase))

@@ -1,6 +1,6 @@
 """Brute-force verification backends, kept apart from the production criteria.
 
-Nothing in this module is imported by the decision code; the test suite uses
+No other module of the package imports this one; the test suite uses
 these routines to cross-check closed-form results through unrelated
 algorithms (Jacobi rotations, Fock-basis sums, direct quadrature, the full
 4x4 conjugation through the mixer matrix, and the matrix partial transpose).

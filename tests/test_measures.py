@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,9 +21,9 @@ from gausspair import (
     separable_distance,
     symmetric_degree,
     trace_overlap,
-    transform_full,
 )
 from gausspair import measures, oracle
+from gausspair.oracle import transform_full
 
 from conftest import draw_symmetric_physical
 
@@ -309,6 +310,13 @@ class TestExtremeSqueezing:
     def test_overflowing_reference_is_a_typed_error(self, r):
         with pytest.raises(NumericDomainError):
             entanglement_degree(GaussianParams(n1=1.0, n2=1.0), r)
+
+    def test_overflowing_overlap_determinant_is_typed_without_warning(self):
+        p = GaussianParams(n1=0.9110725829205775, n2=0.9110725829205775, m_c=0.5818413952215067)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericDomainError, match="overflow encountered in det"):
+                entanglement_degree(p, 131.62532012840828)
 
     def test_reference_states_stay_finite_while_representable(self):
         # cosh(2r)^2 overflows above r ~ 177, but the moments themselves not until ~355

@@ -1,5 +1,8 @@
 import ast
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,19 +16,17 @@ from gausspair import (
     NonPhysicalStateError,
     NumericDomainError,
     build_covariance,
-    build_mixer,
     coupling_residuals,
     is_physical,
     is_separable,
     is_ssld,
     local_normal_form,
     mix_params,
-    mixer_inverse,
     solve_decoupling_phases,
     transform_blocks,
-    transform_full,
 )
 from gausspair import mixer, oracle
+from gausspair.oracle import build_mixer, mixer_inverse, transform_full
 from gausspair.covariance import COMMUTATOR_SIGNATURE
 
 from conftest import draw_mixer, draw_params, draw_physical
@@ -212,11 +213,12 @@ class TestMixParams:
 
 
 class TestOracleSplit:
-    DECISION_MODULES = ("covariance", "measures", "mixer", "tmtss", "classicality")
+    PACKAGE_DIR = Path(gausspair.__file__).parent
+    PRODUCT_MODULES = tuple(sorted(f.stem for f in PACKAGE_DIR.glob("*.py") if f.stem != "oracle"))
 
-    @staticmethod
-    def _package_imports(module: str) -> set[str]:
-        tree = ast.parse((Path(gausspair.__file__).parent / f"{module}.py").read_text())
+    @classmethod
+    def _package_imports(cls, module: str) -> set[str]:
+        tree = ast.parse((cls.PACKAGE_DIR / f"{module}.py").read_text())
         found = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
@@ -235,7 +237,10 @@ class TestOracleSplit:
         return found
 
     def test_decision_modules_never_reach_the_oracle(self):
-        for start in self.DECISION_MODULES:
+        # every module of the package but the oracle itself: the decision
+        # modules, the CLI, the entry point and the package's __init__
+        assert {"__init__", "cli", "covariance", "mixer"} <= set(self.PRODUCT_MODULES)
+        for start in self.PRODUCT_MODULES:
             seen, todo = set(), [start]
             while todo:
                 name = todo.pop()
@@ -244,18 +249,29 @@ class TestOracleSplit:
                     todo.extend(self._package_imports(name))
             assert "oracle" not in seen, f"{start} imports the oracle"
 
-    def test_import_scan_sees_the_cli_import(self):
-        assert "oracle" in self._package_imports("cli")
+    def test_import_scan_sees_the_oracle_import(self):
+        # positive control: the scan does see a relative import of a sibling
+        assert "mixer" in self._package_imports("oracle")
+
+    def test_importing_the_package_leaves_the_oracle_unloaded(self):
+        code = "import sys, gausspair, gausspair.cli; print('gausspair.oracle' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(self.PACKAGE_DIR.parent)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
     def test_matrix_routes_live_in_the_oracle(self):
         for name in ("transform_full", "build_mixer", "mixer_inverse", "_half_blocks"):
             assert not hasattr(mixer, name)
+            assert not hasattr(gausspair, name)
             assert hasattr(oracle, name)
-        assert gausspair.transform_full is oracle.transform_full
 
     def test_matrix_partial_transpose_lives_in_the_oracle(self):
         assert not hasattr(gausspair.covariance, "partial_transpose")
-        assert gausspair.partial_transpose is oracle.partial_transpose
+        assert not hasattr(gausspair, "partial_transpose")
+        assert hasattr(oracle, "partial_transpose")
 
 
 class TestCouplingResiduals:
