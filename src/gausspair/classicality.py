@@ -46,8 +46,9 @@ def mode_is_physical(md: ModeParams, tol: float = DEFAULT_TOL) -> bool:
 def is_p_representable_joint(v: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Joint classicality: the covariance dominates the vacuum's.
 
-    Tested by eigenvalues since no closed form exists for a cross-coupled
-    4x4 matrix.
+    Tested by eigenvalues of ``V - I/2``; the sums of its ``k x k`` principal
+    minors, all nonnegative exactly when it is positive semidefinite, would
+    give a closed form.
     """
     v = np.asarray(v, dtype=complex)
     if v.shape != (4, 4):

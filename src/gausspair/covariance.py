@@ -16,10 +16,9 @@ Two questions are decided here in closed form:
   moments; the PPT test, necessary and sufficient for these states).
 
 Physicality reduces, through a Schur block decomposition with the party-1
-block as pivot, to a pair of scalar inequalities.  When the pivot
-determinant ``d`` is (near) singular the Schur form is invalid and the
-decision falls back to a direct eigenvalue test, which is the primitive
-form of the criterion.
+block as pivot, to a pair of scalar inequalities, one route for every state.
+``tol`` is slack on the smallest eigenvalue, as in the one-mode and
+symmetric-class bounds: the reduction decides ``V + tol I``.
 """
 
 from __future__ import annotations
@@ -33,10 +32,6 @@ import numpy as np
 from .errors import NonPhysicalStateError, NumericDomainError
 
 DEFAULT_TOL = 1e-9
-
-#: sign pattern of the mode commutators [v, v+] for both modes of the pair
-#: in the (a1+, a1, a2+, a2) ordering
-COMMUTATOR_SIGNATURE = np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -102,6 +97,9 @@ def mirror_party2(p: GaussianParams) -> GaussianParams:
 def schur_terms(p: GaussianParams) -> SchurTerms:
     """Scalars entering the Schur-reduced criteria.
 
+    With ``A`` and ``C`` the party-1 and cross blocks of ``V`` plus half the
+    commutator signature, ``d = det A`` and ``C^dagger adj(A) C`` is
+    ``[[s + k/2, c], [conj(c), s - k/2]]`` with ``k = |m_c|^2 - |m_s|^2``.
     ``s`` and ``d`` are real by construction; ``d <= 0`` signals a singular
     (or nonphysical) party-1 pivot and must be handled by the caller.
     Raises :class:`NumericDomainError` when a term overflows float64.
@@ -119,22 +117,15 @@ def schur_terms(p: GaussianParams) -> SchurTerms:
         raise NumericDomainError("moments overflow float64 in the Schur terms") from None
     if not (math.isfinite(s) and cmath.isfinite(c) and math.isfinite(d)):
         raise NumericDomainError("moments overflow float64 in the Schur terms")
-    return SchurTerms(s=float(s), c=c, d=float(d))
+    return SchurTerms(s, c, d)
 
 
-def _pivot_bound(p: GaussianParams) -> float:
-    try:
-        return math.sqrt(abs(p.m1) ** 2 + 0.25)
-    except OverflowError:
-        raise NumericDomainError("moments overflow float64 in the pivot bound") from None
-
-
-def _schur_bound(p: GaussianParams, t: SchurTerms) -> float:
-    # Schur complement of the party-1 pivot, as a lower bound on n2.
-    # Valid only for d > 0.
+def _schur_bound(p: GaussianParams, s: float, c: complex, d: float) -> float:
+    # Schur complement of the party-1 pivot, as a lower bound on n2, from
+    # that pivot's Schur terms s, c, d.  Valid only for d > 0.
     k = abs(p.m_c) ** 2 - abs(p.m_s) ** 2
     try:
-        bound = t.s / t.d + math.sqrt(0.25 * (k / t.d - 1.0) ** 2 + abs(p.m2 - t.c / t.d) ** 2)
+        bound = s / d + math.sqrt(0.25 * (k / d - 1.0) ** 2 + abs(p.m2 - c / d) ** 2)
     except OverflowError:
         bound = math.inf
     if not math.isfinite(bound):
@@ -142,28 +133,24 @@ def _schur_bound(p: GaussianParams, t: SchurTerms) -> float:
     return bound
 
 
-def _min_eig(h: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(h)[0])
-
-
 def is_physical(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
     """Uncertainty-principle test for the two-mode covariance data.
 
-    Boundary states (pure states) count as physical: every comparison gets
-    ``tol`` of slack on the accept side.  A pivot determinant ``d <= tol``
-    (near singular, or negative when ``n1`` sits within ``tol`` below the
-    pivot bound) routes the decision to the eigenvalue form, which needs no
-    inversion.  ``tol`` must be positive and finite.
+    Accepts exactly when the smallest eigenvalue of ``V`` plus half the
+    commutator signature is at least ``-tol``, so pure states count as
+    physical: the Schur reduction decides ``V + tol I``, whose party-1 pivot
+    determinant is ``d + tol (2 n1 + tol)``.  ``tol`` must be positive and finite.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    if p.n1 < _pivot_bound(p) - tol:
-        return False
     t = schur_terms(p)
-    if t.d <= tol:
-        v = build_covariance(p) + 0.5 * COMMUTATOR_SIGNATURE
-        return _min_eig(v) >= -tol
-    return p.n2 >= _schur_bound(p, t) - tol
+    d = t.d + tol * (2.0 * p.n1 + tol)
+    if p.n1 + tol <= 0.0 or d <= 0.0:  # the shifted pivot is not positive definite
+        return False
+    # adj(A + tol I) = adj(A) + tol I adds tol C^dagger C to C^dagger adj(A) C
+    s = t.s + tol * (abs(p.m_c) ** 2 + abs(p.m_s) ** 2)
+    c = t.c + 2.0 * tol * p.m_s.conjugate() * p.m_c
+    return p.n2 + tol >= _schur_bound(p, s, c, d)
 
 
 def is_separable(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:

@@ -26,12 +26,15 @@ def _reference_moments(r: float) -> tuple[float, float]:
     """Occupation ``N = cosh(2r)/2`` and cross-moment magnitude ``M = sinh(2r)/2``
     of the twin-beam reference.
 
-    Raises :class:`NumericDomainError` for a NaN ``r`` and where
-    ``cosh(2r)^2``, which every fidelity against the reference contains,
-    overflows float64 (``r`` above about 177).
+    Raises :class:`DegenerateStateError` for ``r <= 0``, and
+    :class:`NumericDomainError` for a NaN ``r`` and where ``cosh(2r)^2``,
+    which every fidelity against the reference contains, overflows float64
+    (``r`` above about 177).
     """
     if math.isnan(r):
         raise NumericDomainError("reference squeezing r=nan is not a number")
+    if r <= 0.0:
+        raise DegenerateStateError(f"reference squeezing r={r:g} must be positive")
     try:
         big_n = 0.5 * math.cosh(2.0 * r)
     except OverflowError:
@@ -163,7 +166,8 @@ def separable_distance(r: float) -> float:
     ``3M^2/(4N^2 - M^2)``, so the distance keeps full relative precision as
     ``r`` goes to 0, where ``2 - 2 sqrt(F_sep)`` cancels.  Raises
     :class:`NumericDomainError` where the distance underflows (``r`` below
-    about 1e-154) or the moments overflow.
+    about 1e-154) or the moments overflow, and :class:`DegenerateStateError`
+    for ``r <= 0``.
     """
     big_n, _ = _reference_moments(r)
     d_sep = float(_symmetric_distance(big_n, 0.0, r))
@@ -178,7 +182,8 @@ def symmetric_degree(n, m, r: float):
     The closed form of :func:`entanglement_degree` on that class: the state
     overlaps the phase-aligned reference as ``F = 1/((n+N)^2 - (m+M)^2)``.
     Takes floats or arrays (elementwise) of physical points; the caller
-    classifies them first.
+    classifies them first.  Raises :class:`DegenerateStateError` for
+    ``r <= 0``.
     """
     return 1.0 - _symmetric_distance(n, m, r) / separable_distance(r)
 
@@ -207,8 +212,6 @@ def entanglement_degree(
     Raises :class:`NonPhysicalStateError` for a nonphysical state.
     """
     separable = is_separable(p, tol)
-    if r <= 0.0:
-        raise DegenerateStateError(f"reference squeezing r={r:g} must be positive")
     big_n, big_m = _reference_moments(r)
     phase = cmath.phase(p.m_c) if p.m_c != 0 else 0.0
     sigma = GaussianParams(n1=big_n, n2=big_n, m_c=big_m * cmath.exp(1j * phase))

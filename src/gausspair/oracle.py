@@ -20,6 +20,10 @@ from .mixer import MixerConfig
 _OFFDIAG_TARGET = 1e-15
 _MAX_SWEEPS = 60
 
+#: sign pattern of the mode commutators [v, v+] for both modes of the pair
+#: in the (a1+, a1, a2+, a2) ordering
+COMMUTATOR_SIGNATURE = np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)
+
 
 def eig_min_hermitian(h: np.ndarray, herm_tol: float = 1e-10):
     """Minimum eigenvalue of small Hermitian matrices by cyclic Jacobi sweeps.

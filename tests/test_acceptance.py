@@ -32,8 +32,9 @@ from gausspair import (
     transform_blocks,
 )
 from gausspair import cli, oracle
-from gausspair.oracle import build_mixer, mixer_inverse, partial_transpose, transform_full
-from gausspair.covariance import COMMUTATOR_SIGNATURE
+from gausspair.oracle import (
+    COMMUTATOR_SIGNATURE, build_mixer, mixer_inverse, partial_transpose, transform_full,
+)
 
 from conftest import draw_mixer, draw_params, draw_symmetric_physical
 

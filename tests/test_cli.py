@@ -57,6 +57,21 @@ class TestCheck:
         assert payload["separable"] is True
         assert payload["p_representable"] is True
 
+    def test_nearly_unmixed_pure_state_is_physical(self, capsys):
+        # two squeezed vacua mixed at theta ~ pi: a pure state whose party-1
+        # pivot determinant is small (4.1e-5) but well above tol
+        code, out, err = run_cli(
+            ["check", "--n1", "5.342053764874023", "--n2", "9.072061149472587",
+             "--m1=-4.688136277448173,-2.5117474950552143",
+             "--m2=-6.465308095890433,6.3444498211445035",
+             "--ms=0.001741191353638349,-0.000859844744277263",
+             "--mc=5.392288178736597e-05,0.006705231957812285"], capsys
+        )
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["physical"] is True
+        assert payload["separable"] is False
+
     def test_nonphysical_exits_2(self, capsys):
         code, out, err = run_cli(["check", "--n1", "1", "--n2", "1", "--mc", "1.8"], capsys)
         assert code == 2

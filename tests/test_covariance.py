@@ -16,13 +16,14 @@ from gausspair import (
     is_physical,
     is_separable,
     mirror_party2,
+    mix_params,
     schur_terms,
 )
-from gausspair.covariance import COMMUTATOR_SIGNATURE, _schur_bound
+from gausspair.covariance import _schur_bound
 from gausspair import oracle
-from gausspair.oracle import partial_transpose
+from gausspair.oracle import COMMUTATOR_SIGNATURE, partial_transpose
 
-from conftest import draw_params, draw_physical
+from conftest import draw_mixer, draw_params, draw_physical, rand_complex
 
 VACUUM = GaussianParams(n1=0.5, n2=0.5)
 
@@ -88,7 +89,7 @@ class TestSchurTerms:
 
 class TestIsPhysical:
     def test_vacuum_boundary_via_degenerate_pivot(self):
-        # d = 0 for the vacuum, so this exercises the eigenvalue fallback
+        # d = 0 for the vacuum; only the tol shift of the pivot makes it positive
         assert is_physical(VACUUM)
 
     def test_symmetric_examples(self):
@@ -104,6 +105,24 @@ class TestIsPhysical:
         n1 = math.sqrt(0.6 ** 2 + 0.25)
         assert is_physical(GaussianParams(n1=n1, n2=1.0, m1=0.6))
         assert not is_physical(GaussianParams(n1=n1, n2=1.0, m1=0.6, m_c=0.3))
+
+    def test_mixed_squeezed_vacua_are_physical(self):
+        # pure states: the smallest eigenvalue is 0, so every one is inside
+        # the tol band; half the mixers sit near theta = 0 or pi, where the
+        # party-1 port stays nearly pure and the pivot determinant is small
+        rng = np.random.default_rng(16)
+        for i in range(2000):
+            z1, z2 = (rand_complex(rng, 2.0) for _ in range(2))
+            vacua = GaussianParams(
+                n1=0.5 * math.cosh(2 * abs(z1)), n2=0.5 * math.cosh(2 * abs(z2)),
+                m1=0.5 * math.sinh(2 * abs(z1)) * cmath.exp(1j * cmath.phase(z1)),
+                m2=0.5 * math.sinh(2 * abs(z2)) * cmath.exp(1j * cmath.phase(z2)),
+            )
+            cfg = draw_mixer(rng)
+            if i % 2:
+                offset = rng.choice([-1, 1]) * 10 ** rng.uniform(-5, 0)
+                cfg = replace(cfg, theta=math.pi * rng.integers(2) + offset)
+            assert is_physical(mix_params(vacua, cfg)), (vacua, cfg)
 
 
 class TestIsSeparable:
@@ -208,7 +227,8 @@ def schur_band_states(draw, mirrored):
         m1=m1, m2=draw(moments(2.0)), m_s=draw(moments(2.0)), m_c=draw(moments(2.0)),
     )
     target = mirror_party2(base) if mirrored else base
-    bound = _schur_bound(target, schur_terms(target))
+    t = schur_terms(target)
+    bound = _schur_bound(target, t.s, t.c, t.d)
     return replace(base, n2=bound + draw(tol_offsets()))
 
 
@@ -218,9 +238,9 @@ def _eig(h: np.ndarray) -> float:
 
 def _consistent(verdict: bool, e: float, p: GaussianParams) -> bool:
     # Accepting needs the smallest eigenvalue no lower than -tol, rejecting
-    # needs it below 0; the slack covers rounding in both routes.
+    # needs it below -tol; the slack covers rounding in both routes.
     slack = 1e-11 * max(1.0, float(np.abs(build_covariance(p)).max()))
-    return e >= -DEFAULT_TOL - slack if verdict else e < slack
+    return e >= -DEFAULT_TOL - slack if verdict else e < -DEFAULT_TOL + slack
 
 
 class TestMirrorParty2:

@@ -273,8 +273,14 @@ class TestEntanglementDegree:
             entanglement_degree(GaussianParams(n1=1, n2=1, m_c=1.8), 1.0)
 
     def test_zero_reference_rejected(self):
-        with pytest.raises(DegenerateStateError):
-            entanglement_degree(GaussianParams(n1=1, n2=1), 0.0)
+        # the degree and both symmetric-class closed forms share the guard
+        for r in (0.0, -1.0):
+            with pytest.raises(DegenerateStateError, match="must be positive"):
+                entanglement_degree(GaussianParams(n1=1, n2=1), r)
+            with pytest.raises(DegenerateStateError, match="must be positive"):
+                separable_distance(r)
+            with pytest.raises(DegenerateStateError, match="must be positive"):
+                symmetric_degree(2.0, 1.0, r)
 
 
 class TestSeparableDistance:

@@ -26,8 +26,7 @@ from gausspair import (
     transform_blocks,
 )
 from gausspair import mixer, oracle
-from gausspair.oracle import build_mixer, mixer_inverse, transform_full
-from gausspair.covariance import COMMUTATOR_SIGNATURE
+from gausspair.oracle import COMMUTATOR_SIGNATURE, build_mixer, mixer_inverse, transform_full
 
 from conftest import draw_mixer, draw_params, draw_physical
 
