@@ -21,7 +21,6 @@ from .classicality import (
 from .covariance import (
     DEFAULT_TOL,
     GaussianParams,
-    SchurTerms,
     build_covariance,
     is_physical,
     is_separable,
@@ -36,7 +35,6 @@ from .errors import (
 )
 from .measures import (
     MeasureReport,
-    ReferenceStates,
     bures_from_fidelity,
     compose_bures,
     entanglement_degree,
@@ -72,8 +70,6 @@ __all__ = [
     "NonPhysicalStateError",
     "NumericDomainError",
     "OutputBlocks",
-    "ReferenceStates",
-    "SchurTerms",
     "TmtssInputs",
     "build_covariance",
     "bures_from_fidelity",

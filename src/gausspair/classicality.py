@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import DEFAULT_TOL
+from .covariance import DEFAULT_TOL, _check_tol
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,8 @@ def mode_params(block: np.ndarray) -> ModeParams:
 
 def mode_is_physical(md: ModeParams, tol: float = DEFAULT_TOL) -> bool:
     """One-mode uncertainty bound, boundary states accepted."""
-    return md.n >= math.sqrt(abs(md.m) ** 2 + 0.25) - tol
+    _check_tol(tol)
+    return md.n >= math.hypot(abs(md.m), 0.5) - tol
 
 
 def is_p_representable_joint(v: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -50,6 +51,7 @@ def is_p_representable_joint(v: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     minors, all nonnegative exactly when it is positive semidefinite, would
     give a closed form.
     """
+    _check_tol(tol)
     v = np.asarray(v, dtype=complex)
     if v.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {v.shape}")
@@ -58,6 +60,7 @@ def is_p_representable_joint(v: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 def is_p_representable_mode(md: ModeParams, tol: float = DEFAULT_TOL) -> bool:
     """One-mode classicality in closed form: ``n >= |m| + 1/2``."""
+    _check_tol(tol)
     return md.n >= abs(md.m) + 0.5 - tol
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classicality, measures, mixer, tmtss
-from .covariance import DEFAULT_TOL, GaussianParams, build_covariance
+from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, build_covariance
 from .errors import ModelValidityError, NumericDomainError
 
 
@@ -44,8 +44,7 @@ class SweepConfig:
             raise ValueError("grid maxima must exceed minima")
         if self.m_min < 0.0:
             raise ValueError("m must be nonnegative (phase removed)")
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError("tol must be positive and finite")
+        _check_tol(self.tol)
         measures.separable_distance(self.r)  # typed error where r over- or underflows
 
     def n_values(self) -> np.ndarray:
@@ -253,8 +252,7 @@ def cmd_check(args) -> dict:
 
 
 def cmd_transform(args) -> dict:
-    if not 0.0 < args.tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+    _check_tol(args.tol)
     p = load_state(args.state)
     cfg = mixer.MixerConfig(theta=args.theta, phi0=args.phi0, phi1=args.phi1)
     blocks = mixer.transform_blocks(p, cfg)

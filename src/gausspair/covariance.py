@@ -34,6 +34,14 @@ from .errors import NonPhysicalStateError, NumericDomainError
 DEFAULT_TOL = 1e-9
 
 
+def _check_tol(tol: float) -> None:
+    # every public function taking tol calls this or reaches it through
+    # is_physical: a NaN makes each bound comparison False and would flip
+    # verdicts without an error
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+
+
 @dataclass(frozen=True)
 class GaussianParams:
     """The six observables defining a two-mode Gaussian covariance matrix."""
@@ -58,15 +66,6 @@ class GaussianParams:
         set_field(self, "m2", m2)
         set_field(self, "m_s", m_s)
         set_field(self, "m_c", m_c)
-
-
-@dataclass(frozen=True)
-class SchurTerms:
-    """Auxiliary scalars of the Schur reduction; ``d`` is the pivot determinant."""
-
-    s: float
-    c: complex
-    d: float
 
 
 def build_covariance(p: GaussianParams) -> np.ndarray:
@@ -94,43 +93,33 @@ def mirror_party2(p: GaussianParams) -> GaussianParams:
     return GaussianParams(n1=p.n1, n2=p.n2, m1=p.m1, m2=p.m2.conjugate(), m_s=p.m_c, m_c=p.m_s)
 
 
-def schur_terms(p: GaussianParams) -> SchurTerms:
-    """Scalars entering the Schur-reduced criteria.
+def schur_terms(p: GaussianParams, tol: float) -> tuple[float, complex, float]:
+    """Scalars ``(s, c, d)`` of the Schur reduction of ``V + tol I``.
 
-    With ``A`` and ``C`` the party-1 and cross blocks of ``V`` plus half the
-    commutator signature, ``d = det A`` and ``C^dagger adj(A) C`` is
+    With ``A`` and ``C`` the party-1 and cross blocks of ``V + tol I`` plus
+    half the commutator signature, ``d = det A`` and ``C^dagger adj(A) C`` is
     ``[[s + k/2, c], [conj(c), s - k/2]]`` with ``k = |m_c|^2 - |m_s|^2``.
-    ``s`` and ``d`` are real by construction; ``d <= 0`` signals a singular
-    (or nonphysical) party-1 pivot and must be handled by the caller.
-    Raises :class:`NumericDomainError` when a term overflows float64.
+    ``adj(A + tol I) = adj(A) + tol I``, so the shift is the party-1
+    occupation ``n1 + tol`` and nothing else; ``tol = 0`` gives the terms of
+    ``V``.  ``s`` and ``d`` are real by construction; ``d <= 0`` signals a
+    singular (or nonphysical) party-1 pivot and must be handled by the
+    caller.  Raises :class:`NumericDomainError` when a term overflows float64.
     """
+    n1 = p.n1 + tol
     try:
         w = p.m_c * p.m_s * p.m1.conjugate()
-        s = p.n1 * (abs(p.m_c) ** 2 + abs(p.m_s) ** 2) - 2.0 * w.real
+        s = n1 * (abs(p.m_c) ** 2 + abs(p.m_s) ** 2) - 2.0 * w.real
         c = (
-            2.0 * p.n1 * p.m_s.conjugate() * p.m_c
+            2.0 * n1 * p.m_s.conjugate() * p.m_c
             - p.m_c ** 2 * p.m1.conjugate()
             - p.m_s.conjugate() ** 2 * p.m1
         )
-        d = p.n1 ** 2 - 0.25 - abs(p.m1) ** 2
+        d = n1 ** 2 - 0.25 - abs(p.m1) ** 2
     except OverflowError:
         raise NumericDomainError("moments overflow float64 in the Schur terms") from None
     if not (math.isfinite(s) and cmath.isfinite(c) and math.isfinite(d)):
         raise NumericDomainError("moments overflow float64 in the Schur terms")
-    return SchurTerms(s, c, d)
-
-
-def _schur_bound(p: GaussianParams, s: float, c: complex, d: float) -> float:
-    # Schur complement of the party-1 pivot, as a lower bound on n2, from
-    # that pivot's Schur terms s, c, d.  Valid only for d > 0.
-    k = abs(p.m_c) ** 2 - abs(p.m_s) ** 2
-    try:
-        bound = s / d + math.sqrt(0.25 * (k / d - 1.0) ** 2 + abs(p.m2 - c / d) ** 2)
-    except OverflowError:
-        bound = math.inf
-    if not math.isfinite(bound):
-        raise NumericDomainError("Schur bound overflows float64")
-    return bound
+    return s, c, d
 
 
 def is_physical(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
@@ -138,19 +127,23 @@ def is_physical(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
 
     Accepts exactly when the smallest eigenvalue of ``V`` plus half the
     commutator signature is at least ``-tol``, so pure states count as
-    physical: the Schur reduction decides ``V + tol I``, whose party-1 pivot
-    determinant is ``d + tol (2 n1 + tol)``.  ``tol`` must be positive and finite.
+    physical: the Schur reduction decides ``V + tol I``, with the party-1
+    block as pivot and ``n2 + tol`` compared with the Schur-complement bound
+    ``s/d + sqrt((k/d - 1)^2/4 + |m2 - c/d|^2)`` on the terms of
+    :func:`schur_terms`.  ``tol`` must be positive and finite.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    t = schur_terms(p)
-    d = t.d + tol * (2.0 * p.n1 + tol)
+    _check_tol(tol)
+    s, c, d = schur_terms(p, tol)
     if p.n1 + tol <= 0.0 or d <= 0.0:  # the shifted pivot is not positive definite
         return False
-    # adj(A + tol I) = adj(A) + tol I adds tol C^dagger C to C^dagger adj(A) C
-    s = t.s + tol * (abs(p.m_c) ** 2 + abs(p.m_s) ** 2)
-    c = t.c + 2.0 * tol * p.m_s.conjugate() * p.m_c
-    return p.n2 + tol >= _schur_bound(p, s, c, d)
+    try:
+        k = abs(p.m_c) ** 2 - abs(p.m_s) ** 2
+        bound = s / d + math.sqrt(0.25 * (k / d - 1.0) ** 2 + abs(p.m2 - c / d) ** 2)
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise NumericDomainError("Schur bound overflows float64")
+    return p.n2 + tol >= bound
 
 
 def is_separable(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:

@@ -45,41 +45,6 @@ def _reference_moments(r: float) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class ReferenceStates:
-    """Pure reference family at squeezing ``r``.
-
-    ``tmsv`` is the twin-beam (two-mode) squeezed vacuum, ``sep`` the same
-    occupations with the correlations removed (one party traced out), and
-    ``omss`` the one-mode squeezed state with matching moments.  The ratio
-    ``lam = tanh(r)`` is the Fock-series weight of the twin-beam state.
-    """
-
-    r: float
-    lam: float
-    tmsv: GaussianParams
-    sep: GaussianParams
-    omss: ModeParams
-
-    @classmethod
-    def for_squeezing(cls, r: float) -> "ReferenceStates":
-        r = float(r)
-        if not math.isfinite(r) or r < 0.0:
-            raise ValueError("squeezing parameter must be finite and nonnegative")
-        try:
-            n = 0.5 * math.cosh(2.0 * r)
-            m = -0.5 * math.sinh(2.0 * r)
-        except OverflowError:
-            raise NumericDomainError(f"reference squeezing r={r:g} overflows float64") from None
-        return cls(
-            r=r,
-            lam=math.tanh(r),
-            tmsv=GaussianParams(n1=n, n2=n, m_c=m),
-            sep=GaussianParams(n1=n, n2=n),
-            omss=ModeParams(n=n, m=m),
-        )
-
-
-@dataclass(frozen=True)
 class MeasureReport:
     """Fidelity, Bures distance, entanglement degree and the separability verdict."""
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import DEFAULT_TOL, GaussianParams, is_physical
+from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, is_physical
 from .errors import DegenerateStateError, NonPhysicalStateError, NumericDomainError
 
 
@@ -148,6 +148,7 @@ def solve_decoupling_phases(
     root in ``[0, pi)`` is ``arg(m_s) mod pi``.  Returns None when no phases
     work.
     """
+    _check_tol(tol)
     if abs(abs(p.m1) - abs(p.m2)) > tol:
         return None
 
@@ -174,6 +175,7 @@ def _local_determinants(p: GaussianParams) -> tuple[float, float]:
 
 def is_ssld(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
     """Whether the two local blocks have equal determinants."""
+    _check_tol(tol)
     det1, det2 = _local_determinants(p)
     return abs(det1 - det2) <= tol
 

@@ -17,7 +17,7 @@ from typing import Literal
 
 import numpy as np
 
-from .covariance import DEFAULT_TOL, GaussianParams, is_physical
+from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, is_physical
 from .errors import DegenerateStateError, ModelValidityError
 
 StateClass = Literal["nonphysical", "entangled", "separable"]
@@ -94,9 +94,11 @@ def symmetric_class_codes(n, m, tol: float = DEFAULT_TOL):
 
     Indexes :data:`SYMMETRIC_CLASSES`.  Physical states satisfy
     ``n >= sqrt(m^2 + 1/4)``, separable ones ``n >= m + 1/2``; boundary
-    points classify on the accepting side.
+    points classify on the accepting side.  The square root is taken as
+    ``hypot(m, 1/2)``, which does not overflow where ``m^2`` does.
     """
-    physical = n >= np.sqrt(m * m + 0.25) - tol
+    _check_tol(tol)
+    physical = n >= np.hypot(m, 0.5) - tol
     return physical * (1 + (n >= m + 0.5 - tol))
 
 

@@ -1,8 +1,38 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from gausspair import GaussianParams, MixerConfig, is_physical
+from gausspair import GaussianParams, MixerConfig, ModeParams, is_physical
+
+
+class References(NamedTuple):
+    """Pure reference family at squeezing ``r``.
+
+    ``tmsv`` is the twin-beam (two-mode) squeezed vacuum, ``sep`` the same
+    occupations with the correlations removed (one party traced out), and
+    ``omss`` the one-mode squeezed state with matching moments.  The ratio
+    ``lam = tanh(r)`` is the Fock-series weight of the twin-beam state.
+    """
+
+    lam: float
+    tmsv: GaussianParams
+    sep: GaussianParams
+    omss: ModeParams
+
+
+def reference_states(r: float) -> References:
+    """The references at squeezing ``r >= 0``, written out from the moments."""
+    if not math.isfinite(r) or r < 0.0:
+        raise ValueError("squeezing parameter must be finite and nonnegative")
+    n = 0.5 * math.cosh(2.0 * r)
+    m = -0.5 * math.sinh(2.0 * r)
+    return References(
+        lam=math.tanh(r),
+        tmsv=GaussianParams(n1=n, n2=n, m_c=m),
+        sep=GaussianParams(n1=n, n2=n),
+        omss=ModeParams(n=n, m=m),
+    )
 
 
 def rand_complex(rng, hi):

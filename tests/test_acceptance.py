@@ -14,7 +14,6 @@ from gausspair import (
     MixerConfig,
     ModeParams,
     ModelValidityError,
-    ReferenceStates,
     TmtssInputs,
     build_covariance,
     bures_from_fidelity,
@@ -36,7 +35,7 @@ from gausspair.oracle import (
     COMMUTATOR_SIGNATURE, build_mixer, mixer_inverse, partial_transpose, transform_full,
 )
 
-from conftest import draw_mixer, draw_params, draw_symmetric_physical
+from conftest import draw_mixer, draw_params, draw_symmetric_physical, reference_states
 
 BOUNDARY_BAND = 1e-7
 
@@ -144,7 +143,7 @@ def test_criterion_4_fidelity_closed_form():
         m = rng.uniform(0, math.sqrt(n * n - 0.25)) * np.exp(2j * np.pi * rng.uniform())
         r = rng.uniform(0.0, 3.0)
         md = ModeParams(n=n, m=m)
-        ref = ReferenceStates.for_squeezing(r).omss
+        ref = reference_states(r).omss
         direct = trace_overlap(mode_covariance(md), mode_covariance(ref))
         worst_port = max(worst_port, abs(output_port_fidelity(md, r) - direct))
 
@@ -157,7 +156,7 @@ def test_criterion_4_fidelity_closed_form():
         worst_fock = max(worst_fock, abs(det_route - oracle.overlap_fock_tmsv(l1, l2)))
 
     worst_quad = 0.0
-    refs = ReferenceStates.for_squeezing(0.8)
+    refs = reference_states(0.8)
     cases = [
         (build_covariance(GaussianParams(n1=0.5, n2=0.5)),) * 2,
         (build_covariance(GaussianParams(n1=1.0, n2=0.5)),) * 2,
@@ -196,7 +195,7 @@ def test_criterion_5_bures_composition():
     # different pure squeezed reference, the untouched port pure by
     # construction; input and measured-port distances must coincide
     cfg = MixerConfig(theta=math.pi / 4, phi0=0.3, phi1=-0.2)
-    v_in = build_covariance(ReferenceStates.for_squeezing(0.7).tmsv)
+    v_in = build_covariance(reference_states(0.7).tmsv)
     v_out = transform_full(v_in, cfg)
     ref1 = mode_covariance(
         ModeParams(n=0.5 * math.cosh(0.8), m=-0.5 * math.sinh(0.8) * np.exp(0.9j))
@@ -277,7 +276,7 @@ def test_criterion_6_surface_sweep(tmp_path):
 
 
 def test_criterion_7_derived_anchors():
-    refs = ReferenceStates.for_squeezing(1.0)
+    refs = reference_states(1.0)
     f_sep = trace_overlap(build_covariance(refs.sep), build_covariance(refs.tmsv))
     f_closed = 1.0 / (math.cosh(2.0) ** 2 - math.sinh(2.0) ** 2 / 4.0)
     d_sep = bures_from_fidelity(f_sep)

@@ -10,16 +10,22 @@ from hypothesis import strategies as st
 from gausspair import (
     DEFAULT_TOL,
     GaussianParams,
+    ModeParams,
     NonPhysicalStateError,
     NumericDomainError,
     build_covariance,
+    classify_symmetric,
+    is_p_representable_joint,
+    is_p_representable_mode,
     is_physical,
     is_separable,
+    is_ssld,
     mirror_party2,
     mix_params,
+    mode_is_physical,
     schur_terms,
+    solve_decoupling_phases,
 )
-from gausspair.covariance import _schur_bound
 from gausspair import oracle
 from gausspair.oracle import COMMUTATOR_SIGNATURE, partial_transpose
 
@@ -71,20 +77,19 @@ class TestPartialTranspose:
 
 class TestSchurTerms:
     def test_symmetric_example(self):
-        t = schur_terms(GaussianParams(n1=2, n2=2, m_c=1.8))
-        assert t.s == pytest.approx(6.48, abs=1e-12)
-        assert t.c == 0
-        assert t.d == pytest.approx(3.75, abs=1e-12)
+        s, c, d = schur_terms(GaussianParams(n1=2, n2=2, m_c=1.8), 0.0)
+        assert s == pytest.approx(6.48, abs=1e-12)
+        assert c == 0
+        assert d == pytest.approx(3.75, abs=1e-12)
 
     def test_vacuum(self):
-        t = schur_terms(VACUUM)
-        assert (t.s, t.c, t.d) == (0.0, 0j, 0.0)
+        assert schur_terms(VACUUM, 0.0) == (0.0, 0j, 0.0)
 
     def test_mixed_moments(self):
-        t = schur_terms(GaussianParams(n1=1, n2=1, m1=0.5, m_c=0.5, m_s=0.5))
-        assert t.s == pytest.approx(0.25, abs=1e-12)
-        assert t.c == pytest.approx(0.25, abs=1e-12)
-        assert t.d == pytest.approx(0.5, abs=1e-12)
+        s, c, d = schur_terms(GaussianParams(n1=1, n2=1, m1=0.5, m_c=0.5, m_s=0.5), 0.0)
+        assert s == pytest.approx(0.25, abs=1e-12)
+        assert c == pytest.approx(0.25, abs=1e-12)
+        assert d == pytest.approx(0.5, abs=1e-12)
 
 
 class TestIsPhysical:
@@ -227,8 +232,9 @@ def schur_band_states(draw, mirrored):
         m1=m1, m2=draw(moments(2.0)), m_s=draw(moments(2.0)), m_c=draw(moments(2.0)),
     )
     target = mirror_party2(base) if mirrored else base
-    t = schur_terms(target)
-    bound = _schur_bound(target, t.s, t.c, t.d)
+    s, c, d = schur_terms(target, 0.0)
+    k = abs(target.m_c) ** 2 - abs(target.m_s) ** 2
+    bound = s / d + math.sqrt((k / d - 1.0) ** 2 / 4 + abs(target.m2 - c / d) ** 2)
     return replace(base, n2=bound + draw(tol_offsets()))
 
 
@@ -257,6 +263,33 @@ class TestMirrorParty2:
             build_covariance(mirror_party2(p)), oracle.partial_transpose(build_covariance(p))
         )
         assert mirror_party2(mirror_party2(p)) == p
+
+
+class TestSchurTermsAgainstMatrixRoute:
+    """The terms of ``V + tol I``, refereed by the 2x2 block products."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.builds(
+            GaussianParams,
+            n1=st.floats(-10.0, 10.0), n2=st.floats(-10.0, 10.0),
+            m1=moments(10.0), m2=moments(10.0), m_s=moments(10.0), m_c=moments(10.0),
+        ),
+        st.sampled_from([0.0, DEFAULT_TOL, 0.3]),
+    )
+    def test_terms_match_the_matrix_route(self, p, tol):
+        # A and C are the party-1 and cross blocks of V + tol I + Sigma/2
+        h = build_covariance(p) + tol * np.eye(4) + 0.5 * COMMUTATOR_SIGNATURE
+        a, cross = h[:2, :2], h[:2, 2:]
+        adj = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
+        reduced = cross.conj().T @ adj @ cross
+        s, c, d = schur_terms(p, tol)
+        k = abs(p.m_c) ** 2 - abs(p.m_s) ** 2
+        want = np.array([[s + k / 2, c], [np.conj(c), s - k / 2]])
+        scale = float(np.abs(a).max()) * float(np.abs(cross).max()) ** 2
+        assert np.abs(reduced - want).max() <= 1e-12 * max(1.0, scale)
+        det = (a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]).real
+        assert abs(d - det) <= 1e-12 * max(1.0, float(np.abs(a).max()) ** 2)
 
 
 class TestBoundaryBands:
@@ -296,6 +329,19 @@ class TestBoundaryBands:
         assert _consistent(is_separable(p), e, p), e
 
 
+#: every public function taking ``tol`` that does not reach it through is_physical
+TOL_TAKERS = {
+    "mode_is_physical": lambda tol: mode_is_physical(ModeParams(1.0, 0.1), tol),
+    "is_p_representable_mode": lambda tol: is_p_representable_mode(ModeParams(1.0, 0.1), tol),
+    "classify_symmetric": lambda tol: classify_symmetric(1.0, 0.1, tol),
+    "is_ssld": lambda tol: is_ssld(GaussianParams(1, 1), tol),
+    "solve_decoupling_phases": lambda tol: solve_decoupling_phases(GaussianParams(1, 1, m_s=0.3), tol),
+    "is_p_representable_joint": lambda tol: is_p_representable_joint(
+        build_covariance(GaussianParams(1, 1)), tol
+    ),
+}
+
+
 class TestTolAndOverflow:
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
     def test_bad_tol_rejected(self, tol):
@@ -303,6 +349,12 @@ class TestTolAndOverflow:
             is_physical(VACUUM, tol)
         with pytest.raises(ValueError, match="tol"):
             is_separable(VACUUM, tol)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+    @pytest.mark.parametrize("name", sorted(TOL_TAKERS))
+    def test_bad_tol_rejected_everywhere(self, name, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            TOL_TAKERS[name](tol)
 
     @pytest.mark.parametrize("big", [1e120, 1e160, 1e200, 1e300])
     def test_overflowing_moments_are_a_domain_error(self, big):

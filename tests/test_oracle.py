@@ -7,12 +7,13 @@ from gausspair import (
     GaussianParams,
     ModeParams,
     NumericDomainError,
-    ReferenceStates,
     build_covariance,
     mode_covariance,
     trace_overlap,
 )
 from gausspair.oracle import QuadratureSpec, eig_min_hermitian, overlap_fock_tmsv, overlap_numint
+
+from conftest import reference_states
 
 
 class TestEigMinHermitian:
@@ -71,8 +72,8 @@ class TestOverlapFockTmsv:
 
     def test_matches_determinant_route(self):
         l1, l2 = math.tanh(1.0), 0.5
-        va = build_covariance(ReferenceStates.for_squeezing(1.0).tmsv)
-        vb = build_covariance(ReferenceStates.for_squeezing(math.atanh(l2)).tmsv)
+        va = build_covariance(reference_states(1.0).tmsv)
+        vb = build_covariance(reference_states(math.atanh(l2)).tmsv)
         assert abs(overlap_fock_tmsv(l1, l2) - trace_overlap(va, vb)) <= 1e-10
 
     def test_rejects_unit_ratio(self):
@@ -94,7 +95,7 @@ class TestOverlapNumint:
         assert overlap_numint(v, v) == pytest.approx(0.5, abs=1e-6)
 
     def test_twin_beam_against_traced_reference(self):
-        refs = ReferenceStates.for_squeezing(0.8)
+        refs = reference_states(0.8)
         va = build_covariance(refs.tmsv)
         vb = build_covariance(refs.sep)
         assert overlap_numint(va, vb) == pytest.approx(trace_overlap(va, vb), abs=1e-6)

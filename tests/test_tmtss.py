@@ -106,6 +106,11 @@ class TestClassifySymmetric:
         with pytest.raises(ValueError):
             classify_symmetric(1.0, -0.1)
 
+    def test_bound_does_not_square_the_moment(self):
+        # m^2 overflows float64; the state is physical and separable
+        assert classify_symmetric(3e154, 2e154) == "separable"
+        assert classify_symmetric(2e154, 3e154) == "nonphysical"
+
     def test_agrees_with_covariance_criteria(self):
         rng = np.random.default_rng(62)
         for _ in range(2000):
