@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classicality, measures, mixer, tmtss
-from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, build_covariance
+from .covariance import DEFAULT_TOL, GaussianParams, _check_tol
 from .errors import ModelValidityError, NumericDomainError
 
 
@@ -83,11 +83,10 @@ def run_check(p: GaussianParams, r: float, tol: float = DEFAULT_TOL) -> dict:
     Raises :class:`NonPhysicalStateError` for a nonphysical state.
     """
     report = measures.entanglement_degree(p, r, tol)
-    v = build_covariance(p)
     return {
         "physical": True,
         "separable": report.separable,
-        "p_representable": classicality.is_p_representable_joint(v, tol),
+        "p_representable": classicality.is_p_representable_joint(p, tol),
         "fidelity": report.fidelity,
         "bures": report.bures,
         "degree": report.degree,
@@ -255,10 +254,10 @@ def cmd_transform(args) -> dict:
     _check_tol(args.tol)
     p = load_state(args.state)
     cfg = mixer.MixerConfig(theta=args.theta, phi0=args.phi0, phi1=args.phi1)
-    blocks = mixer.transform_blocks(p, cfg)
+    q = mixer.mix_params(p, cfg)
+    blocks = mixer._output_blocks(q)
     r1, r2 = mixer.coupling_residuals(p, cfg)
-    mode1 = classicality.mode_params(blocks.v1p)
-    mode2 = classicality.mode_params(blocks.v2p)
+    mode1, mode2 = classicality.ModeParams(q.n1, q.m1), classicality.ModeParams(q.n2, q.m2)
     return {
         "v1p": _matrix_pairs(blocks.v1p),
         "v2p": _matrix_pairs(blocks.v2p),

@@ -83,6 +83,52 @@ def build_covariance(p: GaussianParams) -> np.ndarray:
     )
 
 
+def _quadrature_covariance(
+    n1: float, n2: float, m1: complex, m2: complex, ms: complex, mc: complex
+) -> list[list[float]]:
+    """The real covariance of six moments in the quadrature basis ``(x1, p1, x2, p2)``.
+
+    Unitarily equivalent to :func:`build_covariance`, so it has the same
+    eigenvalues: party blocks ``[[n + Re m, Im m], [Im m, n - Re m]]`` and
+    the cross block ``[[Re(ms + mc), Im(mc - ms)], [Im(ms + mc), Re(ms - mc)]]``.
+    """
+    plus, minus = ms + mc, ms - mc
+    return [
+        [n1 + m1.real, m1.imag, plus.real, -minus.imag],
+        [m1.imag, n1 - m1.real, plus.imag, minus.real],
+        [plus.real, plus.imag, n2 + m2.real, m2.imag],
+        [-minus.imag, minus.real, m2.imag, n2 - m2.real],
+    ]
+
+
+def _quadrature_minors(
+    n1: float, n2: float, m1: complex, m2: complex, ms: complex, mc: complex
+) -> tuple[float, ...]:
+    """Principal minors of :func:`_quadrature_covariance` of six moments.
+
+    Entry ``mask`` of the returned 16-tuple is the minor on the quadratures
+    whose bits are set in ``mask`` (bit 0 is ``x1``, bit 3 is ``p2``); entry
+    0 is the empty minor, 1.  Plain float products, so an overflow gives
+    ``inf`` or ``nan`` for the caller to reject.
+    """
+    (a, c, g, h), (_, b, k, l), (_, _, d, f), (_, _, _, e) = _quadrature_covariance(
+        n1, n2, m1, m2, ms, mc
+    )
+    # rij and sij are the 2x2 minors of the rows (x1, p1) and (x2, p2) on the
+    # columns i, j; the 4x4 minor is the Laplace expansion along (x1, p1)
+    r02, r03, r12, r13 = a * k - c * g, a * l - c * h, c * k - b * g, c * l - b * h
+    s02, s03, s12, s13 = g * f - d * h, g * e - f * h, k * f - d * l, k * e - f * l
+    r01, s23, cross = a * b - c * c, d * e - f * f, g * l - h * k
+    return (
+        1.0, a, b, r01, d, a * d - g * g, b * d - k * k,
+        b * (a * d - g * g) - c * (c * d - 2.0 * g * k) - a * k * k,
+        e, a * e - h * h, b * e - l * l,
+        b * (a * e - h * h) - c * (c * e - 2.0 * h * l) - a * l * l,
+        s23, a * s23 - g * s03 + h * s02, b * s23 - k * s13 + l * s12,
+        r01 * s23 - r02 * s13 + r03 * s12 + r12 * s03 - r13 * s02 + cross * cross,
+    )
+
+
 def mirror_party2(p: GaussianParams) -> GaussianParams:
     """The partial transpose on the six moments: mirror party 2 in phase space.
 

@@ -2,10 +2,16 @@
 
 For Gaussian states with at least one pure party the overlap trace is an
 inverse square-root determinant of the summed covariances, which is all the
-fidelity needed here: references are always pure.  The entanglement degree
-compares the Bures distance of a state from the twin-beam squeezed reference
-against the distance of the correlation-free (traced-out) reference, scaled
-so the reference itself scores 1 and the correlation-free state scores 0.
+fidelity needed here: references are always pure.  :func:`trace_overlap` is
+that determinant for any two covariance matrices.  The entanglement degree
+takes it from the moments instead, in the frame where the twin-beam
+reference is diagonal: there the determinant is a sum of nonnegative terms,
+the reference's variances times principal minors of the state's covariance,
+so it keeps full relative precision at any squeezing float64 can hold.  The
+degree compares the Bures distance of a state from the twin-beam squeezed
+reference against the distance of the correlation-free (traced-out)
+reference, scaled so the reference itself scores 1 and the correlation-free
+state scores 0.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classicality import ModeParams
-from .covariance import DEFAULT_TOL, GaussianParams, build_covariance, is_separable
+from .covariance import DEFAULT_TOL, GaussianParams, _quadrature_minors, is_separable
 from .errors import DegenerateStateError, NumericDomainError
 
 
@@ -163,6 +169,35 @@ def compose_bures(d1: float, d2: float) -> float:
     return d1 + d2 - 0.5 * d1 * d2
 
 
+def _reference_overlap(p: GaussianParams, r: float) -> float:
+    # Overlap of p with the twin-beam reference whose cross moment is phase
+    # aligned with p's; r is valid.  Party 2 is rotated by the phase u of
+    # m_c, which makes both cross moments real and nonnegative, and the
+    # quadratures are taken in the 50:50 frame ((x1+x2)/sqrt2, (p1+p2)/sqrt2,
+    # (x1-x2)/sqrt2, (p1-p2)/sqrt2), where the reference is diag(b, a, a, b)
+    # with a = e^(-2r)/2 and b = e^(2r)/2.  det(V + diag) is then the sum
+    # over index subsets S of prod_{i in S} diag_i times the principal minor
+    # of V on the complement: 16 nonnegative terms, nothing cancels.  They
+    # are grouped by weight below; ab = 1/4.
+    u = cmath.exp(1j * cmath.phase(p.m_c)) if p.m_c != 0 else 1.0  # |u| = 1 for subnormal m_c too
+    ms, m2, mc = p.m_s * u, p.m2 * (u * u).conjugate(), abs(p.m_c)
+    half, mean = 0.5 * (p.n1 + p.n2), 0.5 * (p.m1 + m2)
+    m = _quadrature_minors(
+        half + ms.real, half - ms.real, mean + mc, mean - mc,
+        complex(0.5 * (p.n1 - p.n2), -ms.imag), 0.5 * (p.m1 - m2),
+    )
+    a, b = 0.5 * math.exp(-2.0 * r), 0.5 * math.exp(2.0 * r)
+    det = (
+        m[15] + b * (m[7] + m[14]) + a * (m[11] + m[13]) + b * b * m[6] + a * a * m[9]
+        + 0.25 * (m[3] + m[5] + m[10] + m[12] + a * (m[1] + m[8]) + b * (m[2] + m[4]) + 0.25)
+    )
+    if not math.isfinite(det):
+        raise NumericDomainError("overlap determinant is not finite in float64")
+    if det <= 0.0:
+        raise NumericDomainError("overlap determinant is not positive")
+    return 1.0 / math.sqrt(det)
+
+
 def entanglement_degree(
     p: GaussianParams, r: float, tol: float = DEFAULT_TOL
 ) -> MeasureReport:
@@ -172,19 +207,16 @@ def entanglement_degree(
     anomalous cross moments add coherently and the result does not depend on
     an arbitrary phase convention.  The degree is 1 minus the ratio of the
     state's Bures distance from the twin-beam reference to the traced-out
-    reference's distance; it is reported even when negative.  The traced-out
-    reference's distance is the closed form :func:`separable_distance`.
-    Raises :class:`NonPhysicalStateError` for a nonphysical state.
+    reference's distance; it is reported even when negative.  The fidelity
+    is the overlap with the pure reference, taken from the principal minors
+    of the state's covariance in the reference's own frame, which keeps full
+    relative precision up to the ``r`` (about 177) where the reference
+    overflows float64.  The traced-out reference's distance is the closed
+    form :func:`separable_distance`.  Raises :class:`NonPhysicalStateError`
+    for a nonphysical state.
     """
     separable = is_separable(p, tol)
-    big_n, big_m = _reference_moments(r)
-    phase = cmath.phase(p.m_c) if p.m_c != 0 else 0.0
-    sigma = GaussianParams(n1=big_n, n2=big_n, m_c=big_m * cmath.exp(1j * phase))
-    fid = trace_overlap(build_covariance(p), build_covariance(sigma))
+    d_sep = separable_distance(r)  # typed errors for r <= 0, a NaN r and over- or underflow
+    fid = _reference_overlap(p, r)
     bures = bures_from_fidelity(fid)
-    return MeasureReport(
-        fidelity=fid,
-        bures=bures,
-        degree=1.0 - bures / separable_distance(r),
-        separable=separable,
-    )
+    return MeasureReport(fidelity=fid, bures=bures, degree=1.0 - bures / d_sep, separable=separable)

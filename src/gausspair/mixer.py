@@ -108,7 +108,11 @@ def mix_params(p: GaussianParams, cfg: MixerConfig) -> GaussianParams:
 
 def transform_blocks(p: GaussianParams, cfg: MixerConfig) -> OutputBlocks:
     """The output covariance of the mixer in block form, from :func:`mix_params`."""
-    q = mix_params(p, cfg)
+    return _output_blocks(mix_params(p, cfg))
+
+
+def _output_blocks(q: GaussianParams) -> OutputBlocks:
+    # the three 2x2 blocks of build_covariance(q)
     m1, m2, ms, mc = q.m1, q.m2, q.m_s, q.m_c
     v1p, v2p, cp = np.array([
         q.n1, m1, m1.conjugate(), q.n1,

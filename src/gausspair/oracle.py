@@ -3,7 +3,8 @@
 No other module of the package imports this one; the test suite uses
 these routines to cross-check closed-form results through unrelated
 algorithms (Jacobi rotations, Fock-basis sums, direct quadrature, the full
-4x4 conjugation through the mixer matrix, and the matrix partial transpose).
+4x4 conjugation through the mixer matrix, the matrix partial transpose, an
+eigenvalue test of joint classicality and a many-digit determinant).
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 
+from .covariance import DEFAULT_TOL
 from .errors import NumericDomainError
 from .mixer import MixerConfig
 
@@ -208,3 +211,76 @@ def partial_transpose(v: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a 4x4 matrix, got shape {v.shape}")
     order = [0, 1, 3, 2]
     return v[np.ix_(order, order)]
+
+
+def is_p_representable_joint_eig(v: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """Joint classicality by eigenvalues: ``V - I/2`` has no eigenvalue below ``-tol``.
+
+    The matrix route to what :func:`gausspair.classicality.is_p_representable_joint`
+    decides by elimination on the moments.
+    """
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {v.shape}")
+    return float(np.linalg.eigvalsh(v - 0.5 * np.eye(4))[0]) >= -tol
+
+
+def _decimal_quadratures(n1, n2, m1, m2, ms, mc) -> list[list[Decimal]]:
+    # the real covariance over (x1, p1, x2, p2); each m is a (re, im) pair
+    return [
+        [n1 + m1[0], m1[1], ms[0] + mc[0], mc[1] - ms[1]],
+        [m1[1], n1 - m1[0], ms[1] + mc[1], ms[0] - mc[0]],
+        [ms[0] + mc[0], ms[1] + mc[1], n2 + m2[0], m2[1]],
+        [mc[1] - ms[1], ms[0] - mc[0], m2[1], n2 - m2[0]],
+    ]
+
+
+def _decimal_det(a: list[list[Decimal]]) -> Decimal:
+    # Gaussian elimination with partial pivoting, in the current context
+    a = [row[:] for row in a]
+    det = Decimal(1)
+    for col in range(len(a)):
+        pivot = max(range(col, len(a)), key=lambda row: abs(a[row][col]))
+        if a[pivot][col] == 0:
+            return Decimal(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for row in range(col + 1, len(a)):
+            factor = a[row][col] / a[col][col]
+            for j in range(col, len(a)):
+                a[row][j] -= factor * a[col][j]
+    return det
+
+
+def reference_overlap_decimal(p, r: float) -> float:
+    """Overlap of the state ``p`` with its phase-aligned twin-beam reference, in ``decimal``.
+
+    Adds the real quadrature covariances ``(x1, p1, x2, p2)`` of ``p`` and of
+    the reference (occupation ``N = cosh(2r)/2``, cross moment
+    ``M e^{i arg m_c}`` with ``M = sinh(2r)/2``, both from ``Decimal.exp``)
+    and returns ``1/sqrt(det)`` of the sum, the determinant by elimination at
+    350 significant digits.  The reference's squeezed variances are
+    ``N - M = e^{-2r}/2``, so the digits must cover ``4r/ln 10`` digits of
+    cancellation on top of float64's: enough for ``r`` up to about 170.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 350
+        up, down = (2 * Decimal(r)).exp(), (-2 * Decimal(r)).exp()
+        big_n, big_m = (up + down) / 4, (up - down) / 4
+        re, im = Decimal(p.m_c.real), Decimal(p.m_c.imag)
+        size = (re * re + im * im).sqrt()
+        cos, sin = (re / size, im / size) if size else (Decimal(1), Decimal(0))
+        zero = (Decimal(0), Decimal(0))
+
+        def pair(z: complex) -> tuple[Decimal, Decimal]:
+            return Decimal(z.real), Decimal(z.imag)
+
+        state = _decimal_quadratures(Decimal(p.n1), Decimal(p.n2), pair(p.m1), pair(p.m2),
+                                     pair(p.m_s), pair(p.m_c))
+        ref = _decimal_quadratures(big_n, big_n, zero, zero, zero, (big_m * cos, big_m * sin))
+        det = _decimal_det([[x + y for x, y in zip(u, w)] for u, w in zip(state, ref)])
+        if det <= 0:
+            raise NumericDomainError("summed covariance is not positive definite")
+        return float(1 / det.sqrt())

@@ -1,9 +1,13 @@
+import cmath
 import math
 from typing import NamedTuple
 
 import numpy as np
+from hypothesis import strategies as st
 
-from gausspair import GaussianParams, MixerConfig, ModeParams, is_physical
+from gausspair import (
+    DEFAULT_TOL, GaussianParams, MixerConfig, ModeParams, build_covariance, is_physical,
+)
 
 
 class References(NamedTuple):
@@ -78,3 +82,27 @@ def draw_mixer(rng):
         phi0=rng.uniform(-np.pi, np.pi),
         phi1=rng.uniform(-np.pi, np.pi),
     )
+
+
+def moments(hi):
+    """Complex moments of magnitude up to ``hi``, with exact zeros mixed in."""
+    polar = st.builds(
+        lambda mag, arg: mag * cmath.exp(1j * arg),
+        st.floats(0.0, hi), st.floats(-math.pi, math.pi),
+    )
+    return st.one_of(st.just(0j), polar)
+
+
+def tol_offsets():
+    """A few ``tol`` either side of a boundary, the boundary itself included."""
+    return st.one_of(st.just(0.0), st.floats(-5.0, 5.0)).map(lambda k: k * DEFAULT_TOL)
+
+
+def tol_consistent(verdict: bool, e: float, p: GaussianParams) -> bool:
+    """The ``tol`` contract of every criterion against a referee eigenvalue ``e``.
+
+    Accepting needs the smallest eigenvalue no lower than -tol, rejecting
+    needs it below -tol; the slack covers rounding in both routes.
+    """
+    slack = 1e-11 * max(1.0, float(np.abs(build_covariance(p)).max()))
+    return e >= -DEFAULT_TOL - slack if verdict else e < -DEFAULT_TOL + slack

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gausspair import (
+    DEFAULT_TOL,
     GaussianParams,
     MixerConfig,
     ModeParams,
@@ -23,9 +25,16 @@ from gausspair import (
     solve_decoupling_phases,
     transform_blocks,
 )
-from gausspair.oracle import COMMUTATOR_SIGNATURE, partial_transpose
+from gausspair.oracle import (
+    COMMUTATOR_SIGNATURE,
+    eig_min_hermitian,
+    is_p_representable_joint_eig,
+    partial_transpose,
+)
 
-from conftest import draw_mixer, draw_physical, draw_symmetric_physical
+from conftest import (
+    draw_mixer, draw_physical, draw_symmetric_physical, moments, tol_consistent, tol_offsets,
+)
 
 BS5050 = MixerConfig(theta=math.pi / 4)
 
@@ -40,29 +49,79 @@ def test_mode_params_rejects_bad_shape():
         mode_params(np.eye(4))
 
 
+def _joint_eig(p: GaussianParams) -> float:
+    # smallest eigenvalue of V - I/2, by the Jacobi referee
+    return float(eig_min_hermitian(build_covariance(p) - 0.5 * np.eye(4)))
+
+
+@st.composite
+def joint_band_states(draw, near_vacuum):
+    """States whose ``V - I/2`` has smallest eigenvalue within a few tol of ``-tol``.
+
+    The moments are drawn at one of the scales 1, 30 and 1e3, then both
+    occupations are shifted by ``-lambda_min + (k - 1) tol``, ``k`` in
+    [-5, 5], which moves the whole spectrum.  With ``near_vacuum``
+    party 1 is the vacuum up to moments of a few tol and cross moments of at
+    most 1e-5, so two eigenvalues sit near the boundary together.
+    """
+    scale = draw(st.sampled_from([1.0, 30.0, 1e3]))
+    m2 = draw(moments(scale))
+    if near_vacuum:
+        m1, cross_hi = draw(moments(5 * DEFAULT_TOL)), 1e-5
+        n2 = abs(m2) + draw(st.floats(0.0, 2.0)) * scale
+    else:
+        m1, cross_hi = draw(moments(scale)), scale
+        n2 = draw(st.floats(-1.0, 1.0)) * scale
+    base = GaussianParams(n1=0.0, n2=n2, m1=m1, m2=m2,
+                          m_s=draw(moments(cross_hi)), m_c=draw(moments(cross_hi)))
+    shift = -_joint_eig(base) + draw(tol_offsets()) - DEFAULT_TOL
+    return replace(base, n1=base.n1 + shift, n2=base.n2 + shift)
+
+
 class TestJoint:
     def test_vacuum_on_boundary(self):
-        assert is_p_representable_joint(0.5 * np.eye(4, dtype=complex))
+        assert is_p_representable_joint(GaussianParams(0.5, 0.5))
 
     def test_thermal_pair(self):
-        v = build_covariance(GaussianParams(n1=1.0, n2=1.0))
-        assert is_p_representable_joint(v)
+        assert is_p_representable_joint(GaussianParams(n1=1.0, n2=1.0))
 
     def test_mixed_entangled_output_fails(self):
-        out = transform_blocks(GaussianParams(n1=2, n2=2, m_c=1.8), BS5050).assemble()
-        assert not is_p_representable_joint(out)
+        assert not is_p_representable_joint(mix_params(GaussianParams(n1=2, n2=2, m_c=1.8), BS5050))
 
     def test_joint_implies_modes_on_block_diagonal(self):
         rng = np.random.default_rng(41)
         for _ in range(300):
             md1 = ModeParams(rng.uniform(0.5, 3), rng.uniform(0, 1.5) * np.exp(2j * np.pi * rng.uniform()))
             md2 = ModeParams(rng.uniform(0.5, 3), rng.uniform(0, 1.5) * np.exp(2j * np.pi * rng.uniform()))
-            v = np.zeros((4, 4), dtype=complex)
-            v[:2, :2] = mode_covariance(md1)
-            v[2:, 2:] = mode_covariance(md2)
-            if is_p_representable_joint(v):
+            if is_p_representable_joint(GaussianParams(md1.n, md2.n, md1.m, md2.m)):
                 assert is_p_representable_mode(md1)
                 assert is_p_representable_mode(md2)
+
+    def test_matches_the_eigenvalue_referee(self):
+        # physical states and their mixer outputs, away from the tol band
+        rng = np.random.default_rng(44)
+        checked = 0
+        for p in draw_physical(rng, 300):
+            for q in (p, mix_params(p, draw_mixer(rng))):
+                e = _joint_eig(q)
+                if abs(e + DEFAULT_TOL) < 1e-7:
+                    continue
+                checked += 1
+                want = is_p_representable_joint_eig(build_covariance(q))
+                assert is_p_representable_joint(q) == want, q
+        assert checked > 550
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(joint_band_states(near_vacuum=False))
+    def test_tol_band(self, p):
+        e = _joint_eig(p)
+        assert tol_consistent(is_p_representable_joint(p), e, p), e
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(joint_band_states(near_vacuum=True))
+    def test_tol_band_with_a_near_vacuum_party(self, p):
+        e = _joint_eig(p)
+        assert tol_consistent(is_p_representable_joint(p), e, p), e
 
 
 class TestMode:

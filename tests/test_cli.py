@@ -4,13 +4,14 @@ import math
 import random
 import subprocess
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from gausspair import GaussianParams, MixerConfig, NonPhysicalStateError, transform_blocks
-from gausspair import cli, covariance
+from gausspair import cli, covariance, measures, oracle
 
 
 def run_cli(argv, capsys):
@@ -134,16 +135,27 @@ class TestCheck:
         assert out == ""
         assert json.loads(err) == {"error": error, "message": message}
 
-    def test_overflowing_overlap_determinant_is_named(self, capsys):
+    def test_large_squeezing_fidelity_is_exact(self, capsys):
+        # the 4x4 determinant overflowed here, though the fidelity fits float64
         argv = ["check", "--n1", "0.9110725829205775", "--n2", "0.9110725829205775",
                 "--mc", "0.5818413952215067", "--r", "131.62532012840828"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(argv, capsys)
+        assert code == 0
+        assert err == ""
+        want = pytest.approx(2.8525193945858743e-114, rel=1e-12, abs=0.0)
+        assert json.loads(out)["fidelity"] == want
+
+    def test_general_state_at_large_squeezing(self, capsys):
+        # the 4x4 determinant gave 1.12e-44 here
+        argv = ["check", "--n1", "2.86", "--n2", "1.78", "--m1=0.5,0.2", "--m2=-0.49,0",
+                "--ms=-0.19,0.04", "--mc=-1.29,0.19", "--r", "35"]
         code, out, err = run_cli(argv, capsys)
-        assert code == 2
-        assert out == ""
-        assert json.loads(err) == {
-            "error": "NumericDomainError",
-            "message": "overlap determinant is not finite in float64: overflow encountered in det",
-        }
+        assert code == 0
+        assert err == ""
+        want = pytest.approx(8.1659336160079279e-31, rel=1e-12, abs=0.0)
+        assert json.loads(out)["fidelity"] == want
 
     def test_overflowing_overlap_exits_2(self, capsys):
         code, out, err = run_cli(["check", "--n1", "1e100", "--n2", "1e200"], capsys)
@@ -181,6 +193,34 @@ class TestRunCheck:
         payload = cli.run_check(GaussianParams(n1=2, n2=2, m1=0.3, m2=0.2j, m_s=0.4, m_c=1.2), 1.0)
         assert payload["physical"] is True
         assert calls["schur_terms"] <= 2 and calls["is_physical"] <= 2, calls
+
+    def test_matrix_route_stays_off_the_check_path(self, monkeypatch):
+        # the overlap and the joint test come from the moments: with every
+        # matrix route refusing, a general state still gets its referee values
+        p = GaussianParams(n1=2.86, n2=1.78, m1=0.5 + 0.2j, m2=-0.49,
+                           m_s=-0.19 + 0.04j, m_c=-1.29 + 0.19j)
+        fidelity = oracle.reference_overlap_decimal(p, 1.0)
+        joint = oracle.is_p_representable_joint_eig(covariance.build_covariance(p))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("matrix route called")
+
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "gausspair"]
+        for route in (covariance.build_covariance, measures.trace_overlap):
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is route:
+                        monkeypatch.setattr(module, attr, refuse)
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        overlaps = []
+        original = measures._reference_overlap
+        monkeypatch.setattr(measures, "_reference_overlap",
+                            lambda *a: overlaps.append(a) or original(*a))
+        payload = cli.run_check(p, 1.0)
+        assert len(overlaps) == 1
+        assert payload["fidelity"] == pytest.approx(fidelity, rel=1e-12, abs=0.0)
+        assert payload["p_representable"] is joint
 
 
 class TestTransform:

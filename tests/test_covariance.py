@@ -29,7 +29,9 @@ from gausspair import (
 from gausspair import oracle
 from gausspair.oracle import COMMUTATOR_SIGNATURE, partial_transpose
 
-from conftest import draw_mixer, draw_params, draw_physical, rand_complex
+from conftest import (
+    draw_mixer, draw_params, draw_physical, moments, rand_complex, tol_consistent, tol_offsets,
+)
 
 VACUUM = GaussianParams(n1=0.5, n2=0.5)
 
@@ -192,20 +194,6 @@ class TestSymmetricClassClosedForms:
             assert is_physical(GaussianParams(n1=n, n2=n, m_c=m))
 
 
-def moments(hi):
-    """Complex moments of magnitude up to ``hi``, with exact zeros mixed in."""
-    polar = st.builds(
-        lambda mag, arg: mag * cmath.exp(1j * arg),
-        st.floats(0.0, hi), st.floats(-math.pi, math.pi),
-    )
-    return st.one_of(st.just(0j), polar)
-
-
-def tol_offsets():
-    """A few ``tol`` either side of a boundary, the boundary itself included."""
-    return st.one_of(st.just(0.0), st.floats(-5.0, 5.0)).map(lambda k: k * DEFAULT_TOL)
-
-
 @st.composite
 def pivot_band_states(draw, cross_hi):
     """``n1`` within a few tol of the party-1 pivot bound ``sqrt(|m1|^2 + 1/4)``.
@@ -240,13 +228,6 @@ def schur_band_states(draw, mirrored):
 
 def _eig(h: np.ndarray) -> float:
     return float(oracle.eig_min_hermitian(h))
-
-
-def _consistent(verdict: bool, e: float, p: GaussianParams) -> bool:
-    # Accepting needs the smallest eigenvalue no lower than -tol, rejecting
-    # needs it below -tol; the slack covers rounding in both routes.
-    slack = 1e-11 * max(1.0, float(np.abs(build_covariance(p)).max()))
-    return e >= -DEFAULT_TOL - slack if verdict else e < -DEFAULT_TOL + slack
 
 
 class TestMirrorParty2:
@@ -306,27 +287,27 @@ class TestBoundaryBands:
     @given(pivot_band_states(cross_hi=2.0))
     def test_physicality_at_the_pivot_bound(self, p):
         e = _eig(build_covariance(p) + 0.5 * COMMUTATOR_SIGNATURE)
-        assert _consistent(is_physical(p), e, p), e
+        assert tol_consistent(is_physical(p), e, p), e
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(pivot_band_states(cross_hi=1e-5))
     def test_separability_at_the_pivot_bound(self, p):
         assume(is_physical(p))
         e = _eig(partial_transpose(build_covariance(p)) + 0.5 * COMMUTATOR_SIGNATURE)
-        assert _consistent(is_separable(p), e, p), e
+        assert tol_consistent(is_separable(p), e, p), e
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(schur_band_states(mirrored=False))
     def test_physicality_at_the_schur_bound(self, p):
         e = _eig(build_covariance(p) + 0.5 * COMMUTATOR_SIGNATURE)
-        assert _consistent(is_physical(p), e, p), e
+        assert tol_consistent(is_physical(p), e, p), e
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(schur_band_states(mirrored=True))
     def test_separability_at_the_schur_bound(self, p):
         assume(is_physical(p))
         e = _eig(partial_transpose(build_covariance(p)) + 0.5 * COMMUTATOR_SIGNATURE)
-        assert _consistent(is_separable(p), e, p), e
+        assert tol_consistent(is_separable(p), e, p), e
 
 
 #: every public function taking ``tol`` that does not reach it through is_physical
@@ -336,9 +317,7 @@ TOL_TAKERS = {
     "classify_symmetric": lambda tol: classify_symmetric(1.0, 0.1, tol),
     "is_ssld": lambda tol: is_ssld(GaussianParams(1, 1), tol),
     "solve_decoupling_phases": lambda tol: solve_decoupling_phases(GaussianParams(1, 1, m_s=0.3), tol),
-    "is_p_representable_joint": lambda tol: is_p_representable_joint(
-        build_covariance(GaussianParams(1, 1)), tol
-    ),
+    "is_p_representable_joint": lambda tol: is_p_representable_joint(GaussianParams(1, 1), tol),
 }
 
 

@@ -1,8 +1,11 @@
+import cmath
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gausspair import (
     DegenerateStateError,
@@ -15,16 +18,17 @@ from gausspair import (
     bures_from_fidelity,
     compose_bures,
     entanglement_degree,
+    mix_params,
     mode_covariance,
     output_port_fidelity,
     separable_distance,
     symmetric_degree,
     trace_overlap,
 )
-from gausspair import measures, oracle
+from gausspair import oracle
 from gausspair.oracle import transform_full
 
-from conftest import draw_symmetric_physical, reference_states
+from conftest import draw_physical, draw_symmetric_physical, reference_states
 
 # determinant-route values confirmed against the Fock-series and quadrature
 # oracles before being frozen here
@@ -316,12 +320,13 @@ class TestExtremeSqueezing:
         with pytest.raises(NumericDomainError):
             entanglement_degree(GaussianParams(n1=1.0, n2=1.0), r)
 
-    def test_overflowing_overlap_determinant_is_typed_without_warning(self):
+    def test_large_squeezing_overlap_is_exact_without_warning(self):
+        # the 4x4 determinant overflowed here, though the fidelity fits float64
         p = GaussianParams(n1=0.9110725829205775, n2=0.9110725829205775, m_c=0.5818413952215067)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericDomainError, match="overflow encountered in det"):
-                entanglement_degree(p, 131.62532012840828)
+            report = entanglement_degree(p, 131.62532012840828)
+        assert report.fidelity == pytest.approx(2.8525193945858743e-114, rel=1e-12, abs=0.0)
 
     def test_degree_and_bures_agree_at_the_reference(self):
         # an overlap rounding just above 1 clamps to distance 0 and degree 1 in both fields
@@ -347,9 +352,36 @@ class TestSymmetricDegree:
             assert symmetric_degree(refs.sep.n1, 0.0, r) == 0.0
             assert symmetric_degree(refs.tmsv.n1, -refs.tmsv.m_c.real, r) == pytest.approx(1.0, abs=1e-9)
 
-    def test_one_determinant_overlap_per_degree(self, monkeypatch):
-        calls = []
-        original = measures.trace_overlap
-        monkeypatch.setattr(measures, "trace_overlap", lambda *a: calls.append(a) or original(*a))
-        entanglement_degree(GaussianParams(n1=2, n2=2, m_c=1.8), 1.0)
-        assert len(calls) == 1
+
+@st.composite
+def general_physical_states(draw):
+    """Squeezed thermal modes through a general mixer: every moment nonzero."""
+    modes = []
+    for _ in range(2):
+        nu, z = draw(st.floats(0.5, 3.0)), draw(st.floats(0.0, 1.0))
+        arg = draw(st.floats(-math.pi, math.pi))
+        modes.append((nu * math.cosh(2 * z), nu * math.sinh(2 * z) * cmath.exp(1j * arg)))
+    (n1, m1), (n2, m2) = modes
+    angles = [draw(st.floats(-math.pi, math.pi)) for _ in range(3)]
+    return mix_params(GaussianParams(n1=n1, n2=n2, m1=m1, m2=m2), MixerConfig(*angles))
+
+
+class TestGeneralOverlap:
+    """The overlap of general states with the aligned reference, against other routes."""
+
+    def test_matches_the_determinant_route(self):
+        # where the 4x4 determinant is still accurate
+        rng = np.random.default_rng(57)
+        for p in draw_physical(rng, 300):
+            r = rng.uniform(0.05, 3.0)
+            big_n, big_m = math.cosh(2 * r) / 2, math.sinh(2 * r) / 2
+            phase = cmath.exp(1j * cmath.phase(p.m_c)) if p.m_c != 0 else 1.0
+            sigma = GaussianParams(n1=big_n, n2=big_n, m_c=big_m * phase)
+            want = trace_overlap(build_covariance(p), build_covariance(sigma))
+            assert entanglement_degree(p, r).fidelity == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(general_physical_states(), st.floats(0.05, 170.0))
+    def test_matches_the_decimal_referee(self, p, r):
+        want = oracle.reference_overlap_decimal(p, r)
+        assert entanglement_degree(p, r).fidelity == pytest.approx(want, rel=1e-12, abs=0.0)
