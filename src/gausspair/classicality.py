@@ -5,11 +5,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, _quadrature_covariance
 from .errors import NumericDomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -28,11 +30,13 @@ class ModeParams:
 
 def mode_covariance(md: ModeParams) -> np.ndarray:
     """The 2x2 covariance block of a single mode."""
+    import numpy as np
     return np.array([[md.n, md.m], [md.m.conjugate(), md.n]], dtype=complex)
 
 
 def mode_params(block: np.ndarray) -> ModeParams:
     """Read one-mode data off a 2x2 Hermitian covariance block."""
+    import numpy as np
     block = np.asarray(block, dtype=complex)
     if block.shape != (2, 2):
         raise ValueError(f"expected a 2x2 block, got shape {block.shape}")

@@ -11,12 +11,14 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import classicality, measures, mixer, tmtss
 from .covariance import DEFAULT_TOL, GaussianParams, _check_tol
 from .errors import ModelValidityError, NumericDomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -48,9 +50,11 @@ class SweepConfig:
         measures.separable_distance(self.r)  # typed error where r over- or underflows
 
     def n_values(self) -> np.ndarray:
+        import numpy as np
         return np.linspace(self.n_min, self.n_max, self.n_steps)
 
     def m_values(self) -> np.ndarray:
+        import numpy as np
         return np.linspace(self.m_min, self.m_max, self.m_steps)
 
 
@@ -67,6 +71,7 @@ class SweepResult:
 
 def sweep_grid(cfg: SweepConfig) -> SweepResult:
     """Classify and score every grid point in one array pass."""
+    import numpy as np
     n, m = cfg.n_values(), cfg.m_values()
     nn, mm = np.meshgrid(n, m, indexing="ij")
     codes = tmtss.symmetric_class_codes(nn, mm, cfg.tol)
@@ -132,12 +137,8 @@ def parse_complex(text: str) -> complex:
     raise argparse.ArgumentTypeError(f"expected 're' or 're,im', got {text!r}")
 
 
-def _pair(z: complex) -> list[float]:
+def _pair(z: complex) -> list[float]:  # a float z gives [z, 0.0]
     return [z.real, z.imag]
-
-
-def _matrix_pairs(a: np.ndarray) -> list[list[float]]:
-    return [_pair(complex(x)) for x in np.asarray(a).ravel(order="C")]
 
 
 def _complex_from_json(value) -> complex:
@@ -255,13 +256,13 @@ def cmd_transform(args) -> dict:
     p = load_state(args.state)
     cfg = mixer.MixerConfig(theta=args.theta, phi0=args.phi0, phi1=args.phi1)
     q = mixer.mix_params(p, cfg)
-    blocks = mixer._output_blocks(q)
+    entries = [_pair(z) for z in mixer._block_entries(q)]
     r1, r2 = mixer.coupling_residuals(p, cfg)
     mode1, mode2 = classicality.ModeParams(q.n1, q.m1), classicality.ModeParams(q.n2, q.m2)
     return {
-        "v1p": _matrix_pairs(blocks.v1p),
-        "v2p": _matrix_pairs(blocks.v2p),
-        "cp": _matrix_pairs(blocks.cp),
+        "v1p": entries[:4],
+        "v2p": entries[4:8],
+        "cp": entries[8:],
         "mode1": {"n": mode1.n, "m": _pair(mode1.m)},
         "mode2": {"n": mode2.n, "m": _pair(mode2.m)},
         "residuals": {"anomalous": _pair(r1), "balance": _pair(r2)},
@@ -270,13 +271,16 @@ def cmd_transform(args) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    import numpy as np
     cfg = SweepConfig(
         r=args.r,
         n_min=args.n_min, n_max=args.n_max, n_steps=args.n_steps,
         m_min=args.m_min, m_max=args.m_max, m_steps=args.m_steps,
         tol=args.tol,
     )
-    result = sweep_grid(cfg)
+    # numpy overflow and invalid results become errors, not warnings on stderr
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        result = sweep_grid(cfg)
     writer = write_sweep_csv if args.format == "csv" else write_sweep_matrix
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -299,16 +303,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # numpy overflow and invalid results become errors, not warnings on stderr
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            if args.command == "check":
-                payload = cmd_check(args)
-            elif args.command == "transform":
-                payload = cmd_transform(args)
-            elif args.command == "sweep":
-                return cmd_sweep(args)
-            else:
-                payload = cmd_tmtss(args)
+        if args.command == "check":
+            payload = cmd_check(args)
+        elif args.command == "transform":
+            payload = cmd_transform(args)
+        elif args.command == "sweep":
+            return cmd_sweep(args)
+        else:
+            payload = cmd_tmtss(args)
     except ModelValidityError as err:
         _print_error(err, n=err.n, m=err.m)
         return 2

@@ -26,10 +26,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import NonPhysicalStateError, NumericDomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TOL = 1e-9
 
@@ -70,6 +72,7 @@ class GaussianParams:
 
 def build_covariance(p: GaussianParams) -> np.ndarray:
     """Assemble the 4x4 Hermitian covariance matrix in the (a1+, a1, a2+, a2) basis."""
+    import numpy as np
     n1, n2 = p.n1, p.n2
     m1, m2, ms, mc = p.m1, p.m2, p.m_s, p.m_c
     return np.array(

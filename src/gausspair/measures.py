@@ -20,12 +20,14 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .classicality import ModeParams
 from .covariance import DEFAULT_TOL, GaussianParams, _quadrature_minors, is_separable
 from .errors import DegenerateStateError, NumericDomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _reference_moments(r: float) -> tuple[float, float]:
@@ -69,6 +71,7 @@ def trace_overlap(va: np.ndarray, vb: np.ndarray) -> float:
     matrices of equal size.  Raises :class:`NumericDomainError`, without a
     numpy warning, where the determinant overflows float64.
     """
+    import numpy as np
     va = np.asarray(va, dtype=complex)
     vb = np.asarray(vb, dtype=complex)
     if va.shape != vb.shape or va.shape not in {(2, 2), (4, 4)}:
@@ -119,7 +122,8 @@ def _symmetric_distance(n, m, r: float):
     # give without cancellation where a fidelity alone cannot.  At small r,
     # det - 1 is taken relative to the traced-out reference (N, 0), where it
     # is 3M^2 and a plain det - 1 would cancel.  separable_distance is this
-    # function at (N, 0), so that point scores exactly 0.
+    # function at (N, 0), so that point scores exactly 0.  ** 0.5 serves floats
+    # without numpy and arrays as numpy's sqrt.
     big_n, big_m = _reference_moments(r)
     det = (n - m + 0.5 * math.exp(-2.0 * r)) * (n + m + 0.5 * math.exp(2.0 * r))
     sep_excess = 3.0 * big_m * big_m
@@ -127,7 +131,7 @@ def _symmetric_distance(n, m, r: float):
         excess = sep_excess + (n - big_n) * (n + 3.0 * big_n) - m * (m + 2.0 * big_m)
     else:
         excess = det - 1.0
-    return 2.0 * (excess / det) / (1.0 + np.sqrt(1.0 / det))
+    return 2.0 * (excess / det) / (1.0 + (1.0 / det) ** 0.5)
 
 
 def separable_distance(r: float) -> float:

@@ -16,11 +16,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, is_physical
 from .errors import DegenerateStateError, NonPhysicalStateError, NumericDomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,7 @@ class OutputBlocks:
 
     def assemble(self) -> np.ndarray:
         """Reassemble the full 4x4 output covariance matrix."""
+        import numpy as np
         return np.block([[self.v1p, self.cp], [self.cp.conj().T, self.v2p]])
 
 
@@ -111,14 +114,19 @@ def transform_blocks(p: GaussianParams, cfg: MixerConfig) -> OutputBlocks:
     return _output_blocks(mix_params(p, cfg))
 
 
-def _output_blocks(q: GaussianParams) -> OutputBlocks:
-    # the three 2x2 blocks of build_covariance(q)
+def _block_entries(q: GaussianParams) -> list[complex]:
+    # the three 2x2 blocks (v1p, v2p, cp) of build_covariance(q), row by row
     m1, m2, ms, mc = q.m1, q.m2, q.m_s, q.m_c
-    v1p, v2p, cp = np.array([
+    return [
         q.n1, m1, m1.conjugate(), q.n1,
         q.n2, m2, m2.conjugate(), q.n2,
         ms, mc, mc.conjugate(), ms.conjugate(),
-    ], dtype=complex).reshape(3, 2, 2)
+    ]
+
+
+def _output_blocks(q: GaussianParams) -> OutputBlocks:
+    import numpy as np
+    v1p, v2p, cp = np.array(_block_entries(q), dtype=complex).reshape(3, 2, 2)
     return OutputBlocks(v1p=v1p, v2p=v2p, cp=cp)
 
 
@@ -185,10 +193,12 @@ def is_ssld(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
 
 
 def _rotation(phi: float) -> np.ndarray:
+    import numpy as np
     return np.diag([cmath.exp(1j * phi), cmath.exp(-1j * phi)])
 
 
 def _squeeze(z: float) -> np.ndarray:
+    import numpy as np
     ch, sh = math.cosh(z), math.sinh(z)
     return np.array([[ch, sh], [sh, ch]], dtype=complex)
 

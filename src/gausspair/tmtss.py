@@ -15,10 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-import numpy as np
-
 from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, is_physical
-from .errors import DegenerateStateError, ModelValidityError
+from .errors import DegenerateStateError, ModelValidityError, NumericDomainError
 
 StateClass = Literal["nonphysical", "entangled", "separable"]
 
@@ -62,13 +60,20 @@ def tmtss_params(inputs: TmtssInputs, tol: float = DEFAULT_TOL) -> GaussianParam
     """Symmetric-class covariance data of the thermal squeezed pair.
 
     Raises :class:`DegenerateStateError` when the two envelope factors have
-    equal squares (for instance at zero squeezing) and
+    equal squares (for instance at zero squeezing),
+    :class:`NumericDomainError` where an envelope factor (``2|r| - d`` above
+    about 709) or the moments overflow float64, and
     :class:`ModelValidityError` when the resulting state fails the
     physicality criterion; the error carries the raw (n, m) values.
     """
     weight = inputs.d * (2.0 * inputs.nbar + 1.0)
-    h1 = math.exp(-inputs.p1) + weight * _decay_ratio(inputs.p1)
-    h2 = math.exp(-inputs.p2) + weight * _decay_ratio(inputs.p2)
+    try:
+        h1 = math.exp(-inputs.p1) + weight * _decay_ratio(inputs.p1)
+        h2 = math.exp(-inputs.p2) + weight * _decay_ratio(inputs.p2)
+    except OverflowError:
+        raise NumericDomainError(
+            f"envelope factors overflow float64 at p1={inputs.p1:.6g}, p2={inputs.p2:.6g}"
+        ) from None
     denom = h1 * h1 - h2 * h2
     if abs(denom) <= 1e-12 * max(1.0, h1 * h1, h2 * h2):
         raise DegenerateStateError(
@@ -77,6 +82,8 @@ def tmtss_params(inputs: TmtssInputs, tol: float = DEFAULT_TOL) -> GaussianParam
     g = h1 * h2 / denom
     n = g * h1
     m = g * h2
+    if not (math.isfinite(n) and math.isfinite(m)):
+        raise NumericDomainError(f"model moments overflow float64 (n={n:.6g}, m={m:.6g})")
     p = GaussianParams(n1=n, n2=n, m_c=m)
     if not is_physical(p, tol):
         raise ModelValidityError(
@@ -97,6 +104,7 @@ def symmetric_class_codes(n, m, tol: float = DEFAULT_TOL):
     points classify on the accepting side.  The square root is taken as
     ``hypot(m, 1/2)``, which does not overflow where ``m^2`` does.
     """
+    import numpy as np
     _check_tol(tol)
     physical = n >= np.hypot(m, 0.5) - tol
     return physical * (1 + (n >= m + 0.5 - tol))

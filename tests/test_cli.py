@@ -321,6 +321,19 @@ class TestTmtssCommand:
         assert code == 2
         assert json.loads(err)["error"] == "DegenerateStateError"
 
+    @pytest.mark.parametrize("flags", [
+        ["--d", "1", "--r", "400"],  # exp(-p) of p = d -/+ 2r below about -709 overflows
+        ["--d", "0", "--r", "-400"],
+        ["--d", "1e300", "--r", "1e300"],
+        ["--d", "1e308", "--r", "1", "--nbar", "1e308"],  # infinite envelope factors: NaN n and m
+    ])
+    def test_float64_overflow_is_typed(self, flags, capsys):
+        code, out, err = run_cli(["tmtss", *flags], capsys)
+        assert (code, out) == (2, "")
+        payload = json.loads(err)
+        assert payload["error"] == "NumericDomainError"
+        assert "overflow" in payload["message"]
+
 
 class TestSweep:
     def test_csv_shape_and_anchors(self, tmp_path, capsys):
@@ -459,6 +472,20 @@ class TestCliFuzz:
             for flag in ("--phi0", "--phi1", "--tol"):
                 if rng.random() < 0.3:
                     argv.append(f"{flag}={_fuzz_value(rng)}")
+            codes[_assert_clean_outcome(argv, *_run_guarded(argv, capsys))] += 1
+        assert min(codes.values()) >= 10, codes
+
+    def test_tmtss_flags(self, capsys):
+        rng = random.Random(9)
+        codes = Counter()
+        for _ in range(400):
+            argv = ["tmtss"]
+            for flag in ("--d", "--r", "--nbar", "--tol"):
+                if flag in ("--d", "--r") or rng.random() < 0.5:
+                    value = _fuzz_value(rng)
+                    if flag == "--r" and rng.random() < 0.3:
+                        value = "-" + value  # negative squeezing is a valid model input
+                    argv.append(f"{flag}={value}")
             codes[_assert_clean_outcome(argv, *_run_guarded(argv, capsys))] += 1
         assert min(codes.values()) >= 10, codes
 

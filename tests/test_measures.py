@@ -302,7 +302,7 @@ class TestSeparableDistance:
             m = math.sinh(2 * r) / 2
             excess = 3 * m * m
             want = 2 * (excess / (1 + excess)) / (1 + 1 / math.sqrt(1 + excess))
-            assert separable_distance(r) == pytest.approx(want, rel=1e-14)
+            assert separable_distance(r) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_extremes_raise_typed_errors(self):
         for r in (1e-160, 178.0, 400.0, math.nan):

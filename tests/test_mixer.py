@@ -1,4 +1,5 @@
 import ast
+import json
 import math
 import os
 import subprocess
@@ -271,6 +272,61 @@ class TestOracleSplit:
         assert not hasattr(gausspair.covariance, "partial_transpose")
         assert not hasattr(gausspair, "partial_transpose")
         assert hasattr(oracle, "partial_transpose")
+
+
+class TestColdStart:
+    """Only the sweep and the array-returning functions import numpy."""
+
+    ENV = {**os.environ, "PYTHONPATH": str(TestOracleSplit.PACKAGE_DIR.parent)}
+    STATE = {"n1": 1.6, "n2": 1.9, "m1": [0.3, 0.2], "m2": [-0.2, 0.1], "ms": [0.2, -0.3], "mc": [0.4, 0.1]}
+    COMMANDS = {
+        "check": ["check", "--n1", "1.6", "--n2", "1.9", "--m1", "0.3,0.2", "--m2=-0.2,0.1",
+                  "--ms", "0.2,-0.3", "--mc", "0.4,0.1"],
+        "transform": ["transform", "--state", "{state}", "--theta", "0.7", "--phi0", "0.2"],
+        "tmtss": ["tmtss", "--d", "0.5", "--r", "-0.3"],
+        "sweep": ["sweep", "--n-steps", "2", "--m-steps", "2"],
+    }
+
+    def _run(self, command: str, tmp_path) -> tuple[str, set[str]]:
+        # a fresh `python -m gausspair` under -X importtime, which logs every
+        # module the process imports on stderr as "self | cumulative | name"
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(self.STATE), encoding="utf-8")
+        argv = [arg.format(state=path) for arg in self.COMMANDS[command]]
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "gausspair", *argv],
+            capture_output=True, text=True, timeout=120, env=self.ENV,
+        )
+        assert result.returncode == 0, result.stderr
+        lines = result.stderr.splitlines()
+        assert lines and all(line.startswith("import time:") for line in lines), result.stderr
+        return result.stdout, {line.rsplit("|", 1)[-1].strip().split(".")[0] for line in lines}
+
+    @pytest.mark.parametrize("command", ["check", "transform", "tmtss"])
+    def test_scalar_commands_leave_numpy_unloaded(self, command, tmp_path):
+        out, loaded = self._run(command, tmp_path)
+        assert json.loads(out)
+        assert "gausspair" in loaded
+        assert "numpy" not in loaded
+
+    def test_sweep_loads_numpy(self, tmp_path):
+        # positive control: the scan does see numpy where it is imported
+        out, loaded = self._run("sweep", tmp_path)
+        assert out.startswith("n,m,class,E\n")
+        assert "numpy" in loaded
+
+    def test_run_check_leaves_numpy_unloaded(self):
+        code = (
+            "import sys, gausspair, gausspair.cli; "
+            "p = gausspair.GaussianParams(1.6, 1.9, 0.3+0.2j, -0.2+0.1j, 0.2-0.3j, 0.4+0.1j); "
+            "report = gausspair.cli.run_check(p, 1.0); "
+            "print(report['degree'] > 0, 'numpy' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=self.ENV,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["True", "False"]
 
 
 class TestCouplingResiduals:
