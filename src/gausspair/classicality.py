@@ -14,18 +14,18 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ModeParams:
     """One-mode Gaussian data: occupation ``n`` and anomalous moment ``m``."""
 
     n: float
     m: complex = 0j
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", float(self.n))
-        object.__setattr__(self, "m", complex(self.m))
-        if not (math.isfinite(self.n) and cmath.isfinite(self.m)):
+    def __init__(self, n, m=0j):
+        n, m = float(n), complex(m)
+        if not (math.isfinite(n) and cmath.isfinite(m)):
             raise ValueError("mode parameters must be finite")
+        self.__dict__.update(n=n, m=m)  # past the frozen __setattr__
 
 
 def mode_covariance(md: ModeParams) -> np.ndarray:
@@ -40,7 +40,7 @@ def mode_params(block: np.ndarray) -> ModeParams:
     block = np.asarray(block, dtype=complex)
     if block.shape != (2, 2):
         raise ValueError(f"expected a 2x2 block, got shape {block.shape}")
-    return ModeParams(n=block[0, 0].real, m=block[0, 1])
+    return ModeParams(n=block.item(0, 0).real, m=block.item(0, 1))
 
 
 def mode_is_physical(md: ModeParams, tol: float = DEFAULT_TOL) -> bool:

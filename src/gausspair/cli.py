@@ -141,30 +141,41 @@ def _pair(z: complex) -> list[float]:  # a float z gives [z, 0.0]
     return [z.real, z.imag]
 
 
-def _complex_from_json(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value, 0.0)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
+def _json_float(value) -> float | None:
+    # a JSON number as a float, else None: true and false load as bool, an
+    # int subclass, and an integer literal beyond float64 cannot convert
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
-            return complex(float(value[0]), float(value[1]))
-        except (TypeError, ValueError):
+            return float(value)
+        except OverflowError:
             pass
-    raise ValueError(f"cannot read complex value from {value!r}")
+    return None
+
+
+def _complex_from_json(data: dict, key: str) -> complex:
+    value = data.get(key, 0.0)
+    pair = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
+    re, im = map(_json_float, pair)
+    if re is None or im is None:
+        raise ValueError(f"cannot read complex value {key!r} from {value!r}")
+    return complex(re, im)
 
 
 def _real_from_json(data: dict, key: str) -> float:
     if key not in data:
         raise ValueError(f"state file has no {key!r}")
-    try:
-        return float(data[key])
-    except (TypeError, ValueError):
-        raise ValueError(f"cannot read real value {key!r} from {data[key]!r}") from None
+    x = _json_float(data[key])
+    if x is None:
+        raise ValueError(f"cannot read real value {key!r} from {data[key]!r}")
+    return x
 
 
 def load_state(path: str) -> GaussianParams:
     """Read a state file: a JSON object with ``n1``, ``n2`` and optional moments.
 
-    Raises ValueError naming the missing key or the wrong top-level type.
+    ``n1`` and ``n2`` are JSON numbers; each moment is a number or a list of
+    two numbers ``[re, im]``.  Raises ValueError naming the wrong top-level
+    type, the missing key or the key whose value is anything else.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -173,10 +184,10 @@ def load_state(path: str) -> GaussianParams:
     return GaussianParams(
         n1=_real_from_json(data, "n1"),
         n2=_real_from_json(data, "n2"),
-        m1=_complex_from_json(data.get("m1", 0.0)),
-        m2=_complex_from_json(data.get("m2", 0.0)),
-        m_s=_complex_from_json(data.get("ms", 0.0)),
-        m_c=_complex_from_json(data.get("mc", 0.0)),
+        m1=_complex_from_json(data, "m1"),
+        m2=_complex_from_json(data, "m2"),
+        m_s=_complex_from_json(data, "ms"),
+        m_c=_complex_from_json(data, "mc"),
     )
 
 

@@ -44,7 +44,7 @@ def _check_tol(tol: float) -> None:
         raise ValueError("tol must be positive and finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GaussianParams:
     """The six observables defining a two-mode Gaussian covariance matrix."""
 
@@ -55,19 +55,14 @@ class GaussianParams:
     m_s: complex = 0j
     m_c: complex = 0j
 
-    def __post_init__(self):
-        n1, n2 = float(self.n1), float(self.n2)
-        m1, m2, m_s, m_c = complex(self.m1), complex(self.m2), complex(self.m_s), complex(self.m_c)
+    def __init__(self, n1, n2, m1=0j, m2=0j, m_s=0j, m_c=0j):
+        n1, n2 = float(n1), float(n2)
+        m1, m2, m_s, m_c = complex(m1), complex(m2), complex(m_s), complex(m_c)
         if not (math.isfinite(n1) and math.isfinite(n2) and cmath.isfinite(m1)
                 and cmath.isfinite(m2) and cmath.isfinite(m_s) and cmath.isfinite(m_c)):
             raise ValueError("Gaussian parameters must be finite")
-        set_field = object.__setattr__  # the dataclass is frozen
-        set_field(self, "n1", n1)
-        set_field(self, "n2", n2)
-        set_field(self, "m1", m1)
-        set_field(self, "m2", m2)
-        set_field(self, "m_s", m_s)
-        set_field(self, "m_c", m_c)
+        # one store per field, past the frozen __setattr__ that refuses assignment
+        self.__dict__.update(n1=n1, n2=n2, m1=m1, m2=m2, m_s=m_s, m_c=m_c)
 
 
 def build_covariance(p: GaussianParams) -> np.ndarray:

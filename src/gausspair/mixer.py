@@ -25,7 +25,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MixerConfig:
     """Mixing angle and arm phases, all in radians."""
 
@@ -33,14 +33,11 @@ class MixerConfig:
     phi0: float = 0.0
     phi1: float = 0.0
 
-    def __post_init__(self):
-        theta, phi0, phi1 = float(self.theta), float(self.phi0), float(self.phi1)
+    def __init__(self, theta, phi0=0.0, phi1=0.0):
+        theta, phi0, phi1 = float(theta), float(phi0), float(phi1)
         if not (math.isfinite(theta) and math.isfinite(phi0) and math.isfinite(phi1)):
             raise ValueError("mixer angles must be finite")
-        set_field = object.__setattr__  # the dataclass is frozen
-        set_field(self, "theta", theta)
-        set_field(self, "phi0", phi0)
-        set_field(self, "phi1", phi1)
+        self.__dict__.update(theta=theta, phi0=phi0, phi1=phi1)  # past the frozen __setattr__
 
     @property
     def inverse(self) -> "MixerConfig":
@@ -48,7 +45,7 @@ class MixerConfig:
         return MixerConfig(theta=-self.theta, phi0=-self.phi0, phi1=self.phi1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OutputBlocks:
     """Output covariance in block form: local blocks and the cross block."""
 
@@ -56,13 +53,16 @@ class OutputBlocks:
     v2p: np.ndarray
     cp: np.ndarray
 
+    def __init__(self, v1p, v2p, cp):
+        self.__dict__.update(v1p=v1p, v2p=v2p, cp=cp)
+
     def assemble(self) -> np.ndarray:
         """Reassemble the full 4x4 output covariance matrix."""
         import numpy as np
         return np.block([[self.v1p, self.cp], [self.cp.conj().T, self.v2p]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LocalOperations:
     """Record of the per-party normal-form operations: rotation then squeeze."""
 
@@ -70,6 +70,10 @@ class LocalOperations:
     squeeze1: float
     rotation2: float
     squeeze2: float
+
+    def __init__(self, rotation1, squeeze1, rotation2, squeeze2):
+        self.__dict__.update(rotation1=rotation1, squeeze1=squeeze1,
+                             rotation2=rotation2, squeeze2=squeeze2)
 
     def matrix(self, party: int) -> np.ndarray:
         if party == 1:

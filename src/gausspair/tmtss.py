@@ -21,7 +21,7 @@ from .errors import DegenerateStateError, ModelValidityError, NumericDomainError
 StateClass = Literal["nonphysical", "entangled", "separable"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TmtssInputs:
     """Diffusion ``d`` (gamma t), squeezing ``r`` (kappa t) and thermal ``nbar``."""
 
@@ -29,16 +29,15 @@ class TmtssInputs:
     r: float
     nbar: float = 0.0
 
-    def __post_init__(self):
-        for name in ("d", "r", "nbar"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError("model inputs must be finite")
-            object.__setattr__(self, name, value)
-        if self.d < 0.0:
+    def __init__(self, d, r, nbar=0.0):
+        d, r, nbar = float(d), float(r), float(nbar)
+        if not (math.isfinite(d) and math.isfinite(r) and math.isfinite(nbar)):
+            raise ValueError("model inputs must be finite")
+        if d < 0.0:
             raise ValueError("diffusion must be nonnegative")
-        if self.nbar < 0.0:
+        if nbar < 0.0:
             raise ValueError("thermal occupation must be nonnegative")
+        self.__dict__.update(d=d, r=r, nbar=nbar)  # past the frozen __setattr__
 
     @property
     def p1(self) -> float:

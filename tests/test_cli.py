@@ -281,6 +281,39 @@ class TestTransform:
         assert payload["error"] == "ValueError"
         assert fragment in payload["message"]
 
+    @pytest.mark.parametrize("text, fragment", [
+        ('{"n1": true, "n2": 1.0, "mc": [false, 0.5]}', "real value 'n1'"),
+        ('{"n1": 1.0, "n2": false}', "real value 'n2'"),
+        ('{"n1": "1.5", "n2": 1.0}', "real value 'n1'"),
+        ('{"n1": [1.5], "n2": 1.0}', "real value 'n1'"),
+        ('{"n1": 1.0, "n2": 1.0, "mc": [false, 0.5]}', "complex value 'mc'"),
+        ('{"n1": 1.0, "n2": 1.0, "ms": true}', "complex value 'ms'"),
+        ('{"n1": 1.0, "n2": 1.0, "m1": "0.3"}', "complex value 'm1'"),
+        ('{"n1": 1.0, "n2": 1.0, "m2": ["0.3", 0.1]}', "complex value 'm2'"),
+        ('{"n1": 1.0, "n2": 1.0, "m2": [0.3, null]}', "complex value 'm2'"),
+        ('{"n1": 1.0, "n2": 1.0, "mc": [[0.3], 0.1]}', "complex value 'mc'"),
+        ('{"n1": 1' + "0" * 400 + ', "n2": 1.0}', "real value 'n1'"),
+        ('{"n1": 1.0, "n2": 1.0, "ms": [1' + "0" * 400 + ', 0]}', "complex value 'ms'"),
+    ])
+    def test_only_json_numbers_are_read(self, tmp_path, capsys, text, fragment):
+        path = tmp_path / "state.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(["transform", "--state", str(path), "--theta", "0.3"], capsys)
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert fragment in payload["message"]
+
+    def test_json_integers_read_as_floats(self, tmp_path, capsys):
+        argv = ["transform", "--theta", "0.3", "--state"]
+        ints = self.write_state(tmp_path, n1=2, n2=3, m1=1, mc=[1, -1])
+        _, want, _ = run_cli(argv + [ints], capsys)
+        floats = self.write_state(tmp_path, n1=2.0, n2=3.0, m1=[1.0, 0.0], mc=[1.0, -1.0])
+        code, out, _ = run_cli(argv + [floats], capsys)
+        assert code == 0
+        assert out == want
+
     def test_nan_tol_exits_2(self, tmp_path, capsys):
         path = self.write_state(tmp_path, n1=2.0, n2=2.0, mc=[1.8, 0.0])
         code, out, err = run_cli(

@@ -1,0 +1,203 @@
+"""The contract of the converting value types.
+
+``GaussianParams``, ``ModeParams``, ``MixerConfig`` and ``TmtssInputs``
+convert each field to ``float`` or ``complex``, reject a non-finite field
+with one message per type, and are frozen dataclasses: equality, hashing,
+``repr``, ``dataclasses.replace``/``fields``, pickling and copying all work
+on the converted fields.
+"""
+
+import copy
+import dataclasses
+import math
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gausspair import (
+    GaussianParams, MixerConfig, ModeParams, mix_params, mode_params, transform_blocks,
+)
+from gausspair.mixer import LocalOperations, OutputBlocks
+from gausspair.tmtss import TmtssInputs
+
+REALS = st.floats(-1e6, 1e6)
+NONNEGATIVE = st.floats(0.0, 1e6)
+
+
+class Spec:
+    def __init__(self, cls, fields, message):
+        self.cls = cls
+        self.names = [name for name, _, _ in fields]
+        self.kinds = [kind for _, kind, _ in fields]
+        self.values = [values for _, _, values in fields]
+        self.message = message
+
+    def __repr__(self):
+        return self.cls.__name__
+
+    @property
+    def defaults(self):
+        return {f.name: f.default for f in dataclasses.fields(self.cls)
+                if f.default is not dataclasses.MISSING}
+
+
+SPECS = [
+    Spec(GaussianParams, [
+        ("n1", float, REALS), ("n2", float, REALS), ("m1", complex, REALS),
+        ("m2", complex, REALS), ("m_s", complex, REALS), ("m_c", complex, REALS),
+    ], "Gaussian parameters must be finite"),
+    Spec(ModeParams, [("n", float, REALS), ("m", complex, REALS)], "mode parameters must be finite"),
+    Spec(MixerConfig, [("theta", float, REALS), ("phi0", float, REALS), ("phi1", float, REALS)],
+         "mixer angles must be finite"),
+    Spec(TmtssInputs, [("d", float, NONNEGATIVE), ("r", float, REALS), ("nbar", float, NONNEGATIVE)],
+         "model inputs must be finite"),
+]
+
+
+def _as_input(data, kind, real, imag):
+    """One field value in a type a caller may pass: Python or numpy, int or float."""
+    choices = [real, int(real), np.float64(real), np.int64(int(real))]
+    if kind is complex:
+        choices += [complex(real, imag), np.complex128(complex(real, imag))]
+    return data.draw(st.sampled_from(choices))
+
+
+def _draw_inputs(data, spec):
+    return [
+        _as_input(data, kind, data.draw(values), data.draw(REALS))
+        for kind, values in zip(spec.kinds, spec.values)
+    ]
+
+
+def _bits(x):
+    # (real, imag) as exact hex strings, so -0.0 and 0.0 differ
+    return complex(x).real.hex(), complex(x).imag.hex()
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=repr)
+class TestValueTypeContract:
+    def test_fields_keep_their_order_and_names(self, spec):
+        assert [f.name for f in dataclasses.fields(spec.cls)] == spec.names
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_positional_keyword_and_default_construction_agree(self, spec, data):
+        args = _draw_inputs(data, spec)
+        positional = spec.cls(*args)
+        assert spec.cls(**dict(zip(spec.names, args))) == positional
+        required = args[: len(args) - len(spec.defaults)]
+        assert spec.cls(*required) == spec.cls(*required, *spec.defaults.values())
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_fields_convert_to_exact_builtin_types(self, spec, data):
+        args = _draw_inputs(data, spec)
+        obj = spec.cls(*args)
+        for name, kind, arg in zip(spec.names, spec.kinds, args):
+            value = getattr(obj, name)
+            assert type(value) is kind, (name, type(arg))
+            assert _bits(value) == _bits(kind(arg))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_each_non_finite_field_is_rejected(self, spec, bad):
+        base = [1.0] * len(spec.names)
+        for i, kind in enumerate(spec.kinds):
+            bads = [bad] + ([complex(bad, 0.0), complex(0.0, bad)] if kind is complex else [])
+            for value in bads:
+                args = base[:i] + [value] + base[i + 1:]
+                with pytest.raises(ValueError) as info:
+                    spec.cls(*args)
+                assert str(info.value) == spec.message, (spec.names[i], value)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_fields_cannot_be_assigned(self, spec, data):
+        obj = spec.cls(*_draw_inputs(data, spec))
+        for name in spec.names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, 1.0)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_replace_pickle_and_deepcopy_round_trip(self, spec, data):
+        obj = spec.cls(*_draw_inputs(data, spec))
+        copies = [
+            dataclasses.replace(obj),
+            pickle.loads(pickle.dumps(obj)),
+            copy.deepcopy(obj),
+        ]
+        for other in copies:
+            assert other == obj
+            assert hash(other) == hash(obj)
+            assert [_bits(getattr(other, n)) for n in spec.names] == [
+                _bits(getattr(obj, n)) for n in spec.names
+            ]
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_replace_converts_the_new_field(self, spec, data):
+        obj = spec.cls(*_draw_inputs(data, spec))
+        name = data.draw(st.sampled_from(spec.names))
+        changed = dataclasses.replace(obj, **{name: 2})
+        assert type(getattr(changed, name)) is spec.kinds[spec.names.index(name)]
+        assert getattr(changed, name) == 2
+
+
+@pytest.mark.parametrize("obj, text", [
+    (GaussianParams(1, 2, 0.5j, 3, -1, 1 + 2j),
+     "GaussianParams(n1=1.0, n2=2.0, m1=0.5j, m2=(3+0j), m_s=(-1+0j), m_c=(1+2j))"),
+    (GaussianParams(n1=0.5, n2=0.5), "GaussianParams(n1=0.5, n2=0.5, m1=0j, m2=0j, m_s=0j, m_c=0j)"),
+    (ModeParams(2), "ModeParams(n=2.0, m=0j)"),
+    (ModeParams(n=np.float64(1.5), m=np.complex128(0.25 - 1j)), "ModeParams(n=1.5, m=(0.25-1j))"),
+    (MixerConfig(1), "MixerConfig(theta=1.0, phi0=0.0, phi1=0.0)"),
+    (MixerConfig(0.5, phi1=-2), "MixerConfig(theta=0.5, phi0=0.0, phi1=-2.0)"),
+    (TmtssInputs(0.5, -0.3), "TmtssInputs(d=0.5, r=-0.3, nbar=0.0)"),
+    (TmtssInputs(d=1, r=2, nbar=3), "TmtssInputs(d=1.0, r=2.0, nbar=3.0)"),
+], ids=lambda x: x if isinstance(x, str) else type(x).__name__)
+def test_repr_is_pinned(obj, text):
+    assert repr(obj) == text
+
+
+@pytest.mark.parametrize("cls, message, kwargs", [
+    (TmtssInputs, "diffusion must be nonnegative", {"d": -0.1, "r": 1.0}),
+    (TmtssInputs, "thermal occupation must be nonnegative", {"d": 0.1, "r": 1.0, "nbar": -1}),
+    (TmtssInputs, "model inputs must be finite", {"d": -math.inf, "r": 1.0}),
+    (TmtssInputs, "model inputs must be finite", {"d": -1.0, "r": math.nan}),
+])
+def test_finiteness_is_checked_before_signs(cls, message, kwargs):
+    with pytest.raises(ValueError) as info:
+        cls(**kwargs)
+    assert str(info.value) == message
+
+
+def test_records_store_their_fields_as_given():
+    ops = LocalOperations(0.1, 0.2, rotation2=0.3, squeeze2=0.4)
+    assert ops == LocalOperations(rotation1=0.1, squeeze1=0.2, rotation2=0.3, squeeze2=0.4)
+    assert [getattr(ops, f.name) for f in dataclasses.fields(ops)] == [0.1, 0.2, 0.3, 0.4]
+    blocks = OutputBlocks(np.eye(2), np.zeros((2, 2)), cp=np.ones((2, 2)))
+    assert [f.name for f in dataclasses.fields(blocks)] == ["v1p", "v2p", "cp"]
+    assert blocks.assemble().shape == (4, 4)
+    for obj, name in ((ops, "squeeze1"), (blocks, "cp")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.floats(-1e3, 1e3), min_size=10, max_size=10),
+    st.lists(st.floats(-7.0, 7.0), min_size=3, max_size=3),
+)
+def test_port_modes_of_the_blocks_equal_those_of_the_moments(moments, angles):
+    n1, n2, *parts = moments
+    p = GaussianParams(n1, n2, *(complex(re, im) for re, im in zip(parts[0::2], parts[1::2])))
+    cfg = MixerConfig(*angles)
+    q = mix_params(p, cfg)
+    blocks = transform_blocks(p, cfg)
+    for block, n, m in ((blocks.v1p, q.n1, q.m1), (blocks.v2p, q.n2, q.m2)):
+        read, want = mode_params(block), ModeParams(n, m)
+        assert read == want
+        assert (_bits(read.n), _bits(read.m)) == (_bits(want.n), _bits(want.m))
+        assert type(read.n) is float and type(read.m) is complex
