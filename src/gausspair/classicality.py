@@ -7,8 +7,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, _quadrature_covariance
-from .errors import NumericDomainError
+from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, _elimination_verdicts
+from .covariance import _refuse_non_numbers
 
 if TYPE_CHECKING:
     import numpy as np
@@ -22,6 +22,8 @@ class ModeParams:
     m: complex = 0j
 
     def __init__(self, n, m=0j):
+        if not (type(n) is float and type(m) is complex):
+            _refuse_non_numbers(n, m)
         n, m = float(n), complex(m)
         if not (math.isfinite(n) and cmath.isfinite(m)):
             raise ValueError("mode parameters must be finite")
@@ -53,28 +55,14 @@ def is_p_representable_joint(p: GaussianParams, tol: float = DEFAULT_TOL) -> boo
     """Joint classicality: the covariance dominates the vacuum's.
 
     Accepts exactly when the smallest eigenvalue of ``V - I/2`` is at least
-    ``-tol``, i.e. when ``V - (1/2 - tol) I`` is positive definite.  That
-    matrix is taken in the real quadrature basis straight from the six
-    moments, each occupation shifted by ``-(1/2 - tol)``, and decided by
-    symmetric elimination (``LDL^T``): it is positive definite exactly when
-    every pivot is positive, and the elimination is backward stable on such
-    matrices, so rounding moves the boundary by ``~1e-16 |V|`` at most.
-    Raises :class:`NumericDomainError` where a pivot overflows float64.
+    ``-tol``, i.e. when ``V - (1/2 - tol) I`` is positive definite.  The
+    elimination kernel of :func:`~gausspair.covariance.is_physical` decides
+    that matrix in the quadrature basis, without the symplectic term; it is
+    backward stable, so rounding moves the boundary by ``~1e-16 |V|`` at
+    most.  Raises :class:`NumericDomainError` where a pivot overflows float64.
     """
     _check_tol(tol)
-    shift = 0.5 - tol
-    q = _quadrature_covariance(p.n1 - shift, p.n2 - shift, p.m1, p.m2, p.m_s, p.m_c)
-    for j in range(4):  # eliminate column j from the lower triangle
-        pivot = q[j][j]
-        if not math.isfinite(pivot):
-            raise NumericDomainError("moments overflow float64 in the classicality test")
-        if pivot <= 0.0:
-            return False
-        for i in range(j + 1, 4):
-            factor = q[i][j] / pivot
-            for k in range(j + 1, i + 1):
-                q[i][k] -= factor * q[k][j]
-    return True
+    return _elimination_verdicts(p, tol - 0.5, 0.0)[0]
 
 
 def is_p_representable_mode(md: ModeParams, tol: float = DEFAULT_TOL) -> bool:

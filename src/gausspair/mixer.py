@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, is_physical
+from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, _refuse_non_numbers, is_physical
 from .errors import DegenerateStateError, NonPhysicalStateError, NumericDomainError
 
 if TYPE_CHECKING:
@@ -34,6 +34,8 @@ class MixerConfig:
     phi1: float = 0.0
 
     def __init__(self, theta, phi0=0.0, phi1=0.0):
+        if not (type(theta) is type(phi0) is type(phi1) is float):
+            _refuse_non_numbers(theta, phi0, phi1)
         theta, phi0, phi1 = float(theta), float(phi0), float(phi1)
         if not (math.isfinite(theta) and math.isfinite(phi0) and math.isfinite(phi1)):
             raise ValueError("mixer angles must be finite")

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, is_physical
+from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, _refuse_non_numbers, is_physical
 from .errors import DegenerateStateError, ModelValidityError, NumericDomainError
 
 StateClass = Literal["nonphysical", "entangled", "separable"]
@@ -30,6 +30,8 @@ class TmtssInputs:
     nbar: float = 0.0
 
     def __init__(self, d, r, nbar=0.0):
+        if not (type(d) is type(r) is type(nbar) is float):
+            _refuse_non_numbers(d, r, nbar)
         d, r, nbar = float(d), float(r), float(nbar)
         if not (math.isfinite(d) and math.isfinite(r) and math.isfinite(nbar)):
             raise ValueError("model inputs must be finite")

@@ -102,7 +102,9 @@ def tol_consistent(verdict: bool, e: float, p: GaussianParams) -> bool:
     """The ``tol`` contract of every criterion against a referee eigenvalue ``e``.
 
     Accepting needs the smallest eigenvalue no lower than -tol, rejecting
-    needs it below -tol; the slack covers rounding in both routes.
+    needs it below -tol; the slack covers rounding in both routes, ~1e-16
+    ``|V|`` each.  It stays below tol up to ``|V|`` ~ 1e4, the largest
+    moments at which the contract can be checked.
     """
-    slack = 1e-11 * max(1.0, float(np.abs(build_covariance(p)).max()))
+    slack = 1e-13 * max(1.0, float(np.abs(build_covariance(p)).max()))
     return e >= -DEFAULT_TOL - slack if verdict else e < -DEFAULT_TOL + slack

@@ -58,13 +58,14 @@ def _joint_eig(p: GaussianParams) -> float:
 def joint_band_states(draw, near_vacuum):
     """States whose ``V - I/2`` has smallest eigenvalue within a few tol of ``-tol``.
 
-    The moments are drawn at one of the scales 1, 30 and 1e3, then both
+    The moments are drawn at one of the scales 1, 30, 1e3 and 3e3 (``|V|``
+    stays below ~1e4, where the contract can be checked), then both
     occupations are shifted by ``-lambda_min + (k - 1) tol``, ``k`` in
     [-5, 5], which moves the whole spectrum.  With ``near_vacuum``
     party 1 is the vacuum up to moments of a few tol and cross moments of at
     most 1e-5, so two eigenvalues sit near the boundary together.
     """
-    scale = draw(st.sampled_from([1.0, 30.0, 1e3]))
+    scale = draw(st.sampled_from([1.0, 30.0, 1e3, 3e3]))
     m2 = draw(moments(scale))
     if near_vacuum:
         m1, cross_hi = draw(moments(5 * DEFAULT_TOL)), 1e-5

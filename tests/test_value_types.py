@@ -11,6 +11,7 @@ import copy
 import dataclasses
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -144,6 +145,28 @@ class TestValueTypeContract:
         changed = dataclasses.replace(obj, **{name: 2})
         assert type(getattr(changed, name)) is spec.kinds[spec.names.index(name)]
         assert getattr(changed, name) == 2
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=repr)
+@pytest.mark.parametrize("bad", ["1.5", "1+2j", b"1", True, False, np.True_],
+                         ids=["str", "complex-str", "bytes", "True", "False", "numpy-bool"])
+def test_strings_and_bools_are_refused(spec, bad):
+    # float() and complex() read these; the value types take numbers only
+    base = [1.0] * len(spec.names)
+    obj = spec.cls(*base)
+    for i, name in enumerate(spec.names):
+        with pytest.raises(TypeError, match="expected a number"):
+            spec.cls(*(base[:i] + [bad] + base[i + 1:]))
+        with pytest.raises(TypeError, match="expected a number"):
+            spec.cls(**{**dict(zip(spec.names, base)), name: bad})
+        with pytest.raises(TypeError, match="expected a number"):
+            dataclasses.replace(obj, **{name: bad})
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=repr)
+def test_other_numbers_still_convert(spec):
+    obj = spec.cls(*[Fraction(3, 2)] * len(spec.names))
+    assert [getattr(obj, name) for name in spec.names] == [1.5] * len(spec.names)
 
 
 @pytest.mark.parametrize("obj, text", [
