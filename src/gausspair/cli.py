@@ -87,14 +87,14 @@ def run_check(p: GaussianParams, r: float, tol: float = DEFAULT_TOL) -> dict:
 
     Raises :class:`NonPhysicalStateError` for a nonphysical state.
     """
-    report = measures.entanglement_degree(p, r, tol)
+    fidelity, bures, degree, separable = measures._degree_terms(p, r, tol)
     return {
         "physical": True,
-        "separable": report.separable,
+        "separable": separable,
         "p_representable": classicality.is_p_representable_joint(p, tol),
-        "fidelity": report.fidelity,
-        "bures": report.bures,
-        "degree": report.degree,
+        "fidelity": fidelity,
+        "bures": bures,
+        "degree": degree,
         "r": float(r),
     }
 

@@ -17,6 +17,7 @@ state scores 0.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -94,11 +95,19 @@ def output_port_fidelity(md: ModeParams, r: float) -> float:
     Evaluates ``[n^2 - |m|^2 + n cosh(2r) + Re(m) sinh(2r) + 1/4]^(-1/2)``,
     which is the determinant overlap against the reference mode written out;
     with the port moment phase-aligned to real ``|m|`` this is the standard
-    scalar form.
+    scalar form.  Any real ``r`` is a reference, ``r <= 0`` included.  Raises
+    :class:`NumericDomainError` for a NaN ``r``, where the bracket overflows
+    float64 (``|r|`` above about 355, or moments above about 1e154) and where
+    it is not positive.
     """
-    c2 = math.cosh(2.0 * r)
-    s2 = math.sinh(2.0 * r)
-    bracket = md.n ** 2 - abs(md.m) ** 2 + md.n * c2 + md.m.real * s2 + 0.25
+    try:
+        c2 = math.cosh(2.0 * r)
+        s2 = math.sinh(2.0 * r)
+        bracket = md.n ** 2 - abs(md.m) ** 2 + md.n * c2 + md.m.real * s2 + 0.25
+    except OverflowError:
+        bracket = math.inf
+    if not math.isfinite(bracket):
+        raise NumericDomainError(f"fidelity bracket is not finite in float64 at r={r:g}")
     if bracket <= 0.0:
         raise NumericDomainError("fidelity bracket is not positive")
     return 1.0 / math.sqrt(bracket)
@@ -114,24 +123,45 @@ def bures_from_fidelity(f: float) -> float:
     return 2.0 - 2.0 * math.sqrt(f)
 
 
-def _symmetric_distance(n, m, r: float):
-    # Bures distance of (n, n, m_c=m) from the twin-beam reference, elementwise
-    # on arrays.  F = 1/det with det = (n+N)^2 - (m+M)^2
-    # = (n - m + e^(-2r)/2)(n + m + e^(2r)/2), and 2 - 2 sqrt(F) is taken as
-    # 2 (1 - F)/(1 + sqrt(F)) with 1 - F = (det - 1)/det, which the moments
-    # give without cancellation where a fidelity alone cannot.  At small r,
-    # det - 1 is taken relative to the traced-out reference (N, 0), where it
-    # is 3M^2 and a plain det - 1 would cancel.  separable_distance is this
-    # function at (N, 0), so that point scores exactly 0.  ** 0.5 serves floats
-    # without numpy and arrays as numpy's sqrt.
-    big_n, big_m = _reference_moments(r)
-    det = (n - m + 0.5 * math.exp(-2.0 * r)) * (n + m + 0.5 * math.exp(2.0 * r))
+def _symmetric_distance(n, m, big_n: float, big_m: float, a: float, b: float):
+    # Bures distance of (n, n, m_c=m) from the twin-beam reference with
+    # moments (big_n, big_m) and 50:50-frame variances a = e^(-2r)/2 and
+    # b = e^(2r)/2, elementwise on arrays.  F = 1/det with
+    # det = (n+N)^2 - (m+M)^2 = (n - m + a)(n + m + b), and 2 - 2 sqrt(F) is
+    # taken as 2 (1 - F)/(1 + sqrt(F)) with 1 - F = (det - 1)/det, which the
+    # moments give without cancellation where a fidelity alone cannot.  At
+    # small r, det - 1 is taken relative to the traced-out reference (N, 0),
+    # where it is 3M^2 and a plain det - 1 would cancel.  The separable
+    # distance is this function at (N, 0), so that point scores exactly 0.
+    # ** 0.5 serves floats without numpy and arrays as numpy's sqrt.
+    det = (n - m + a) * (n + m + b)
     sep_excess = 3.0 * big_m * big_m
     if sep_excess < 1.0:
         excess = sep_excess + (n - big_n) * (n + 3.0 * big_n) - m * (m + 2.0 * big_m)
     else:
         excess = det - 1.0
     return 2.0 * (excess / det) / (1.0 + (1.0 / det) ** 0.5)
+
+
+@functools.lru_cache(maxsize=128)
+def _reference(r: float) -> tuple[float, float, float]:
+    # The terms every state shares at squeezing r (a float): the separable
+    # distance d_sep and the reference variances a = e^(-2r)/2, b = e^(2r)/2
+    # of the 50:50 frame.  lru_cache is thread-safe and stores no exception,
+    # so a bad r raises its typed error on every call.
+    big_n, big_m = _reference_moments(r)
+    a, b = 0.5 * math.exp(-2.0 * r), 0.5 * math.exp(2.0 * r)
+    d_sep = float(_symmetric_distance(big_n, 0.0, big_n, big_m, a, b))
+    if not d_sep > 2.0 / sys.float_info.max:  # degrees divide distances <= 2 by it
+        raise NumericDomainError(f"separable normalizer underflows at r={r:g}")
+    return d_sep, a, b
+
+
+def _reference_terms(r) -> tuple[float, float, float]:
+    # _reference at float(r).  isnan first: it raises TypeError for a str,
+    # which float() would read as a number.
+    math.isnan(r)
+    return _reference(float(r))
 
 
 def separable_distance(r: float) -> float:
@@ -144,11 +174,7 @@ def separable_distance(r: float) -> float:
     about 1e-154) or the moments overflow, and :class:`DegenerateStateError`
     for ``r <= 0``.
     """
-    big_n, _ = _reference_moments(r)
-    d_sep = float(_symmetric_distance(big_n, 0.0, r))
-    if not d_sep > 2.0 / sys.float_info.max:  # degrees divide distances <= 2 by it
-        raise NumericDomainError(f"separable normalizer underflows at r={r:g}")
-    return d_sep
+    return _reference_terms(r)[0]
 
 
 def symmetric_degree(n, m, r: float):
@@ -160,7 +186,8 @@ def symmetric_degree(n, m, r: float):
     classifies them first.  Raises :class:`DegenerateStateError` for
     ``r <= 0``.
     """
-    return 1.0 - _symmetric_distance(n, m, r) / separable_distance(r)
+    d_sep, a, b = _reference_terms(r)
+    return 1.0 - _symmetric_distance(n, m, *_reference_moments(r), a, b) / d_sep
 
 
 def compose_bures(d1: float, d2: float) -> float:
@@ -173,16 +200,17 @@ def compose_bures(d1: float, d2: float) -> float:
     return d1 + d2 - 0.5 * d1 * d2
 
 
-def _reference_overlap(p: GaussianParams, r: float) -> float:
+def _reference_overlap(p: GaussianParams, a: float, b: float) -> float:
     # Overlap of p with the twin-beam reference whose cross moment is phase
-    # aligned with p's; r is valid.  Party 2 is rotated by the phase u of
-    # m_c, which makes both cross moments real and nonnegative, and the
-    # quadratures are taken in the 50:50 frame ((x1+x2)/sqrt2, (p1+p2)/sqrt2,
-    # (x1-x2)/sqrt2, (p1-p2)/sqrt2), where the reference is diag(b, a, a, b)
-    # with a = e^(-2r)/2 and b = e^(2r)/2.  det(V + diag) is then the sum
-    # over index subsets S of prod_{i in S} diag_i times the principal minor
-    # of V on the complement: 16 nonnegative terms, nothing cancels.  They
-    # are grouped by weight below; ab = 1/4.
+    # aligned with p's; a and b come from _reference.  Party 2 is rotated by
+    # the phase u of m_c, which makes both cross moments real and
+    # nonnegative, and the quadratures are taken in the 50:50 frame
+    # ((x1+x2)/sqrt2, (p1+p2)/sqrt2, (x1-x2)/sqrt2, (p1-p2)/sqrt2), where the
+    # reference is diag(b, a, a, b) with a = e^(-2r)/2 and b = e^(2r)/2.
+    # det(V + diag) is then the sum over index subsets S of
+    # prod_{i in S} diag_i times the principal minor of V on the complement:
+    # 16 nonnegative terms, nothing cancels.  They are grouped by weight
+    # below; ab = 1/4.
     u = cmath.exp(1j * cmath.phase(p.m_c)) if p.m_c != 0 else 1.0  # |u| = 1 for subnormal m_c too
     ms, m2, mc = p.m_s * u, p.m2 * (u * u).conjugate(), abs(p.m_c)
     half, mean = 0.5 * (p.n1 + p.n2), 0.5 * (p.m1 + m2)
@@ -190,7 +218,6 @@ def _reference_overlap(p: GaussianParams, r: float) -> float:
         half + ms.real, half - ms.real, mean + mc, mean - mc,
         complex(0.5 * (p.n1 - p.n2), -ms.imag), 0.5 * (p.m1 - m2),
     )
-    a, b = 0.5 * math.exp(-2.0 * r), 0.5 * math.exp(2.0 * r)
     det = (
         m[15] + b * (m[7] + m[14]) + a * (m[11] + m[13]) + b * b * m[6] + a * a * m[9]
         + 0.25 * (m[3] + m[5] + m[10] + m[12] + a * (m[1] + m[8]) + b * (m[2] + m[4]) + 0.25)
@@ -200,6 +227,15 @@ def _reference_overlap(p: GaussianParams, r: float) -> float:
     if det <= 0.0:
         raise NumericDomainError("overlap determinant is not positive")
     return 1.0 / math.sqrt(det)
+
+
+def _degree_terms(p: GaussianParams, r: float, tol: float) -> tuple[float, float, float, bool]:
+    # entanglement_degree's fields in order, without the record
+    separable = is_separable(p, tol)
+    d_sep, a, b = _reference_terms(r)  # typed errors for r <= 0, a NaN r and over- or underflow
+    fid = _reference_overlap(p, a, b)
+    bures = bures_from_fidelity(fid)
+    return fid, bures, 1.0 - bures / d_sep, separable
 
 
 def entanglement_degree(
@@ -216,11 +252,8 @@ def entanglement_degree(
     of the state's covariance in the reference's own frame, which keeps full
     relative precision up to the ``r`` (about 177) where the reference
     overflows float64.  The traced-out reference's distance is the closed
-    form :func:`separable_distance`.  Raises :class:`NonPhysicalStateError`
-    for a nonphysical state.
+    form :func:`separable_distance`; it and the reference's variances depend
+    on ``r`` alone and are computed once per ``r`` and process.  Raises
+    :class:`NonPhysicalStateError` for a nonphysical state.
     """
-    separable = is_separable(p, tol)
-    d_sep = separable_distance(r)  # typed errors for r <= 0, a NaN r and over- or underflow
-    fid = _reference_overlap(p, r)
-    bures = bures_from_fidelity(fid)
-    return MeasureReport(fidelity=fid, bures=bures, degree=1.0 - bures / d_sep, separable=separable)
+    return MeasureReport(*_degree_terms(p, r, tol))

@@ -112,7 +112,12 @@ def symmetric_class_codes(n, m, tol: float = DEFAULT_TOL):
 
 
 def classify_symmetric(n: float, m: float, tol: float = DEFAULT_TOL) -> StateClass:
-    """Classify a symmetric-class point (m taken nonnegative, phase removed)."""
+    """Classify a symmetric-class point (m taken nonnegative, phase removed).
+
+    Raises ValueError for a non-finite ``n`` or ``m`` and a negative ``m``.
+    """
+    if not (math.isfinite(n) and math.isfinite(m)):
+        raise ValueError("n and m must be finite")
     if m < 0.0:
         raise ValueError("m must be nonnegative (phase removed)")
     return SYMMETRIC_CLASSES[symmetric_class_codes(n, m, tol)]

@@ -44,15 +44,17 @@ def rand_complex(rng, hi):
 
 
 def draw_params(rng, m_hi=5.0, n_lo=0.5, n_hi=5.0):
-    """One unconstrained draw; may well be nonphysical."""
-    return GaussianParams(
-        n1=rng.uniform(n_lo, n_hi),
-        n2=rng.uniform(n_lo, n_hi),
-        m1=rand_complex(rng, m_hi),
-        m2=rand_complex(rng, m_hi),
-        m_s=rand_complex(rng, m_hi),
-        m_c=rand_complex(rng, m_hi),
-    )
+    """One unconstrained draw; may well be nonphysical.
+
+    Ten uniforms from one call, in the stream order of ``rng.uniform`` for
+    ``n1``, ``n2`` and ``rand_complex`` for ``m1``, ``m2``, ``m_s``, ``m_c``
+    (magnitude, then phase), with the same arithmetic, so the draws are
+    those of the scalar calls bit for bit.
+    """
+    u = rng.random(10)
+    n1, n2 = (n_lo + (n_hi - n_lo) * u[:2]).tolist()
+    m1, m2, m_s, m_c = (m_hi * u[2::2] * np.exp(2j * np.pi * u[3::2])).tolist()
+    return GaussianParams(n1=n1, n2=n2, m1=m1, m2=m2, m_s=m_s, m_c=m_c)
 
 
 def draw_physical(rng, count, m_hi=1.2):

@@ -9,9 +9,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gausspair import GaussianParams, MixerConfig, NonPhysicalStateError, transform_blocks
 from gausspair import cli, covariance, measures, oracle
+
+from conftest import moments
 
 
 def run_cli(argv, capsys):
@@ -235,6 +239,35 @@ class TestRunCheck:
         assert len(overlaps) == 1
         assert payload["fidelity"] == pytest.approx(fidelity, rel=1e-12, abs=0.0)
         assert payload["p_representable"] is joint
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(0.5, 4.0), st.floats(0.5, 4.0), moments(2.0), moments(2.0),
+           moments(2.0), moments(2.0), st.floats(1e-6, 170.0))
+    def test_payload_is_the_entanglement_degree_report(self, n1, n2, m1, m2, m_s, m_c, r):
+        p = GaussianParams(n1=n1, n2=n2, m1=m1, m2=m2, m_s=m_s, m_c=m_c)
+        try:
+            report = measures.entanglement_degree(p, r)
+        except NonPhysicalStateError:
+            with pytest.raises(NonPhysicalStateError):
+                cli.run_check(p, r)
+            return
+        payload = cli.run_check(p, r)
+        assert [payload[key] for key in ("fidelity", "bures", "degree", "separable", "r")] == [
+            report.fidelity, report.bures, report.degree, report.separable, r]
+
+    def test_warm_reference_is_not_recomputed(self, monkeypatch):
+        p = GaussianParams(n1=2.86, n2=1.78, m1=0.5 + 0.2j, m2=-0.49,
+                           m_s=-0.19 + 0.04j, m_c=-1.29 + 0.19j)
+        calls = []
+        original = measures._reference_moments
+        monkeypatch.setattr(measures, "_reference_moments",
+                            lambda r: calls.append(r) or original(r))
+        measures._reference.cache_clear()
+        cold = cli.run_check(p, 1.0)
+        assert calls == [1.0]
+        calls.clear()
+        assert cli.run_check(p, 1.0) == cold
+        assert calls == []
 
 
 class TestTransform:

@@ -147,6 +147,24 @@ class TestIsSeparable:
             is_separable(GaussianParams(n1=1, n2=1, m_c=1.8))
 
 
+class TestDrawParams:
+    @pytest.mark.parametrize("m_hi, n_lo, n_hi", [(5.0, 0.5, 5.0), (1.2, 0.5, 5.0), (2.0, 0.3, 1.7)])
+    def test_matches_the_scalar_recipe(self, m_hi, n_lo, n_hi):
+        # the recipe draw_params replaces: one rng.uniform() per real number
+        def scalar_draw(rng):
+            def rand(hi):
+                return hi * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
+            return GaussianParams(
+                n1=rng.uniform(n_lo, n_hi), n2=rng.uniform(n_lo, n_hi),
+                m1=rand(m_hi), m2=rand(m_hi), m_s=rand(m_hi), m_c=rand(m_hi),
+            )
+
+        old, new = np.random.default_rng(16), np.random.default_rng(16)
+        for _ in range(2000):
+            assert repr(draw_params(new, m_hi, n_lo, n_hi)) == repr(scalar_draw(old))
+        assert old.random() == new.random()
+
+
 class TestAgainstEigenvalueOracle:
     def test_physicality_matches_oracle_sign(self):
         rng = np.random.default_rng(13)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gausspair import (
     DegenerateStateError,
     GaussianParams,
+    MeasureReport,
     MixerConfig,
     ModeParams,
     NonPhysicalStateError,
@@ -18,6 +19,7 @@ from gausspair import (
     bures_from_fidelity,
     compose_bures,
     entanglement_degree,
+    is_separable,
     mix_params,
     mode_covariance,
     output_port_fidelity,
@@ -25,7 +27,7 @@ from gausspair import (
     symmetric_degree,
     trace_overlap,
 )
-from gausspair import oracle
+from gausspair import measures, oracle
 from gausspair.oracle import transform_full
 
 from conftest import draw_physical, draw_symmetric_physical, reference_states
@@ -114,6 +116,25 @@ class TestOutputPortFidelity:
     def test_nonpositive_bracket_rejected(self):
         with pytest.raises(NumericDomainError):
             output_port_fidelity(ModeParams(n=0.1, m=5.0), 0.0)
+
+    def test_nonpositive_squeezing_is_a_reference(self):
+        assert output_port_fidelity(ModeParams(n=0.5), -0.0) == 1.0
+        got = output_port_fidelity(ModeParams(n=2, m=-1.8), -1.0)
+        assert got == output_port_fidelity(ModeParams(n=2, m=1.8), 1.0)
+
+    @pytest.mark.parametrize("md, r", [
+        (ModeParams(n=2.0, m=1.8), math.nan),
+        (ModeParams(n=2.0, m=1.8), 360.0),
+        (ModeParams(n=2.0, m=1.8), -360.0),
+        (ModeParams(n=1e200), 1.0),
+        (ModeParams(n=1e200, m=1e200), 1.0),
+        (ModeParams(n=1e154), 350.0),  # n cosh(2r) is inf, no OverflowError
+    ])
+    def test_non_finite_bracket_is_a_typed_error(self, md, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericDomainError, match="not finite"):
+                output_port_fidelity(md, r)
 
 
 class TestBures:
@@ -308,6 +329,74 @@ class TestSeparableDistance:
         for r in (1e-160, 178.0, 400.0, math.nan):
             with pytest.raises(NumericDomainError):
                 separable_distance(r)
+
+
+def _uncached_report(p, r):
+    # entanglement_degree's arithmetic with the reference terms recomputed
+    d_sep, a, b = measures._reference.__wrapped__(r)
+    fid = measures._reference_overlap(p, a, b)
+    bures = bures_from_fidelity(fid)
+    return MeasureReport(fid, bures, 1.0 - bures / d_sep, is_separable(p))
+
+
+def _uncached_symmetric_degree(n, m, r):
+    d_sep, a, b = measures._reference.__wrapped__(r)
+    big_n, big_m = measures._reference_moments(r)
+    return 1.0 - measures._symmetric_distance(n, m, big_n, big_m, a, b) / d_sep
+
+
+class TestReferenceCache:
+    """The terms that depend on r alone are computed once per r."""
+
+    R_VALUES = (1e-9, 1e-3, 1.0, 50.0, 170.0)
+
+    def test_cached_routes_match_the_uncached_formulas(self):
+        measures._reference.cache_clear()
+        p = GaussianParams(n1=2.86, n2=1.78, m1=0.5 + 0.2j, m2=-0.49,
+                           m_s=-0.19 + 0.04j, m_c=-1.29 + 0.19j)
+        rng = np.random.default_rng(58)
+        order = [r for _ in range(3) for r in rng.permutation(self.R_VALUES)]
+        for r in map(float, order):  # the first pass misses, the others hit
+            assert separable_distance(r) == measures._reference.__wrapped__(r)[0]
+            assert symmetric_degree(1.3, 0.6, r) == _uncached_symmetric_degree(1.3, 0.6, r)
+            assert entanglement_degree(p, r) == _uncached_report(p, r)
+        info = measures._reference.cache_info()
+        assert info.misses == len(self.R_VALUES) and info.currsize == len(self.R_VALUES)
+
+    @pytest.mark.parametrize("r", [1, np.float64(1.0), np.array(1.0)])
+    def test_numeric_types_give_the_bits_of_the_float(self, r):
+        p = GaussianParams(n1=2.0, n2=2.0, m1=0.3, m_c=1.5)
+        measures._reference.cache_clear()
+        assert separable_distance(r) == separable_distance(1.0)
+        measures._reference.cache_clear()
+        assert symmetric_degree(2.0, 1.8, r) == symmetric_degree(2.0, 1.8, 1.0)
+        measures._reference.cache_clear()
+        assert entanglement_degree(p, r) == entanglement_degree(p, 1.0)
+        assert measures._reference.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("r, error", [
+        (0, DegenerateStateError), (-1, DegenerateStateError),
+        (math.nan, NumericDomainError), (200, NumericDomainError),
+    ])
+    def test_bad_squeezing_raises_on_every_call(self, r, error):
+        p = GaussianParams(n1=1.0, n2=1.0)
+        measures._reference.cache_clear()
+        for _ in range(2):
+            with pytest.raises(error):
+                separable_distance(r)
+            with pytest.raises(error):
+                symmetric_degree(1.0, 0.0, r)
+            with pytest.raises(error):
+                entanglement_degree(p, r)
+        assert measures._reference.cache_info().currsize == 0
+
+    def test_string_squeezing_stays_a_type_error(self):
+        p = GaussianParams(n1=1.0, n2=1.0)
+        for call in (lambda: separable_distance("1.0"),
+                     lambda: symmetric_degree(1.0, 0.0, "1.0"),
+                     lambda: entanglement_degree(p, "1.0")):
+            with pytest.raises(TypeError):
+                call()
 
 
 class TestExtremeSqueezing:

@@ -106,6 +106,13 @@ class TestClassifySymmetric:
         with pytest.raises(ValueError):
             classify_symmetric(1.0, -0.1)
 
+    @pytest.mark.parametrize("n, m", [
+        (math.nan, 0.5), (2.0, math.nan), (math.inf, math.inf), (math.inf, 0.5), (2.0, math.inf),
+    ])
+    def test_non_finite_point_rejected(self, n, m):
+        with pytest.raises(ValueError, match="finite"):
+            classify_symmetric(n, m)
+
     def test_bound_does_not_square_the_moment(self):
         # m^2 overflows float64; the state is physical and separable
         assert classify_symmetric(3e154, 2e154) == "separable"
