@@ -21,6 +21,14 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+def _finite(x) -> bool:
+    # math.isfinite, which raises OverflowError for an int beyond float64
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid description for the entanglement-degree surface."""
@@ -35,12 +43,12 @@ class SweepConfig:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if self.r <= 0.0 or not math.isfinite(self.r):
-            raise ValueError("reference squeezing r must be positive")
+        if self.r <= 0.0 or not _finite(self.r):
+            raise ValueError("reference squeezing r must be positive and finite")
         if self.n_steps < 2 or self.m_steps < 2:
             raise ValueError("grids need at least 2 steps per axis")
         bounds = (self.n_min, self.n_max, self.m_min, self.m_max)
-        if not all(map(math.isfinite, bounds)):
+        if not all(map(_finite, bounds)):
             raise ValueError("grid bounds must be finite")
         if not (self.n_max > self.n_min and self.m_max > self.m_min):
             raise ValueError("grid maxima must exceed minima")
@@ -99,30 +107,92 @@ def run_check(p: GaussianParams, r: float, tol: float = DEFAULT_TOL) -> dict:
     }
 
 
-def _cells(values: np.ndarray) -> list[str]:
-    # 9 significant digits; NaN formats as "nan"
-    return [f"{x:.8e}" for x in values.tolist()]
+# 10^0 .. 10^22, each exact in float64
+_POW10 = tuple(float(10 ** i) for i in range(23))
+_CELL = 16  # bytes per formatted cell: "-1.00000000e+308" is the longest
+
+
+def _sci_table(values) -> np.ndarray:
+    """``f"{v:.8e}"`` for every float64 ``v``, as the rows of a NUL-padded
+    ``(size, 16)`` uint8 table.
+
+    Where ``k = floor(log10|v|)`` lies in [-14, 30], ``10^|8-k|`` is exact, so
+    ``y = |v| 10^(8-k)`` carries one rounding of less than 6e-8 and
+    ``rint(y)`` is the correctly rounded 9-digit mantissa unless ``y`` lies
+    within 1e-6 of a half-integer or outside [1e8, 1e9) (a log10 miss).  Those
+    values, zeros, subnormals, other exponents, inf and nan go through
+    ``f"{v:.8e}"`` itself.  Positive rows start with a NUL, not a sign.
+    """
+    import numpy as np
+    v = np.asarray(values, dtype=np.float64).ravel()
+    a = np.abs(v)
+    with np.errstate(all="ignore"):  # log10 of 0, inf and nan
+        k = np.floor(np.log10(a))
+        fast = (k >= -14.0) & (k <= 30.0)
+        k = np.where(fast, k, 0.0).astype(np.int64)
+        pow10 = np.array(_POW10)
+        y = a * pow10[np.maximum(8 - k, 0)] / pow10[np.maximum(k - 8, 0)]
+        q = np.rint(y)
+        fast &= (y >= 1e8) & (q < 1e9) & (np.abs(y - np.floor(y) - 0.5) > 1e-6)
+        q = np.where(fast, q, 0.0).astype(np.uint32)
+    table = np.zeros((v.size, _CELL), np.uint8)
+    table[:, 0] = np.where(v < 0.0, ord("-"), 0)
+    table[:, 2] = ord(".")
+    for col in (10, 9, 8, 7, 6, 5, 4, 3, 1):  # the mantissa's digits, last first
+        rest = q // 10
+        table[:, col] = q - 10 * rest + ord("0")
+        q = rest
+    table[:, 11] = ord("e")
+    table[:, 12] = np.where(k < 0, ord("-"), ord("+"))
+    k = np.abs(k)
+    table[:, 13] = k // 10 + ord("0")
+    table[:, 14] = k % 10 + ord("0")
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        cells = [f"{x:.8e}" for x in v[slow].tolist()]
+        table[slow] = np.array(cells, dtype=f"S{_CELL}").view(np.uint8).reshape(-1, _CELL)
+    return table
+
+
+def _lines(shape, *parts) -> str:
+    # the text of a uint8 table of the given shape whose last axis joins the
+    # parts (arrays broadcasting to shape + (width,), or single characters),
+    # with its NUL padding dropped
+    import numpy as np
+    parts = [np.frombuffer(p.encode(), np.uint8) if isinstance(p, str) else p for p in parts]
+    table = np.concatenate([np.broadcast_to(p, (*shape, p.shape[-1])) for p in parts], axis=-1)
+    return table.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def write_sweep_csv(result: SweepResult, stream) -> None:
     # '\n' endings, empty E column for nonphysical rows
-    m_cells = _cells(result.m)
-    lines = ["n,m,class,E\n"]
-    for n_cell, labels, degrees in zip(_cells(result.n), result.label.tolist(), result.degree.tolist()):
-        lines += [
-            f"{n_cell},{m_cell},{label},{'' if e != e else f'{e:.8e}'}\n"
-            for m_cell, label, e in zip(m_cells, labels, degrees)
-        ]
-    stream.write("".join(lines))
+    import numpy as np
+    shape = result.degree.shape
+    label = np.ascontiguousarray(result.label).view(np.uint32).reshape(*shape, -1).astype(np.uint8)
+    degree = result.degree.ravel()
+    physical = ~np.isnan(degree)
+    e_cells = np.zeros((degree.size, _CELL), np.uint8)
+    e_cells[physical] = _sci_table(degree[physical])
+    stream.write("n,m,class,E\n" + _lines(
+        shape, _sci_table(result.n)[:, None], ",", _sci_table(result.m), ",",
+        label, ",", e_cells.reshape(*shape, _CELL), "\n",
+    ))
 
 
 def write_sweep_matrix(result: SweepResult, stream) -> None:
     # gnuplot nonuniform-matrix block: first row holds the m coordinates,
     # each following row is n followed by the E values (nan where nonphysical)
-    lines = [" ".join([str(result.m.size)] + _cells(result.m)) + "\n"]
-    for n_cell, degrees in zip(_cells(result.n), result.degree):
-        lines.append(" ".join([n_cell] + _cells(degrees)) + "\n")
-    stream.write("".join(lines))
+    import numpy as np
+    rows, cols = result.degree.shape
+    head = str(cols).encode()
+    cells = np.zeros((rows + 1, cols + 1, _CELL), np.uint8)
+    cells[0, 0, :len(head)] = list(head)
+    cells[0, 1:] = _sci_table(result.m)
+    cells[1:, 0] = _sci_table(result.n)
+    cells[1:, 1:] = _sci_table(result.degree).reshape(rows, cols, _CELL)
+    sep = np.full((cols + 1, 1), ord(" "), np.uint8)
+    sep[-1] = ord("\n")
+    stream.write(_lines(cells.shape[:2], cells, sep))
 
 
 def parse_complex(text: str) -> complex:

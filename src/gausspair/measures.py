@@ -97,9 +97,10 @@ def output_port_fidelity(md: ModeParams, r: float) -> float:
     with the port moment phase-aligned to real ``|m|`` this is the standard
     scalar form.  Any real ``r`` is a reference, ``r <= 0`` included.  Raises
     :class:`NumericDomainError` for a NaN ``r``, where the bracket overflows
-    float64 (``|r|`` above about 355, or moments above about 1e154) and where
-    it is not positive.
+    float64 (``|r|`` above about 355, an int ``r`` beyond float64, or moments
+    above about 1e154) and where it is not positive.
     """
+    r = _squeezing(r)
     try:
         c2 = math.cosh(2.0 * r)
         s2 = math.sinh(2.0 * r)
@@ -157,11 +158,18 @@ def _reference(r: float) -> tuple[float, float, float]:
     return d_sep, a, b
 
 
+def _squeezing(r) -> float:
+    # float(r).  isnan first: it raises TypeError for a str, which float()
+    # would read as a number, and OverflowError for an int beyond float64.
+    try:
+        math.isnan(r)
+    except OverflowError:
+        raise NumericDomainError("reference squeezing r is an int beyond float64") from None
+    return float(r)
+
+
 def _reference_terms(r) -> tuple[float, float, float]:
-    # _reference at float(r).  isnan first: it raises TypeError for a str,
-    # which float() would read as a number.
-    math.isnan(r)
-    return _reference(float(r))
+    return _reference(r if type(r) is float else _squeezing(r))
 
 
 def separable_distance(r: float) -> float:

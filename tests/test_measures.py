@@ -390,6 +390,20 @@ class TestReferenceCache:
                 entanglement_degree(p, r)
         assert measures._reference.cache_info().currsize == 0
 
+    @pytest.mark.parametrize("r", [10**400, -10**400])
+    @pytest.mark.parametrize("call", [
+        lambda r: entanglement_degree(GaussianParams(n1=1.0, n2=1.0), r),
+        lambda r: separable_distance(r),
+        lambda r: symmetric_degree(1.0, 0.0, r),
+        lambda r: output_port_fidelity(ModeParams(n=1.0), r),
+    ], ids=["entanglement_degree", "separable_distance", "symmetric_degree",
+            "output_port_fidelity"])
+    def test_int_beyond_float64_is_a_typed_error(self, call, r):
+        measures._reference.cache_clear()
+        with pytest.raises(NumericDomainError, match="int beyond float64"):
+            call(r)
+        assert measures._reference.cache_info().currsize == 0
+
     def test_string_squeezing_stays_a_type_error(self):
         p = GaussianParams(n1=1.0, n2=1.0)
         for call in (lambda: separable_distance("1.0"),

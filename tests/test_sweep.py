@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 import warnings
 from decimal import Decimal, localcontext
 
@@ -185,6 +186,67 @@ class TestColumns:
         assert np.all(np.abs(result.degree[physical]) <= 1.0)
 
 
+def _kernel_mismatches(values):
+    values = np.asarray(values, dtype=np.float64).ravel()
+    rows = [row.tobytes().translate(None, b"\0").decode("ascii") for row in cli._sci_table(values)]
+    return [(v, row) for v, row in zip(values.tolist(), rows) if row != f"{v:.8e}"]
+
+
+def _with_neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+
+
+def _near_decimal_ties():
+    # the floats nearest d.dddddddd5 x 10^k, where the ninth digit's rounding
+    # turns on the last bits of the binary value
+    rng = np.random.default_rng(63)
+    mantissas = rng.integers(100_000_000, 1_000_000_000, 400).tolist()
+    exponents = rng.integers(-20, 41, 400).tolist()
+    return [float(f"{q // 10**8}.{q % 10**8:08d}5e{k}") for q, k in zip(mantissas, exponents)]
+
+
+def _half_integers():
+    # exact ties of the mantissa, y = h + 1/2 with h in [1e8, 1e9), and
+    # their binary scalings, whose decimal expansions terminate
+    rng = np.random.default_rng(64)
+    halves = rng.integers(100_000_000, 1_000_000_000, 300) + 0.5
+    return np.concatenate([halves, [1e8 + 0.5, 1e9 - 0.5]] + [halves * 2.0**-j for j in range(1, 40, 3)])
+
+
+class TestSciTable:
+    """``cli._sci_table`` writes exactly what ``f"{v:.8e}"`` writes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40))
+    def test_matches_python_formatting(self, values):
+        assert _kernel_mismatches(values) == []
+
+    @pytest.mark.parametrize("values", [
+        _with_neighbours(_near_decimal_ties()),
+        _with_neighbours(_half_integers()),
+        _with_neighbours([10.0**k for k in range(-20, 41)] + [float(f"1e{k}") for k in range(-20, 41)]),
+        [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max],
+        _with_neighbours([1e-14, 1e30, 1e31]),
+    ], ids=["near-decimal-ties", "half-integers", "powers-of-ten", "extremes", "fast-path-edges"])
+    def test_boundary_values(self, values):
+        values = np.asarray(values)
+        assert _kernel_mismatches(np.concatenate([values, -values])) == []
+
+    def test_silent_under_raising_errstate(self):
+        values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.5]  # 1.5: the fast path
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _kernel_mismatches(values) == []
+
+    def test_rows_are_nul_padded_cells(self):
+        table = cli._sci_table(np.array([[1.5, -2.0], [math.nan, -1e-300]]))
+        assert table.shape == (4, 16) and table.dtype == np.uint8
+        assert table[0].tobytes() == b"\x001.50000000e+00\x00"
+        assert table[2].tobytes() == b"nan".ljust(16, b"\x00")
+        assert table[3].tobytes() == b"-1.00000000e-300"
+
+
 class TestValidation:
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
     def test_tol_must_be_positive_and_finite(self, tol):
@@ -217,6 +279,12 @@ class TestValidation:
             cli.SweepConfig(r=r)
         assert cli.main(["sweep", "--r", repr(r)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "NumericDomainError"
+
+    @pytest.mark.parametrize("field", ["r", "n_min", "n_max", "m_min", "m_max"])
+    @pytest.mark.parametrize("value", [10**400, -10**400])
+    def test_int_beyond_float64_is_a_value_error(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            cli.SweepConfig(**{field: value})
 
     def test_underflowing_normalizer_is_a_typed_error(self):
         with pytest.raises(NumericDomainError):
