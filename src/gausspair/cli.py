@@ -136,7 +136,7 @@ def _sci_table(values) -> np.ndarray:
         fast &= (y >= 1e8) & (q < 1e9) & (np.abs(y - np.floor(y) - 0.5) > 1e-6)
         q = np.where(fast, q, 0.0).astype(np.uint32)
     table = np.zeros((v.size, _CELL), np.uint8)
-    table[:, 0] = np.where(v < 0.0, ord("-"), 0)
+    table[:, 0] = np.where(np.signbit(v), ord("-"), 0)  # sets no FP flag; -0.0, -nan rows are slow
     table[:, 2] = ord(".")
     for col in (10, 9, 8, 7, 6, 5, 4, 3, 1):  # the mantissa's digits, last first
         rest = q // 10

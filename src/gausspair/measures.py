@@ -169,7 +169,7 @@ def _squeezing(r) -> float:
 
 
 def _reference_terms(r) -> tuple[float, float, float]:
-    return _reference(r if type(r) is float else _squeezing(r))
+    return _reference(_squeezing(r))
 
 
 def separable_distance(r: float) -> float:
