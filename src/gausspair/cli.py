@@ -10,7 +10,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import TYPE_CHECKING
 
 from . import classicality, measures, mixer, tmtss
@@ -211,33 +211,42 @@ def _pair(z: complex) -> list[float]:  # a float z gives [z, 0.0]
     return [z.real, z.imag]
 
 
-def _json_float(value) -> float | None:
-    # a JSON number as a float, else None: true and false load as bool, an
-    # int subclass, and an integer literal beyond float64 cannot convert
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+# Each value-type field is a flag of its own name, with "_" written as "-",
+# and each GaussianParams field is also a state-file key.  These fields are
+# spelled differently in both places.
+_KEYS = {"m_s": "ms", "m_c": "mc"}
+_TYPES = {"float": float, "int": int, "complex": parse_complex}
+
+
+def _key(f) -> str:
+    # the flag's dest and the state-file key of field f
+    return _KEYS.get(f.name, f.name)
+
+
+def _from_args(cls, args):
+    return cls(**{f.name: getattr(args, _key(f)) for f in fields(cls)})
+
+
+def _json_value(data: dict, f) -> float | complex:
+    # field f of a state file: a JSON number, or for a complex field also a
+    # list of two numbers [re, im]
+    key = _key(f)
+    if key not in data:
+        if f.default is MISSING:
+            raise ValueError(f"state file has no {key!r}")
+        return f.default
+    value = data[key]
+    is_complex = f.type == "complex"
+    parts = value if is_complex and isinstance(value, list) and len(value) == 2 else [value]
+    # true and false load as bool, an int subclass, and an integer literal
+    # beyond float64 cannot convert
+    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
         try:
-            return float(value)
+            return complex(*map(float, parts)) if is_complex else float(value)
         except OverflowError:
             pass
-    return None
-
-
-def _complex_from_json(data: dict, key: str) -> complex:
-    value = data.get(key, 0.0)
-    pair = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
-    re, im = map(_json_float, pair)
-    if re is None or im is None:
-        raise ValueError(f"cannot read complex value {key!r} from {value!r}")
-    return complex(re, im)
-
-
-def _real_from_json(data: dict, key: str) -> float:
-    if key not in data:
-        raise ValueError(f"state file has no {key!r}")
-    x = _json_float(data[key])
-    if x is None:
-        raise ValueError(f"cannot read real value {key!r} from {data[key]!r}")
-    return x
+    kind = "complex" if is_complex else "real"
+    raise ValueError(f"cannot read {kind} value {key!r} from {value!r}")
 
 
 def load_state(path: str) -> GaussianParams:
@@ -245,31 +254,25 @@ def load_state(path: str) -> GaussianParams:
 
     ``n1`` and ``n2`` are JSON numbers; each moment is a number or a list of
     two numbers ``[re, im]``.  Raises ValueError naming the wrong top-level
-    type, the missing key or the key whose value is anything else.
+    type, nesting too deep to parse, the missing key or the key whose value is
+    anything else.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("state file is nested too deeply to parse as JSON") from None
     if not isinstance(data, dict):
         raise ValueError(f"state file must hold a JSON object, not {type(data).__name__}")
-    return GaussianParams(
-        n1=_real_from_json(data, "n1"),
-        n2=_real_from_json(data, "n2"),
-        m1=_complex_from_json(data, "m1"),
-        m2=_complex_from_json(data, "m2"),
-        m_s=_complex_from_json(data, "ms"),
-        m_c=_complex_from_json(data, "mc"),
-    )
+    return GaussianParams(**{f.name: _json_value(data, f) for f in fields(GaussianParams)})
 
 
 def state_to_json(p: GaussianParams) -> dict:
-    return {
-        "n1": p.n1,
-        "n2": p.n2,
-        "m1": _pair(p.m1),
-        "m2": _pair(p.m2),
-        "ms": _pair(p.m_s),
-        "mc": _pair(p.m_c),
-    }
+    out = {}
+    for f in fields(p):
+        value = getattr(p, f.name)
+        out[_key(f)] = _pair(value) if f.type == "complex" else value
+    return out
 
 
 class _Parser(argparse.ArgumentParser):
@@ -280,13 +283,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _add_state_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n1", type=float, required=True)
-    parser.add_argument("--n2", type=float, required=True)
-    parser.add_argument("--m1", type=parse_complex, default=0j)
-    parser.add_argument("--m2", type=parse_complex, default=0j)
-    parser.add_argument("--ms", type=parse_complex, default=0j)
-    parser.add_argument("--mc", type=parse_complex, default=0j)
+def _add_fields(parser: argparse.ArgumentParser, cls) -> None:
+    # one flag per field of the value type cls, required where it has no default
+    for f in fields(cls):
+        required = f.default is MISSING
+        parser.add_argument("--" + _key(f).replace("_", "-"), type=_TYPES[f.type],
+                            required=required, default=None if required else f.default,
+                            help=f.metadata.get("help"))
 
 
 def build_parser() -> _Parser:
@@ -294,71 +297,58 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="classify one state and report its measures")
-    _add_state_flags(check)
+    _add_fields(check, GaussianParams)
     check.add_argument("--r", type=float, default=1.0, help="reference squeezing")
     check.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    check.set_defaults(run=cmd_check)
 
     transform = sub.add_parser("transform", help="push a state file through the mixer")
     transform.add_argument("--state", required=True, help="JSON state file")
-    transform.add_argument("--theta", type=float, required=True, help="mixing angle, radians")
-    transform.add_argument("--phi0", type=float, default=0.0)
-    transform.add_argument("--phi1", type=float, default=0.0)
+    _add_fields(transform, mixer.MixerConfig)
     transform.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    transform.set_defaults(run=cmd_transform)
 
     sweep = sub.add_parser("sweep", help="entanglement-degree surface over the (n, m) grid")
-    sweep.add_argument("--r", type=float, default=1.0)
-    sweep.add_argument("--n-min", type=float, default=0.5)
-    sweep.add_argument("--n-max", type=float, default=3.5)
-    sweep.add_argument("--n-steps", type=int, default=141)
-    sweep.add_argument("--m-min", type=float, default=0.0)
-    sweep.add_argument("--m-max", type=float, default=3.0)
-    sweep.add_argument("--m-steps", type=int, default=121)
-    sweep.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    _add_fields(sweep, SweepConfig)
     sweep.add_argument("--format", choices=("csv", "matrix"), default="csv")
     sweep.add_argument("--out", help="output file (stdout when omitted)")
+    sweep.set_defaults(run=cmd_sweep)
 
     model = sub.add_parser("tmtss", help="thermal squeezed pair parameters")
-    model.add_argument("--d", type=float, required=True, help="diffusion, gamma*t")
-    model.add_argument("--r", type=float, required=True, help="squeezing, kappa*t")
-    model.add_argument("--nbar", type=float, default=0.0)
+    _add_fields(model, tmtss.TmtssInputs)
     model.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    model.set_defaults(run=cmd_tmtss)
 
     return parser
 
 
 def cmd_check(args) -> dict:
-    p = GaussianParams(n1=args.n1, n2=args.n2, m1=args.m1, m2=args.m2,
-                       m_s=args.ms, m_c=args.mc)
-    return run_check(p, args.r, args.tol)
+    return run_check(_from_args(GaussianParams, args), args.r, args.tol)
 
 
 def cmd_transform(args) -> dict:
     _check_tol(args.tol)
     p = load_state(args.state)
-    cfg = mixer.MixerConfig(theta=args.theta, phi0=args.phi0, phi1=args.phi1)
+    cfg = _from_args(mixer.MixerConfig, args)
     q = mixer.mix_params(p, cfg)
     entries = [_pair(z) for z in mixer._block_entries(q)]
     r1, r2 = mixer.coupling_residuals(p, cfg)
-    mode1, mode2 = classicality.ModeParams(q.n1, q.m1), classicality.ModeParams(q.n2, q.m2)
     return {
         "v1p": entries[:4],
         "v2p": entries[4:8],
         "cp": entries[8:],
-        "mode1": {"n": mode1.n, "m": _pair(mode1.m)},
-        "mode2": {"n": mode2.n, "m": _pair(mode2.m)},
+        "mode1": {"n": q.n1, "m": _pair(q.m1)},
+        "mode2": {"n": q.n2, "m": _pair(q.m2)},
         "residuals": {"anomalous": _pair(r1), "balance": _pair(r2)},
         "decoupled": bool(max(abs(r1), abs(r2)) < args.tol),
     }
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
+    # writes its own output; sweep_grid and write_sweep_csv are looked up as
+    # module globals here, where a tracer may wrap them
     import numpy as np
-    cfg = SweepConfig(
-        r=args.r,
-        n_min=args.n_min, n_max=args.n_max, n_steps=args.n_steps,
-        m_min=args.m_min, m_max=args.m_max, m_steps=args.m_steps,
-        tol=args.tol,
-    )
+    cfg = _from_args(SweepConfig, args)
     # numpy overflow and invalid results become errors, not warnings on stderr
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         result = sweep_grid(cfg)
@@ -368,11 +358,10 @@ def cmd_sweep(args) -> int:
             writer(result, fh)
     else:
         writer(result, sys.stdout)
-    return 0
 
 
 def cmd_tmtss(args) -> dict:
-    inputs = tmtss.TmtssInputs(d=args.d, r=args.r, nbar=args.nbar)
+    inputs = _from_args(tmtss.TmtssInputs, args)
     p = tmtss.tmtss_params(inputs, args.tol)
     out = state_to_json(p)
     out["p1"] = inputs.p1
@@ -381,17 +370,9 @@ def cmd_tmtss(args) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "check":
-            payload = cmd_check(args)
-        elif args.command == "transform":
-            payload = cmd_transform(args)
-        elif args.command == "sweep":
-            return cmd_sweep(args)
-        else:
-            payload = cmd_tmtss(args)
+        payload = args.run(args)  # None where the command wrote its own output
     except ModelValidityError as err:
         _print_error(err, n=err.n, m=err.m)
         return 2
@@ -401,7 +382,8 @@ def main(argv=None) -> int:
     except FloatingPointError as err:
         _print_error(NumericDomainError(f"float64 arithmetic failed: {err}"))
         return 2
-    print(json.dumps(payload, sort_keys=True))
+    if payload is not None:
+        print(json.dumps(payload, sort_keys=True))
     return 0
 
 

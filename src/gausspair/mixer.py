@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, _refuse_non_numbers, is_physical
@@ -29,7 +29,7 @@ if TYPE_CHECKING:
 class MixerConfig:
     """Mixing angle and arm phases, all in radians."""
 
-    theta: float
+    theta: float = field(metadata={"help": "mixing angle, radians"})
     phi0: float = 0.0
     phi1: float = 0.0
 

@@ -12,7 +12,7 @@ numbers instead of silently adjusting signs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, _refuse_non_numbers, is_physical
@@ -25,8 +25,8 @@ StateClass = Literal["nonphysical", "entangled", "separable"]
 class TmtssInputs:
     """Diffusion ``d`` (gamma t), squeezing ``r`` (kappa t) and thermal ``nbar``."""
 
-    d: float
-    r: float
+    d: float = field(metadata={"help": "diffusion, gamma*t"})
+    r: float = field(metadata={"help": "squeezing, kappa*t"})
     nbar: float = 0.0
 
     def __init__(self, d, r, nbar=0.0):

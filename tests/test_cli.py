@@ -115,6 +115,23 @@ class TestCheck:
         assert "--n1" in payload["message"]
         assert payload["usage"].startswith("usage: gausspair check")
 
+    @pytest.mark.parametrize("command, usage", [
+        ("check", "usage: gausspair check [-h] --n1 N1 --n2 N2 [--m1 M1] [--m2 M2] [--ms MS]\n"
+                  "                       [--mc MC] [--r R] [--tol TOL]"),
+        ("transform", "usage: gausspair transform [-h] --state STATE --theta THETA [--phi0 PHI0]\n"
+                      "                           [--phi1 PHI1] [--tol TOL]"),
+        ("sweep", "usage: gausspair sweep [-h] [--r R] [--n-min N_MIN] [--n-max N_MAX]\n"
+                  "                       [--n-steps N_STEPS] [--m-min M_MIN] [--m-max M_MAX]\n"
+                  "                       [--m-steps M_STEPS] [--tol TOL] [--format {csv,matrix}]\n"
+                  "                       [--out OUT]"),
+        ("tmtss", "usage: gausspair tmtss [-h] --d D --r R [--nbar NBAR] [--tol TOL]"),
+    ])
+    def test_usage_lines_are_pinned(self, command, usage, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage at the terminal width
+        with pytest.raises(SystemExit):
+            cli.main([command, "--tol", "oops"])
+        assert json.loads(capsys.readouterr().err)["usage"] == usage
+
     def test_nan_tol_exits_2(self, capsys):
         code, out, err = run_cli(["check", "--n1", "2", "--n2", "2", "--tol", "nan"], capsys)
         assert code == 2
@@ -317,6 +334,8 @@ class TestTransform:
         ('"state"', "JSON object, not str"),
         ('{"n1": 2.0, "n2": null}', "'n2'"),
         ('{"n1": 2.0, "n2": 2.0, "mc": [null, 1.0]}', "complex"),
+        pytest.param('{"n1": ' + "[" * 200_000 + "]" * 200_000 + ', "n2": 1}', "nested too deeply",
+                     id="nested-200000-levels"),
     ])
     def test_malformed_state_file_names_the_problem(self, tmp_path, capsys, text, fragment):
         path = tmp_path / "state.json"
@@ -492,6 +511,7 @@ FUZZ_STATE_FILES = [
     '{"n1": 2, "n2": 2, "ms": [1, 2, 3]}', '{"n1": 2, "n2": 2, "mc": {"re": 1}}',
     '{"n1": 1e308, "n2": 1e308, "mc": [1e308, 1e308]}', '{"n1": 1e200, "n2": 0, "ms": 1e200}',
     '{"n1": 2, "n2": 2, "m1": [1e308, -1e308], "m2": 1e-320}',
+    '{"n1": 1, "n2": 1, "mc": ' + "[" * 200_000 + "]" * 200_000 + "}",
 ]
 
 
@@ -567,6 +587,27 @@ class TestCliFuzz:
                         value = "-" + value  # negative squeezing is a valid model input
                     argv.append(f"{flag}={value}")
             codes[_assert_clean_outcome(argv, *_run_guarded(argv, capsys))] += 1
+        assert min(codes.values()) >= 10, codes
+
+    def test_sweep_flags(self, tmp_path, capsys):
+        # only 0, -1, 2 and 3 parse as ints, so every grid is tiny
+        rng = random.Random(10)
+        codes = Counter()
+        out_path = tmp_path / "sweep.txt"
+        flags = ["--r", "--n-min", "--n-max", "--m-min", "--m-max", "--tol"]
+        for _ in range(800):
+            out_path.unlink(missing_ok=True)
+            argv = ["sweep", f"--format={rng.choice(['csv', 'matrix'])}", f"--out={out_path}",
+                    f"--n-steps={_fuzz_value(rng)}", f"--m-steps={_fuzz_value(rng)}"]
+            argv += [f"{flag}={_fuzz_value(rng)}" for flag in flags if rng.random() < 0.5]
+            code, out, err = _run_guarded(argv, capsys)
+            if code == 0:
+                assert (out, err) == ("", ""), argv
+                assert out_path.stat().st_size > 0, argv
+            else:
+                _assert_clean_outcome(argv, code, out, err)
+                assert not out_path.exists(), argv
+            codes[code] += 1
         assert min(codes.values()) >= 10, codes
 
     def test_malformed_state_files(self, tmp_path, capsys):
