@@ -13,7 +13,6 @@ from .classicality import (
     ModeParams,
     is_p_representable_joint,
     is_p_representable_mode,
-    mode_covariance,
     mode_is_physical,
     mode_params,
     nonclassicality_margin,
@@ -85,7 +84,6 @@ __all__ = [
     "local_normal_form",
     "mirror_party2",
     "mix_params",
-    "mode_covariance",
     "mode_is_physical",
     "mode_params",
     "nonclassicality_margin",

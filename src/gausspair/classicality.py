@@ -30,12 +30,6 @@ class ModeParams:
         self.__dict__.update(n=n, m=m)  # past the frozen __setattr__
 
 
-def mode_covariance(md: ModeParams) -> np.ndarray:
-    """The 2x2 covariance block of a single mode."""
-    import numpy as np
-    return np.array([[md.n, md.m], [md.m.conjugate(), md.n]], dtype=complex)
-
-
 def mode_params(block: np.ndarray) -> ModeParams:
     """Read one-mode data off a 2x2 Hermitian covariance block."""
     import numpy as np

@@ -14,7 +14,8 @@ from dataclasses import MISSING, dataclass, fields
 from typing import TYPE_CHECKING
 
 from . import classicality, measures, mixer, tmtss
-from .covariance import DEFAULT_TOL, GaussianParams, _check_tol
+from .covariance import DEFAULT_TOL, GaussianParams, _block_entries, _check_tol
+from .covariance import _refuse_non_numbers
 from .errors import ModelValidityError, NumericDomainError
 
 if TYPE_CHECKING:
@@ -43,6 +44,13 @@ class SweepConfig:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
+        # numbers only, as in the other value types: True would sweep as
+        # r = 1, and 2.5 steps would fail later in np.linspace, untyped
+        import numbers
+        _refuse_non_numbers(self.r, self.n_min, self.n_max, self.m_min, self.m_max, self.tol)
+        for steps in (self.n_steps, self.m_steps):
+            if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+                raise TypeError(f"grid steps must be ints, got {type(steps).__name__}")
         if self.r <= 0.0 or not _finite(self.r):
             raise ValueError("reference squeezing r must be positive and finite")
         if self.n_steps < 2 or self.m_steps < 2:
@@ -331,7 +339,7 @@ def cmd_transform(args) -> dict:
     p = load_state(args.state)
     cfg = _from_args(mixer.MixerConfig, args)
     q = mixer.mix_params(p, cfg)
-    entries = [_pair(z) for z in mixer._block_entries(q)]
+    entries = [_pair(z) for z in _block_entries(q)]
     r1, r2 = mixer.coupling_residuals(p, cfg)
     return {
         "v1p": entries[:4],

@@ -31,28 +31,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def _reference_moments(r: float) -> tuple[float, float]:
-    """Occupation ``N = cosh(2r)/2`` and cross-moment magnitude ``M = sinh(2r)/2``
-    of the twin-beam reference.
-
-    Raises :class:`DegenerateStateError` for ``r <= 0``, and
-    :class:`NumericDomainError` for a NaN ``r`` and where ``cosh(2r)^2``,
-    which every fidelity against the reference contains, overflows float64
-    (``r`` above about 177).
-    """
-    if math.isnan(r):
-        raise NumericDomainError("reference squeezing r=nan is not a number")
-    if r <= 0.0:
-        raise DegenerateStateError(f"reference squeezing r={r:g} must be positive")
-    try:
-        big_n = 0.5 * math.cosh(2.0 * r)
-    except OverflowError:
-        big_n = math.inf
-    if not math.isfinite(4.0 * big_n * big_n):
-        raise NumericDomainError(f"reference squeezing r={r:g} overflows float64")
-    return big_n, 0.5 * math.sinh(2.0 * r)
-
-
 @dataclass(frozen=True)
 class MeasureReport:
     """Fidelity, Bures distance, entanglement degree and the separability verdict."""
@@ -145,17 +123,29 @@ def _symmetric_distance(n, m, big_n: float, big_m: float, a: float, b: float):
 
 
 @functools.lru_cache(maxsize=128)
-def _reference(r: float) -> tuple[float, float, float]:
+def _reference(r: float) -> tuple[float, float, float, float, float]:
     # The terms every state shares at squeezing r (a float): the separable
-    # distance d_sep and the reference variances a = e^(-2r)/2, b = e^(2r)/2
-    # of the 50:50 frame.  lru_cache is thread-safe and stores no exception,
-    # so a bad r raises its typed error on every call.
-    big_n, big_m = _reference_moments(r)
+    # distance d_sep, the twin-beam reference's occupation N = cosh(2r)/2 and
+    # cross moment M = sinh(2r)/2, and its 50:50-frame variances a = e^(-2r)/2,
+    # b = e^(2r)/2.  A NaN r, r <= 0, cosh(2r)^2 past float64 (r above about
+    # 177) and an underflowing d_sep are typed errors.  lru_cache is
+    # thread-safe and stores no exception, so a bad r raises on every call.
+    if math.isnan(r):
+        raise NumericDomainError("reference squeezing r=nan is not a number")
+    if r <= 0.0:
+        raise DegenerateStateError(f"reference squeezing r={r:g} must be positive")
+    try:
+        big_n = 0.5 * math.cosh(2.0 * r)
+    except OverflowError:
+        big_n = math.inf
+    if not math.isfinite(4.0 * big_n * big_n):
+        raise NumericDomainError(f"reference squeezing r={r:g} overflows float64")
+    big_m = 0.5 * math.sinh(2.0 * r)
     a, b = 0.5 * math.exp(-2.0 * r), 0.5 * math.exp(2.0 * r)
     d_sep = float(_symmetric_distance(big_n, 0.0, big_n, big_m, a, b))
     if not d_sep > 2.0 / sys.float_info.max:  # degrees divide distances <= 2 by it
         raise NumericDomainError(f"separable normalizer underflows at r={r:g}")
-    return d_sep, a, b
+    return d_sep, big_n, big_m, a, b
 
 
 def _squeezing(r) -> float:
@@ -168,7 +158,7 @@ def _squeezing(r) -> float:
     return float(r)
 
 
-def _reference_terms(r) -> tuple[float, float, float]:
+def _reference_terms(r) -> tuple[float, float, float, float, float]:
     return _reference(_squeezing(r))
 
 
@@ -194,8 +184,8 @@ def symmetric_degree(n, m, r: float):
     classifies them first.  Raises :class:`DegenerateStateError` for
     ``r <= 0``.
     """
-    d_sep, a, b = _reference_terms(r)
-    return 1.0 - _symmetric_distance(n, m, *_reference_moments(r), a, b) / d_sep
+    d_sep, *terms = _reference_terms(r)
+    return 1.0 - _symmetric_distance(n, m, *terms) / d_sep
 
 
 def compose_bures(d1: float, d2: float) -> float:
@@ -240,7 +230,7 @@ def _reference_overlap(p: GaussianParams, a: float, b: float) -> float:
 def _degree_terms(p: GaussianParams, r: float, tol: float) -> tuple[float, float, float, bool]:
     # entanglement_degree's fields in order, without the record
     separable = is_separable(p, tol)
-    d_sep, a, b = _reference_terms(r)  # typed errors for r <= 0, a NaN r and over- or underflow
+    d_sep, _, _, a, b = _reference_terms(r)  # typed errors for a bad r
     fid = _reference_overlap(p, a, b)
     bures = bures_from_fidelity(fid)
     return fid, bures, 1.0 - bures / d_sep, separable

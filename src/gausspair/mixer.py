@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, _refuse_non_numbers, is_physical
+from .covariance import DEFAULT_TOL, GaussianParams, _block_entries, _check_tol, is_physical
+from .covariance import _refuse_non_numbers
 from .errors import DegenerateStateError, NonPhysicalStateError, NumericDomainError
 
 if TYPE_CHECKING:
@@ -58,15 +59,13 @@ class OutputBlocks:
     def __init__(self, v1p, v2p, cp):
         self.__dict__.update(v1p=v1p, v2p=v2p, cp=cp)
 
-    def assemble(self) -> np.ndarray:
-        """Reassemble the full 4x4 output covariance matrix."""
-        import numpy as np
-        return np.block([[self.v1p, self.cp], [self.cp.conj().T, self.v2p]])
-
 
 @dataclass(frozen=True, init=False)
 class LocalOperations:
-    """Record of the per-party normal-form operations: rotation then squeeze."""
+    """Record of the per-party normal-form operations: rotation then squeeze.
+
+    :func:`gausspair.oracle.local_operation_matrix` gives their 2x2 matrices.
+    """
 
     rotation1: float
     squeeze1: float
@@ -76,13 +75,6 @@ class LocalOperations:
     def __init__(self, rotation1, squeeze1, rotation2, squeeze2):
         self.__dict__.update(rotation1=rotation1, squeeze1=squeeze1,
                              rotation2=rotation2, squeeze2=squeeze2)
-
-    def matrix(self, party: int) -> np.ndarray:
-        if party == 1:
-            return _rotation(self.rotation1) @ _squeeze(self.squeeze1)
-        if party == 2:
-            return _rotation(self.rotation2) @ _squeeze(self.squeeze2)
-        raise ValueError("party must be 1 or 2")
 
 
 def mix_params(p: GaussianParams, cfg: MixerConfig) -> GaussianParams:
@@ -117,22 +109,8 @@ def mix_params(p: GaussianParams, cfg: MixerConfig) -> GaussianParams:
 
 def transform_blocks(p: GaussianParams, cfg: MixerConfig) -> OutputBlocks:
     """The output covariance of the mixer in block form, from :func:`mix_params`."""
-    return _output_blocks(mix_params(p, cfg))
-
-
-def _block_entries(q: GaussianParams) -> list[complex]:
-    # the three 2x2 blocks (v1p, v2p, cp) of build_covariance(q), row by row
-    m1, m2, ms, mc = q.m1, q.m2, q.m_s, q.m_c
-    return [
-        q.n1, m1, m1.conjugate(), q.n1,
-        q.n2, m2, m2.conjugate(), q.n2,
-        ms, mc, mc.conjugate(), ms.conjugate(),
-    ]
-
-
-def _output_blocks(q: GaussianParams) -> OutputBlocks:
     import numpy as np
-    v1p, v2p, cp = np.array(_block_entries(q), dtype=complex).reshape(3, 2, 2)
+    v1p, v2p, cp = np.array(_block_entries(mix_params(p, cfg)), dtype=complex).reshape(3, 2, 2)
     return OutputBlocks(v1p=v1p, v2p=v2p, cp=cp)
 
 
@@ -141,7 +119,8 @@ def coupling_residuals(p: GaussianParams, cfg: MixerConfig) -> tuple[complex, co
 
     Both vanish exactly when the cross block of the transformed covariance
     vanishes: the first is -2 times its anomalous entry, the second +2 times
-    its occupation entry.
+    its occupation entry.  Raises :class:`NumericDomainError` where a residual
+    or its modulus is not finite in float64.
     """
     s2t = math.sin(2.0 * cfg.theta)
     c2t = math.cos(2.0 * cfg.theta)
@@ -150,7 +129,14 @@ def coupling_residuals(p: GaussianParams, cfg: MixerConfig) -> tuple[complex, co
     a = p.m_s * cmath.exp(-2j * cfg.phi0)
     b = p.m_s.conjugate() * cmath.exp(2j * cfg.phi1)
     r2 = s2t * cmath.exp(-1j * (cfg.phi0 - cfg.phi1)) * (p.n1 - p.n2) + c2t * (a + b) + (a - b)
-    return r1, r2
+    # abs is inf or nan for a non-finite residual, and raises OverflowError
+    # for a finite one whose modulus passes float64
+    try:
+        if math.isfinite(abs(r1)) and math.isfinite(abs(r2)):
+            return r1, r2
+    except OverflowError:
+        pass
+    raise NumericDomainError("mixer residuals are not finite in float64")
 
 
 def solve_decoupling_phases(
@@ -196,17 +182,6 @@ def is_ssld(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
     _check_tol(tol)
     det1, det2 = _local_determinants(p)
     return abs(det1 - det2) <= tol
-
-
-def _rotation(phi: float) -> np.ndarray:
-    import numpy as np
-    return np.diag([cmath.exp(1j * phi), cmath.exp(-1j * phi)])
-
-
-def _squeeze(z: float) -> np.ndarray:
-    import numpy as np
-    ch, sh = math.cosh(z), math.sinh(z)
-    return np.array([[ch, sh], [sh, ch]], dtype=complex)
 
 
 def _normal_op(n: float, m: complex) -> tuple[float, float]:

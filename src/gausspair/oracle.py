@@ -4,7 +4,8 @@ No other module of the package imports this one; the test suite uses
 these routines to cross-check closed-form results through unrelated
 algorithms (Jacobi rotations, Fock-basis sums, direct quadrature, the full
 4x4 conjugation through the mixer matrix, the matrix partial transpose, an
-eigenvalue test of joint classicality and a many-digit determinant).
+eigenvalue test of joint classicality and a many-digit determinant), and
+build the one-mode and local-operation matrices those routes take.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
+from .classicality import ModeParams
 from .covariance import DEFAULT_TOL
 from .errors import NumericDomainError
-from .mixer import MixerConfig
+from .mixer import LocalOperations, MixerConfig
 
 _OFFDIAG_TARGET = 1e-15
 _MAX_SWEEPS = 60
@@ -168,6 +170,28 @@ def overlap_numint(va: np.ndarray, vb: np.ndarray, grid: QuadratureSpec | None =
         total += w[i] * float(np.dot(w_tail, g))
 
     return float(alpha ** dims * total / np.pi ** n_modes)
+
+
+def mode_covariance(md: ModeParams) -> np.ndarray:
+    """The 2x2 covariance block of a single mode."""
+    return np.array([[md.n, md.m], [md.m.conjugate(), md.n]], dtype=complex)
+
+
+def local_operation_matrix(ops: LocalOperations, party: int) -> np.ndarray:
+    """The 2x2 mode matrix of one party's normal-form operation: rotation, then squeeze.
+
+    The matrix route to the congruence that
+    :func:`gausspair.mixer.local_normal_form` applies in closed form.
+    """
+    if party == 1:
+        phi, z = ops.rotation1, ops.squeeze1
+    elif party == 2:
+        phi, z = ops.rotation2, ops.squeeze2
+    else:
+        raise ValueError("party must be 1 or 2")
+    rotation = np.diag([cmath.exp(1j * phi), cmath.exp(-1j * phi)])
+    ch, sh = math.cosh(z), math.sinh(z)
+    return rotation @ np.array([[ch, sh], [sh, ch]], dtype=complex)
 
 
 def _half_blocks(cfg: MixerConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,6 @@ from gausspair import (
     is_separable,
     local_normal_form,
     mix_params,
-    mode_covariance,
     mode_is_physical,
     mode_params,
     nonclassicality_margin,
@@ -29,6 +28,7 @@ from gausspair.oracle import (
     COMMUTATOR_SIGNATURE,
     eig_min_hermitian,
     is_p_representable_joint_eig,
+    mode_covariance,
     partial_transpose,
 )
 

@@ -275,16 +275,19 @@ class TestRunCheck:
     def test_warm_reference_is_not_recomputed(self, monkeypatch):
         p = GaussianParams(n1=2.86, n2=1.78, m1=0.5 + 0.2j, m2=-0.49,
                            m_s=-0.19 + 0.04j, m_c=-1.29 + 0.19j)
-        calls = []
-        original = measures._reference_moments
-        monkeypatch.setattr(measures, "_reference_moments",
-                            lambda r: calls.append(r) or original(r))
         measures._reference.cache_clear()
         cold = cli.run_check(p, 1.0)
-        assert calls == [1.0]
-        calls.clear()
+        info = measures._reference.cache_info()
+        assert (info.hits, info.misses) == (0, 1)
         assert cli.run_check(p, 1.0) == cold
-        assert calls == []
+        info = measures._reference.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+
+OVERFLOWING_STATE_FILES = [
+    '{"n1": 2.0, "n2": 2.0, "m1": [0.5, -1.0], "m2": [0.2, -1.0], "ms": [1e+308, 0.2], "mc": 1e-300}',
+    '{"n1": 2.0, "n2": 2.0, "ms": [1e+308, 0.0]}',
+]
 
 
 class TestTransform:
@@ -370,6 +373,19 @@ class TestTransform:
         payload = json.loads(err)
         assert payload["error"] == "ValueError"
         assert fragment in payload["message"]
+
+    @pytest.mark.parametrize("text", OVERFLOWING_STATE_FILES)
+    @pytest.mark.parametrize("flags", [["--theta=2", "--phi1=2"], ["--theta=0"]])
+    def test_overflowing_residuals_exit_2(self, tmp_path, capsys, text, flags):
+        # a residual past float64: a finite one whose abs overflows at the
+        # first flags, inf + nan j at the second
+        path = tmp_path / "state.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(["transform", "--state", str(path), *flags], capsys)
+        assert (code, out) == (2, "")
+        payload = json.loads(err)
+        assert payload["error"] == "NumericDomainError"
+        assert "residuals are not finite" in payload["message"]
 
     def test_json_integers_read_as_floats(self, tmp_path, capsys):
         argv = ["transform", "--theta", "0.3", "--state"]
@@ -512,6 +528,7 @@ FUZZ_STATE_FILES = [
     '{"n1": 1e308, "n2": 1e308, "mc": [1e308, 1e308]}', '{"n1": 1e200, "n2": 0, "ms": 1e200}',
     '{"n1": 2, "n2": 2, "m1": [1e308, -1e308], "m2": 1e-320}',
     '{"n1": 1, "n2": 1, "mc": ' + "[" * 200_000 + "]" * 200_000 + "}",
+    *OVERFLOWING_STATE_FILES,
 ]
 
 
@@ -524,14 +541,21 @@ def _run_guarded(argv, capsys):
     return code, captured.out, captured.err
 
 
+def _strict_json(text):
+    # json.loads also reads Infinity and NaN, which are not JSON
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def _assert_clean_outcome(argv, code, out, err) -> int:
     if code == 0:
-        json.loads(out)
+        _strict_json(out)
         assert err == "", argv
     else:
         assert code in (1, 2), argv
         assert out == "", argv
-        assert "error" in json.loads(err), argv
+        assert "error" in _strict_json(err), argv
     return code
 
 

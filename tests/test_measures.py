@@ -21,14 +21,13 @@ from gausspair import (
     entanglement_degree,
     is_separable,
     mix_params,
-    mode_covariance,
     output_port_fidelity,
     separable_distance,
     symmetric_degree,
     trace_overlap,
 )
 from gausspair import measures, oracle
-from gausspair.oracle import transform_full
+from gausspair.oracle import mode_covariance, transform_full
 
 from conftest import draw_physical, draw_symmetric_physical, reference_states
 
@@ -205,7 +204,7 @@ class TestFidelityFactorization:
             w = np.zeros((4, 4), dtype=complex)
             w[:2, :2] = mode_covariance(ref1)
             w[2:, 2:] = mode_covariance(ref2)
-            joint = trace_overlap(blocks.assemble(), w)
+            joint = trace_overlap(build_covariance(mix_params(p, bs)), w)
             parts = (
                 trace_overlap(blocks.v1p, mode_covariance(ref1))
                 * trace_overlap(blocks.v2p, mode_covariance(ref2))
@@ -333,16 +332,15 @@ class TestSeparableDistance:
 
 def _uncached_report(p, r):
     # entanglement_degree's arithmetic with the reference terms recomputed
-    d_sep, a, b = measures._reference.__wrapped__(r)
+    d_sep, _, _, a, b = measures._reference.__wrapped__(r)
     fid = measures._reference_overlap(p, a, b)
     bures = bures_from_fidelity(fid)
     return MeasureReport(fid, bures, 1.0 - bures / d_sep, is_separable(p))
 
 
 def _uncached_symmetric_degree(n, m, r):
-    d_sep, a, b = measures._reference.__wrapped__(r)
-    big_n, big_m = measures._reference_moments(r)
-    return 1.0 - measures._symmetric_distance(n, m, big_n, big_m, a, b) / d_sep
+    d_sep, *terms = measures._reference.__wrapped__(r)
+    return 1.0 - measures._symmetric_distance(n, m, *terms) / d_sep
 
 
 class TestReferenceCache:

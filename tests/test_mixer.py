@@ -26,10 +26,12 @@ from gausspair import (
     solve_decoupling_phases,
     transform_blocks,
 )
-from gausspair import mixer, oracle
-from gausspair.oracle import COMMUTATOR_SIGNATURE, build_mixer, mixer_inverse, transform_full
+from gausspair import cli, mixer, oracle
+from gausspair.oracle import (
+    COMMUTATOR_SIGNATURE, build_mixer, local_operation_matrix, mixer_inverse, transform_full,
+)
 
-from conftest import draw_mixer, draw_params, draw_physical
+from conftest import block_error, draw_mixer, draw_params, draw_physical
 
 BS5050 = MixerConfig(theta=math.pi / 4)
 
@@ -134,8 +136,7 @@ class TestTransformBlocks:
             p = draw_params(rng, m_hi=2.0)
             cfg = draw_mixer(rng)
             full = transform_full(build_covariance(p), cfg)
-            assembled = transform_blocks(p, cfg).assemble()
-            assert np.abs(full - assembled).max() < 1e-10
+            assert block_error(full, transform_blocks(p, cfg)) < 1e-10
 
     def test_blocks_hermitian_with_real_diagonal(self):
         rng = np.random.default_rng(29)
@@ -207,9 +208,7 @@ class TestMixParams:
     def test_blocks_are_the_mixed_moments(self):
         rng = np.random.default_rng(40)
         p, cfg = draw_params(rng), draw_mixer(rng)
-        assert np.array_equal(
-            transform_blocks(p, cfg).assemble(), build_covariance(mix_params(p, cfg))
-        )
+        assert block_error(build_covariance(mix_params(p, cfg)), transform_blocks(p, cfg)) == 0.0
 
 
 class TestOracleSplit:
@@ -267,6 +266,21 @@ class TestOracleSplit:
             assert not hasattr(mixer, name)
             assert not hasattr(gausspair, name)
             assert hasattr(oracle, name)
+
+    def test_matrix_helpers_live_in_the_oracle(self):
+        # the moment layout has one writer, covariance._block_entries, which
+        # mixer and cli import; the one-mode and local-operation matrices are
+        # referee code
+        owners = (mixer.OutputBlocks, mixer.LocalOperations, mixer, gausspair.classicality,
+                  cli, gausspair)
+        for owner in owners:
+            for name in ("assemble", "matrix", "_rotation", "_squeeze", "mode_covariance",
+                         "_output_blocks"):
+                assert not hasattr(owner, name), (owner, name)
+        for module in (mixer, cli):
+            assert module._block_entries is gausspair.covariance._block_entries
+        assert "mode_covariance" not in gausspair.__all__
+        assert hasattr(oracle, "mode_covariance") and hasattr(oracle, "local_operation_matrix")
 
     def test_matrix_partial_transpose_lives_in_the_oracle(self):
         assert not hasattr(gausspair.covariance, "partial_transpose")
@@ -361,6 +375,21 @@ class TestCouplingResiduals:
             small_cp = np.abs(cp).max() < 1e-9
             assert small_res == small_cp
 
+    @pytest.mark.parametrize("p, cfg", [
+        # a finite residual whose modulus passes float64
+        (GaussianParams(n1=2.0, n2=2.0, m1=0.5 - 1j, m2=0.2 - 1j, m_s=1e308 + 0.2j, m_c=1e-300),
+         MixerConfig(2.0, phi1=2.0)),
+        # inf + nan j, from m_s + conj(m_s) and m_s - conj(m_s) at zero angle
+        (GaussianParams(n1=2.0, n2=2.0, m_s=1e308), MixerConfig(0.0)),
+    ], ids=["modulus-overflow", "inf-nan"])
+    def test_non_finite_residuals_are_a_domain_error(self, p, cfg):
+        with pytest.raises(NumericDomainError, match="residuals are not finite"):
+            coupling_residuals(p, cfg)
+
+    def test_large_finite_residuals_pass(self):
+        r1, r2 = coupling_residuals(GaussianParams(n1=2.0, n2=2.0, m_s=1e307), MixerConfig(0.0))
+        assert (r1, r2) == (0j, 2e307 + 0j)
+
 
 class TestSolveDecouplingPhases:
     def test_symmetric_class_accepts_zero_phases(self):
@@ -369,6 +398,10 @@ class TestSolveDecouplingPhases:
     def test_equal_real_anomalous_moments(self):
         p = GaussianParams(n1=1.5, n2=1.5, m1=0.3, m2=0.3, m_c=0.4)
         assert solve_decoupling_phases(p) == (0.0, 0.0)
+
+    def test_overflowing_residuals_are_a_domain_error(self):
+        with pytest.raises(NumericDomainError):
+            solve_decoupling_phases(GaussianParams(n1=2.0, n2=2.0, m_s=1e308))
 
     def test_unequal_magnitudes_unsolvable(self):
         assert solve_decoupling_phases(GaussianParams(n1=1.5, n2=1.5, m1=0.3, m2=0.5)) is None
@@ -443,7 +476,7 @@ class TestLocalNormalForm:
         q, ops = local_normal_form(p)
         assert q == p
         assert ops.rotation1 == ops.squeeze1 == ops.rotation2 == ops.squeeze2 == 0.0
-        assert np.allclose(ops.matrix(1), np.eye(2))
+        assert np.allclose(local_operation_matrix(ops, 1), np.eye(2))
 
     def test_real_anomalous_moment_squeezed_away(self):
         q, _ = local_normal_form(GaussianParams(n1=1.0, n2=0.5, m1=0.5))
@@ -474,8 +507,8 @@ class TestLocalNormalForm:
         for p in draw_physical(rng, 50, m_hi=1.0):
             q, ops = local_normal_form(p)
             loc = np.block([
-                [ops.matrix(1), np.zeros((2, 2))],
-                [np.zeros((2, 2)), ops.matrix(2)],
+                [local_operation_matrix(ops, 1), np.zeros((2, 2))],
+                [np.zeros((2, 2)), local_operation_matrix(ops, 2)],
             ])
             want = loc.conj().T @ build_covariance(p) @ loc
             assert np.abs(build_covariance(q) - want).max() < 1e-10
@@ -485,7 +518,7 @@ class TestLocalNormalForm:
         for p in draw_physical(rng, 300, m_hi=1.0):
             q, ops = local_normal_form(p)
             c = np.array([[p.m_s, p.m_c], [p.m_c.conjugate(), p.m_s.conjugate()]])
-            cp = ops.matrix(1).conj().T @ c @ ops.matrix(2)
+            cp = local_operation_matrix(ops, 1).conj().T @ c @ local_operation_matrix(ops, 2)
             scale = max(1.0, float(np.abs(cp).max()))
             assert abs(q.m_s - cp[0, 0]) <= 1e-12 * scale
             assert abs(q.m_c - cp[0, 1]) <= 1e-12 * scale

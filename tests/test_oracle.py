@@ -8,10 +8,11 @@ from gausspair import (
     ModeParams,
     NumericDomainError,
     build_covariance,
-    mode_covariance,
     trace_overlap,
 )
-from gausspair.oracle import QuadratureSpec, eig_min_hermitian, overlap_fock_tmsv, overlap_numint
+from gausspair.oracle import (
+    QuadratureSpec, eig_min_hermitian, mode_covariance, overlap_fock_tmsv, overlap_numint,
+)
 
 from conftest import reference_states
 

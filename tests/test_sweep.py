@@ -286,6 +286,23 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             cli.SweepConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["n_steps", "m_steps"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(4.0), True, "5"])
+    def test_steps_must_be_ints(self, field, value):
+        with pytest.raises(TypeError, match="grid steps must be ints"):
+            cli.SweepConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["r", "n_min", "n_max", "m_min", "m_max", "tol"])
+    @pytest.mark.parametrize("value", [True, False, np.True_, "1.0"])
+    def test_bools_and_strings_are_refused(self, field, value):
+        with pytest.raises(TypeError, match="expected a number"):
+            cli.SweepConfig(**{field: value})
+
+    def test_numpy_ints_are_steps(self):
+        cfg = cli.SweepConfig(n_steps=np.int64(9), m_steps=np.int32(7))
+        assert cfg.n_values().tolist() == cli.SweepConfig(n_steps=9).n_values().tolist()
+        assert cfg.m_values().tolist() == cli.SweepConfig(m_steps=7).m_values().tolist()
+
     def test_underflowing_normalizer_is_a_typed_error(self):
         with pytest.raises(NumericDomainError):
             cli.SweepConfig(r=1e-160)

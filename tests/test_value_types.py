@@ -4,11 +4,13 @@
 convert each field to ``float`` or ``complex``, reject a non-finite field
 with one message per type, and are frozen dataclasses: equality, hashing,
 ``repr``, ``dataclasses.replace``/``fields``, pickling and copying all work
-on the converted fields.
+on the converted fields.  Their field defaults, which the CLI's flags take,
+are the constructor's, as are those of ``SweepConfig``.
 """
 
 import copy
 import dataclasses
+import inspect
 import math
 import pickle
 from fractions import Fraction
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from gausspair import (
     GaussianParams, MixerConfig, ModeParams, mix_params, mode_params, transform_blocks,
 )
+from gausspair.cli import SweepConfig
 from gausspair.mixer import LocalOperations, OutputBlocks
 from gausspair.tmtss import TmtssInputs
 
@@ -163,6 +166,21 @@ def test_strings_and_bools_are_refused(spec, bad):
             dataclasses.replace(obj, **{name: bad})
 
 
+@pytest.mark.parametrize("cls", [spec.cls for spec in SPECS] + [SweepConfig],
+                         ids=lambda cls: cls.__name__)
+def test_field_defaults_are_the_constructor_defaults(cls):
+    # the CLI takes each flag's default from the field, a Python caller gets
+    # the constructor's: the two must not drift apart
+    params = inspect.signature(cls).parameters
+    assert list(params) == [f.name for f in dataclasses.fields(cls)]
+    for f in dataclasses.fields(cls):
+        default = params[f.name].default
+        if f.default is dataclasses.MISSING:
+            assert default is inspect.Parameter.empty, f.name
+        else:
+            assert (type(default), default) == (type(f.default), f.default), f.name
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=repr)
 def test_other_numbers_still_convert(spec):
     obj = spec.cls(*[Fraction(3, 2)] * len(spec.names))
@@ -202,7 +220,6 @@ def test_records_store_their_fields_as_given():
     assert [getattr(ops, f.name) for f in dataclasses.fields(ops)] == [0.1, 0.2, 0.3, 0.4]
     blocks = OutputBlocks(np.eye(2), np.zeros((2, 2)), cp=np.ones((2, 2)))
     assert [f.name for f in dataclasses.fields(blocks)] == ["v1p", "v2p", "cp"]
-    assert blocks.assemble().shape == (4, 4)
     for obj, name in ((ops, "squeeze1"), (blocks, "cp")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, name, None)
