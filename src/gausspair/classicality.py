@@ -24,7 +24,10 @@ class ModeParams:
     def __init__(self, n, m=0j):
         if not (type(n) is float and type(m) is complex):
             _refuse_non_numbers(n, m)
-        n, m = float(n), complex(m)
+        try:
+            n, m = float(n), complex(m)
+        except OverflowError:  # an int beyond float64
+            raise ValueError("mode parameters must be finite") from None
         if not (math.isfinite(n) and cmath.isfinite(m)):
             raise ValueError("mode parameters must be finite")
         self.__dict__.update(n=n, m=m)  # past the frozen __setattr__

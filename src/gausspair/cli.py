@@ -1,6 +1,7 @@
 """Command-line surface: state checking, mixing, the thermal model and sweeps.
 
-Exit codes: 0 on success, 1 on usage errors, 2 on domain or model errors.
+Exit codes: 0 on success, 1 on usage errors, 2 on domain or model errors and
+when memory runs out.
 Complex-valued flags accept ``re`` or ``re,im``.
 """
 
@@ -389,6 +390,9 @@ def main(argv=None) -> int:
         return 2
     except FloatingPointError as err:
         _print_error(NumericDomainError(f"float64 arithmetic failed: {err}"))
+        return 2
+    except MemoryError as err:  # numpy raises a private subclass
+        _print_error(MemoryError(str(err) or "out of memory"))
         return 2
     if payload is not None:
         print(json.dumps(payload, sort_keys=True))

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -43,8 +44,8 @@ DEFAULT_TOL = 1e-9
 def _check_tol(tol: float) -> None:
     # every public function taking tol calls this or reaches it through
     # is_physical: a NaN makes each bound comparison False and would flip
-    # verdicts without an error
-    if not 0.0 < tol < math.inf:
+    # verdicts without an error, and an int beyond float64 overflows later
+    if not 0.0 < tol <= sys.float_info.max:
         raise ValueError("tol must be positive and finite")
 
 
@@ -71,8 +72,11 @@ class GaussianParams:
         if not (type(n1) is type(n2) is float
                 and type(m1) is type(m2) is type(m_s) is type(m_c) is complex):
             _refuse_non_numbers(n1, n2, m1, m2, m_s, m_c)
-        n1, n2 = float(n1), float(n2)
-        m1, m2, m_s, m_c = complex(m1), complex(m2), complex(m_s), complex(m_c)
+        try:
+            n1, n2 = float(n1), float(n2)
+            m1, m2, m_s, m_c = complex(m1), complex(m2), complex(m_s), complex(m_c)
+        except OverflowError:  # an int beyond float64
+            raise ValueError("Gaussian parameters must be finite") from None
         if not (math.isfinite(n1) and math.isfinite(n2) and cmath.isfinite(m1)
                 and cmath.isfinite(m2) and cmath.isfinite(m_s) and cmath.isfinite(m_c)):
             raise ValueError("Gaussian parameters must be finite")

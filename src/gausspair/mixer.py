@@ -37,7 +37,10 @@ class MixerConfig:
     def __init__(self, theta, phi0=0.0, phi1=0.0):
         if not (type(theta) is type(phi0) is type(phi1) is float):
             _refuse_non_numbers(theta, phi0, phi1)
-        theta, phi0, phi1 = float(theta), float(phi0), float(phi1)
+        try:
+            theta, phi0, phi1 = float(theta), float(phi0), float(phi1)
+        except OverflowError:  # an int beyond float64
+            raise ValueError("mixer angles must be finite") from None
         if not (math.isfinite(theta) and math.isfinite(phi0) and math.isfinite(phi1)):
             raise ValueError("mixer angles must be finite")
         self.__dict__.update(theta=theta, phi0=phi0, phi1=phi1)  # past the frozen __setattr__
@@ -85,26 +88,28 @@ def mix_params(p: GaussianParams, cfg: MixerConfig) -> GaussianParams:
     scalar sum, e.g. ``v1p[j,k] = conj(r_j) r_k v1[j,k] + s_j conj(s_k) v2[j,k]
     - s_j r_k c^dagger[j,k] - conj(r_j) conj(s_k) c[j,k]``.  Row 0 of the three
     output blocks holds the six moments; the other rows follow from the layout.
+    The cross moments come from :func:`coupling_residuals`; an output moment
+    past float64 raises :class:`NumericDomainError`.
     """
     c, s = math.cos(cfg.theta), math.sin(cfg.theta)
     cc, ss, cs = c * c, s * s, c * s
     rho = cmath.exp(1j * cfg.phi0)
     sigma = cmath.exp(1j * cfg.phi1)
-    rho2 = rho * rho
-    sigma2 = sigma * sigma
-    e_sum = rho * sigma  # e^{i(phi0 + phi1)}
+    rho2, sigma2 = rho * rho, sigma * sigma
     e_dif = sigma * rho.conjugate()  # e^{i(phi1 - phi0)}
-    cross = 2.0 * cs * (e_sum * p.m_s.conjugate()).real
+    cross = 2.0 * cs * (rho * sigma * p.m_s.conjugate()).real
     mix_c = 2.0 * cs * p.m_c
-    return GaussianParams(
-        n1=cc * p.n1 + ss * p.n2 - cross,
-        n2=ss * p.n1 + cc * p.n2 + cross,
-        m1=cc * rho2.conjugate() * p.m1 + ss * sigma2 * p.m2 - e_dif * mix_c,
-        m2=ss * sigma2.conjugate() * p.m1 + cc * rho2 * p.m2 + e_dif.conjugate() * mix_c,
-        m_s=(cs * e_dif * (p.n1 - p.n2) + cc * rho2.conjugate() * p.m_s
-             - ss * sigma2 * p.m_s.conjugate()),
-        m_c=cs * (e_sum.conjugate() * p.m1 - e_sum * p.m2) + (cc - ss) * p.m_c,
-    )
+    r1, r2 = coupling_residuals(p, cfg)
+    try:
+        return GaussianParams(
+            n1=cc * p.n1 + ss * p.n2 - cross,
+            n2=ss * p.n1 + cc * p.n2 + cross,
+            m1=cc * rho2.conjugate() * p.m1 + ss * sigma2 * p.m2 - e_dif * mix_c,
+            m2=ss * sigma2.conjugate() * p.m1 + cc * rho2 * p.m2 + e_dif.conjugate() * mix_c,
+            m_s=0.5 * r2, m_c=-0.5 * r1,
+        )
+    except ValueError:  # a local output moment is not finite
+        raise NumericDomainError("mixer output moments overflow float64") from None
 
 
 def transform_blocks(p: GaussianParams, cfg: MixerConfig) -> OutputBlocks:
@@ -124,11 +129,12 @@ def coupling_residuals(p: GaussianParams, cfg: MixerConfig) -> tuple[complex, co
     """
     s2t = math.sin(2.0 * cfg.theta)
     c2t = math.cos(2.0 * cfg.theta)
-    e_sum = cmath.exp(1j * (cfg.phi0 + cfg.phi1))
-    r1 = s2t * (p.m2 * e_sum - p.m1 / e_sum) - 2.0 * c2t * p.m_c
-    a = p.m_s * cmath.exp(-2j * cfg.phi0)
-    b = p.m_s.conjugate() * cmath.exp(2j * cfg.phi1)
-    r2 = s2t * cmath.exp(-1j * (cfg.phi0 - cfg.phi1)) * (p.n1 - p.n2) + c2t * (a + b) + (a - b)
+    rho, sigma = cmath.exp(1j * cfg.phi0), cmath.exp(1j * cfg.phi1)  # any finite phase works
+    e_sum = rho * sigma  # e^{i(phi0 + phi1)}
+    r1 = s2t * (p.m2 * e_sum - p.m1 * e_sum.conjugate()) - 2.0 * c2t * p.m_c
+    a = p.m_s * (rho * rho).conjugate()
+    b = p.m_s.conjugate() * (sigma * sigma)
+    r2 = s2t * sigma * rho.conjugate() * (p.n1 - p.n2) + c2t * (a + b) + (a - b)
     # abs is inf or nan for a non-finite residual, and raises OverflowError
     # for a finite one whose modulus passes float64
     try:

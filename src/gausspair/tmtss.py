@@ -32,7 +32,10 @@ class TmtssInputs:
     def __init__(self, d, r, nbar=0.0):
         if not (type(d) is type(r) is type(nbar) is float):
             _refuse_non_numbers(d, r, nbar)
-        d, r, nbar = float(d), float(r), float(nbar)
+        try:
+            d, r, nbar = float(d), float(r), float(nbar)
+        except OverflowError:  # an int beyond float64
+            raise ValueError("model inputs must be finite") from None
         if not (math.isfinite(d) and math.isfinite(r) and math.isfinite(nbar)):
             raise ValueError("model inputs must be finite")
         if d < 0.0:

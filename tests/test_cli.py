@@ -387,6 +387,25 @@ class TestTransform:
         assert payload["error"] == "NumericDomainError"
         assert "residuals are not finite" in payload["message"]
 
+    def test_phase_beyond_half_max_float_is_accepted(self, tmp_path, capsys):
+        # 2 phi1 passes float64, and e^{2 i phi1} is sigma squared
+        path = self.write_state(tmp_path, n1=3.0, n2=3.0)
+        code, out, err = run_cli(
+            ["transform", "--state", path, "--theta=0", "--phi1=1e308"], capsys
+        )
+        assert (code, err) == (0, "")
+        payload = _strict_json(out)
+        assert payload["decoupled"] is True
+        assert payload["mode1"] == {"n": 3.0, "m": [0.0, 0.0]}
+
+    def test_mixer_overflow_is_named(self, tmp_path, capsys):
+        path = self.write_state(tmp_path, n1=1e308, n2=-1e308, ms=[1e308, 0])
+        code, out, err = run_cli(["transform", "--state", path, "--theta=0.7"], capsys)
+        assert (code, out) == (2, "")
+        payload = json.loads(err)
+        assert payload["error"] == "NumericDomainError"
+        assert "mixer" in payload["message"]
+
     def test_json_integers_read_as_floats(self, tmp_path, capsys):
         argv = ["transform", "--theta", "0.3", "--state"]
         ints = self.write_state(tmp_path, n1=2, n2=3, m1=1, mc=[1, -1])
@@ -511,6 +530,20 @@ class TestSweep:
         code, _, _ = run_cli(["sweep", "--n-steps", "1"], capsys)
         assert code == 2
 
+    def test_unallocatable_grid_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a grid too large for memory is a JSON error, not a traceback; no
+        # real grid is allocated
+        def refuse(cfg):
+            raise MemoryError("Unable to allocate 22.4 GiB for an array")
+        monkeypatch.setattr(cli, "sweep_grid", refuse)
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(["sweep", "--n-steps", "3000000000", "--out", str(out_path)],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "MemoryError",
+                                   "message": "Unable to allocate 22.4 GiB for an array"}
+        assert not out_path.exists()
+
 
 FUZZ_PLAIN = ["0.2", "0.5", "1.5", "2", "3"]
 FUZZ_EXTREME = ["0", "-1", "1e-300", "1e100", "1e154", "1e200", "1e308", "inf", "-inf", "nan", "oops"]
@@ -528,6 +561,7 @@ FUZZ_STATE_FILES = [
     '{"n1": 1e308, "n2": 1e308, "mc": [1e308, 1e308]}', '{"n1": 1e200, "n2": 0, "ms": 1e200}',
     '{"n1": 2, "n2": 2, "m1": [1e308, -1e308], "m2": 1e-320}',
     '{"n1": 1, "n2": 1, "mc": ' + "[" * 200_000 + "]" * 200_000 + "}",
+    '{"n1": 3.0, "n2": 3.0}', '{"n1": 1e308, "n2": -1e308, "ms": [1e308, 0]}',
     *OVERFLOWING_STATE_FILES,
 ]
 

@@ -386,14 +386,16 @@ TOL_TAKERS = {
 
 
 class TestTolAndOverflow:
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9,
+                                     pytest.param(10**400, id="int-1e400")])
     def test_bad_tol_rejected(self, tol):
         with pytest.raises(ValueError, match="tol"):
             is_physical(VACUUM, tol)
         with pytest.raises(ValueError, match="tol"):
             is_separable(VACUUM, tol)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9,
+                                     pytest.param(10**400, id="int-1e400")])
     @pytest.mark.parametrize("name", sorted(TOL_TAKERS))
     def test_bad_tol_rejected_everywhere(self, name, tol):
         with pytest.raises(ValueError, match="tol must be positive and finite"):

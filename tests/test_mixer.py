@@ -1,4 +1,5 @@
 import ast
+import cmath
 import json
 import math
 import os
@@ -122,6 +123,9 @@ class TestTransformBlocks:
             assert abs(b.v1p[0, 1] - (-m)) < 1e-12
             assert abs(b.v2p[0, 1] - m) < 1e-12
             assert np.abs(b.cp).max() < 1e-12
+            # the output m_c is cos(pi/2) m_c, with cos(pi/2) = 6.1e-17 in
+            # float64; cos^2 - sin^2 at the same angle leaves 2.2e-16
+            assert abs(b.cp[0, 1]) <= 1e-16 * abs(m)
 
     def test_mixing_uncorrelated_unequal_modes_creates_correlation(self):
         p = GaussianParams(n1=2.0, n2=1.0)
@@ -188,10 +192,15 @@ class TestMixParams:
             p = draw_params(rng, m_hi=2.0)
             cfg = draw_mixer(rng)
             q = mix_params(p, cfg)
-            r1, r2 = coupling_residuals(p, cfg)
-            scale = np.abs(_fields(p)).max()
-            assert abs(r1 + 2.0 * q.m_c) <= 1e-12 * scale
-            assert abs(r2 - 2.0 * q.m_s) <= 1e-12 * scale
+            assert coupling_residuals(p, cfg) == (-2.0 * q.m_c, 2.0 * q.m_s)
+
+    def test_overflowing_output_moments_are_a_domain_error(self):
+        # the residuals stay finite; the output m1 is 2e308
+        p = GaussianParams(n1=1.0, n2=1.0, m1=1e308, m2=1e308, m_c=-1e308)
+        with pytest.raises(NumericDomainError, match="mixer output moments overflow"):
+            mix_params(p, BS5050)
+        with pytest.raises(NumericDomainError, match="mixer output moments overflow"):
+            transform_blocks(p, BS5050)
 
     def test_preserves_physicality(self):
         # the mixer commutes with the commutator signature, so V + Sigma/2 is
@@ -389,6 +398,16 @@ class TestCouplingResiduals:
     def test_large_finite_residuals_pass(self):
         r1, r2 = coupling_residuals(GaussianParams(n1=2.0, n2=2.0, m_s=1e307), MixerConfig(0.0))
         assert (r1, r2) == (0j, 2e307 + 0j)
+
+    @pytest.mark.parametrize("phase", [1e308, -1e308, 9e307, 2.0 ** 1000])
+    def test_any_finite_phase_is_accepted(self, phase):
+        p = GaussianParams(n1=3.0, n2=2.0, m1=0.3j, m2=0.2, m_s=0.4 - 0.1j, m_c=0.5)
+        for cfg in (MixerConfig(0.3, phi0=phase), MixerConfig(0.3, phi1=phase),
+                    MixerConfig(0.3, phase, phase)):
+            r1, r2 = coupling_residuals(p, cfg)
+            q = mix_params(p, cfg)
+            assert (r1, r2) == (-2.0 * q.m_c, 2.0 * q.m_s)
+            assert all(cmath.isfinite(z) for z in (r1, r2, q.m1, q.m2))
 
 
 class TestSolveDecouplingPhases:

@@ -280,7 +280,7 @@ class TestValidation:
         assert cli.main(["sweep", "--r", repr(r)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "NumericDomainError"
 
-    @pytest.mark.parametrize("field", ["r", "n_min", "n_max", "m_min", "m_max"])
+    @pytest.mark.parametrize("field", ["r", "n_min", "n_max", "m_min", "m_max", "tol"])
     @pytest.mark.parametrize("value", [10**400, -10**400])
     def test_int_beyond_float64_is_a_value_error(self, field, value):
         with pytest.raises(ValueError, match="finite"):
