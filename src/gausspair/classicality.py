@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, _elimination_verdicts
-from .covariance import _refuse_non_numbers
+from .covariance import _finite_numbers
 
 if TYPE_CHECKING:
     import numpy as np
@@ -22,14 +22,8 @@ class ModeParams:
     m: complex = 0j
 
     def __init__(self, n, m=0j):
-        if not (type(n) is float and type(m) is complex):
-            _refuse_non_numbers(n, m)
-        try:
-            n, m = float(n), complex(m)
-        except OverflowError:  # an int beyond float64
-            raise ValueError("mode parameters must be finite") from None
-        if not (math.isfinite(n) and cmath.isfinite(m)):
-            raise ValueError("mode parameters must be finite")
+        if not (type(n) is float and type(m) is complex and cmath.isfinite(n + m)):
+            n, m = _finite_numbers("mode parameters", (float, complex), n, m)
         self.__dict__.update(n=n, m=m)  # past the frozen __setattr__
 
 

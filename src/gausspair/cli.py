@@ -9,29 +9,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import MISSING, dataclass, fields
 from typing import TYPE_CHECKING
 
 from . import classicality, measures, mixer, tmtss
 from .covariance import DEFAULT_TOL, GaussianParams, _block_entries, _check_tol
-from .covariance import _refuse_non_numbers
+from .covariance import _finite_numbers
 from .errors import ModelValidityError, NumericDomainError
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-def _finite(x) -> bool:
-    # math.isfinite, which raises OverflowError for an int beyond float64
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        return False
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SweepConfig:
     """Grid description for the entanglement-degree surface."""
 
@@ -44,27 +35,28 @@ class SweepConfig:
     m_steps: int = 121
     tol: float = DEFAULT_TOL
 
-    def __post_init__(self):
-        # numbers only, as in the other value types: True would sweep as
-        # r = 1, and 2.5 steps would fail later in np.linspace, untyped
-        import numbers
-        _refuse_non_numbers(self.r, self.n_min, self.n_max, self.m_min, self.m_max, self.tol)
-        for steps in (self.n_steps, self.m_steps):
-            if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+    def __init__(self, r=1.0, n_min=0.5, n_max=3.5, n_steps=141, m_min=0.0, m_max=3.0,
+                 m_steps=121, tol=DEFAULT_TOL):
+        r, n_min, n_max, m_min, m_max, tol = _finite_numbers(
+            "sweep parameters", (float,) * 6, r, n_min, n_max, m_min, m_max, tol)
+        # ints only, Python's or numpy's, not bool: 2.5 steps would fail
+        # later in np.linspace, untyped
+        for steps in (n_steps, m_steps):
+            if isinstance(steps, bool) or not hasattr(steps, "__index__"):
                 raise TypeError(f"grid steps must be ints, got {type(steps).__name__}")
-        if self.r <= 0.0 or not _finite(self.r):
-            raise ValueError("reference squeezing r must be positive and finite")
-        if self.n_steps < 2 or self.m_steps < 2:
+        n_steps, m_steps = int(n_steps), int(m_steps)
+        if r <= 0.0:
+            raise ValueError("reference squeezing r must be positive")
+        if n_steps < 2 or m_steps < 2:
             raise ValueError("grids need at least 2 steps per axis")
-        bounds = (self.n_min, self.n_max, self.m_min, self.m_max)
-        if not all(map(_finite, bounds)):
-            raise ValueError("grid bounds must be finite")
-        if not (self.n_max > self.n_min and self.m_max > self.m_min):
+        if not (n_max > n_min and m_max > m_min):
             raise ValueError("grid maxima must exceed minima")
-        if self.m_min < 0.0:
+        if m_min < 0.0:
             raise ValueError("m must be nonnegative (phase removed)")
-        _check_tol(self.tol)
-        measures.separable_distance(self.r)  # typed error where r over- or underflows
+        _check_tol(tol)
+        measures.separable_distance(r)  # typed error where r over- or underflows
+        self.__dict__.update(r=r, n_min=n_min, n_max=n_max, n_steps=n_steps, m_min=m_min,
+                             m_max=m_max, m_steps=m_steps, tol=tol)  # past the frozen __setattr__
 
     def n_values(self) -> np.ndarray:
         import numpy as np
@@ -341,7 +333,7 @@ def cmd_transform(args) -> dict:
     cfg = _from_args(mixer.MixerConfig, args)
     q = mixer.mix_params(p, cfg)
     entries = [_pair(z) for z in _block_entries(q)]
-    r1, r2 = mixer.coupling_residuals(p, cfg)
+    r1, r2 = -2.0 * q.m_c, 2.0 * q.m_s  # mix_params stores them halved
     return {
         "v1p": entries[:4],
         "v2p": entries[4:8],

@@ -49,12 +49,21 @@ def _check_tol(tol: float) -> None:
         raise ValueError("tol must be positive and finite")
 
 
-def _refuse_non_numbers(*values) -> None:
-    # off the value types' exact-type fast path: float() reads str and bool too
+def _finite_numbers(what: str, kinds: tuple, *values) -> tuple:
+    # The admission rule of every value type: each value converted to its
+    # kind (float or complex), numbers only (float() reads "1.5" and True),
+    # and finite, an int beyond float64 being refused as "<what> must be finite"
     import numbers
     for value in values:
-        if isinstance(value, bool) or not isinstance(value, (float, complex, numbers.Number)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Number):
             raise TypeError(f"expected a number, got {type(value).__name__}")
+    try:
+        converted = tuple(kind(value) for kind, value in zip(kinds, values))
+        if all(map(cmath.isfinite, converted)):
+            return converted
+    except OverflowError:  # an int beyond float64
+        pass
+    raise ValueError(f"{what} must be finite")
 
 
 @dataclass(frozen=True, init=False)
@@ -69,17 +78,13 @@ class GaussianParams:
     m_c: complex = 0j
 
     def __init__(self, n1, n2, m1=0j, m2=0j, m_s=0j, m_c=0j):
+        # exact builtin types whose sum is finite, so each field is: no conversion
         if not (type(n1) is type(n2) is float
-                and type(m1) is type(m2) is type(m_s) is type(m_c) is complex):
-            _refuse_non_numbers(n1, n2, m1, m2, m_s, m_c)
-        try:
-            n1, n2 = float(n1), float(n2)
-            m1, m2, m_s, m_c = complex(m1), complex(m2), complex(m_s), complex(m_c)
-        except OverflowError:  # an int beyond float64
-            raise ValueError("Gaussian parameters must be finite") from None
-        if not (math.isfinite(n1) and math.isfinite(n2) and cmath.isfinite(m1)
-                and cmath.isfinite(m2) and cmath.isfinite(m_s) and cmath.isfinite(m_c)):
-            raise ValueError("Gaussian parameters must be finite")
+                and type(m1) is type(m2) is type(m_s) is type(m_c) is complex
+                and cmath.isfinite(n1 + n2 + m1 + m2 + m_s + m_c)):
+            n1, n2, m1, m2, m_s, m_c = _finite_numbers(
+                "Gaussian parameters", (float, float, complex, complex, complex, complex),
+                n1, n2, m1, m2, m_s, m_c)
         # one store per field, past the frozen __setattr__ that refuses assignment
         self.__dict__.update(n1=n1, n2=n2, m1=m1, m2=m2, m_s=m_s, m_c=m_c)
 

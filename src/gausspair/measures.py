@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .classicality import ModeParams
-from .covariance import DEFAULT_TOL, GaussianParams, _quadrature_minors, is_separable
+from .covariance import DEFAULT_TOL, GaussianParams, _finite_numbers, _quadrature_minors
+from .covariance import is_separable
 from .errors import DegenerateStateError, NumericDomainError
 
 if TYPE_CHECKING:
@@ -93,8 +94,13 @@ def output_port_fidelity(md: ModeParams, r: float) -> float:
 
 
 def bures_from_fidelity(f: float) -> float:
-    """Bures distance ``2 - 2 sqrt(F)`` for a fidelity in (0, 1]."""
-    f = float(f)
+    """Bures distance ``2 - 2 sqrt(F)`` for a fidelity in (0, 1]; a ``bool``
+    or a non-number is a ``TypeError``."""
+    if type(f) is not float:
+        try:
+            f, = _finite_numbers("fidelity", (float,), f)
+        except ValueError:  # not finite, so refused below
+            f = math.nan
     if 1.0 < f <= 1.0 + 1e-12:
         f = 1.0
     if not 0.0 < f <= 1.0:
@@ -193,8 +199,11 @@ def compose_bures(d1: float, d2: float) -> float:
 
     ``d1 + d2 - d1*d2/2``, the image of fidelity multiplication under
     ``d = 2 - 2 sqrt(F)``; with one distance zero (an untouched port) the
-    other passes through unchanged.
+    other passes through unchanged.  A distance outside [0, 2], NaN
+    included, is a :class:`NumericDomainError`.
     """
+    if not (0.0 <= d1 <= 2.0 and 0.0 <= d2 <= 2.0):
+        raise NumericDomainError("Bures distances must lie in [0, 2]")
     return d1 + d2 - 0.5 * d1 * d2
 
 

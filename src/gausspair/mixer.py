@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .covariance import DEFAULT_TOL, GaussianParams, _block_entries, _check_tol, is_physical
-from .covariance import _refuse_non_numbers
+from .covariance import _finite_numbers
 from .errors import DegenerateStateError, NonPhysicalStateError, NumericDomainError
 
 if TYPE_CHECKING:
@@ -35,14 +35,9 @@ class MixerConfig:
     phi1: float = 0.0
 
     def __init__(self, theta, phi0=0.0, phi1=0.0):
-        if not (type(theta) is type(phi0) is type(phi1) is float):
-            _refuse_non_numbers(theta, phi0, phi1)
-        try:
-            theta, phi0, phi1 = float(theta), float(phi0), float(phi1)
-        except OverflowError:  # an int beyond float64
-            raise ValueError("mixer angles must be finite") from None
-        if not (math.isfinite(theta) and math.isfinite(phi0) and math.isfinite(phi1)):
-            raise ValueError("mixer angles must be finite")
+        if not (type(theta) is type(phi0) is type(phi1) is float
+                and math.isfinite(theta + phi0 + phi1)):
+            theta, phi0, phi1 = _finite_numbers("mixer angles", (float,) * 3, theta, phi0, phi1)
         self.__dict__.update(theta=theta, phi0=phi0, phi1=phi1)  # past the frozen __setattr__
 
     @property

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Literal
 
-from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, _refuse_non_numbers, is_physical
+from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, _finite_numbers, is_physical
 from .errors import DegenerateStateError, ModelValidityError, NumericDomainError
 
 StateClass = Literal["nonphysical", "entangled", "separable"]
@@ -30,14 +30,7 @@ class TmtssInputs:
     nbar: float = 0.0
 
     def __init__(self, d, r, nbar=0.0):
-        if not (type(d) is type(r) is type(nbar) is float):
-            _refuse_non_numbers(d, r, nbar)
-        try:
-            d, r, nbar = float(d), float(r), float(nbar)
-        except OverflowError:  # an int beyond float64
-            raise ValueError("model inputs must be finite") from None
-        if not (math.isfinite(d) and math.isfinite(r) and math.isfinite(nbar)):
-            raise ValueError("model inputs must be finite")
+        d, r, nbar = _finite_numbers("model inputs", (float,) * 3, d, r, nbar)
         if d < 0.0:
             raise ValueError("diffusion must be nonnegative")
         if nbar < 0.0:
@@ -117,10 +110,10 @@ def symmetric_class_codes(n, m, tol: float = DEFAULT_TOL):
 def classify_symmetric(n: float, m: float, tol: float = DEFAULT_TOL) -> StateClass:
     """Classify a symmetric-class point (m taken nonnegative, phase removed).
 
-    Raises ValueError for a non-finite ``n`` or ``m`` and a negative ``m``.
+    Raises TypeError for a ``bool`` or a non-number, and ValueError for a
+    non-finite ``n`` or ``m`` and a negative ``m``.
     """
-    if not (math.isfinite(n) and math.isfinite(m)):
-        raise ValueError("n and m must be finite")
+    n, m = _finite_numbers("n and m", (float, float), n, m)
     if m < 0.0:
         raise ValueError("m must be nonnegative (phase removed)")
     return SYMMETRIC_CLASSES[symmetric_class_codes(n, m, tol)]

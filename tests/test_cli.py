@@ -1,9 +1,12 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import random
 import subprocess
 import sys
+import tempfile
 import warnings
 from collections import Counter
 
@@ -12,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausspair import GaussianParams, MixerConfig, NonPhysicalStateError, transform_blocks
+from gausspair import GaussianParams, MixerConfig, NonPhysicalStateError, coupling_residuals
+from gausspair import transform_blocks
 from gausspair import cli, covariance, measures, oracle
 
 from conftest import moments
@@ -323,6 +327,36 @@ class TestTransform:
         assert payload["residuals"]["anomalous"] == pytest.approx([0.2, 0.0], abs=1e-12)
         assert payload["decoupled"] is False
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=10, max_size=10),
+           st.lists(st.floats(-7.0, 7.0), min_size=3, max_size=3))
+    def test_residuals_are_those_of_coupling_residuals(self, moments, angles):
+        # the command reads them off the output cross moments: the same bits
+        # in the normal range; below it halving rounds, and a zero may flip sign
+        n1, n2, *parts = moments
+        state = {"n1": n1, "n2": n2}
+        for key, re, im in zip(("m1", "m2", "ms", "mc"), parts[0::2], parts[1::2]):
+            state[key] = [re, im]
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/state.json"
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(state, fh)
+            argv = ["transform", "--state", path,
+                    *(f"--{name}={x!r}" for name, x in zip(("theta", "phi0", "phi1"), angles))]
+            with contextlib.redirect_stdout(out):
+                assert cli.main(argv) == 0
+        payload = json.loads(out.getvalue())
+        p = GaussianParams(n1, n2, *(complex(re, im) for re, im in zip(parts[0::2], parts[1::2])))
+        r1, r2 = coupling_residuals(p, MixerConfig(*angles))
+        got = payload["residuals"]["anomalous"] + payload["residuals"]["balance"]
+        for read, want in zip(got, (r1.real, r1.imag, r2.real, r2.imag)):
+            if abs(want) >= 2.0 ** -1021:
+                assert read.hex() == want.hex()
+            else:
+                assert abs(read - want) <= 2.0 ** -1074
+        assert payload["decoupled"] == (max(abs(r1), abs(r2)) < cli.DEFAULT_TOL)
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(
             ["transform", "--state", "/nonexistent.json", "--theta", "0"], capsys
@@ -529,6 +563,15 @@ class TestSweep:
         assert "error" in json.loads(err)
         code, _, _ = run_cli(["sweep", "--n-steps", "1"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--r", "--n-min", "--n-max", "--m-min", "--m-max", "--tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_field_has_one_message(self, flag, value, capsys):
+        code, out, err = run_cli(["sweep", f"{flag}={value}", "--n-steps", "3", "--m-steps", "3"],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": "sweep parameters must be finite"}
 
     def test_unallocatable_grid_exits_2(self, tmp_path, capsys, monkeypatch):
         # a grid too large for memory is a JSON error, not a traceback; no

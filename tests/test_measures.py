@@ -140,14 +140,22 @@ class TestBures:
     def test_endpoints(self):
         assert bures_from_fidelity(1.0) == 0.0
         assert bures_from_fidelity(0.25) == 1.0
+        assert bures_from_fidelity(1) == 0.0
+        assert bures_from_fidelity(np.float64(0.25)) == 1.0
 
     def test_separable_reference_distance(self):
         assert bures_from_fidelity(0.092034) == pytest.approx(1.39326, abs=1e-5)
 
     def test_domain(self):
-        for bad in (0.0, -0.5, 1.5):
+        for bad in (0.0, -0.5, 1.5, math.nan, math.inf, np.float64(math.nan), 2, 10**400, -10**400):
             with pytest.raises(NumericDomainError):
                 bures_from_fidelity(bad)
+
+    @pytest.mark.parametrize("bad", ["0.5", True, False, np.True_, None])
+    def test_strings_and_bools_are_refused(self, bad):
+        # float() reads "0.5" and True as fidelities
+        with pytest.raises(TypeError, match="expected a number"):
+            bures_from_fidelity(bad)
 
 
 class TestComposeBures:
@@ -158,6 +166,15 @@ class TestComposeBures:
 
     def test_quarter_fidelities(self):
         assert compose_bures(1.0, 1.0) == pytest.approx(1.5, abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300, 2.0000000000000004,
+                                     1e308])
+    def test_distance_outside_0_2_is_a_domain_error(self, bad):
+        # NaN, an infinity and (1e308, 1e308) used to come back as NaN
+        assert compose_bures(2.0, 2.0) == 2.0  # the ends of the range are distances
+        for args in ((bad, 0.5), (0.5, bad), (bad, bad)):
+            with pytest.raises(NumericDomainError, match=r"must lie in \[0, 2\]"):
+                compose_bures(*args)
 
     def test_matches_fidelity_product(self):
         rng = np.random.default_rng(52)

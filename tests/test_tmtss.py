@@ -108,10 +108,18 @@ class TestClassifySymmetric:
 
     @pytest.mark.parametrize("n, m", [
         (math.nan, 0.5), (2.0, math.nan), (math.inf, math.inf), (math.inf, 0.5), (2.0, math.inf),
+        (10**400, 0.5), (2.0, -10**400),
     ])
     def test_non_finite_point_rejected(self, n, m):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="^n and m must be finite$"):
             classify_symmetric(n, m)
+
+    @pytest.mark.parametrize("bad", [True, False, np.True_, "2.0"])
+    def test_bools_and_strings_are_refused(self, bad):
+        # float() reads each of these; True would classify as n = 1
+        for args in ((bad, 0.5), (2.0, bad)):
+            with pytest.raises(TypeError, match="expected a number"):
+                classify_symmetric(*args)
 
     def test_bound_does_not_square_the_moment(self):
         # m^2 overflows float64; the state is physical and separable

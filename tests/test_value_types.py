@@ -1,11 +1,13 @@
 """The contract of the converting value types.
 
-``GaussianParams``, ``ModeParams``, ``MixerConfig`` and ``TmtssInputs``
-convert each field to ``float`` or ``complex``, reject a non-finite field
-with one message per type, and are frozen dataclasses: equality, hashing,
-``repr``, ``dataclasses.replace``/``fields``, pickling and copying all work
-on the converted fields.  Their field defaults, which the CLI's flags take,
-are the constructor's, as are those of ``SweepConfig``.
+``GaussianParams``, ``ModeParams``, ``MixerConfig``, ``TmtssInputs`` and
+``SweepConfig`` admit their fields through one rule: numbers only (a string
+or a bool is a ``TypeError``), each converted to ``float`` or ``complex``, a
+non-finite one rejected with one message per type.  They are frozen
+dataclasses: equality, hashing, ``repr``, ``dataclasses.replace``/``fields``,
+pickling and copying all work on the converted fields.  ``SweepConfig``'s
+int fields, the grid steps, are held at their defaults here.  Each type's
+field defaults, which the CLI's flags take, are its constructor's.
 """
 
 import copy
@@ -32,12 +34,18 @@ NONNEGATIVE = st.floats(0.0, 1e6)
 
 
 class Spec:
-    def __init__(self, cls, fields, message):
+    """A value type, its converted fields ``(name, kind, values)`` in order,
+    their non-finite message, valid ``base`` values for them, and the fields
+    it has besides (``held``), which keep their defaults."""
+
+    def __init__(self, cls, fields, message, base=None, held=()):
         self.cls = cls
         self.names = [name for name, _, _ in fields]
         self.kinds = [kind for _, kind, _ in fields]
         self.values = [values for _, _, values in fields]
         self.message = message
+        self.base = base or [kind(1.0) for kind in self.kinds]  # exact types: the fast path
+        self.held = held
 
     def __repr__(self):
         return self.cls.__name__
@@ -46,6 +54,13 @@ class Spec:
     def defaults(self):
         return {f.name: f.default for f in dataclasses.fields(self.cls)
                 if f.default is not dataclasses.MISSING}
+
+    def args(self, values):
+        """All positional arguments: ``values`` for the converted fields, the
+        defaults for the held ones."""
+        given = iter(values)
+        return [f.default if f.name in self.held else next(given)
+                for f in dataclasses.fields(self.cls)]
 
 
 SPECS = [
@@ -58,6 +73,14 @@ SPECS = [
          "mixer angles must be finite"),
     Spec(TmtssInputs, [("d", float, NONNEGATIVE), ("r", float, REALS), ("nbar", float, NONNEGATIVE)],
          "model inputs must be finite"),
+    # ranges keep every draw, its int twin and a replaced 2 a valid grid:
+    # r in (0, 177], n_min < n_max, 0 <= m_min < m_max, tol > 0
+    Spec(SweepConfig, [
+        ("r", float, st.floats(1.0, 100.0)), ("n_min", float, st.floats(-1e6, 0.0)),
+        ("n_max", float, st.floats(3.0, 1e6)), ("m_min", float, st.floats(0.0, 1.0)),
+        ("m_max", float, st.floats(3.0, 1e6)), ("tol", float, st.floats(1.0, 1e3)),
+    ], "sweep parameters must be finite", base=[1.0, 0.5, 3.5, 0.0, 3.0, 1e-9],
+        held=("n_steps", "m_steps")),
 ]
 
 
@@ -84,22 +107,24 @@ def _bits(x):
 @pytest.mark.parametrize("spec", SPECS, ids=repr)
 class TestValueTypeContract:
     def test_fields_keep_their_order_and_names(self, spec):
-        assert [f.name for f in dataclasses.fields(spec.cls)] == spec.names
+        names = [f.name for f in dataclasses.fields(spec.cls)]
+        assert [name for name in names if name not in spec.held] == spec.names
+        assert set(spec.held) <= set(names)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.data())
     def test_positional_keyword_and_default_construction_agree(self, spec, data):
         args = _draw_inputs(data, spec)
-        positional = spec.cls(*args)
+        positional = spec.cls(*spec.args(args))
         assert spec.cls(**dict(zip(spec.names, args))) == positional
-        required = args[: len(args) - len(spec.defaults)]
+        required = spec.args(args)[: len(dataclasses.fields(spec.cls)) - len(spec.defaults)]
         assert spec.cls(*required) == spec.cls(*required, *spec.defaults.values())
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.data())
     def test_fields_convert_to_exact_builtin_types(self, spec, data):
         args = _draw_inputs(data, spec)
-        obj = spec.cls(*args)
+        obj = spec.cls(*spec.args(args))
         for name, kind, arg in zip(spec.names, spec.kinds, args):
             value = getattr(obj, name)
             assert type(value) is kind, (name, type(arg))
@@ -109,20 +134,20 @@ class TestValueTypeContract:
                              ids=["nan", "inf", "-inf", "int-1e400", "-int-1e400"])
     def test_each_non_finite_field_is_rejected(self, spec, bad):
         # an int beyond float64 has no complex twin: complex() overflows on it
-        base = [1.0] * len(spec.names)
+        base = spec.base
         for i, kind in enumerate(spec.kinds):
             twins = kind is complex and isinstance(bad, float)
             bads = [bad] + ([complex(bad, 0.0), complex(0.0, bad)] if twins else [])
             for value in bads:
                 args = base[:i] + [value] + base[i + 1:]
                 with pytest.raises(ValueError) as info:
-                    spec.cls(*args)
+                    spec.cls(*spec.args(args))
                 assert str(info.value) == spec.message, (spec.names[i], value)
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(st.data())
     def test_fields_cannot_be_assigned(self, spec, data):
-        obj = spec.cls(*_draw_inputs(data, spec))
+        obj = spec.cls(*spec.args(_draw_inputs(data, spec)))
         for name in spec.names:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, name, 1.0)
@@ -130,7 +155,7 @@ class TestValueTypeContract:
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(st.data())
     def test_replace_pickle_and_deepcopy_round_trip(self, spec, data):
-        obj = spec.cls(*_draw_inputs(data, spec))
+        obj = spec.cls(*spec.args(_draw_inputs(data, spec)))
         copies = [
             dataclasses.replace(obj),
             pickle.loads(pickle.dumps(obj)),
@@ -146,7 +171,7 @@ class TestValueTypeContract:
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(st.data())
     def test_replace_converts_the_new_field(self, spec, data):
-        obj = spec.cls(*_draw_inputs(data, spec))
+        obj = spec.cls(*spec.args(_draw_inputs(data, spec)))
         name = data.draw(st.sampled_from(spec.names))
         changed = dataclasses.replace(obj, **{name: 2})
         assert type(getattr(changed, name)) is spec.kinds[spec.names.index(name)]
@@ -158,19 +183,18 @@ class TestValueTypeContract:
                          ids=["str", "complex-str", "bytes", "True", "False", "numpy-bool"])
 def test_strings_and_bools_are_refused(spec, bad):
     # float() and complex() read these; the value types take numbers only
-    base = [1.0] * len(spec.names)
-    obj = spec.cls(*base)
+    base = spec.base
+    obj = spec.cls(*spec.args(base))
     for i, name in enumerate(spec.names):
         with pytest.raises(TypeError, match="expected a number"):
-            spec.cls(*(base[:i] + [bad] + base[i + 1:]))
+            spec.cls(*spec.args(base[:i] + [bad] + base[i + 1:]))
         with pytest.raises(TypeError, match="expected a number"):
             spec.cls(**{**dict(zip(spec.names, base)), name: bad})
         with pytest.raises(TypeError, match="expected a number"):
             dataclasses.replace(obj, **{name: bad})
 
 
-@pytest.mark.parametrize("cls", [spec.cls for spec in SPECS] + [SweepConfig],
-                         ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", [spec.cls for spec in SPECS], ids=lambda cls: cls.__name__)
 def test_field_defaults_are_the_constructor_defaults(cls):
     # the CLI takes each flag's default from the field, a Python caller gets
     # the constructor's: the two must not drift apart
@@ -186,8 +210,10 @@ def test_field_defaults_are_the_constructor_defaults(cls):
 
 @pytest.mark.parametrize("spec", SPECS, ids=repr)
 def test_other_numbers_still_convert(spec):
-    obj = spec.cls(*[Fraction(3, 2)] * len(spec.names))
-    assert [getattr(obj, name) for name in spec.names] == [1.5] * len(spec.names)
+    # 3/2, 3, 9/2, ...: increasing, so a valid sweep grid too
+    values = [Fraction(3, 2) * k for k in range(1, len(spec.names) + 1)]
+    obj = spec.cls(*spec.args(values))
+    assert [getattr(obj, name) for name in spec.names] == [float(v) for v in values]
 
 
 @pytest.mark.parametrize("obj, text", [
@@ -200,6 +226,9 @@ def test_other_numbers_still_convert(spec):
     (MixerConfig(0.5, phi1=-2), "MixerConfig(theta=0.5, phi0=0.0, phi1=-2.0)"),
     (TmtssInputs(0.5, -0.3), "TmtssInputs(d=0.5, r=-0.3, nbar=0.0)"),
     (TmtssInputs(d=1, r=2, nbar=3), "TmtssInputs(d=1.0, r=2.0, nbar=3.0)"),
+    (SweepConfig(r=2, n_steps=np.int64(3), m_max=4),
+     "SweepConfig(r=2.0, n_min=0.5, n_max=3.5, n_steps=3, m_min=0.0, m_max=4.0, m_steps=121, "
+     "tol=1e-09)"),
 ], ids=lambda x: x if isinstance(x, str) else type(x).__name__)
 def test_repr_is_pinned(obj, text):
     assert repr(obj) == text
