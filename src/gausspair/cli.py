@@ -8,6 +8,7 @@ Complex-valued flags accept ``re`` or ``re,im``.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from dataclasses import MISSING, dataclass, fields
@@ -82,11 +83,10 @@ def sweep_grid(cfg: SweepConfig) -> SweepResult:
     """Classify and score every grid point in one array pass."""
     import numpy as np
     n, m = cfg.n_values(), cfg.m_values()
-    nn, mm = np.meshgrid(n, m, indexing="ij")
-    codes = tmtss.symmetric_class_codes(nn, mm, cfg.tol)
-    physical = codes > 0
-    degree = np.full(nn.shape, np.nan)
-    degree[physical] = measures.symmetric_degree(nn[physical], mm[physical], cfg.r)
+    codes = tmtss.symmetric_class_codes(n[:, None], m, cfg.tol)  # (n_steps, m_steps)
+    i, j = np.nonzero(codes)  # the physical points
+    degree = np.full(codes.shape, np.nan)
+    degree[i, j] = measures.symmetric_degree(n[i], m[j], cfg.r)
     label = np.array(tmtss.SYMMETRIC_CLASSES)[codes]
     return SweepResult(n=n, m=m, label=label, degree=degree)
 
@@ -155,18 +155,25 @@ def _sci_table(values) -> np.ndarray:
     return table
 
 
-def _lines(shape, *parts) -> str:
-    # the text of a uint8 table of the given shape whose last axis joins the
+def _lines(shape, *parts) -> bytes:
+    # the bytes of a uint8 table of the given shape whose last axis joins the
     # parts (arrays broadcasting to shape + (width,), or single characters),
     # with its NUL padding dropped
     import numpy as np
     parts = [np.frombuffer(p.encode(), np.uint8) if isinstance(p, str) else p for p in parts]
     table = np.concatenate([np.broadcast_to(p, (*shape, p.shape[-1])) for p in parts], axis=-1)
-    return table.tobytes().translate(None, b"\0").decode("ascii")
+    return table.tobytes().translate(None, b"\0")
+
+
+def _write(stream, *chunks: bytes) -> None:
+    # ASCII bytes as they are to a binary stream, decoded for a text one
+    text = isinstance(stream, io.TextIOBase)
+    for chunk in chunks:
+        stream.write(chunk.decode("ascii") if text else chunk)
 
 
 def write_sweep_csv(result: SweepResult, stream) -> None:
-    # '\n' endings, empty E column for nonphysical rows
+    # '\n' endings, empty E column for nonphysical rows; stream is binary or text
     import numpy as np
     shape = result.degree.shape
     label = np.ascontiguousarray(result.label).view(np.uint32).reshape(*shape, -1).astype(np.uint8)
@@ -174,7 +181,7 @@ def write_sweep_csv(result: SweepResult, stream) -> None:
     physical = ~np.isnan(degree)
     e_cells = np.zeros((degree.size, _CELL), np.uint8)
     e_cells[physical] = _sci_table(degree[physical])
-    stream.write("n,m,class,E\n" + _lines(
+    _write(stream, b"n,m,class,E\n", _lines(
         shape, _sci_table(result.n)[:, None], ",", _sci_table(result.m), ",",
         label, ",", e_cells.reshape(*shape, _CELL), "\n",
     ))
@@ -182,7 +189,8 @@ def write_sweep_csv(result: SweepResult, stream) -> None:
 
 def write_sweep_matrix(result: SweepResult, stream) -> None:
     # gnuplot nonuniform-matrix block: first row holds the m coordinates,
-    # each following row is n followed by the E values (nan where nonphysical)
+    # each following row is n followed by the E values (nan where nonphysical);
+    # stream is binary or text
     import numpy as np
     rows, cols = result.degree.shape
     head = str(cols).encode()
@@ -193,7 +201,7 @@ def write_sweep_matrix(result: SweepResult, stream) -> None:
     cells[1:, 1:] = _sci_table(result.degree).reshape(rows, cols, _CELL)
     sep = np.full((cols + 1, 1), ord(" "), np.uint8)
     sep[-1] = ord("\n")
-    stream.write(_lines(cells.shape[:2], cells, sep))
+    _write(stream, _lines(cells.shape[:2], cells, sep))
 
 
 def parse_complex(text: str) -> complex:
@@ -230,7 +238,9 @@ def _from_args(cls, args):
 
 def _json_value(data: dict, f) -> float | complex:
     # field f of a state file: a JSON number, or for a complex field also a
-    # list of two numbers [re, im]
+    # list of two numbers [re, im], admitted by the value types' rule (so not
+    # true or false, which load as bool, nor NaN, Infinity or an integer
+    # literal beyond float64)
     key = _key(f)
     if key not in data:
         if f.default is MISSING:
@@ -239,24 +249,21 @@ def _json_value(data: dict, f) -> float | complex:
     value = data[key]
     is_complex = f.type == "complex"
     parts = value if is_complex and isinstance(value, list) and len(value) == 2 else [value]
-    # true and false load as bool, an int subclass, and an integer literal
-    # beyond float64 cannot convert
-    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
-        try:
-            return complex(*map(float, parts)) if is_complex else float(value)
-        except OverflowError:
-            pass
-    kind = "complex" if is_complex else "real"
-    raise ValueError(f"cannot read {kind} value {key!r} from {value!r}")
+    try:
+        parts = _finite_numbers(key, (float,) * len(parts), *parts)
+    except (TypeError, ValueError):
+        kind = "complex" if is_complex else "real"
+        raise ValueError(f"cannot read {kind} value {key!r} from {value!r}") from None
+    return complex(*parts) if is_complex else parts[0]
 
 
 def load_state(path: str) -> GaussianParams:
     """Read a state file: a JSON object with ``n1``, ``n2`` and optional moments.
 
     ``n1`` and ``n2`` are JSON numbers; each moment is a number or a list of
-    two numbers ``[re, im]``.  Raises ValueError naming the wrong top-level
-    type, nesting too deep to parse, the missing key or the key whose value is
-    anything else.
+    two numbers ``[re, im]``, all finite.  Raises ValueError naming the wrong
+    top-level type, nesting too deep to parse, the missing key or the key
+    whose value is anything else.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -293,34 +300,46 @@ def _add_fields(parser: argparse.ArgumentParser, cls) -> None:
                             help=f.metadata.get("help"))
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="gausspair", description=__doc__)
+def _build_parser(names, parser_class=_Parser) -> _Parser:
+    # the parser with a subparser for each named command of _COMMANDS
+    parser = parser_class(prog="gausspair", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    check = sub.add_parser("check", help="classify one state and report its measures")
-    _add_fields(check, GaussianParams)
-    check.add_argument("--r", type=float, default=1.0, help="reference squeezing")
-    check.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    check.set_defaults(run=cmd_check)
-
-    transform = sub.add_parser("transform", help="push a state file through the mixer")
-    transform.add_argument("--state", required=True, help="JSON state file")
-    _add_fields(transform, mixer.MixerConfig)
-    transform.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    transform.set_defaults(run=cmd_transform)
-
-    sweep = sub.add_parser("sweep", help="entanglement-degree surface over the (n, m) grid")
-    _add_fields(sweep, SweepConfig)
-    sweep.add_argument("--format", choices=("csv", "matrix"), default="csv")
-    sweep.add_argument("--out", help="output file (stdout when omitted)")
-    sweep.set_defaults(run=cmd_sweep)
-
-    model = sub.add_parser("tmtss", help="thermal squeezed pair parameters")
-    _add_fields(model, tmtss.TmtssInputs)
-    model.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    model.set_defaults(run=cmd_tmtss)
-
+    for name in names:
+        summary, run, *flags = _COMMANDS[name]
+        command = sub.add_parser(name, help=summary)
+        for flag in flags:
+            if isinstance(flag, type):
+                _add_fields(command, flag)
+            else:
+                command.add_argument(flag[0], **flag[1])
+        command.set_defaults(run=run)
     return parser
+
+
+def build_parser() -> _Parser:
+    return _build_parser(_COMMANDS)
+
+
+class _Reparse(Exception):
+    pass
+
+
+class _OneCommandParser(_Parser):
+    def error(self, message):
+        # the full parser parses argv again and reports the error itself
+        raise _Reparse
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    # builds only the subparser that argv[0] names; a usage error goes to the
+    # full parser, so each help, usage and error byte is the full parser's
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _COMMANDS:
+        try:
+            return _build_parser(argv[:1], _OneCommandParser).parse_args(argv)
+        except _Reparse:
+            pass
+    return build_parser().parse_args(argv)
 
 
 def cmd_check(args) -> dict:
@@ -355,7 +374,7 @@ def cmd_sweep(args) -> None:
         result = sweep_grid(cfg)
     writer = write_sweep_csv if args.format == "csv" else write_sweep_matrix
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        with open(args.out, "wb") as fh:
             writer(result, fh)
     else:
         writer(result, sys.stdout)
@@ -370,8 +389,26 @@ def cmd_tmtss(args) -> dict:
     return out
 
 
+_TOL = ("--tol", {"type": float, "default": DEFAULT_TOL})
+
+# name: (help line, run, then in usage order each flag as (flag, add_argument
+# keywords) or a value type, whose fields are flags); the usage line lists
+# the commands in this order
+_COMMANDS = {
+    "check": ("classify one state and report its measures", cmd_check, GaussianParams,
+              ("--r", {"type": float, "default": 1.0, "help": "reference squeezing"}), _TOL),
+    "transform": ("push a state file through the mixer", cmd_transform,
+                  ("--state", {"required": True, "help": "JSON state file"}),
+                  mixer.MixerConfig, _TOL),
+    "sweep": ("entanglement-degree surface over the (n, m) grid", cmd_sweep, SweepConfig,
+              ("--format", {"choices": ("csv", "matrix"), "default": "csv"}),
+              ("--out", {"help": "output file (stdout when omitted)"})),
+    "tmtss": ("thermal squeezed pair parameters", cmd_tmtss, tmtss.TmtssInputs, _TOL),
+}
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         payload = args.run(args)  # None where the command wrote its own output
     except ModelValidityError as err:

@@ -155,8 +155,13 @@ def _reference(r: float) -> tuple[float, float, float, float, float]:
 
 
 def _squeezing(r) -> float:
-    # float(r).  isnan first: it raises TypeError for a str, which float()
-    # would read as a number, and OverflowError for an int beyond float64.
+    # float(r).  A bool, numpy's included, is a TypeError, as in the value
+    # types.  isnan next: it raises TypeError for a str, which float() would
+    # read as a number, and OverflowError for an int beyond float64.
+    if type(r) is float:
+        return r
+    if isinstance(r, bool) or getattr(r, "dtype", None) == bool:
+        raise TypeError(f"expected a number, got {type(r).__name__}")
     try:
         math.isnan(r)
     except OverflowError:
@@ -200,8 +205,14 @@ def compose_bures(d1: float, d2: float) -> float:
     ``d1 + d2 - d1*d2/2``, the image of fidelity multiplication under
     ``d = 2 - 2 sqrt(F)``; with one distance zero (an untouched port) the
     other passes through unchanged.  A distance outside [0, 2], NaN
-    included, is a :class:`NumericDomainError`.
+    included, is a :class:`NumericDomainError`; a ``bool`` or a non-number
+    is a ``TypeError``.
     """
+    if not (type(d1) is type(d2) is float):
+        try:
+            d1, d2 = _finite_numbers("Bures distances", (float, float), d1, d2)
+        except ValueError:  # not finite, so refused below
+            d1 = math.nan
     if not (0.0 <= d1 <= 2.0 and 0.0 <= d2 <= 2.0):
         raise NumericDomainError("Bures distances must lie in [0, 2]")
     return d1 + d2 - 0.5 * d1 * d2

@@ -160,6 +160,10 @@ class TestCheck:
         assert out == ""
         assert json.loads(err) == {"error": error, "message": message}
 
+    def test_bool_reference_squeezing_is_refused(self):
+        with pytest.raises(TypeError, match="expected a number, got bool"):
+            cli.run_check(GaussianParams(n1=2.0, n2=2.0, m_c=1.8), True)
+
     def test_large_squeezing_fidelity_is_exact(self, capsys):
         # the 4x4 determinant overflowed here, though the fidelity fits float64
         argv = ["check", "--n1", "0.9110725829205775", "--n2", "0.9110725829205775",
@@ -201,6 +205,51 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "NumericDomainError"
+
+
+def _exit_output(parse, argv, capsys):
+    # the exit code, stdout and stderr of a parse that exits
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--n-steps", "2", "--m-steps", "2", "extra"],
+        ["check", "--n1", "2"],
+        ["bogus"],
+        [],
+        ["check", "--help"],
+        ["transform", "--help"],
+        ["sweep", "--help"],
+        ["tmtss", "--help"],
+    ])
+    def test_bytes_are_the_full_parsers(self, argv, capsys, monkeypatch):
+        # main builds only the named subparser, but prints what the parser
+        # with all four would
+        monkeypatch.setenv("COLUMNS", "80")
+        want = _exit_output(cli.build_parser().parse_args, argv, capsys)
+        assert _exit_output(cli.main, argv, capsys) == want
+
+    def test_usage_error_after_a_command_names_every_command(self, capsys):
+        code, _, err = _exit_output(cli.main, ["sweep", "--n-steps", "2", "--m-steps", "2",
+                                               "extra"], capsys)
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["message"] == "gausspair: unrecognized arguments: extra"
+        assert payload["usage"] == "usage: gausspair [-h] {check,transform,sweep,tmtss} ..."
+
+    @pytest.mark.parametrize("argv", [None, ["tmtss", "--d", "0.5", "--r", "-0.3"]])
+    def test_valid_argv_never_builds_the_full_parser(self, argv, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("the full parser was built")
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        monkeypatch.setattr(sys, "argv", ["gausspair", "tmtss", "--d", "0.5", "--r", "-0.3"])
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert "n1" in json.loads(out)
 
 
 class TestRunCheck:
@@ -397,6 +446,8 @@ class TestTransform:
         ('{"n1": 1.0, "n2": 1.0, "mc": [[0.3], 0.1]}', "complex value 'mc'"),
         ('{"n1": 1' + "0" * 400 + ', "n2": 1.0}', "real value 'n1'"),
         ('{"n1": 1.0, "n2": 1.0, "ms": [1' + "0" * 400 + ', 0]}', "complex value 'ms'"),
+        ('{"n1": NaN, "n2": 1.0}', "real value 'n1' from nan"),
+        ('{"n1": 1.0, "n2": 1.0, "mc": [0.5, -Infinity]}', "complex value 'mc'"),
     ])
     def test_only_json_numbers_are_read(self, tmp_path, capsys, text, fragment):
         path = tmp_path / "state.json"

@@ -176,6 +176,16 @@ class TestComposeBures:
             with pytest.raises(NumericDomainError, match=r"must lie in \[0, 2\]"):
                 compose_bures(*args)
 
+    @pytest.mark.parametrize("bad", ["0.5", True, False, np.True_, None])
+    def test_strings_and_bools_are_refused(self, bad):
+        for args in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(TypeError, match="expected a number"):
+                compose_bures(*args)
+
+    def test_other_numbers_are_distances(self):
+        assert compose_bures(1, 0) == 1.0
+        assert compose_bures(np.float64(1.0), np.float32(1.0)) == 1.5
+
     def test_matches_fidelity_product(self):
         rng = np.random.default_rng(52)
         for _ in range(1000):
@@ -405,17 +415,28 @@ class TestReferenceCache:
                 entanglement_degree(p, r)
         assert measures._reference.cache_info().currsize == 0
 
-    @pytest.mark.parametrize("r", [10**400, -10**400])
-    @pytest.mark.parametrize("call", [
+    R_CALLS = pytest.mark.parametrize("call", [
         lambda r: entanglement_degree(GaussianParams(n1=1.0, n2=1.0), r),
         lambda r: separable_distance(r),
         lambda r: symmetric_degree(1.0, 0.0, r),
         lambda r: output_port_fidelity(ModeParams(n=1.0), r),
     ], ids=["entanglement_degree", "separable_distance", "symmetric_degree",
             "output_port_fidelity"])
+
+    @pytest.mark.parametrize("r", [10**400, -10**400])
+    @R_CALLS
     def test_int_beyond_float64_is_a_typed_error(self, call, r):
         measures._reference.cache_clear()
         with pytest.raises(NumericDomainError, match="int beyond float64"):
+            call(r)
+        assert measures._reference.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("r", [True, False, np.True_, np.array(True)])
+    @R_CALLS
+    def test_bools_are_refused(self, call, r):
+        # float() reads True as r = 1.0, which the value types refuse
+        measures._reference.cache_clear()
+        with pytest.raises(TypeError, match="expected a number"):
             call(r)
         assert measures._reference.cache_info().currsize == 0
 

@@ -20,6 +20,7 @@ from gausspair import (
     cli,
     entanglement_degree,
     symmetric_degree,
+    tmtss,
 )
 
 # SHA-256 of the sweep outputs as the per-point implementation wrote them
@@ -184,6 +185,57 @@ class TestColumns:
         physical = result.label != "nonphysical"
         assert np.all(np.isfinite(result.degree[physical]))
         assert np.all(np.abs(result.degree[physical]) <= 1.0)
+
+
+ANCHORED = cli.SweepConfig(r=1.0, n_min=math.cosh(2.0) / 2, n_max=3.5, n_steps=3,
+                           m_min=0.0, m_max=math.sinh(2.0) / 2, m_steps=2)
+
+
+def _meshgrid_sweep(cfg):
+    # the referee: labels and degrees classified and scored on the full
+    # meshgrid arrays, not on the broadcast axes
+    nn, mm = np.meshgrid(cfg.n_values(), cfg.m_values(), indexing="ij")
+    codes = tmtss.symmetric_class_codes(nn, mm, cfg.tol)
+    physical = codes > 0
+    degree = np.full(nn.shape, np.nan)
+    degree[physical] = symmetric_degree(nn[physical], mm[physical], cfg.r)
+    return np.array(tmtss.SYMMETRIC_CLASSES)[codes], degree
+
+
+def _assert_matches_meshgrid(cfg):
+    result = cli.sweep_grid(cfg)
+    label, degree = _meshgrid_sweep(cfg)
+    assert result.label.dtype == label.dtype
+    assert np.array_equal(result.label, label)
+    assert result.degree.tobytes() == degree.tobytes()  # NaN placement included
+
+
+class TestWriters:
+    @pytest.mark.parametrize("cfg", [cli.SweepConfig(), ANCHORED], ids=["default", "anchored"])
+    @pytest.mark.parametrize("writer", [cli.write_sweep_csv, cli.write_sweep_matrix])
+    def test_binary_and_text_streams_get_the_same_bytes(self, writer, cfg):
+        result = cli.sweep_grid(cfg)
+        binary, text = io.BytesIO(), io.StringIO()
+        writer(result, binary)
+        writer(result, text)
+        assert binary.getvalue() == text.getvalue().encode("ascii")
+
+    @pytest.mark.parametrize("fmt", ["csv", "matrix"])
+    def test_stdout_matches_the_out_file(self, fmt, tmp_path, capsysbinary):
+        assert cli.main(["sweep", "--format", fmt]) == 0
+        assert capsysbinary.readouterr().out == _sweep_bytes(tmp_path, ["--format", fmt])
+
+    @pytest.mark.parametrize("cfg", [
+        cli.SweepConfig(), ANCHORED,
+        cli.SweepConfig(n_min=0.1, n_max=1.0, m_min=0.5, m_max=6.0, r=2.0),
+    ], ids=["default", "anchored", "mostly-nonphysical"])
+    def test_grid_matches_meshgrid_referee(self, cfg):
+        _assert_matches_meshgrid(cfg)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(grids)
+    def test_random_grids_match_meshgrid_referee(self, cfg):
+        _assert_matches_meshgrid(cfg)
 
 
 def _kernel_mismatches(values):
