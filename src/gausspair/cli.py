@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from dataclasses import MISSING, dataclass, fields
 from typing import TYPE_CHECKING
@@ -155,17 +156,28 @@ def _sci_table(values) -> np.ndarray:
     return table
 
 
-def _lines(shape, *parts) -> bytes:
-    # the bytes of a uint8 table of the given shape whose last axis joins the
-    # parts (arrays broadcasting to shape + (width,), or single characters),
-    # with its NUL padding dropped
+def _table(shape, *parts):
+    # a bytearray holding a uint8 table of the given shape whose last axis
+    # joins the parts: arrays broadcasting to shape + (width,), strings of
+    # separator bytes, or the int width of a zero slot the caller fills; returns
+    # the buffer and each part's slot, a view into it
     import numpy as np
-    parts = [np.frombuffer(p.encode(), np.uint8) if isinstance(p, str) else p for p in parts]
-    table = np.concatenate([np.broadcast_to(p, (*shape, p.shape[-1])) for p in parts], axis=-1)
-    return table.tobytes().translate(None, b"\0")
+    widths = [p if isinstance(p, int) else len(p) if isinstance(p, str) else p.shape[-1]
+              for p in parts]
+    row = sum(widths)
+    buf = bytearray(math.prod(shape) * row)
+    table = np.frombuffer(buf, np.uint8).reshape(*shape, row)
+    slots, start = [], 0
+    for part, width in zip(parts, widths):
+        slot = table[..., start:start + width]
+        if not isinstance(part, int):
+            slot[...] = np.frombuffer(part.encode(), np.uint8) if isinstance(part, str) else part
+        slots.append(slot)
+        start += width
+    return buf, slots
 
 
-def _write(stream, *chunks: bytes) -> None:
+def _write(stream, *chunks) -> None:
     # ASCII bytes as they are to a binary stream, decoded for a text one
     text = isinstance(stream, io.TextIOBase)
     for chunk in chunks:
@@ -176,15 +188,13 @@ def write_sweep_csv(result: SweepResult, stream) -> None:
     # '\n' endings, empty E column for nonphysical rows; stream is binary or text
     import numpy as np
     shape = result.degree.shape
-    label = np.ascontiguousarray(result.label).view(np.uint32).reshape(*shape, -1).astype(np.uint8)
-    degree = result.degree.ravel()
-    physical = ~np.isnan(degree)
-    e_cells = np.zeros((degree.size, _CELL), np.uint8)
-    e_cells[physical] = _sci_table(degree[physical])
-    _write(stream, b"n,m,class,E\n", _lines(
-        shape, _sci_table(result.n)[:, None], ",", _sci_table(result.m), ",",
-        label, ",", e_cells.reshape(*shape, _CELL), "\n",
-    ))
+    # the labels' code points, cast to bytes as their slot is filled
+    label = np.ascontiguousarray(result.label).view(np.uint32).reshape(*shape, -1)
+    buf, (*_, e_cells, _) = _table(shape, _sci_table(result.n)[:, None], ",",
+                                   _sci_table(result.m), ",", label, ",", _CELL, "\n")
+    physical = ~np.isnan(result.degree)
+    e_cells[physical] = _sci_table(result.degree[physical])
+    _write(stream, b"n,m,class,E\n", buf.translate(None, b"\0"))
 
 
 def write_sweep_matrix(result: SweepResult, stream) -> None:
@@ -194,14 +204,15 @@ def write_sweep_matrix(result: SweepResult, stream) -> None:
     import numpy as np
     rows, cols = result.degree.shape
     head = str(cols).encode()
-    cells = np.zeros((rows + 1, cols + 1, _CELL), np.uint8)
+    e_cells = _sci_table(result.degree)  # before the table: its scratch arrays are the peak
+    sep = np.full((cols + 1, 1), ord(" "), np.uint8)
+    sep[-1] = ord("\n")
+    buf, (cells, _) = _table((rows + 1, cols + 1), _CELL, sep)
     cells[0, 0, :len(head)] = list(head)
     cells[0, 1:] = _sci_table(result.m)
     cells[1:, 0] = _sci_table(result.n)
-    cells[1:, 1:] = _sci_table(result.degree).reshape(rows, cols, _CELL)
-    sep = np.full((cols + 1, 1), ord(" "), np.uint8)
-    sep[-1] = ord("\n")
-    _write(stream, _lines(cells.shape[:2], cells, sep))
+    cells[1:, 1:] = e_cells.reshape(rows, cols, _CELL)
+    _write(stream, buf.translate(None, b"\0"))
 
 
 def parse_complex(text: str) -> complex:
@@ -377,7 +388,10 @@ def cmd_sweep(args) -> None:
         with open(args.out, "wb") as fh:
             writer(result, fh)
     else:
-        writer(result, sys.stdout)
+        # the bytes go to stdout's binary buffer, where it has one, after what
+        # its text layer still holds
+        sys.stdout.flush()
+        writer(result, getattr(sys.stdout, "buffer", sys.stdout))
 
 
 def cmd_tmtss(args) -> dict:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 
@@ -225,6 +226,59 @@ class TestWriters:
         assert cli.main(["sweep", "--format", fmt]) == 0
         assert capsysbinary.readouterr().out == _sweep_bytes(tmp_path, ["--format", fmt])
 
+    @pytest.mark.parametrize("fmt", ["csv", "matrix"])
+    def test_text_stdout_gets_the_out_bytes(self, fmt, tmp_path, capsys, monkeypatch):
+        want = _sweep_bytes(tmp_path, ["--format", fmt])
+        assert cli.main(["sweep", "--format", fmt]) == 0
+        assert capsys.readouterr().out.encode("ascii") == want
+        stdout = io.StringIO()  # a text stream with no binary buffer
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main(["sweep", "--format", fmt]) == 0
+        assert stdout.getvalue().encode("ascii") == want
+
+    @pytest.mark.parametrize("fmt", ["csv", "matrix"])
+    def test_stdout_bytes_bypass_its_text_layer(self, fmt, tmp_path, monkeypatch):
+        # text written before the sweep comes first, and the sweep's own bytes
+        # are never decoded into the text layer
+        texts = []
+
+        class Stdout(io.TextIOWrapper):
+            def write(self, text):
+                texts.append(text)
+                return super().write(text)
+
+        args = ["--format", fmt, "--n-steps", "3", "--m-steps", "3"]
+        stdout = Stdout(io.BytesIO(), encoding="ascii")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        stdout.write("before\n")
+        assert cli.main(["sweep", *args]) == 0
+        stdout.flush()
+        assert texts == ["before\n"]
+        assert stdout.buffer.getvalue() == b"before\n" + _sweep_bytes(tmp_path, args)
+
+    def test_slow_path_cells_keep_the_row_layout(self):
+        # signs, zeros, a subnormal, three-digit exponents and nan: cells that
+        # _sci_table formats in Python, which no grid with n >= 0.5 reaches
+        codes = np.arange(15).reshape(5, 3) % 3
+        degree = np.array([math.nan, -0.25, 1.5e250, math.nan, -7.5e-310, 1e22, math.nan,
+                           -123.456, 2.5e-5, math.nan, 0.99999999995, -1e300, math.nan, -0.0,
+                           1e-320]).reshape(5, 3)
+        result = cli.SweepResult(n=np.array([-2.5, -0.0, 0.0, 1e200, -1e-300]),
+                                 m=np.array([0.0, 5e-324, 1e300]),
+                                 label=np.array(tmtss.SYMMETRIC_CLASSES)[codes], degree=degree)
+        rows = ["n,m,class,E"]
+        for n, label_row, degree_row in zip(result.n.tolist(), result.label.tolist(),
+                                            degree.tolist()):
+            for m, label, e in zip(result.m.tolist(), label_row, degree_row):
+                rows.append(f"{n:.8e},{m:.8e},{label}," + ("" if math.isnan(e) else f"{e:.8e}"))
+        lines = [" ".join(["3"] + [f"{m:.8e}" for m in result.m.tolist()])]
+        lines += [" ".join(f"{v:.8e}" for v in [n, *degree_row])
+                  for n, degree_row in zip(result.n.tolist(), degree.tolist())]
+        for writer, want in ((cli.write_sweep_csv, rows), (cli.write_sweep_matrix, lines)):
+            out = io.BytesIO()
+            writer(result, out)
+            assert out.getvalue().decode("ascii").split("\n") == want + [""]
+
     @pytest.mark.parametrize("cfg", [
         cli.SweepConfig(), ANCHORED,
         cli.SweepConfig(n_min=0.1, n_max=1.0, m_min=0.5, m_max=6.0, r=2.0),
@@ -236,6 +290,38 @@ class TestWriters:
     @given(grids)
     def test_random_grids_match_meshgrid_referee(self, cfg):
         _assert_matches_meshgrid(cfg)
+
+
+class _CountingSink:
+    # a binary stream that keeps no bytes, so only the writer's memory is traced
+    def __init__(self):
+        self.size = 0
+
+    def write(self, chunk):
+        self.size += len(chunk)
+
+
+# peak traced memory per output byte on the default grid (numpy 2.4): 2.5 for
+# the CSV and 7.3 for the matrix; one more copy of the table exceeds either bound
+@pytest.mark.parametrize("writer, budget", [(cli.write_sweep_csv, 3.0),
+                                            (cli.write_sweep_matrix, 8.0)],
+                         ids=["csv", "matrix"])
+def test_writer_memory_peak(writer, budget):
+    result = cli.sweep_grid(cli.SweepConfig())
+    writer(result, _CountingSink())  # once untraced: first-call allocations are not the writer's
+    sink = _CountingSink()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        writer(result, sink)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= budget * sink.size
 
 
 def _kernel_mismatches(values):
