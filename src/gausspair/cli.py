@@ -8,9 +8,11 @@ Complex-valued flags accept ``re`` or ``re,im``.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import MISSING, dataclass, fields
 from typing import TYPE_CHECKING
@@ -51,6 +53,10 @@ class SweepConfig:
             raise ValueError("reference squeezing r must be positive")
         if n_steps < 2 or m_steps < 2:
             raise ValueError("grids need at least 2 steps per axis")
+        # the padded CSV table holds 63 bytes a point, so its size must stay an
+        # index-sized int; past that numpy fails untyped, not with MemoryError
+        if n_steps * m_steps * 64 > sys.maxsize:
+            raise ValueError("sweep grid is too large")
         if not (n_max > n_min and m_max > m_min):
             raise ValueError("grid maxima must exceed minima")
         if m_min < 0.0:
@@ -311,12 +317,11 @@ def _add_fields(parser: argparse.ArgumentParser, cls) -> None:
                             help=f.metadata.get("help"))
 
 
-def _build_parser(names, parser_class=_Parser) -> _Parser:
-    # the parser with a subparser for each named command of _COMMANDS
-    parser = parser_class(prog="gausspair", description=__doc__)
+def build_parser() -> _Parser:
+    # the parser with a subparser for each command of _COMMANDS
+    parser = _Parser(prog="gausspair", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        summary, run, *flags = _COMMANDS[name]
+    for name, (summary, run, *flags) in _COMMANDS.items():
         command = sub.add_parser(name, help=summary)
         for flag in flags:
             if isinstance(flag, type):
@@ -327,30 +332,9 @@ def _build_parser(names, parser_class=_Parser) -> _Parser:
     return parser
 
 
-def build_parser() -> _Parser:
-    return _build_parser(_COMMANDS)
-
-
-class _Reparse(Exception):
-    pass
-
-
-class _OneCommandParser(_Parser):
-    def error(self, message):
-        # the full parser parses argv again and reports the error itself
-        raise _Reparse
-
-
-def _parse_args(argv) -> argparse.Namespace:
-    # builds only the subparser that argv[0] names; a usage error goes to the
-    # full parser, so each help, usage and error byte is the full parser's
-    argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in _COMMANDS:
-        try:
-            return _build_parser(argv[:1], _OneCommandParser).parse_args(argv)
-        except _Reparse:
-            pass
-    return build_parser().parse_args(argv)
+# main's parser, built on its first call and reused: parse_args does not
+# modify a parser
+_parser = functools.cache(build_parser)
 
 
 def cmd_check(args) -> dict:
@@ -390,8 +374,11 @@ def cmd_sweep(args) -> None:
     else:
         # the bytes go to stdout's binary buffer, where it has one, after what
         # its text layer still holds
-        sys.stdout.flush()
-        writer(result, getattr(sys.stdout, "buffer", sys.stdout))
+        out = _stdout()
+        out.flush()
+        stream = getattr(out, "buffer", out)
+        writer(result, stream)
+        stream.flush()
 
 
 def cmd_tmtss(args) -> dict:
@@ -422,9 +409,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         payload = args.run(args)  # None where the command wrote its own output
+        if payload is not None:
+            print(json.dumps(payload, sort_keys=True), file=_stdout(), flush=True)
+    except BrokenPipeError as err:
+        # stdout's reader has exited: fd 1 goes to devnull, so that the
+        # interpreter's flush at exit does not fail on the same bytes again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        _print_error(err)
+        return 2
     except ModelValidityError as err:
         _print_error(err, n=err.n, m=err.m)
         return 2
@@ -437,9 +434,14 @@ def main(argv=None) -> int:
     except MemoryError as err:  # numpy raises a private subclass
         _print_error(MemoryError(str(err) or "out of memory"))
         return 2
-    if payload is not None:
-        print(json.dumps(payload, sort_keys=True))
     return 0
+
+
+def _stdout():
+    # None where the process started with fd 1 closed
+    if sys.stdout is None:
+        raise OSError("stdout is closed")
+    return sys.stdout
 
 
 def _print_error(err: Exception, **extra) -> None:

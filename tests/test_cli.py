@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -227,8 +228,7 @@ class TestParser:
         ["tmtss", "--help"],
     ])
     def test_bytes_are_the_full_parsers(self, argv, capsys, monkeypatch):
-        # main builds only the named subparser, but prints what the parser
-        # with all four would
+        # main's reused parser prints what a new full parser would
         monkeypatch.setenv("COLUMNS", "80")
         want = _exit_output(cli.build_parser().parse_args, argv, capsys)
         assert _exit_output(cli.main, argv, capsys) == want
@@ -241,15 +241,37 @@ class TestParser:
         assert payload["message"] == "gausspair: unrecognized arguments: extra"
         assert payload["usage"] == "usage: gausspair [-h] {check,transform,sweep,tmtss} ..."
 
-    @pytest.mark.parametrize("argv", [None, ["tmtss", "--d", "0.5", "--r", "-0.3"]])
-    def test_valid_argv_never_builds_the_full_parser(self, argv, capsys, monkeypatch):
-        def refuse():
-            raise AssertionError("the full parser was built")
-        monkeypatch.setattr(cli, "build_parser", refuse)
-        monkeypatch.setattr(sys, "argv", ["gausspair", "tmtss", "--d", "0.5", "--r", "-0.3"])
-        code, out, _ = run_cli(argv, capsys)
-        assert code == 0
-        assert "n1" in json.loads(out)
+    def test_main_builds_its_parser_once(self, capsys):
+        cli._parser.cache_clear()
+        for argv in (["tmtss", "--d", "0.5", "--r", "-0.3"], ["check", "--n1", "0.5",
+                     "--n2", "0.5"], ["bogus"]):
+            with contextlib.suppress(SystemExit):
+                cli.main(argv)
+        capsys.readouterr()
+        assert cli._parser.cache_info().misses == 1
+
+    def test_a_reused_parser_carries_nothing_between_calls(self, capsys, monkeypatch):
+        # a usage error, help, a flag and the same command without it, in one
+        # process: each gives what a new full parser gives, and --tol's
+        # default comes back
+        monkeypatch.setenv("COLUMNS", "80")
+        tols = []
+        run_check = cli.run_check
+        monkeypatch.setattr(cli, "run_check",
+                            lambda p, r, tol: tols.append(tol) or run_check(p, r, tol))
+        state = ["--n1", "2", "--n2", "2", "--mc", "1.8"]
+        for argv in (["check", "--n1", "2"], ["sweep", "--help"],
+                     ["check", *state, "--tol", "1e-6"], ["check", *state]):
+            try:
+                args = cli.build_parser().parse_args(argv)
+            except SystemExit as exc:
+                captured = capsys.readouterr()
+                want = exc.code, captured.out, captured.err
+                assert _exit_output(cli.main, argv, capsys) == want
+                continue
+            want = 0, json.dumps(args.run(args), sort_keys=True) + "\n", ""
+            assert run_cli(argv, capsys) == want
+        assert tols == [1e-6, 1e-6, covariance.DEFAULT_TOL, covariance.DEFAULT_TOL]
 
 
 class TestRunCheck:
@@ -777,3 +799,49 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["physical"] is True
+
+
+class TestUnwritableStdout:
+    """A stdout that cannot be written is a JSON error with exit 2, never a traceback."""
+
+    COMMANDS = {
+        "check": ["check", "--n1", "0.5", "--n2", "0.5"],
+        "transform": ["transform", "--state", "{state}", "--theta", "0.7853981633974483"],
+        "sweep": ["sweep", "--n-steps", "3", "--m-steps", "3"],
+        "tmtss": ["tmtss", "--d", "0.5", "--r=-0.3"],
+    }
+
+    @pytest.fixture
+    def argv(self, request, tmp_path):
+        state = tmp_path / "state.json"
+        state.write_text('{"n1": 2.0, "n2": 2.0, "mc": [1.8, 0.0]}', encoding="utf-8")
+        return [arg.replace("{state}", str(state)) for arg in self.COMMANDS[request.param]]
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", list(COMMANDS), indirect=True)
+    def test_closed_pipe(self, argv, unbuffered):
+        # the pipe's read end is closed first, so every write meets EPIPE,
+        # where a reader that exits on its own (| true) would race
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run([sys.executable, "-m", "gausspair", *argv], stdout=write,
+                                    stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+        finally:
+            os.close(write)
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "Exception ignored" not in result.stderr
+        assert json.loads(result.stderr) == {"error": "BrokenPipeError",
+                                             "message": "[Errno 32] Broken pipe"}
+
+    @pytest.mark.parametrize("argv", ["check", "sweep"], indirect=True)
+    def test_closed_stdout(self, argv):
+        # started with fd 1 closed, the interpreter's sys.stdout is None
+        result = subprocess.run(["sh", "-c", 'exec "$0" -m gausspair "$@" >&-', sys.executable,
+                                 *argv], stderr=subprocess.PIPE, text=True, timeout=120)
+        assert result.returncode == 2, result.stderr
+        assert json.loads(result.stderr) == {"error": "OSError", "message": "stdout is closed"}

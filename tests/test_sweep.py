@@ -436,6 +436,26 @@ class TestValidation:
         with pytest.raises(TypeError, match="expected a number"):
             cli.SweepConfig(**{field: value})
 
+    @pytest.mark.parametrize("n_steps, m_steps", [
+        (2**63 - 1, 3), (2**63 - 2, 3), (2**63 - 3, 3), (2**62, 3), (3, 2**62),
+        (sys.maxsize // 128 + 1, 2),
+    ])
+    def test_grid_too_large_to_index_is_refused(self, n_steps, m_steps, capsys):
+        # 64 bytes a point must stay an index-sized int: near 2^63 steps numpy's
+        # linspace raises IndexError, near 2^62 its own ValueError
+        with pytest.raises(ValueError, match="^sweep grid is too large$"):
+            cli.SweepConfig(n_steps=n_steps, m_steps=m_steps)
+        assert cli.main(["sweep", "--n-steps", str(n_steps), "--m-steps", str(m_steps)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "ValueError",
+                                            "message": "sweep grid is too large"}
+
+    @pytest.mark.parametrize("n_steps, m_steps", [(2**31, 2), (sys.maxsize // 128, 2)])
+    def test_grid_that_indexes_constructs(self, n_steps, m_steps):
+        cfg = cli.SweepConfig(n_steps=n_steps, m_steps=m_steps)
+        assert (cfg.n_steps, cfg.m_steps) == (n_steps, m_steps)
+
     def test_numpy_ints_are_steps(self):
         cfg = cli.SweepConfig(n_steps=np.int64(9), m_steps=np.int32(7))
         assert cfg.n_values().tolist() == cli.SweepConfig(n_steps=9).n_values().tolist()
