@@ -48,12 +48,14 @@ def is_p_representable_joint(p: GaussianParams, tol: float = DEFAULT_TOL) -> boo
     Accepts exactly when the smallest eigenvalue of ``V - I/2`` is at least
     ``-tol``, i.e. when ``V - (1/2 - tol) I`` is positive definite.  The
     elimination kernel of :func:`~gausspair.covariance.is_physical` decides
-    that matrix in the quadrature basis, without the symplectic term; it is
+    that matrix in the quadrature basis, without the symplectic term, once
+    it has accepted the state as physical; a nonphysical state is not
+    classical, so it is ``False`` without a second pass.  The kernel is
     backward stable, so rounding moves the boundary by ``~1e-16 |V|`` at
     most.  Raises :class:`NumericDomainError` where a pivot overflows float64.
     """
     _check_tol(tol)
-    return _elimination_verdicts(p, tol - 0.5, 0.0)[0]
+    return _elimination_verdicts(p, tol, 0.5)[2]
 
 
 def is_p_representable_mode(md: ModeParams, tol: float = DEFAULT_TOL) -> bool:

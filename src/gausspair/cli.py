@@ -1,7 +1,8 @@
 """Command-line surface: state checking, mixing, the thermal model and sweeps.
 
-Exit codes: 0 on success, 1 on usage errors, 2 on domain or model errors and
-when memory runs out.
+Exit codes: 0 on success, 1 on usage errors, and 2 on a domain or model
+error, when memory runs out, when stdout is closed or cannot be written (help
+included), and for a sweep grid too large to index.
 Complex-valued flags accept ``re`` or ``re,im``.
 """
 
@@ -17,7 +18,7 @@ import sys
 from dataclasses import MISSING, dataclass, fields
 from typing import TYPE_CHECKING
 
-from . import classicality, measures, mixer, tmtss
+from . import measures, mixer, tmtss
 from .covariance import DEFAULT_TOL, GaussianParams, _block_entries, _check_tol
 from .covariance import _finite_numbers
 from .errors import ModelValidityError, NumericDomainError
@@ -103,11 +104,11 @@ def run_check(p: GaussianParams, r: float, tol: float = DEFAULT_TOL) -> dict:
 
     Raises :class:`NonPhysicalStateError` for a nonphysical state.
     """
-    fidelity, bures, degree, separable = measures._degree_terms(p, r, tol)
+    fidelity, bures, degree, separable, classical = measures._degree_terms(p, r, tol)
     return {
         "physical": True,
         "separable": separable,
-        "p_representable": classicality.is_p_representable_joint(p, tol),
+        "p_representable": classical,
         "fidelity": fidelity,
         "bures": bures,
         "degree": degree,
@@ -301,6 +302,13 @@ def state_to_json(p: GaussianParams) -> dict:
 
 
 class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's writer drops a failed write; this one lets it reach main,
+        # where a closed or unwritable stdout is exit 2, as for the commands
+        out = _stdout() if file is None else file
+        out.write(self.format_help())
+        out.flush()
+
     def error(self, message):
         # usage errors are JSON on stderr too, with exit code 1
         payload = {"error": "UsageError", "message": f"{self.prog}: {message}",
@@ -409,8 +417,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)  # help is written here
         payload = args.run(args)  # None where the command wrote its own output
         if payload is not None:
             print(json.dumps(payload, sort_keys=True), file=_stdout(), flush=True)

@@ -18,7 +18,9 @@ Two questions are decided here in closed form:
 Both go through one ``LDL^H`` elimination of ``H = V_q + tol I + (i/2) Omega``,
 the covariance in the real quadrature basis ``(x1, p1, x2, p2)`` plus half
 the symplectic form, read off the six moments.  The mirror only flips the
-sign of the ``(x2, p2)`` commutator entry, so one pass decides both.  ``tol``
+sign of the ``(x2, p2)`` commutator entry, so one pass decides both.  The
+same pass goes on to joint classicality (:mod:`gausspair.classicality`),
+``V_q - (1/2 - tol) I > 0``, from the entries it has read.  ``tol``
 is slack on the smallest eigenvalue, as in the one-mode and symmetric-class
 bounds.  Rounding moves the boundary by ``~1e-16 |V|``; ``tol`` is absolute,
 so once that nears it (``|V|`` around 1e6 to 1e7 at the default) no float64
@@ -108,36 +110,6 @@ def build_covariance(p: GaussianParams) -> np.ndarray:
     return np.block([[v1, c], [c.conj().T, v2]])
 
 
-def _quadrature_minors(
-    n1: float, n2: float, m1: complex, m2: complex, ms: complex, mc: complex
-) -> tuple[float, ...]:
-    """Principal minors of the real covariance of six moments in the quadrature
-    basis ``(x1, p1, x2, p2)``.
-
-    That matrix is unitarily equivalent to :func:`build_covariance`: party
-    blocks ``[[n + Re m, Im m], [Im m, n - Re m]]`` and the cross block
-    ``[[Re(ms + mc), Im(mc - ms)], [Im(ms + mc), Re(ms - mc)]]``.  Entry
-    ``mask`` of the returned 16-tuple is the minor on the quadratures whose
-    bits are set in ``mask`` (bit 0 is ``x1``, bit 3 is ``p2``); entry 0 is
-    the empty minor, 1.  Plain float products, so an overflow gives ``inf``
-    or ``nan`` for the caller to reject.
-    """
-    plus, minus = ms + mc, ms - mc
-    a, c, b, d, f, e = n1 + m1.real, m1.imag, n1 - m1.real, n2 + m2.real, m2.imag, n2 - m2.real
-    g, h, k, l = plus.real, -minus.imag, plus.imag, minus.real  # rows x1, p1 of the cross block
-    r02, r03, r12, r13 = a * k - c * g, a * l - c * h, c * k - b * g, c * l - b * h
-    s02, s03, s12, s13 = g * f - d * h, g * e - f * h, k * f - d * l, k * e - f * l
-    r01, s23, cross = a * b - c * c, d * e - f * f, g * l - h * k
-    return (
-        1.0, a, b, r01, d, a * d - g * g, b * d - k * k,
-        b * (a * d - g * g) - c * (c * d - 2.0 * g * k) - a * k * k,
-        e, a * e - h * h, b * e - l * l,
-        b * (a * e - h * h) - c * (c * e - 2.0 * h * l) - a * l * l,
-        s23, a * s23 - g * s03 + h * s02, b * s23 - k * s13 + l * s12,
-        r01 * s23 - r02 * s13 + r03 * s12 + r12 * s03 - r13 * s02 + cross * cross,
-    )
-
-
 def mirror_party2(p: GaussianParams) -> GaussianParams:
     """The partial transpose on the six moments: mirror party 2 in phase space.
 
@@ -181,46 +153,90 @@ def schur_terms(p: GaussianParams, tol: float) -> tuple[float, complex, float]:
     return s, c, d
 
 
-def _nonpositive(pivot: float) -> tuple[bool, bool]:
-    if math.isfinite(pivot):  # failed 0 < pivot < inf: a rejection, or an overflow
-        return False, False
+def _rejected(pivot: float, verdicts: tuple = (False, False, False)) -> tuple[bool, bool, bool]:
+    # the verdicts where a pivot failed 0 < pivot < inf, or a typed error
+    # where it is not finite (an overflow)
+    if math.isfinite(pivot):
+        return verdicts
     raise NumericDomainError("moments overflow float64 in the elimination")
 
 
-def _elimination_verdicts(p: GaussianParams, shift: float, half: float) -> tuple[bool, bool]:
-    """Whether ``H = V_q + shift I + i half Omega`` and its party-2 mirror are
-    positive definite (all four pivots positive), by one ``LDL^H`` pass.
+def _elimination_verdicts(p: GaussianParams, shift: float, half: float) -> tuple[bool, bool, bool]:
+    """Whether ``H = V_q + shift I + i half Omega``, its party-2 mirror and
+    ``J = V_q + (shift - half) I`` are positive definite (all four pivots
+    positive), by one ``LDL^H`` pass over ``H`` and then a real ``LDL^T``
+    pass over ``J``.
 
-    ``V_q`` is the quadrature covariance of :func:`_quadrature_minors` and
+    ``V_q`` is the real covariance of the six moments in the quadrature
+    basis ``(x1, p1, x2, p2)``, unitarily equivalent to
+    :func:`build_covariance`: party blocks ``[[n + Re m, Im m], [Im m, n - Re m]]``
+    and the cross block ``[[Re(ms + mc), Im(mc - ms)], [Im(ms + mc), Re(ms - mc)]]``
+    (rows ``x1``, ``p1``; columns ``x2``, ``p2``).
     ``Omega`` is ``+1`` above the diagonal at ``(x1, p1)`` and ``(x2, p2)``;
-    the mirror's ``-1`` at ``(x2, p2)`` reaches only the last pivot.  Raises
+    the mirror's ``-1`` at ``(x2, p2)`` reaches only the last pivot.  At
+    ``(tol, 1/2)`` the three verdicts are physicality, the PPT test and joint
+    classicality.  For ``half >= 0``, ``H - J = half (I + i Omega)`` is
+    positive semidefinite (eigenvalues 0 and ``2 half``), so ``J > 0``
+    implies ``H > 0``: ``J`` is eliminated only once ``H`` is accepted, from
+    the entries already read and without the imaginary terms, and is not
+    positive definite where ``H`` is rejected.  Raises
     :class:`NumericDomainError` where a pivot is not finite.
     """
-    m1, m2, plus, minus = p.m1, p.m2, p.m_s + p.m_c, p.m_s - p.m_c
-    c, g, u = m1.imag, plus.real, -minus.imag  # row x1 right of its pivot, real parts
-    d0 = p.n1 + m1.real + shift
+    # V_q = [[a, c, g, h], [c, b, k, l], [g, k, d, f], [h, l, f, e]]; each
+    # entry and product is read once, when the H pass first needs it, and
+    # the J pass reuses it
+    m1 = p.m1
+    a = p.n1 + m1.real
+    d0 = a + shift
     if not 0.0 < d0 < math.inf:
-        return _nonpositive(d0)
-    r0 = 1.0 / d0
-    d1 = p.n1 - m1.real + shift - (c * c + half * half) * r0
+        return _rejected(d0)
+    b, c, r0 = p.n1 - m1.real, m1.imag, 1.0 / d0
+    cc = c * c
+    d1 = b + shift - (cc + half * half) * r0
     if not 0.0 < d1 < math.inf:
-        return _nonpositive(d1)
+        return _rejected(d1)
+    plus, minus = p.m_s + p.m_c, p.m_s - p.m_c
+    g, h = plus.real, -minus.imag
+    k, l = plus.imag, minus.real
+    cg, ch, r1 = c * g, c * h, 1.0 / d1
     # row p1 right of its pivot after step one, at x2 and p2, as (re, im)
-    xr, xi, pr, pim = plus.imag - c * g * r0, half * g * r0, minus.real - c * u * r0, half * u * r0
-    r1 = 1.0 / d1
-    d2 = p.n2 + m2.real + shift - g * g * r0 - (xr * xr + xi * xi) * r1
+    xr, xi, pr, pim = k - cg * r0, half * g * r0, l - ch * r0, half * h * r0
+    m2, gg = p.m2, g * g
+    d, e = p.n2 + m2.real, p.n2 - m2.real
+    d2 = d + shift - gg * r0 - (xr * xr + xi * xi) * r1
     if not 0.0 < d2 < math.inf:
-        return _nonpositive(d2)
+        return _rejected(d2)
     # the (x2, p2) entry after step two is yr + i (yi +- half)
-    yr = m2.imag - g * u * r0 - (xr * pr + xi * pim) * r1
+    f, gh, hh = m2.imag, g * h, h * h
+    yr = f - gh * r0 - (xr * pr + xi * pim) * r1
     yi = (xi * pr - xr * pim) * r1
-    last = p.n2 - m2.real + shift - u * u * r0 - (pr * pr + pim * pim) * r1
+    last = e + shift - hh * r0 - (pr * pr + pim * pim) * r1
     yp, ym, r2 = yi + half, yi - half, 1.0 / d2
     d3 = last - (yr * yr + yp * yp) * r2
     d3_mirror = last - (yr * yr + ym * ym) * r2
     if not (abs(d3) < math.inf and abs(d3_mirror) < math.inf):
         raise NumericDomainError("moments overflow float64 in the elimination")
-    return d3 > 0.0, d3_mirror > 0.0
+    mirror = d3_mirror > 0.0
+    if not d3 > 0.0:
+        return False, mirror, False
+    # J: the steps above with shift - half and no imaginary parts
+    shift -= half
+    d0 = a + shift
+    if not 0.0 < d0 < math.inf:
+        return _rejected(d0, (True, mirror, False))
+    r0 = 1.0 / d0
+    d1 = b + shift - cc * r0
+    if not 0.0 < d1 < math.inf:
+        return _rejected(d1, (True, mirror, False))
+    xr, pr, r1 = k - cg * r0, l - ch * r0, 1.0 / d1
+    d2 = d + shift - gg * r0 - xr * xr * r1
+    if not 0.0 < d2 < math.inf:
+        return _rejected(d2, (True, mirror, False))
+    yr, r2 = f - gh * r0 - xr * pr * r1, 1.0 / d2
+    d3 = e + shift - hh * r0 - pr * pr * r1 - yr * yr * r2
+    if not abs(d3) < math.inf:
+        raise NumericDomainError("moments overflow float64 in the elimination")
+    return True, mirror, d3 > 0.0
 
 
 def is_physical(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
@@ -236,6 +252,16 @@ def is_physical(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
     return _elimination_verdicts(p, tol, 0.5)[0]
 
 
+def _physical_verdicts(p: GaussianParams, tol: float) -> tuple[bool, bool]:
+    # separability and joint classicality of a physical state, from one
+    # kernel call; NonPhysicalStateError for a nonphysical one
+    _check_tol(tol)
+    physical, separable, classical = _elimination_verdicts(p, tol, 0.5)
+    if not physical:
+        raise NonPhysicalStateError("state violates the uncertainty principle")
+    return separable, classical
+
+
 def is_separable(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
     """PPT separability test; defined only for physical states.
 
@@ -243,8 +269,4 @@ def is_separable(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
     (:func:`mirror_party2`) is physical too; one elimination pass decides
     both.  Raises :class:`NonPhysicalStateError` for a nonphysical state.
     """
-    _check_tol(tol)
-    physical, mirror_physical = _elimination_verdicts(p, tol, 0.5)
-    if not physical:
-        raise NonPhysicalStateError("state violates the uncertainty principle")
-    return mirror_physical
+    return _physical_verdicts(p, tol)[0]

@@ -16,7 +16,6 @@ state scores 0.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import sys
@@ -24,8 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .classicality import ModeParams
-from .covariance import DEFAULT_TOL, GaussianParams, _finite_numbers, _quadrature_minors
-from .covariance import is_separable
+from .covariance import DEFAULT_TOL, GaussianParams, _finite_numbers, _physical_verdicts
 from .errors import DegenerateStateError, NumericDomainError
 
 if TYPE_CHECKING:
@@ -155,18 +153,19 @@ def _reference(r: float) -> tuple[float, float, float, float, float]:
 
 
 def _squeezing(r) -> float:
-    # float(r).  A bool, numpy's included, is a TypeError, as in the value
-    # types.  isnan next: it raises TypeError for a str, which float() would
-    # read as a number, and OverflowError for an int beyond float64.
+    # float(r), admitted as the value types admit numbers: a bool (numpy's
+    # included), a str or an ndarray is a TypeError.  NaN and the infinities
+    # pass, for _reference to type; an int beyond float64 is typed here.
     if type(r) is float:
         return r
-    if isinstance(r, bool) or getattr(r, "dtype", None) == bool:
-        raise TypeError(f"expected a number, got {type(r).__name__}")
     try:
-        math.isnan(r)
+        return _finite_numbers("reference squeezing r", (float,), r)[0]
+    except ValueError:  # not finite
+        pass
+    try:
+        return float(r)
     except OverflowError:
         raise NumericDomainError("reference squeezing r is an int beyond float64") from None
-    return float(r)
 
 
 def _reference_terms(r) -> tuple[float, float, float, float, float]:
@@ -228,17 +227,40 @@ def _reference_overlap(p: GaussianParams, a: float, b: float) -> float:
     # det(V + diag) is then the sum over index subsets S of
     # prod_{i in S} diag_i times the principal minor of V on the complement:
     # 16 nonnegative terms, nothing cancels.  They are grouped by weight
-    # below; ab = 1/4.
-    u = cmath.exp(1j * cmath.phase(p.m_c)) if p.m_c != 0 else 1.0  # |u| = 1 for subnormal m_c too
-    ms, m2, mc = p.m_s * u, p.m2 * (u * u).conjugate(), abs(p.m_c)
-    half, mean = 0.5 * (p.n1 + p.n2), 0.5 * (p.m1 + m2)
-    m = _quadrature_minors(
-        half + ms.real, half - ms.real, mean + mc, mean - mc,
-        complex(0.5 * (p.n1 - p.n2), -ms.imag), 0.5 * (p.m1 - m2),
-    )
+    # below; ab = 1/4.  Real arithmetic on the parts of the moments, in the
+    # order of the complex route that oracle.reference_overlap_minors keeps
+    # as the referee, so the two agree bit for bit.
+    ms, m1, m2, mc = p.m_s, p.m1, p.m2, p.m_c
+    if mc:  # u = e^(i arg m_c), as cmath.exp gives it; |u| = 1 for subnormal m_c too
+        phase = math.atan2(mc.imag, mc.real)
+        ur, ui = math.cos(phase), math.sin(phase)
+    else:
+        ur, ui = 1.0, 0.0
+    sr, si = ms.real * ur - ms.imag * ui, ms.real * ui + ms.imag * ur  # m_s u
+    vr, vi = ur * ur - ui * ui, -(ur * ui + ui * ur)  # conj(u^2)
+    tr, ti = m2.real * vr - m2.imag * vi, m2.real * vi + m2.imag * vr  # m2 conj(u^2)
+    half, mean, size = 0.5 * (p.n1 + p.n2), 0.5 * (m1.real + tr), abs(mc)
+    dn, dr, di = 0.5 * (p.n1 - p.n2), 0.5 * (m1.real - tr), 0.5 * (m1.imag - ti)
+    # V in that frame: party blocks [[v0, w], [w, v1]] and [[v2, w], [w, v3]],
+    # cross block [[g, h], [k, l]]; each product below is taken once
+    up, down, mp, mm = half + sr, half - sr, mean + size, mean - size
+    v0, v1, v2, v3 = up + mp, up - mp, down + mm, down - mm
+    w = 0.5 * (m1.imag + ti)
+    g, h, k, l = dn + dr, si + di, di - si, dn - dr
+    wg, wh, wk, wl, ww = w * g, w * h, w * k, w * l, w * w
+    # dN is the principal minor on the quadratures whose bits are set in N
+    # (bit 0 is the first); r.. and s.. are 2x2 minors of rows 0, 1 and 2, 3
+    r02, r03, r12, r13 = v0 * k - wg, v0 * l - wh, wk - v1 * g, wl - v1 * h
+    s02, s03, s12, s13 = wg - v2 * h, g * v3 - wh, wk - v2 * l, k * v3 - wl
+    d3, d12, cross = v0 * v1 - ww, v2 * v3 - ww, g * l - h * k
+    d5, d6, d9, d10 = v0 * v2 - g * g, v1 * v2 - k * k, v0 * v3 - h * h, v1 * v3 - l * l
+    d7 = v1 * d5 - w * (w * v2 - 2.0 * g * k) - v0 * k * k
+    d11 = v1 * d9 - w * (w * v3 - 2.0 * h * l) - v0 * l * l
+    d13, d14 = v0 * d12 - g * s03 + h * s02, v1 * d12 - k * s13 + l * s12
+    d15 = d3 * d12 - r02 * s13 + r03 * s12 + r12 * s03 - r13 * s02 + cross * cross
     det = (
-        m[15] + b * (m[7] + m[14]) + a * (m[11] + m[13]) + b * b * m[6] + a * a * m[9]
-        + 0.25 * (m[3] + m[5] + m[10] + m[12] + a * (m[1] + m[8]) + b * (m[2] + m[4]) + 0.25)
+        d15 + b * (d7 + d14) + a * (d11 + d13) + b * b * d6 + a * a * d9
+        + 0.25 * (d3 + d5 + d10 + d12 + a * (v0 + v3) + b * (v1 + v2) + 0.25)
     )
     if not math.isfinite(det):
         raise NumericDomainError("overlap determinant is not finite in float64")
@@ -247,13 +269,16 @@ def _reference_overlap(p: GaussianParams, a: float, b: float) -> float:
     return 1.0 / math.sqrt(det)
 
 
-def _degree_terms(p: GaussianParams, r: float, tol: float) -> tuple[float, float, float, bool]:
-    # entanglement_degree's fields in order, without the record
-    separable = is_separable(p, tol)
+def _degree_terms(
+    p: GaussianParams, r: float, tol: float
+) -> tuple[float, float, float, bool, bool]:
+    # entanglement_degree's fields in order, without the record, then joint
+    # classicality: one kernel call decides the state
+    separable, classical = _physical_verdicts(p, tol)
     d_sep, _, _, a, b = _reference_terms(r)  # typed errors for a bad r
     fid = _reference_overlap(p, a, b)
     bures = bures_from_fidelity(fid)
-    return fid, bures, 1.0 - bures / d_sep, separable
+    return fid, bures, 1.0 - bures / d_sep, separable, classical
 
 
 def entanglement_degree(
@@ -274,4 +299,4 @@ def entanglement_degree(
     on ``r`` alone and are computed once per ``r`` and process.  Raises
     :class:`NonPhysicalStateError` for a nonphysical state.
     """
-    return MeasureReport(*_degree_terms(p, r, tol))
+    return MeasureReport(*_degree_terms(p, r, tol)[:4])

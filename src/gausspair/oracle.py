@@ -4,8 +4,9 @@ No other module of the package imports this one; the test suite uses
 these routines to cross-check closed-form results through unrelated
 algorithms (Jacobi rotations, Fock-basis sums, direct quadrature, the full
 4x4 conjugation through the mixer matrix, the matrix partial transpose, an
-eigenvalue test of joint classicality and a many-digit determinant), and
-build the one-mode and local-operation matrices those routes take.
+eigenvalue test of joint classicality, a many-digit determinant and the
+complex minor-sum route to the reference overlap), and build the one-mode
+and local-operation matrices those routes take.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from .classicality import ModeParams
-from .covariance import DEFAULT_TOL
+from .covariance import DEFAULT_TOL, GaussianParams
 from .errors import NumericDomainError
 from .mixer import LocalOperations, MixerConfig
 
@@ -308,3 +309,62 @@ def reference_overlap_decimal(p, r: float) -> float:
         if det <= 0:
             raise NumericDomainError("summed covariance is not positive definite")
         return float(1 / det.sqrt())
+
+
+def quadrature_minors(
+    n1: float, n2: float, m1: complex, m2: complex, ms: complex, mc: complex
+) -> tuple[float, ...]:
+    """Principal minors of the real covariance of six moments in the quadrature
+    basis ``(x1, p1, x2, p2)``.
+
+    Party blocks ``[[n + Re m, Im m], [Im m, n - Re m]]`` and the cross block
+    ``[[Re(ms + mc), Im(mc - ms)], [Im(ms + mc), Re(ms - mc)]]``, as in
+    :func:`gausspair.covariance._elimination_verdicts`.  Entry ``mask`` of
+    the returned 16-tuple is the minor on the quadratures whose bits are set
+    in ``mask`` (bit 0 is ``x1``, bit 3 is ``p2``); entry 0 is the empty
+    minor, 1.  Plain float products, so an overflow gives ``inf`` or ``nan``.
+    """
+    plus, minus = ms + mc, ms - mc
+    a, c, b, d, f, e = n1 + m1.real, m1.imag, n1 - m1.real, n2 + m2.real, m2.imag, n2 - m2.real
+    g, h, k, l = plus.real, -minus.imag, plus.imag, minus.real  # rows x1, p1 of the cross block
+    r02, r03, r12, r13 = a * k - c * g, a * l - c * h, c * k - b * g, c * l - b * h
+    s02, s03, s12, s13 = g * f - d * h, g * e - f * h, k * f - d * l, k * e - f * l
+    r01, s23, cross = a * b - c * c, d * e - f * f, g * l - h * k
+    return (
+        1.0, a, b, r01, d, a * d - g * g, b * d - k * k,
+        b * (a * d - g * g) - c * (c * d - 2.0 * g * k) - a * k * k,
+        e, a * e - h * h, b * e - l * l,
+        b * (a * e - h * h) - c * (c * e - 2.0 * h * l) - a * l * l,
+        s23, a * s23 - g * s03 + h * s02, b * s23 - k * s13 + l * s12,
+        r01 * s23 - r02 * s13 + r03 * s12 + r12 * s03 - r13 * s02 + cross * cross,
+    )
+
+
+def reference_overlap_minors(p: GaussianParams, a: float, b: float) -> float:
+    """Overlap of ``p`` with its phase-aligned twin-beam reference, by complex
+    moments and :func:`quadrature_minors`.
+
+    The route that :func:`gausspair.measures._reference_overlap` writes out
+    in real arithmetic: party 2 rotated by the phase ``u`` of ``m_c``, the
+    moments repacked as complex numbers in the 50:50 frame, where the
+    reference is ``diag(b, a, a, b)``, and the determinant of the sum taken
+    as the reference's variances times the state's principal minors.
+    Raises :class:`NumericDomainError` where that determinant is not finite
+    or not positive.
+    """
+    u = cmath.exp(1j * cmath.phase(p.m_c)) if p.m_c != 0 else 1.0
+    ms, m2, mc = p.m_s * u, p.m2 * (u * u).conjugate(), abs(p.m_c)
+    half, mean = 0.5 * (p.n1 + p.n2), 0.5 * (p.m1 + m2)
+    m = quadrature_minors(
+        half + ms.real, half - ms.real, mean + mc, mean - mc,
+        complex(0.5 * (p.n1 - p.n2), -ms.imag), 0.5 * (p.m1 - m2),
+    )
+    det = (
+        m[15] + b * (m[7] + m[14]) + a * (m[11] + m[13]) + b * b * m[6] + a * a * m[9]
+        + 0.25 * (m[3] + m[5] + m[10] + m[12] + a * (m[1] + m[8]) + b * (m[2] + m[4]) + 0.25)
+    )
+    if not math.isfinite(det):
+        raise NumericDomainError("overlap determinant is not finite in float64")
+    if det <= 0.0:
+        raise NumericDomainError("overlap determinant is not positive")
+    return 1.0 / math.sqrt(det)

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from gausspair import (
     DEFAULT_TOL, GaussianParams, MixerConfig, ModeParams, build_covariance, is_physical,
 )
+from gausspair.oracle import eig_min_hermitian
 
 
 class References(NamedTuple):
@@ -118,3 +120,33 @@ def tol_consistent(verdict: bool, e: float, p: GaussianParams) -> bool:
     """
     slack = 1e-13 * max(1.0, float(np.abs(build_covariance(p)).max()))
     return e >= -DEFAULT_TOL - slack if verdict else e < -DEFAULT_TOL + slack
+
+
+def joint_eig(p: GaussianParams) -> float:
+    # smallest eigenvalue of V - I/2, by the Jacobi referee
+    return float(eig_min_hermitian(build_covariance(p) - 0.5 * np.eye(4)))
+
+
+@st.composite
+def joint_band_states(draw, near_vacuum):
+    """States whose ``V - I/2`` has smallest eigenvalue within a few tol of ``-tol``.
+
+    The moments are drawn at one of the scales 1, 30, 1e3 and 3e3 (``|V|``
+    stays below ~1e4, where the contract can be checked), then both
+    occupations are shifted by ``-lambda_min + (k - 1) tol``, ``k`` in
+    [-5, 5], which moves the whole spectrum.  With ``near_vacuum``
+    party 1 is the vacuum up to moments of a few tol and cross moments of at
+    most 1e-5, so two eigenvalues sit near the boundary together.
+    """
+    scale = draw(st.sampled_from([1.0, 30.0, 1e3, 3e3]))
+    m2 = draw(moments(scale))
+    if near_vacuum:
+        m1, cross_hi = draw(moments(5 * DEFAULT_TOL)), 1e-5
+        n2 = abs(m2) + draw(st.floats(0.0, 2.0)) * scale
+    else:
+        m1, cross_hi = draw(moments(scale)), scale
+        n2 = draw(st.floats(-1.0, 1.0)) * scale
+    base = GaussianParams(n1=0.0, n2=n2, m1=m1, m2=m2,
+                          m_s=draw(moments(cross_hi)), m_c=draw(moments(cross_hi)))
+    shift = -joint_eig(base) + draw(tol_offsets()) - DEFAULT_TOL
+    return replace(base, n1=base.n1 + shift, n2=base.n2 + shift)

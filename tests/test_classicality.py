@@ -1,6 +1,5 @@
 import cmath
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from gausspair import (
     build_covariance,
     is_p_representable_joint,
     is_p_representable_mode,
+    is_physical,
     is_separable,
     local_normal_form,
     mix_params,
@@ -26,14 +26,14 @@ from gausspair import (
 )
 from gausspair.oracle import (
     COMMUTATOR_SIGNATURE,
-    eig_min_hermitian,
     is_p_representable_joint_eig,
     mode_covariance,
     partial_transpose,
 )
 
 from conftest import (
-    draw_mixer, draw_physical, draw_symmetric_physical, moments, tol_consistent, tol_offsets,
+    draw_mixer, draw_params, draw_physical, draw_symmetric_physical, joint_band_states, joint_eig,
+    tol_consistent,
 )
 
 BS5050 = MixerConfig(theta=math.pi / 4)
@@ -47,36 +47,6 @@ def test_mode_params_roundtrip():
 def test_mode_params_rejects_bad_shape():
     with pytest.raises(ValueError):
         mode_params(np.eye(4))
-
-
-def _joint_eig(p: GaussianParams) -> float:
-    # smallest eigenvalue of V - I/2, by the Jacobi referee
-    return float(eig_min_hermitian(build_covariance(p) - 0.5 * np.eye(4)))
-
-
-@st.composite
-def joint_band_states(draw, near_vacuum):
-    """States whose ``V - I/2`` has smallest eigenvalue within a few tol of ``-tol``.
-
-    The moments are drawn at one of the scales 1, 30, 1e3 and 3e3 (``|V|``
-    stays below ~1e4, where the contract can be checked), then both
-    occupations are shifted by ``-lambda_min + (k - 1) tol``, ``k`` in
-    [-5, 5], which moves the whole spectrum.  With ``near_vacuum``
-    party 1 is the vacuum up to moments of a few tol and cross moments of at
-    most 1e-5, so two eigenvalues sit near the boundary together.
-    """
-    scale = draw(st.sampled_from([1.0, 30.0, 1e3, 3e3]))
-    m2 = draw(moments(scale))
-    if near_vacuum:
-        m1, cross_hi = draw(moments(5 * DEFAULT_TOL)), 1e-5
-        n2 = abs(m2) + draw(st.floats(0.0, 2.0)) * scale
-    else:
-        m1, cross_hi = draw(moments(scale)), scale
-        n2 = draw(st.floats(-1.0, 1.0)) * scale
-    base = GaussianParams(n1=0.0, n2=n2, m1=m1, m2=m2,
-                          m_s=draw(moments(cross_hi)), m_c=draw(moments(cross_hi)))
-    shift = -_joint_eig(base) + draw(tol_offsets()) - DEFAULT_TOL
-    return replace(base, n1=base.n1 + shift, n2=base.n2 + shift)
 
 
 class TestJoint:
@@ -104,7 +74,7 @@ class TestJoint:
         checked = 0
         for p in draw_physical(rng, 300):
             for q in (p, mix_params(p, draw_mixer(rng))):
-                e = _joint_eig(q)
+                e = joint_eig(q)
                 if abs(e + DEFAULT_TOL) < 1e-7:
                     continue
                 checked += 1
@@ -112,16 +82,29 @@ class TestJoint:
                 assert is_p_representable_joint(q) == want, q
         assert checked > 550
 
+    def test_nonphysical_states_are_not_classical(self):
+        # the kernel decides V - (1/2 - tol) I only after accepting the state
+        # as physical; the referee agrees that the rejected ones are not classical
+        rng = np.random.default_rng(45)
+        checked = 0
+        while checked < 200:
+            p = draw_params(rng)
+            if is_physical(p):
+                continue
+            checked += 1
+            assert is_p_representable_joint(p) is False
+            assert not is_p_representable_joint_eig(build_covariance(p)), p
+
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(joint_band_states(near_vacuum=False))
     def test_tol_band(self, p):
-        e = _joint_eig(p)
+        e = joint_eig(p)
         assert tol_consistent(is_p_representable_joint(p), e, p), e
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(joint_band_states(near_vacuum=True))
     def test_tol_band_with_a_near_vacuum_party(self, p):
-        e = _joint_eig(p)
+        e = joint_eig(p)
         assert tol_consistent(is_p_representable_joint(p), e, p), e
 
 

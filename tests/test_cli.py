@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from gausspair import GaussianParams, MixerConfig, NonPhysicalStateError, coupling_residuals
 from gausspair import transform_blocks
-from gausspair import cli, covariance, measures, oracle
+from gausspair import classicality, cli, covariance, measures, oracle
 
-from conftest import moments
+from conftest import joint_band_states, moments
 
 
 def run_cli(argv, capsys):
@@ -286,8 +286,8 @@ class TestRunCheck:
             cli.run_check(GaussianParams(n1=1, n2=1, m_c=1.8), 1.0)
 
     def test_physicality_is_decided_once(self, monkeypatch):
-        # one elimination pass decides the state and its party-2 mirror, one
-        # more decides joint classicality
+        # one kernel call decides the state, its party-2 mirror and joint
+        # classicality
         passes = []
         original = covariance._elimination_verdicts
 
@@ -302,7 +302,7 @@ class TestRunCheck:
                     monkeypatch.setattr(module, attr, counted)
         payload = cli.run_check(GaussianParams(n1=2, n2=2, m1=0.3, m2=0.2j, m_s=0.4, m_c=1.2), 1.0)
         assert payload["physical"] is True
-        assert len(passes) <= 2, passes
+        assert passes == [(covariance.DEFAULT_TOL, 0.5)]
 
     def test_matrix_route_stays_off_the_check_path(self, monkeypatch):
         # the overlap and the joint test come from the moments: with every
@@ -332,20 +332,35 @@ class TestRunCheck:
         assert payload["fidelity"] == pytest.approx(fidelity, rel=1e-12, abs=0.0)
         assert payload["p_representable"] is joint
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.floats(0.5, 4.0), st.floats(0.5, 4.0), moments(2.0), moments(2.0),
-           moments(2.0), moments(2.0), st.floats(1e-6, 170.0))
-    def test_payload_is_the_entanglement_degree_report(self, n1, n2, m1, m2, m_s, m_c, r):
-        p = GaussianParams(n1=n1, n2=n2, m1=m1, m2=m2, m_s=m_s, m_c=m_c)
+    @staticmethod
+    def assert_payload_is_the_report(p, r):
+        # the measures are entanglement_degree's report, p_representable is
+        # is_p_representable_joint, and a nonphysical state raises in both
+        # routes and is not classical
         try:
             report = measures.entanglement_degree(p, r)
         except NonPhysicalStateError:
             with pytest.raises(NonPhysicalStateError):
                 cli.run_check(p, r)
+            assert classicality.is_p_representable_joint(p) is False
             return
         payload = cli.run_check(p, r)
         assert [payload[key] for key in ("fidelity", "bures", "degree", "separable", "r")] == [
             report.fidelity, report.bures, report.degree, report.separable, r]
+        assert payload["p_representable"] is classicality.is_p_representable_joint(p)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(0.5, 4.0), st.floats(0.5, 4.0), moments(2.0), moments(2.0),
+           moments(2.0), moments(2.0), st.floats(1e-6, 170.0))
+    def test_payload_is_the_entanglement_degree_report(self, n1, n2, m1, m2, m_s, m_c, r):
+        self.assert_payload_is_the_report(
+            GaussianParams(n1=n1, n2=n2, m1=m1, m2=m2, m_s=m_s, m_c=m_c), r)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.one_of(joint_band_states(near_vacuum=False), joint_band_states(near_vacuum=True)),
+           st.floats(1e-6, 170.0))
+    def test_payload_is_the_report_in_the_joint_tol_band(self, p, r):
+        self.assert_payload_is_the_report(p, r)
 
     def test_warm_reference_is_not_recomputed(self, monkeypatch):
         p = GaussianParams(n1=2.86, n2=1.78, m1=0.5 + 0.2j, m2=-0.49,
@@ -809,6 +824,8 @@ class TestUnwritableStdout:
         "transform": ["transform", "--state", "{state}", "--theta", "0.7853981633974483"],
         "sweep": ["sweep", "--n-steps", "3", "--m-steps", "3"],
         "tmtss": ["tmtss", "--d", "0.5", "--r=-0.3"],
+        "help": ["--help"],
+        "sweep-help": ["sweep", "--help"],
     }
 
     @pytest.fixture
@@ -838,7 +855,7 @@ class TestUnwritableStdout:
         assert json.loads(result.stderr) == {"error": "BrokenPipeError",
                                              "message": "[Errno 32] Broken pipe"}
 
-    @pytest.mark.parametrize("argv", ["check", "sweep"], indirect=True)
+    @pytest.mark.parametrize("argv", ["check", "sweep", "help"], indirect=True)
     def test_closed_stdout(self, argv):
         # started with fd 1 closed, the interpreter's sys.stdout is None
         result = subprocess.run(["sh", "-c", 'exec "$0" -m gausspair "$@" >&-', sys.executable,

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -388,7 +389,7 @@ class TestReferenceCache:
         info = measures._reference.cache_info()
         assert info.misses == len(self.R_VALUES) and info.currsize == len(self.R_VALUES)
 
-    @pytest.mark.parametrize("r", [1, np.float64(1.0), np.array(1.0)])
+    @pytest.mark.parametrize("r", [1, np.float64(1.0)])
     def test_numeric_types_give_the_bits_of_the_float(self, r):
         p = GaussianParams(n1=2.0, n2=2.0, m1=0.3, m_c=1.5)
         measures._reference.cache_clear()
@@ -437,6 +438,16 @@ class TestReferenceCache:
         # float() reads True as r = 1.0, which the value types refuse
         measures._reference.cache_clear()
         with pytest.raises(TypeError, match="expected a number"):
+            call(r)
+        assert measures._reference.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("r", [np.array(1.0), np.array([1.0])], ids=["0-d", "1-d"])
+    @R_CALLS
+    def test_arrays_are_refused(self, call, r):
+        # numbers only, as the value types admit them: GaussianParams refuses
+        # an ndarray too
+        measures._reference.cache_clear()
+        with pytest.raises(TypeError, match="expected a number, got ndarray"):
             call(r)
         assert measures._reference.cache_info().currsize == 0
 
@@ -505,6 +516,17 @@ def general_physical_states(draw):
     return mix_params(GaussianParams(n1=n1, n2=n2, m1=m1, m2=m2), MixerConfig(*angles))
 
 
+@st.composite
+def scaled_states(draw):
+    """Moments of magnitude up to one scale from 1e-3 to 1e3, at any phase,
+    and occupations from 1/2 to 1/2 + 4 scale; physical or not."""
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    m1, m2, m_s, m_c = (scale * draw(st.floats(0.0, 1.0)) * cmath.exp(1j * draw(st.floats(
+        -math.pi, math.pi))) for _ in range(4))
+    n1, n2 = (0.5 + scale * draw(st.floats(0.0, 4.0)) for _ in range(2))
+    return GaussianParams(n1=n1, n2=n2, m1=m1, m2=m2, m_s=m_s, m_c=m_c)
+
+
 class TestGeneralOverlap:
     """The overlap of general states with the aligned reference, against other routes."""
 
@@ -524,3 +546,18 @@ class TestGeneralOverlap:
     def test_matches_the_decimal_referee(self, p, r):
         want = oracle.reference_overlap_decimal(p, r)
         assert entanglement_degree(p, r).fidelity == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(scaled_states(), st.floats(math.log(1e-6), math.log(170.0)).map(math.exp))
+    def test_is_the_minor_sum_route_bit_for_bit(self, p, r):
+        # the real arithmetic of the production route against the complex
+        # moments and principal minors of the referee: the same value, or the
+        # same error
+        _, _, _, a, b = measures._reference(r)
+        try:
+            want = oracle.reference_overlap_minors(p, a, b)
+        except NumericDomainError as err:
+            with pytest.raises(NumericDomainError, match=re.escape(str(err))):
+                measures._reference_overlap(p, a, b)
+        else:
+            assert measures._reference_overlap(p, a, b) == want
