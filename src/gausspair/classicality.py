@@ -38,8 +38,7 @@ def mode_params(block: np.ndarray) -> ModeParams:
 
 def mode_is_physical(md: ModeParams, tol: float = DEFAULT_TOL) -> bool:
     """One-mode uncertainty bound, boundary states accepted."""
-    _check_tol(tol)
-    return md.n >= math.hypot(abs(md.m), 0.5) - tol
+    return md.n >= math.hypot(abs(md.m), 0.5) - _check_tol(tol)
 
 
 def is_p_representable_joint(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
@@ -54,14 +53,12 @@ def is_p_representable_joint(p: GaussianParams, tol: float = DEFAULT_TOL) -> boo
     backward stable, so rounding moves the boundary by ``~1e-16 |V|`` at
     most.  Raises :class:`NumericDomainError` where a pivot overflows float64.
     """
-    _check_tol(tol)
-    return _elimination_verdicts(p, tol, 0.5)[2]
+    return _elimination_verdicts(p, _check_tol(tol), 0.5)[2]
 
 
 def is_p_representable_mode(md: ModeParams, tol: float = DEFAULT_TOL) -> bool:
     """One-mode classicality in closed form: ``n >= |m| + 1/2``."""
-    _check_tol(tol)
-    return md.n >= abs(md.m) + 0.5 - tol
+    return md.n >= abs(md.m) + 0.5 - _check_tol(tol)
 
 
 def nonclassicality_margin(md: ModeParams) -> float:

@@ -43,12 +43,20 @@ if TYPE_CHECKING:
 DEFAULT_TOL = 1e-9
 
 
-def _check_tol(tol: float) -> None:
+def _check_tol(tol) -> float:
     # every public function taking tol calls this or reaches it through
-    # is_physical: a NaN makes each bound comparison False and would flip
-    # verdicts without an error, and an int beyond float64 overflows later
+    # is_physical, and works on the float it returns: admitted by the value
+    # types' rule (a bool, a string or an array is a TypeError), then positive
+    # and finite, since a NaN makes each bound comparison False and would flip
+    # verdicts without an error
+    if type(tol) is not float:
+        try:
+            (tol,) = _finite_numbers("tol", (float,), tol)
+        except ValueError:  # non-finite, or an int beyond float64
+            raise ValueError("tol must be positive and finite") from None
     if not 0.0 < tol <= sys.float_info.max:
         raise ValueError("tol must be positive and finite")
+    return tol
 
 
 def _finite_numbers(what: str, kinds: tuple, *values) -> tuple:
@@ -248,15 +256,13 @@ def is_physical(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
     ``tol`` must be positive and finite; raises :class:`NumericDomainError`
     where a pivot overflows float64.
     """
-    _check_tol(tol)
-    return _elimination_verdicts(p, tol, 0.5)[0]
+    return _elimination_verdicts(p, _check_tol(tol), 0.5)[0]
 
 
 def _physical_verdicts(p: GaussianParams, tol: float) -> tuple[bool, bool]:
     # separability and joint classicality of a physical state, from one
     # kernel call; NonPhysicalStateError for a nonphysical one
-    _check_tol(tol)
-    physical, separable, classical = _elimination_verdicts(p, tol, 0.5)
+    physical, separable, classical = _elimination_verdicts(p, _check_tol(tol), 0.5)
     if not physical:
         raise NonPhysicalStateError("state violates the uncertainty principle")
     return separable, classical

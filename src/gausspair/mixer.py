@@ -153,7 +153,7 @@ def solve_decoupling_phases(
     root in ``[0, pi)`` is ``arg(m_s) mod pi``.  Returns None when no phases
     work.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     if abs(abs(p.m1) - abs(p.m2)) > tol:
         return None
 
@@ -180,7 +180,7 @@ def _local_determinants(p: GaussianParams) -> tuple[float, float]:
 
 def is_ssld(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
     """Whether the two local blocks have equal determinants."""
-    _check_tol(tol)
+    tol = _check_tol(tol)
     det1, det2 = _local_determinants(p)
     return abs(det1 - det2) <= tol
 

@@ -102,7 +102,7 @@ def symmetric_class_codes(n, m, tol: float = DEFAULT_TOL):
     ``hypot(m, 1/2)``, which does not overflow where ``m^2`` does.
     """
     import numpy as np
-    _check_tol(tol)
+    tol = _check_tol(tol)
     physical = n >= np.hypot(m, 0.5) - tol
     return physical * (1 + (n >= m + 0.5 - tol))
 

@@ -29,7 +29,7 @@ from gausspair import (
     trace_overlap,
     transform_blocks,
 )
-from gausspair import cli, oracle
+from gausspair import oracle, sweep
 from gausspair.oracle import (
     COMMUTATOR_SIGNATURE, build_mixer, mixer_inverse, mode_covariance, partial_transpose,
     transform_full,
@@ -217,11 +217,11 @@ def test_criterion_5_bures_composition():
 
 def test_criterion_6_surface_sweep(tmp_path):
     start = time.monotonic()
-    cfg = cli.SweepConfig()
-    result = cli.sweep_grid(cfg)
+    cfg = sweep.SweepConfig()
+    result = sweep.sweep_grid(cfg)
     path = tmp_path / "sweep.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        cli.write_sweep_csv(result, fh)
+        sweep.write_sweep_csv(result, fh)
     elapsed = time.monotonic() - start
 
     rows = [line.split(",") for line in path.read_text(encoding="utf-8").strip().split("\n")[1:]]
@@ -247,14 +247,14 @@ def test_criterion_6_surface_sweep(tmp_path):
             mono_ok = False
 
     # anchor points on a grid that contains them exactly
-    anchored = cli.SweepConfig(
+    anchored = sweep.SweepConfig(
         r=1.0,
         n_min=math.cosh(2.0) / 2, n_max=3.5, n_steps=3,
         m_min=0.0, m_max=math.sinh(2.0) / 2, m_steps=2,
     )
     apath = tmp_path / "anchored.csv"
     with open(apath, "w", encoding="utf-8", newline="") as fh:
-        cli.write_sweep_csv(cli.sweep_grid(anchored), fh)
+        sweep.write_sweep_csv(sweep.sweep_grid(anchored), fh)
     arows = [line.split(",") for line in apath.read_text(encoding="utf-8").strip().split("\n")[1:]]
     e_sep_anchor = float(arows[0][3])
     e_ent_anchor = float(arows[1][3])

@@ -28,6 +28,7 @@ from gausspair import (
     solve_decoupling_phases,
 )
 from gausspair import oracle
+from gausspair.cli import run_check
 from gausspair.oracle import COMMUTATOR_SIGNATURE, partial_transpose
 
 from conftest import (
@@ -374,8 +375,12 @@ class TestPureStatesAtLargeMoments:
         assert is_physical(p) is (k >= -1.0), k
 
 
-#: every public function taking ``tol`` that does not reach it through is_physical
+#: public functions taking ``tol``: the two criteria, ``cli.run_check`` and each
+#: of the others that does not reach it through is_physical
 TOL_TAKERS = {
+    "is_physical": lambda tol: is_physical(GaussianParams(1, 1), tol),
+    "is_separable": lambda tol: is_separable(GaussianParams(1, 1), tol),
+    "run_check": lambda tol: run_check(GaussianParams(1, 1), 1.0, tol),
     "mode_is_physical": lambda tol: mode_is_physical(ModeParams(1.0, 0.1), tol),
     "is_p_representable_mode": lambda tol: is_p_representable_mode(ModeParams(1.0, 0.1), tol),
     "classify_symmetric": lambda tol: classify_symmetric(1.0, 0.1, tol),
@@ -400,6 +405,19 @@ class TestTolAndOverflow:
     def test_bad_tol_rejected_everywhere(self, name, tol):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             TOL_TAKERS[name](tol)
+
+    @pytest.mark.parametrize("tol", [True, "1e-9", np.array(1e-9), np.array([1e-9, 1e-9])],
+                             ids=["bool", "str", "0d-array", "array"])
+    @pytest.mark.parametrize("name", sorted(TOL_TAKERS))
+    def test_non_numbers_are_refused_and_left_unchanged(self, name, tol):
+        # the value types' rule: the kernel subtracts from its shift in place,
+        # so an admitted array would change (GaussianParams(1, 1) is physical,
+        # so that step runs)
+        before = np.copy(tol) if isinstance(tol, np.ndarray) else tol
+        with pytest.raises(TypeError, match="expected a number"):
+            TOL_TAKERS[name](tol)
+        if isinstance(tol, np.ndarray):
+            assert np.array_equal(tol, before)
 
     @pytest.mark.parametrize("big", [1e160, 1e200, 1e300])
     def test_overflowing_moments_are_a_domain_error(self, big):

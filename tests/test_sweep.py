@@ -20,6 +20,7 @@ from gausspair import (
     classify_symmetric,
     cli,
     entanglement_degree,
+    sweep,
     symmetric_degree,
     tmtss,
 )
@@ -46,8 +47,13 @@ def _sweep_bytes(tmp_path, args):
 
 def _csv(cfg):
     buf = io.StringIO()
-    cli.write_sweep_csv(cli.sweep_grid(cfg), buf)
+    sweep.write_sweep_csv(sweep.sweep_grid(cfg), buf)
     return buf.getvalue()
+
+
+def _labels(result):
+    # the class names of the result's codes
+    return np.array(tmtss.SYMMETRIC_CLASSES)[result.codes]
 
 
 def _decimal_degree(n, m, r, digits=50):
@@ -82,7 +88,7 @@ class TestGoldenBytes:
 
 
 grids = st.builds(
-    lambda r, n_min, n_span, n_steps, m_min, m_span, m_steps: cli.SweepConfig(
+    lambda r, n_min, n_span, n_steps, m_min, m_span, m_steps: sweep.SweepConfig(
         r=r, n_min=n_min, n_max=n_min + n_span, n_steps=n_steps,
         m_min=m_min, m_max=m_min + m_span, m_steps=m_steps,
     ),
@@ -160,36 +166,38 @@ def test_scalar_and_array_forms_agree():
 
 class TestColumns:
     def test_shapes_labels_and_nan_mask(self):
-        cfg = cli.SweepConfig(n_steps=9, m_steps=7)
-        result = cli.sweep_grid(cfg)
+        cfg = sweep.SweepConfig(n_steps=9, m_steps=7)
+        result = sweep.sweep_grid(cfg)
         assert result.n.tolist() == cfg.n_values().tolist()
         assert result.m.tolist() == cfg.m_values().tolist()
-        assert result.label.shape == result.degree.shape == (9, 7)
+        labels = _labels(result)
+        assert labels.shape == result.degree.shape == (9, 7)
         for i, n in enumerate(result.n.tolist()):
             for j, m in enumerate(result.m.tolist()):
                 label = classify_symmetric(n, m, cfg.tol)
-                assert result.label[i, j] == label
+                assert labels[i, j] == label
                 assert math.isnan(result.degree[i, j]) == (label == "nonphysical")
 
     def test_no_runtime_warnings_on_nonphysical_cells(self):
         # low n at high m: most cells nonphysical, some with (n+N)^2 < (m+M)^2
-        cfg = cli.SweepConfig(n_min=0.1, n_max=1.0, m_min=0.5, m_max=6.0, r=2.0)
+        cfg = sweep.SweepConfig(n_min=0.1, n_max=1.0, m_min=0.5, m_max=6.0, r=2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = cli.sweep_grid(cfg)
-        assert (result.label == "nonphysical").sum() > result.label.size // 2
+            result = sweep.sweep_grid(cfg)
+        labels = _labels(result)
+        assert (labels == "nonphysical").sum() > labels.size // 2
 
     def test_large_squeezing_stays_finite(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = cli.sweep_grid(cli.SweepConfig(r=150.0, n_steps=5, m_steps=5))
-        physical = result.label != "nonphysical"
+            result = sweep.sweep_grid(sweep.SweepConfig(r=150.0, n_steps=5, m_steps=5))
+        physical = _labels(result) != "nonphysical"
         assert np.all(np.isfinite(result.degree[physical]))
         assert np.all(np.abs(result.degree[physical]) <= 1.0)
 
 
-ANCHORED = cli.SweepConfig(r=1.0, n_min=math.cosh(2.0) / 2, n_max=3.5, n_steps=3,
-                           m_min=0.0, m_max=math.sinh(2.0) / 2, m_steps=2)
+ANCHORED = sweep.SweepConfig(r=1.0, n_min=math.cosh(2.0) / 2, n_max=3.5, n_steps=3,
+                             m_min=0.0, m_max=math.sinh(2.0) / 2, m_steps=2)
 
 
 def _meshgrid_sweep(cfg):
@@ -204,18 +212,18 @@ def _meshgrid_sweep(cfg):
 
 
 def _assert_matches_meshgrid(cfg):
-    result = cli.sweep_grid(cfg)
+    result = sweep.sweep_grid(cfg)
     label, degree = _meshgrid_sweep(cfg)
-    assert result.label.dtype == label.dtype
-    assert np.array_equal(result.label, label)
+    assert _labels(result).dtype == label.dtype
+    assert np.array_equal(_labels(result), label)
     assert result.degree.tobytes() == degree.tobytes()  # NaN placement included
 
 
 class TestWriters:
-    @pytest.mark.parametrize("cfg", [cli.SweepConfig(), ANCHORED], ids=["default", "anchored"])
-    @pytest.mark.parametrize("writer", [cli.write_sweep_csv, cli.write_sweep_matrix])
+    @pytest.mark.parametrize("cfg", [sweep.SweepConfig(), ANCHORED], ids=["default", "anchored"])
+    @pytest.mark.parametrize("writer", [sweep.write_sweep_csv, sweep.write_sweep_matrix])
     def test_binary_and_text_streams_get_the_same_bytes(self, writer, cfg):
-        result = cli.sweep_grid(cfg)
+        result = sweep.sweep_grid(cfg)
         binary, text = io.BytesIO(), io.StringIO()
         writer(result, binary)
         writer(result, text)
@@ -263,25 +271,25 @@ class TestWriters:
         degree = np.array([math.nan, -0.25, 1.5e250, math.nan, -7.5e-310, 1e22, math.nan,
                            -123.456, 2.5e-5, math.nan, 0.99999999995, -1e300, math.nan, -0.0,
                            1e-320]).reshape(5, 3)
-        result = cli.SweepResult(n=np.array([-2.5, -0.0, 0.0, 1e200, -1e-300]),
-                                 m=np.array([0.0, 5e-324, 1e300]),
-                                 label=np.array(tmtss.SYMMETRIC_CLASSES)[codes], degree=degree)
+        result = sweep.SweepResult(n=np.array([-2.5, -0.0, 0.0, 1e200, -1e-300]),
+                                   m=np.array([0.0, 5e-324, 1e300]),
+                                   codes=codes, degree=degree)
         rows = ["n,m,class,E"]
-        for n, label_row, degree_row in zip(result.n.tolist(), result.label.tolist(),
+        for n, label_row, degree_row in zip(result.n.tolist(), _labels(result).tolist(),
                                             degree.tolist()):
             for m, label, e in zip(result.m.tolist(), label_row, degree_row):
                 rows.append(f"{n:.8e},{m:.8e},{label}," + ("" if math.isnan(e) else f"{e:.8e}"))
         lines = [" ".join(["3"] + [f"{m:.8e}" for m in result.m.tolist()])]
         lines += [" ".join(f"{v:.8e}" for v in [n, *degree_row])
                   for n, degree_row in zip(result.n.tolist(), degree.tolist())]
-        for writer, want in ((cli.write_sweep_csv, rows), (cli.write_sweep_matrix, lines)):
+        for writer, want in ((sweep.write_sweep_csv, rows), (sweep.write_sweep_matrix, lines)):
             out = io.BytesIO()
             writer(result, out)
             assert out.getvalue().decode("ascii").split("\n") == want + [""]
 
     @pytest.mark.parametrize("cfg", [
-        cli.SweepConfig(), ANCHORED,
-        cli.SweepConfig(n_min=0.1, n_max=1.0, m_min=0.5, m_max=6.0, r=2.0),
+        sweep.SweepConfig(), ANCHORED,
+        sweep.SweepConfig(n_min=0.1, n_max=1.0, m_min=0.5, m_max=6.0, r=2.0),
     ], ids=["default", "anchored", "mostly-nonphysical"])
     def test_grid_matches_meshgrid_referee(self, cfg):
         _assert_matches_meshgrid(cfg)
@@ -301,32 +309,45 @@ class _CountingSink:
         self.size += len(chunk)
 
 
-# peak traced memory per output byte on the default grid (numpy 2.4): 2.5 for
-# the CSV and 7.3 for the matrix; one more copy of the table exceeds either bound
-@pytest.mark.parametrize("writer, budget", [(cli.write_sweep_csv, 3.0),
-                                            (cli.write_sweep_matrix, 8.0)],
-                         ids=["csv", "matrix"])
-def test_writer_memory_peak(writer, budget):
-    result = cli.sweep_grid(cli.SweepConfig())
-    writer(result, _CountingSink())  # once untraced: first-call allocations are not the writer's
-    sink = _CountingSink()
+def _traced_peak(call):
+    # tracemalloc peak of one call() above the memory traced before it
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        writer(result, sink)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= budget * sink.size
+
+
+# peak traced memory per output byte on the default grid (numpy 2.4): 2.5 for
+# the CSV and 4.0 for the matrix; one more copy of the table exceeds either bound
+@pytest.mark.parametrize("writer, budget", [(sweep.write_sweep_csv, 3.0),
+                                            (sweep.write_sweep_matrix, 4.5)],
+                         ids=["csv", "matrix"])
+def test_writer_memory_peak(writer, budget):
+    result = sweep.sweep_grid(sweep.SweepConfig())
+    writer(result, _CountingSink())  # once untraced: first-call allocations are not the writer's
+    sink = _CountingSink()
+    assert _traced_peak(lambda: writer(result, sink)) <= budget * sink.size
+
+
+def test_sweep_grid_memory_peak():
+    # 52 bytes a point on the default grid (numpy 2.4): the codes, the degrees
+    # and the scoring's temporaries; the class names as a <U11 array, 44 bytes
+    # a point, would take it past the bound
+    cfg = sweep.SweepConfig()
+    sweep.sweep_grid(cfg)  # once untraced
+    assert _traced_peak(lambda: sweep.sweep_grid(cfg)) <= 56 * cfg.n_steps * cfg.m_steps
 
 
 def _kernel_mismatches(values):
     values = np.asarray(values, dtype=np.float64).ravel()
-    rows = [row.tobytes().translate(None, b"\0").decode("ascii") for row in cli._sci_table(values)]
+    rows = [row.tobytes().translate(None, b"\0").decode("ascii") for row in sweep._sci_table(values)]
     return [(v, row) for v, row in zip(values.tolist(), rows) if row != f"{v:.8e}"]
 
 
@@ -353,7 +374,7 @@ def _half_integers():
 
 
 class TestSciTable:
-    """``cli._sci_table`` writes exactly what ``f"{v:.8e}"`` writes."""
+    """``sweep._sci_table`` writes exactly what ``f"{v:.8e}"`` writes."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40))
@@ -378,7 +399,7 @@ class TestSciTable:
             assert _kernel_mismatches(values) == []
 
     def test_rows_are_nul_padded_cells(self):
-        table = cli._sci_table(np.array([[1.5, -2.0], [math.nan, -1e-300]]))
+        table = sweep._sci_table(np.array([[1.5, -2.0], [math.nan, -1e-300]]))
         assert table.shape == (4, 16) and table.dtype == np.uint8
         assert table[0].tobytes() == b"\x001.50000000e+00\x00"
         assert table[2].tobytes() == b"nan".ljust(16, b"\x00")
@@ -389,7 +410,7 @@ class TestValidation:
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
     def test_tol_must_be_positive_and_finite(self, tol):
         with pytest.raises(ValueError):
-            cli.SweepConfig(tol=tol)
+            sweep.SweepConfig(tol=tol)
 
     @pytest.mark.parametrize("bound", ["--n-max", "--m-min"])
     def test_grid_bounds_must_be_finite(self, bound, capsys):
@@ -399,7 +420,7 @@ class TestValidation:
     def test_negative_m_is_a_cli_error(self, capsys):
         # the kernel's bounds hold for m >= 0 only (the phase is removed)
         with pytest.raises(ValueError):
-            cli.SweepConfig(m_min=-0.5)
+            sweep.SweepConfig(m_min=-0.5)
         assert cli.main(["sweep", "--m-min", "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -414,7 +435,7 @@ class TestValidation:
     @pytest.mark.parametrize("r", [178.0, 400.0, 1e3])
     def test_overflowing_reference_is_a_typed_error(self, r, capsys):
         with pytest.raises(NumericDomainError):
-            cli.SweepConfig(r=r)
+            sweep.SweepConfig(r=r)
         assert cli.main(["sweep", "--r", repr(r)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "NumericDomainError"
 
@@ -422,19 +443,19 @@ class TestValidation:
     @pytest.mark.parametrize("value", [10**400, -10**400])
     def test_int_beyond_float64_is_a_value_error(self, field, value):
         with pytest.raises(ValueError, match="finite"):
-            cli.SweepConfig(**{field: value})
+            sweep.SweepConfig(**{field: value})
 
     @pytest.mark.parametrize("field", ["n_steps", "m_steps"])
     @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(4.0), True, "5"])
     def test_steps_must_be_ints(self, field, value):
         with pytest.raises(TypeError, match="grid steps must be ints"):
-            cli.SweepConfig(**{field: value})
+            sweep.SweepConfig(**{field: value})
 
     @pytest.mark.parametrize("field", ["r", "n_min", "n_max", "m_min", "m_max", "tol"])
     @pytest.mark.parametrize("value", [True, False, np.True_, "1.0"])
     def test_bools_and_strings_are_refused(self, field, value):
         with pytest.raises(TypeError, match="expected a number"):
-            cli.SweepConfig(**{field: value})
+            sweep.SweepConfig(**{field: value})
 
     @pytest.mark.parametrize("n_steps, m_steps", [
         (2**63 - 1, 3), (2**63 - 2, 3), (2**63 - 3, 3), (2**62, 3), (3, 2**62),
@@ -444,7 +465,7 @@ class TestValidation:
         # 64 bytes a point must stay an index-sized int: near 2^63 steps numpy's
         # linspace raises IndexError, near 2^62 its own ValueError
         with pytest.raises(ValueError, match="^sweep grid is too large$"):
-            cli.SweepConfig(n_steps=n_steps, m_steps=m_steps)
+            sweep.SweepConfig(n_steps=n_steps, m_steps=m_steps)
         assert cli.main(["sweep", "--n-steps", str(n_steps), "--m-steps", str(m_steps)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -453,17 +474,17 @@ class TestValidation:
 
     @pytest.mark.parametrize("n_steps, m_steps", [(2**31, 2), (sys.maxsize // 128, 2)])
     def test_grid_that_indexes_constructs(self, n_steps, m_steps):
-        cfg = cli.SweepConfig(n_steps=n_steps, m_steps=m_steps)
+        cfg = sweep.SweepConfig(n_steps=n_steps, m_steps=m_steps)
         assert (cfg.n_steps, cfg.m_steps) == (n_steps, m_steps)
 
     def test_numpy_ints_are_steps(self):
-        cfg = cli.SweepConfig(n_steps=np.int64(9), m_steps=np.int32(7))
-        assert cfg.n_values().tolist() == cli.SweepConfig(n_steps=9).n_values().tolist()
-        assert cfg.m_values().tolist() == cli.SweepConfig(m_steps=7).m_values().tolist()
+        cfg = sweep.SweepConfig(n_steps=np.int64(9), m_steps=np.int32(7))
+        assert cfg.n_values().tolist() == sweep.SweepConfig(n_steps=9).n_values().tolist()
+        assert cfg.m_values().tolist() == sweep.SweepConfig(m_steps=7).m_values().tolist()
 
     def test_underflowing_normalizer_is_a_typed_error(self):
         with pytest.raises(NumericDomainError):
-            cli.SweepConfig(r=1e-160)
+            sweep.SweepConfig(r=1e-160)
 
     def test_largest_representable_squeezing_sweeps(self):
-        cli.sweep_grid(cli.SweepConfig(r=177.0, n_steps=2, m_steps=2))
+        sweep.sweep_grid(sweep.SweepConfig(r=177.0, n_steps=2, m_steps=2))
