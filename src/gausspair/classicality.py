@@ -7,8 +7,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, _elimination_verdicts
-from .covariance import _finite_numbers
+from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, _joint_verdict
+from .covariance import _finite_numbers, _uncertainty_verdicts
 
 if TYPE_CHECKING:
     import numpy as np
@@ -45,15 +45,17 @@ def is_p_representable_joint(p: GaussianParams, tol: float = DEFAULT_TOL) -> boo
     """Joint classicality: the covariance dominates the vacuum's.
 
     Accepts exactly when the smallest eigenvalue of ``V - I/2`` is at least
-    ``-tol``, i.e. when ``V - (1/2 - tol) I`` is positive definite.  The
-    elimination kernel of :func:`~gausspair.covariance.is_physical` decides
-    that matrix in the quadrature basis, without the symplectic term, once
-    it has accepted the state as physical; a nonphysical state is not
-    classical, so it is ``False`` without a second pass.  The kernel is
-    backward stable, so rounding moves the boundary by ``~1e-16 |V|`` at
-    most.  Raises :class:`NumericDomainError` where a pivot overflows float64.
+    ``-tol``, i.e. when ``V - (1/2 - tol) I`` is positive definite, decided by
+    a real elimination pass in the quadrature basis.  A classical state is
+    physical and separable, so the pass runs only where the pass of
+    :func:`~gausspair.covariance.is_separable` accepts; elsewhere the answer
+    is ``False``.  Both passes are backward stable, so rounding moves the
+    boundary by ``~1e-16 |V|`` at most.  Raises :class:`NumericDomainError`
+    where a pivot overflows float64.
     """
-    return _elimination_verdicts(p, _check_tol(tol), 0.5)[2]
+    tol = _check_tol(tol)
+    physical, separable = _uncertainty_verdicts(p, tol)
+    return physical and separable and _joint_verdict(p, tol)
 
 
 def is_p_representable_mode(md: ModeParams, tol: float = DEFAULT_TOL) -> bool:

@@ -17,8 +17,8 @@ from dataclasses import MISSING, fields
 
 from . import measures, mixer, tmtss
 from .covariance import DEFAULT_TOL, GaussianParams, _block_entries, _check_tol
-from .covariance import _finite_numbers
-from .errors import ModelValidityError, NumericDomainError
+from .covariance import _finite_numbers, _joint_verdict, _uncertainty_verdicts
+from .errors import ModelValidityError, NonPhysicalStateError, NumericDomainError
 from .sweep import SweepConfig, sweep_grid, write_sweep_csv, write_sweep_matrix
 
 
@@ -27,7 +27,12 @@ def run_check(p: GaussianParams, r: float, tol: float = DEFAULT_TOL) -> dict:
 
     Raises :class:`NonPhysicalStateError` for a nonphysical state.
     """
-    fidelity, bures, degree, separable, classical = measures._degree_terms(p, r, tol)
+    tol = _check_tol(tol)
+    physical, separable = _uncertainty_verdicts(p, tol)
+    if not physical:
+        raise NonPhysicalStateError("state violates the uncertainty principle")
+    classical = separable and _joint_verdict(p, tol)
+    fidelity, bures, degree = measures._degree_terms(p, r)
     return {
         "physical": True,
         "separable": separable,

@@ -18,13 +18,14 @@ Two questions are decided here in closed form:
 Both go through one ``LDL^H`` elimination of ``H = V_q + tol I + (i/2) Omega``,
 the covariance in the real quadrature basis ``(x1, p1, x2, p2)`` plus half
 the symplectic form, read off the six moments.  The mirror only flips the
-sign of the ``(x2, p2)`` commutator entry, so one pass decides both.  The
-same pass goes on to joint classicality (:mod:`gausspair.classicality`),
-``V_q - (1/2 - tol) I > 0``, from the entries it has read.  ``tol``
-is slack on the smallest eigenvalue, as in the one-mode and symmetric-class
-bounds.  Rounding moves the boundary by ``~1e-16 |V|``; ``tol`` is absolute,
-so once that nears it (``|V|`` around 1e6 to 1e7 at the default) no float64
-route, ``eigvalsh`` included, keeps the verdict within ``tol`` on both sides.
+sign of the ``(x2, p2)`` commutator entry, so one pass decides both.  A
+real pass decides joint classicality (:mod:`gausspair.classicality`),
+``V_q - (1/2 - tol) I > 0``, which implies both, so it runs only on physical
+separable states.  ``tol`` is slack on the smallest eigenvalue, as in the
+one-mode and symmetric-class bounds.  Rounding moves the boundary by
+``~1e-16 |V|``; ``tol`` is absolute, so once that nears it (``|V|`` around
+1e6 to 1e7 at the default) no float64 route, ``eigvalsh`` included, keeps the
+verdict within ``tol`` on both sides.
 """
 
 from __future__ import annotations
@@ -161,19 +162,17 @@ def schur_terms(p: GaussianParams, tol: float) -> tuple[float, complex, float]:
     return s, c, d
 
 
-def _rejected(pivot: float, verdicts: tuple = (False, False, False)) -> tuple[bool, bool, bool]:
-    # the verdicts where a pivot failed 0 < pivot < inf, or a typed error
-    # where it is not finite (an overflow)
+def _rejected(pivot: float) -> bool:
+    # False, the verdict where a pivot failed 0 < pivot < inf, or a typed
+    # error where it is not finite (an overflow)
     if math.isfinite(pivot):
-        return verdicts
+        return False
     raise NumericDomainError("moments overflow float64 in the elimination")
 
 
-def _elimination_verdicts(p: GaussianParams, shift: float, half: float) -> tuple[bool, bool, bool]:
-    """Whether ``H = V_q + shift I + i half Omega``, its party-2 mirror and
-    ``J = V_q + (shift - half) I`` are positive definite (all four pivots
-    positive), by one ``LDL^H`` pass over ``H`` and then a real ``LDL^T``
-    pass over ``J``.
+def _uncertainty_verdicts(p: GaussianParams, shift: float) -> tuple[bool, bool]:
+    """Whether ``H = V_q + shift I + (i/2) Omega`` and its party-2 mirror are
+    positive definite (all four pivots positive), by one ``LDL^H`` pass.
 
     ``V_q`` is the real covariance of the six moments in the quadrature
     basis ``(x1, p1, x2, p2)``, unitarily equivalent to
@@ -182,69 +181,71 @@ def _elimination_verdicts(p: GaussianParams, shift: float, half: float) -> tuple
     (rows ``x1``, ``p1``; columns ``x2``, ``p2``).
     ``Omega`` is ``+1`` above the diagonal at ``(x1, p1)`` and ``(x2, p2)``;
     the mirror's ``-1`` at ``(x2, p2)`` reaches only the last pivot.  At
-    ``(tol, 1/2)`` the three verdicts are physicality, the PPT test and joint
-    classicality.  For ``half >= 0``, ``H - J = half (I + i Omega)`` is
-    positive semidefinite (eigenvalues 0 and ``2 half``), so ``J > 0``
-    implies ``H > 0``: ``J`` is eliminated only once ``H`` is accepted, from
-    the entries already read and without the imaginary terms, and is not
-    positive definite where ``H`` is rejected.  Raises
-    :class:`NumericDomainError` where a pivot is not finite.
+    ``shift = tol`` the two verdicts are physicality and the PPT test.
+    Raises :class:`NumericDomainError` where a pivot is not finite.
     """
     # V_q = [[a, c, g, h], [c, b, k, l], [g, k, d, f], [h, l, f, e]]; each
-    # entry and product is read once, when the H pass first needs it, and
-    # the J pass reuses it
-    m1 = p.m1
+    # entry is read when the pass first needs it
+    m1, m2 = p.m1, p.m2
+    a = p.n1 + m1.real
+    d0 = a + shift
+    if not 0.0 < d0 < math.inf:
+        return _rejected(d0), False
+    b, c, r0 = p.n1 - m1.real, m1.imag, 1.0 / d0
+    d1 = b + shift - (c * c + 0.25) * r0
+    if not 0.0 < d1 < math.inf:
+        return _rejected(d1), False
+    plus, minus = p.m_s + p.m_c, p.m_s - p.m_c
+    g, h, k, l, r1 = plus.real, -minus.imag, plus.imag, minus.real, 1.0 / d1
+    # row p1 right of its pivot after step one, at x2 and p2, as (re, im)
+    xr, xi, pr, pim = k - c * g * r0, 0.5 * g * r0, l - c * h * r0, 0.5 * h * r0
+    d, e, f = p.n2 + m2.real, p.n2 - m2.real, m2.imag
+    d2 = d + shift - g * g * r0 - (xr * xr + xi * xi) * r1
+    if not 0.0 < d2 < math.inf:
+        return _rejected(d2), False
+    # the (x2, p2) entry after step two is yr + i (yi +- 1/2)
+    yr = f - g * h * r0 - (xr * pr + xi * pim) * r1
+    yi = (xi * pr - xr * pim) * r1
+    last = e + shift - h * h * r0 - (pr * pr + pim * pim) * r1
+    yp, ym, r2 = yi + 0.5, yi - 0.5, 1.0 / d2
+    d3 = last - (yr * yr + yp * yp) * r2
+    d3_mirror = last - (yr * yr + ym * ym) * r2
+    if not (abs(d3) < math.inf and abs(d3_mirror) < math.inf):
+        raise NumericDomainError("moments overflow float64 in the elimination")
+    return d3 > 0.0, d3_mirror > 0.0
+
+
+def _joint_verdict(p: GaussianParams, tol: float) -> bool:
+    """Whether ``J = V_q - (1/2 - tol) I`` is positive definite, joint
+    classicality at ``tol``: the real ``LDL^T`` pass of
+    :func:`_uncertainty_verdicts` at ``shift = tol - 1/2``, without ``Omega``.
+
+    ``H - J`` and its mirror's are ``(I +- i Omega)/2``, positive semidefinite,
+    so ``J > 0`` implies that ``H`` and its mirror are positive definite:
+    callers run this pass only on states found physical and separable.
+    Raises :class:`NumericDomainError` where a pivot is not finite.
+    """
+    m1, m2, shift = p.m1, p.m2, tol - 0.5
     a = p.n1 + m1.real
     d0 = a + shift
     if not 0.0 < d0 < math.inf:
         return _rejected(d0)
     b, c, r0 = p.n1 - m1.real, m1.imag, 1.0 / d0
-    cc = c * c
-    d1 = b + shift - (cc + half * half) * r0
+    d1 = b + shift - c * c * r0
     if not 0.0 < d1 < math.inf:
         return _rejected(d1)
     plus, minus = p.m_s + p.m_c, p.m_s - p.m_c
-    g, h = plus.real, -minus.imag
-    k, l = plus.imag, minus.real
-    cg, ch, r1 = c * g, c * h, 1.0 / d1
-    # row p1 right of its pivot after step one, at x2 and p2, as (re, im)
-    xr, xi, pr, pim = k - cg * r0, half * g * r0, l - ch * r0, half * h * r0
-    m2, gg = p.m2, g * g
-    d, e = p.n2 + m2.real, p.n2 - m2.real
-    d2 = d + shift - gg * r0 - (xr * xr + xi * xi) * r1
+    g, h, k, l, r1 = plus.real, -minus.imag, plus.imag, minus.real, 1.0 / d1
+    xr, pr = k - c * g * r0, l - c * h * r0
+    d, e, f = p.n2 + m2.real, p.n2 - m2.real, m2.imag
+    d2 = d + shift - g * g * r0 - xr * xr * r1
     if not 0.0 < d2 < math.inf:
         return _rejected(d2)
-    # the (x2, p2) entry after step two is yr + i (yi +- half)
-    f, gh, hh = m2.imag, g * h, h * h
-    yr = f - gh * r0 - (xr * pr + xi * pim) * r1
-    yi = (xi * pr - xr * pim) * r1
-    last = e + shift - hh * r0 - (pr * pr + pim * pim) * r1
-    yp, ym, r2 = yi + half, yi - half, 1.0 / d2
-    d3 = last - (yr * yr + yp * yp) * r2
-    d3_mirror = last - (yr * yr + ym * ym) * r2
-    if not (abs(d3) < math.inf and abs(d3_mirror) < math.inf):
-        raise NumericDomainError("moments overflow float64 in the elimination")
-    mirror = d3_mirror > 0.0
-    if not d3 > 0.0:
-        return False, mirror, False
-    # J: the steps above with shift - half and no imaginary parts
-    shift -= half
-    d0 = a + shift
-    if not 0.0 < d0 < math.inf:
-        return _rejected(d0, (True, mirror, False))
-    r0 = 1.0 / d0
-    d1 = b + shift - cc * r0
-    if not 0.0 < d1 < math.inf:
-        return _rejected(d1, (True, mirror, False))
-    xr, pr, r1 = k - cg * r0, l - ch * r0, 1.0 / d1
-    d2 = d + shift - gg * r0 - xr * xr * r1
-    if not 0.0 < d2 < math.inf:
-        return _rejected(d2, (True, mirror, False))
-    yr, r2 = f - gh * r0 - xr * pr * r1, 1.0 / d2
-    d3 = e + shift - hh * r0 - pr * pr * r1 - yr * yr * r2
+    yr, r2 = f - g * h * r0 - xr * pr * r1, 1.0 / d2
+    d3 = e + shift - h * h * r0 - pr * pr * r1 - yr * yr * r2
     if not abs(d3) < math.inf:
         raise NumericDomainError("moments overflow float64 in the elimination")
-    return True, mirror, d3 > 0.0
+    return d3 > 0.0
 
 
 def is_physical(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
@@ -252,20 +253,11 @@ def is_physical(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
 
     Accepts exactly when the smallest eigenvalue of ``V`` plus half the
     commutator signature is at least ``-tol``, so pure states count as
-    physical: the elimination kernel decides ``V_q + tol I + (i/2) Omega``.
+    physical: the elimination pass decides ``V_q + tol I + (i/2) Omega``.
     ``tol`` must be positive and finite; raises :class:`NumericDomainError`
     where a pivot overflows float64.
     """
-    return _elimination_verdicts(p, _check_tol(tol), 0.5)[0]
-
-
-def _physical_verdicts(p: GaussianParams, tol: float) -> tuple[bool, bool]:
-    # separability and joint classicality of a physical state, from one
-    # kernel call; NonPhysicalStateError for a nonphysical one
-    physical, separable, classical = _elimination_verdicts(p, _check_tol(tol), 0.5)
-    if not physical:
-        raise NonPhysicalStateError("state violates the uncertainty principle")
-    return separable, classical
+    return _uncertainty_verdicts(p, _check_tol(tol))[0]
 
 
 def is_separable(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
@@ -275,4 +267,7 @@ def is_separable(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
     (:func:`mirror_party2`) is physical too; one elimination pass decides
     both.  Raises :class:`NonPhysicalStateError` for a nonphysical state.
     """
-    return _physical_verdicts(p, tol)[0]
+    physical, separable = _uncertainty_verdicts(p, _check_tol(tol))
+    if not physical:
+        raise NonPhysicalStateError("state violates the uncertainty principle")
+    return separable

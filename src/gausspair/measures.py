@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .classicality import ModeParams
-from .covariance import DEFAULT_TOL, GaussianParams, _finite_numbers, _physical_verdicts
+from .covariance import DEFAULT_TOL, GaussianParams, _finite_numbers, is_separable
 from .errors import DegenerateStateError, NumericDomainError
 
 if TYPE_CHECKING:
@@ -269,16 +269,13 @@ def _reference_overlap(p: GaussianParams, a: float, b: float) -> float:
     return 1.0 / math.sqrt(det)
 
 
-def _degree_terms(
-    p: GaussianParams, r: float, tol: float
-) -> tuple[float, float, float, bool, bool]:
-    # entanglement_degree's fields in order, without the record, then joint
-    # classicality: one kernel call decides the state
-    separable, classical = _physical_verdicts(p, tol)
+def _degree_terms(p: GaussianParams, r: float) -> tuple[float, float, float]:
+    # entanglement_degree's fidelity, Bures distance and degree, for a state
+    # the caller has found physical
     d_sep, _, _, a, b = _reference_terms(r)  # typed errors for a bad r
     fid = _reference_overlap(p, a, b)
     bures = bures_from_fidelity(fid)
-    return fid, bures, 1.0 - bures / d_sep, separable, classical
+    return fid, bures, 1.0 - bures / d_sep
 
 
 def entanglement_degree(
@@ -299,4 +296,5 @@ def entanglement_degree(
     on ``r`` alone and are computed once per ``r`` and process.  Raises
     :class:`NonPhysicalStateError` for a nonphysical state.
     """
-    return MeasureReport(*_degree_terms(p, r, tol)[:4])
+    separable = is_separable(p, tol)  # NonPhysicalStateError before r is read
+    return MeasureReport(*_degree_terms(p, r), separable)

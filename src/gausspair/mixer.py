@@ -46,7 +46,7 @@ class MixerConfig:
         return MixerConfig(theta=-self.theta, phi0=-self.phi0, phi1=self.phi1)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class OutputBlocks:
     """Output covariance in block form: local blocks and the cross block."""
 

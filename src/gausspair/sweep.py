@@ -69,7 +69,7 @@ class SweepConfig:
         return np.linspace(self.m_min, self.m_max, self.m_steps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     """The surface over the grid: ``codes[i, j]`` and ``degree[i, j]`` belong
     to the point ``(n[i], m[j])``.  ``codes`` indexes

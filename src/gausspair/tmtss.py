@@ -94,7 +94,7 @@ SYMMETRIC_CLASSES: tuple[StateClass, ...] = ("nonphysical", "entangled", "separa
 
 
 def symmetric_class_codes(n, m, tol: float = DEFAULT_TOL):
-    """Class codes of symmetric-class points, elementwise on arrays.
+    """Class codes of symmetric-class points, one ``uint8`` each, elementwise on arrays.
 
     Indexes :data:`SYMMETRIC_CLASSES`.  Physical states satisfy
     ``n >= sqrt(m^2 + 1/4)``, separable ones ``n >= m + 1/2``; boundary
@@ -104,7 +104,7 @@ def symmetric_class_codes(n, m, tol: float = DEFAULT_TOL):
     import numpy as np
     tol = _check_tol(tol)
     physical = n >= np.hypot(m, 0.5) - tol
-    return physical * (1 + (n >= m + 0.5 - tol))
+    return np.add(physical, physical & (n >= m + 0.5 - tol), dtype=np.uint8)
 
 
 def classify_symmetric(n: float, m: float, tol: float = DEFAULT_TOL) -> StateClass:

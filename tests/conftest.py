@@ -1,14 +1,17 @@
 import cmath
 import math
+import sys
 from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from gausspair import (
     DEFAULT_TOL, GaussianParams, MixerConfig, ModeParams, build_covariance, is_physical,
 )
+from gausspair import covariance
 from gausspair.oracle import eig_min_hermitian
 
 
@@ -150,3 +153,26 @@ def joint_band_states(draw, near_vacuum):
                           m_s=draw(moments(cross_hi)), m_c=draw(moments(cross_hi)))
     shift = -joint_eig(base) + draw(tol_offsets()) - DEFAULT_TOL
     return replace(base, n1=base.n1 + shift, n2=base.n2 + shift)
+
+
+@pytest.fixture
+def kernel_passes(monkeypatch):
+    """The elimination passes as they run: ``("uncertainty", shift)`` and
+    ``("joint", tol)`` in call order, through every binding in the package."""
+    passes = []
+
+    def counting(name, original):
+        def counted(p, arg):
+            passes.append((name, arg))
+            return original(p, arg)
+        return counted
+
+    wrapped = [(original, counting(name, original)) for name, original in
+               (("uncertainty", covariance._uncertainty_verdicts), ("joint", covariance._joint_verdict))]
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "gausspair"]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            for original, counted in wrapped:
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return passes

@@ -30,6 +30,7 @@ from gausspair.oracle import (
     mode_covariance,
     partial_transpose,
 )
+from gausspair.cli import run_check
 
 from conftest import (
     draw_mixer, draw_params, draw_physical, draw_symmetric_physical, joint_band_states, joint_eig,
@@ -83,8 +84,9 @@ class TestJoint:
         assert checked > 550
 
     def test_nonphysical_states_are_not_classical(self):
-        # the kernel decides V - (1/2 - tol) I only after accepting the state
-        # as physical; the referee agrees that the rejected ones are not classical
+        # the joint pass runs only on states the uncertainty pass accepts as
+        # physical and separable; the referee agrees that the rejected ones
+        # are not classical
         rng = np.random.default_rng(45)
         checked = 0
         while checked < 200:
@@ -94,6 +96,24 @@ class TestJoint:
             checked += 1
             assert is_p_representable_joint(p) is False
             assert not is_p_representable_joint_eig(build_covariance(p)), p
+
+    def test_classical_states_are_separable_on_the_shared_boundary(self):
+        # on the symmetric class the joint and PPT boundaries coincide, at
+        # n = |m| + 1/2 - tol, and the two passes round differently there: run
+        # on every physical state, the joint pass accepted 640 of the 2,463
+        # points below that the PPT test rejects, calling entangled states
+        # classical
+        checked = 0
+        for i in range(1, 2001):
+            m = i / 1000
+            for p in (GaussianParams(m + 0.5 - DEFAULT_TOL, m + 0.5 - DEFAULT_TOL, m_c=m),
+                      GaussianParams(m + 0.5 - DEFAULT_TOL, m + 0.5 - DEFAULT_TOL, m_c=1j * m)):
+                separable = is_separable(p)
+                checked += not separable
+                assert is_p_representable_joint(p) <= separable, p
+                check = run_check(p, 1.0)
+                assert check["p_representable"] <= check["separable"], p
+        assert checked > 2000
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(joint_band_states(near_vacuum=False))

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -285,24 +286,18 @@ class TestRunCheck:
         with pytest.raises(NonPhysicalStateError, match="violates the uncertainty principle"):
             cli.run_check(GaussianParams(n1=1, n2=1, m_c=1.8), 1.0)
 
-    def test_physicality_is_decided_once(self, monkeypatch):
-        # one kernel call decides the state, its party-2 mirror and joint
-        # classicality
-        passes = []
-        original = covariance._elimination_verdicts
-
-        def counted(p, shift, half):
-            passes.append((shift, half))
-            return original(p, shift, half)
-
-        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "gausspair"]
-        for module in modules:
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
-        payload = cli.run_check(GaussianParams(n1=2, n2=2, m1=0.3, m2=0.2j, m_s=0.4, m_c=1.2), 1.0)
-        assert payload["physical"] is True
-        assert passes == [(covariance.DEFAULT_TOL, 0.5)]
+    @pytest.mark.parametrize("p, separable", [
+        (GaussianParams(n1=2, n2=2, m1=0.3, m2=0.2j, m_s=0.4, m_c=1.2), True),
+        (GaussianParams(n1=2, n2=2, m1=0.3, m2=0.2j, m_s=0.4, m_c=1.5), False),
+    ], ids=["separable", "entangled"])
+    def test_each_pass_runs_at_most_once(self, kernel_passes, p, separable):
+        # one uncertainty pass decides the state and its party-2 mirror at the
+        # checked tol; the joint pass runs once, and only on a separable state,
+        # since joint classicality implies separability
+        payload = cli.run_check(p, 1.0, Fraction(1, 10**6))
+        assert payload["separable"] is separable
+        assert kernel_passes == [("uncertainty", 1e-6)] + [("joint", 1e-6)] * separable
+        assert all(type(tol) is float for _, tol in kernel_passes)
 
     def test_matrix_route_stays_off_the_check_path(self, monkeypatch):
         # the overlap and the joint test come from the moments: with every

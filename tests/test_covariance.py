@@ -16,6 +16,7 @@ from gausspair import (
     NumericDomainError,
     build_covariance,
     classify_symmetric,
+    entanglement_degree,
     is_p_representable_joint,
     is_p_representable_mode,
     is_physical,
@@ -36,6 +37,7 @@ from conftest import (
 )
 
 VACUUM = GaussianParams(n1=0.5, n2=0.5)
+_A = 0.5 - 1e-9 + 2**-53  # party 1's x1 variance in the constructed overflow state
 
 
 class TestBuildCovariance:
@@ -88,6 +90,14 @@ class TestSchurTerms:
 
     def test_vacuum(self):
         assert schur_terms(VACUUM, 0.0) == (0.0, 0j, 0.0)
+
+    @pytest.mark.parametrize("p", [
+        GaussianParams(1e200, 1.0, m1=1e200),  # n1 ** 2 raises OverflowError
+        GaussianParams(1e154, 1.0, m_s=1e154, m_c=1e154),  # n1 (|m_c|^2 + |m_s|^2) is inf
+    ], ids=["raised", "inf"])
+    def test_overflow_is_a_domain_error(self, p):
+        with pytest.raises(NumericDomainError, match="overflow float64 in the Schur terms"):
+            schur_terms(p, 1e-9)
 
     def test_mixed_moments(self):
         s, c, d = schur_terms(GaussianParams(n1=1, n2=1, m1=0.5, m_c=0.5, m_s=0.5), 0.0)
@@ -146,6 +156,26 @@ class TestIsSeparable:
     def test_nonphysical_input_raises(self):
         with pytest.raises(NonPhysicalStateError):
             is_separable(GaussianParams(n1=1, n2=1, m_c=1.8))
+
+
+class TestPasses:
+    @pytest.mark.parametrize("p", [GaussianParams(n1=2, n2=2, m_c=1.4),
+                                   GaussianParams(n1=2, n2=2, m_c=1.8)], ids=["separable", "entangled"])
+    def test_physicality_and_separability_run_the_uncertainty_pass_alone(self, kernel_passes, p):
+        is_physical(p, 1e-6)
+        is_separable(p, 1e-6)
+        entanglement_degree(p, 1.0, 1e-6)
+        assert kernel_passes == [("uncertainty", 1e-6)] * 3
+
+    @pytest.mark.parametrize("p, passes", [
+        (GaussianParams(n1=2, n2=2, m_c=1.4), ["uncertainty", "joint"]),
+        (GaussianParams(n1=2, n2=2, m_c=1.8), ["uncertainty"]),  # entangled
+        (GaussianParams(n1=1, n2=1, m_c=1.8), ["uncertainty"]),  # nonphysical
+    ], ids=["separable", "entangled", "nonphysical"])
+    def test_joint_classicality_runs_the_joint_pass_on_separable_states_only(
+            self, kernel_passes, p, passes):
+        is_p_representable_joint(p)
+        assert [name for name, _ in kernel_passes] == passes
 
 
 class TestDrawParams:
@@ -410,9 +440,9 @@ class TestTolAndOverflow:
                              ids=["bool", "str", "0d-array", "array"])
     @pytest.mark.parametrize("name", sorted(TOL_TAKERS))
     def test_non_numbers_are_refused_and_left_unchanged(self, name, tol):
-        # the value types' rule: the kernel subtracts from its shift in place,
-        # so an admitted array would change (GaussianParams(1, 1) is physical,
-        # so that step runs)
+        # the value types' rule: an admitted array would reach the passes'
+        # arithmetic (GaussianParams(1, 1) is physical and separable, so the
+        # joint pass runs too)
         before = np.copy(tol) if isinstance(tol, np.ndarray) else tol
         with pytest.raises(TypeError, match="expected a number"):
             TOL_TAKERS[name](tol)
@@ -433,6 +463,24 @@ class TestTolAndOverflow:
         for criterion in (is_physical, is_separable, is_p_representable_joint):
             with pytest.raises(NumericDomainError):
                 criterion(p)
+
+    @pytest.mark.parametrize("p", [
+        GaussianParams(n1=2.5056335437078565, n2=2.098755842496256e+155,
+                       m1=-0.04419672761320343+0.11372090257179766j,
+                       m2=-3.842965543965563e+154+1.876840699868657e+153j,
+                       m_s=-9.9369209575596e+75-7.002017070411702e+76j,
+                       m_c=2.111244639981269e+77-1.6441723955791086e+77j),
+        GaussianParams((_A + 1) / 2, 1e301, m1=(_A - 1) / 2, m_s=-0.5e150j, m_c=0.5e150j),
+    ], ids=["random", "constructed"])
+    def test_joint_overflow_stays_out_of_physicality_and_separability(self, p):
+        # the uncertainty pass holds these states and the joint pass overflows;
+        # eps |V| exceeds every eigenvalue margin here, so the verdicts pin the
+        # routes' behaviour, not a referee's
+        assert (is_physical(p), is_separable(p)) == (True, True)
+        with pytest.raises(NumericDomainError, match="in the elimination"):
+            is_p_representable_joint(p)
+        with pytest.raises(NumericDomainError, match="in the elimination"):
+            run_check(p, 1.0)
 
     @pytest.mark.parametrize("p, eig_min", [
         # symmetric class: the smallest eigenvalue is n - sqrt(m^2 + 1/4)

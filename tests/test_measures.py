@@ -82,6 +82,14 @@ class TestTraceOverlap:
         with pytest.raises(ValueError):
             trace_overlap(np.eye(2), np.eye(4))
 
+    @pytest.mark.parametrize("vb, message", [
+        (np.array([[math.nan, 0.0], [0.0, 1.0]]), "not finite in float64"),
+        (np.array([[1j, 0.0], [0.0, 0.0]]), "not real"),
+    ], ids=["nan", "complex"])
+    def test_non_finite_and_complex_determinants_are_domain_errors(self, vb, message):
+        with pytest.raises(NumericDomainError, match=f"overlap determinant is {message}"):
+            trace_overlap(np.eye(2), vb)
+
     def test_nonpositive_determinant_rejected(self):
         bad = np.diag([-1.0, 1.0, 1.0, 1.0]).astype(complex)
         with pytest.raises(NumericDomainError):
@@ -176,6 +184,14 @@ class TestComposeBures:
         for args in ((bad, 0.5), (0.5, bad), (bad, bad)):
             with pytest.raises(NumericDomainError, match=r"must lie in \[0, 2\]"):
                 compose_bures(*args)
+
+    @pytest.mark.parametrize("args", [(np.float64("nan"), 0.0), (0.5, 10**400)],
+                             ids=["numpy-nan", "int-1e400"])
+    def test_non_finite_numbers_of_other_types_are_a_domain_error(self, args):
+        # not exact floats, so admitted by the value types' rule, which finds
+        # them not finite
+        with pytest.raises(NumericDomainError, match=r"must lie in \[0, 2\]"):
+            compose_bures(*args)
 
     @pytest.mark.parametrize("bad", ["0.5", True, False, np.True_, None])
     def test_strings_and_bools_are_refused(self, bad):

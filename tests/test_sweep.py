@@ -337,12 +337,13 @@ def test_writer_memory_peak(writer, budget):
 
 
 def test_sweep_grid_memory_peak():
-    # 52 bytes a point on the default grid (numpy 2.4): the codes, the degrees
-    # and the scoring's temporaries; the class names as a <U11 array, 44 bytes
-    # a point, would take it past the bound
+    # 45 bytes a point on the default grid (numpy 2.4): the one-byte codes,
+    # the degrees and the scoring's temporaries; int64 codes (52 bytes a
+    # point) or the class names as a <U11 array (44 more) would take it past
+    # the bound
     cfg = sweep.SweepConfig()
     sweep.sweep_grid(cfg)  # once untraced
-    assert _traced_peak(lambda: sweep.sweep_grid(cfg)) <= 56 * cfg.n_steps * cfg.m_steps
+    assert _traced_peak(lambda: sweep.sweep_grid(cfg)) <= 48 * cfg.n_steps * cfg.m_steps
 
 
 def _kernel_mismatches(values):

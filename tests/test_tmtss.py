@@ -14,7 +14,7 @@ from gausspair import (
     is_ssld,
     tmtss_params,
 )
-from gausspair.tmtss import _decay_ratio
+from gausspair.tmtss import SYMMETRIC_CLASSES, _decay_ratio, symmetric_class_codes
 
 
 class TestInputs:
@@ -101,6 +101,13 @@ class TestClassifySymmetric:
         assert classify_symmetric(2.0, 1.8) == "entangled"
         assert classify_symmetric(2.0, 1.4) == "separable"
         assert classify_symmetric(1.0, 1.8) == "nonphysical"
+
+    def test_codes_are_one_byte(self):
+        codes = symmetric_class_codes(np.array([[1.0], [2.0], [3.0]]), np.array([1.8, 1.4]))
+        assert codes.dtype == np.uint8
+        assert codes.tolist() == [[0, 0], [1, 2], [2, 2]]
+        assert symmetric_class_codes(2.0, 1.4).dtype == np.uint8
+        assert [SYMMETRIC_CLASSES[c] for c in codes[:, 0]] == ["nonphysical", "entangled", "separable"]
 
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):

@@ -27,6 +27,7 @@ from gausspair import (
 )
 from gausspair.cli import SweepConfig
 from gausspair.mixer import LocalOperations, OutputBlocks
+from gausspair.sweep import SweepResult
 from gausspair.tmtss import TmtssInputs
 
 REALS = st.floats(-1e6, 1e6)
@@ -255,6 +256,20 @@ def test_records_store_their_fields_as_given():
     for obj, name in ((ops, "squeeze1"), (blocks, "cp")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, name, None)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: OutputBlocks(np.eye(2), np.zeros((2, 2)), cp=np.ones((2, 2))),
+    lambda: SweepResult(n=np.zeros(2), m=np.zeros(3), codes=np.zeros((2, 3), np.uint8),
+                        degree=np.zeros((2, 3))),
+], ids=["OutputBlocks", "SweepResult"])
+def test_array_records_compare_and_hash_by_identity(make):
+    # fields that are arrays have no truth value, so a fieldwise == would raise
+    record, twin = make(), make()
+    assert record == record and record != twin
+    assert hash(record) == hash(record) != hash(twin)
+    assert record in [twin, record] and twin not in [record]
+    assert record in {record} and twin not in {record}
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
