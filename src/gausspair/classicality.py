@@ -33,7 +33,7 @@ def mode_params(block: np.ndarray) -> ModeParams:
     block = np.asarray(block, dtype=complex)
     if block.shape != (2, 2):
         raise ValueError(f"expected a 2x2 block, got shape {block.shape}")
-    return ModeParams(n=block.item(0, 0).real, m=block.item(0, 1))
+    return ModeParams(block.item(0, 0).real, block.item(0, 1))
 
 
 def mode_is_physical(md: ModeParams, tol: float = DEFAULT_TOL) -> bool:

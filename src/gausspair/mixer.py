@@ -25,6 +25,9 @@ from .errors import DegenerateStateError, NonPhysicalStateError, NumericDomainEr
 if TYPE_CHECKING:
     import numpy as np
 
+# the kernel's angle terms at the 50:50 angle: 2.0 * (math.pi / 4) == math.pi / 2
+_S2T_5050, _C2T_5050 = math.sin(math.pi / 2), math.cos(math.pi / 2)
+
 
 @dataclass(frozen=True, init=False)
 class MixerConfig:
@@ -83,26 +86,24 @@ def mix_params(p: GaussianParams, cfg: MixerConfig) -> GaussianParams:
     scalar sum, e.g. ``v1p[j,k] = conj(r_j) r_k v1[j,k] + s_j conj(s_k) v2[j,k]
     - s_j r_k c^dagger[j,k] - conj(r_j) conj(s_k) c[j,k]``.  Row 0 of the three
     output blocks holds the six moments; the other rows follow from the layout.
-    The cross moments come from :func:`coupling_residuals`; an output moment
-    past float64 raises :class:`NumericDomainError`.
+    The cross moments come from the residual kernel of :func:`coupling_residuals`
+    on these phase factors; an output moment past float64 is a :class:`NumericDomainError`.
     """
     c, s = math.cos(cfg.theta), math.sin(cfg.theta)
     cc, ss, cs = c * c, s * s, c * s
-    rho = cmath.exp(1j * cfg.phi0)
-    sigma = cmath.exp(1j * cfg.phi1)
+    rho, sigma = cmath.exp(1j * cfg.phi0), cmath.exp(1j * cfg.phi1)
     rho2, sigma2 = rho * rho, sigma * sigma
     e_dif = sigma * rho.conjugate()  # e^{i(phi1 - phi0)}
     cross = 2.0 * cs * (rho * sigma * p.m_s.conjugate()).real
     mix_c = 2.0 * cs * p.m_c
-    r1, r2 = coupling_residuals(p, cfg)
-    try:
+    r1, r2 = _residuals(p, *_double_angle(cfg.theta), rho, sigma)
+    try:  # positional: keyword packing is measurably slower on this path
         return GaussianParams(
-            n1=cc * p.n1 + ss * p.n2 - cross,
-            n2=ss * p.n1 + cc * p.n2 + cross,
-            m1=cc * rho2.conjugate() * p.m1 + ss * sigma2 * p.m2 - e_dif * mix_c,
-            m2=ss * sigma2.conjugate() * p.m1 + cc * rho2 * p.m2 + e_dif.conjugate() * mix_c,
-            m_s=0.5 * r2, m_c=-0.5 * r1,
-        )
+            cc * p.n1 + ss * p.n2 - cross,
+            ss * p.n1 + cc * p.n2 + cross,
+            cc * rho2.conjugate() * p.m1 + ss * sigma2 * p.m2 - e_dif * mix_c,
+            ss * sigma2.conjugate() * p.m1 + cc * rho2 * p.m2 + e_dif.conjugate() * mix_c,
+            0.5 * r2, -0.5 * r1)
     except ValueError:  # a local output moment is not finite
         raise NumericDomainError("mixer output moments overflow float64") from None
 
@@ -110,8 +111,8 @@ def mix_params(p: GaussianParams, cfg: MixerConfig) -> GaussianParams:
 def transform_blocks(p: GaussianParams, cfg: MixerConfig) -> OutputBlocks:
     """The output covariance of the mixer in block form, from :func:`mix_params`."""
     import numpy as np
-    v1p, v2p, cp = np.array(_block_entries(mix_params(p, cfg)), dtype=complex).reshape(3, 2, 2)
-    return OutputBlocks(v1p=v1p, v2p=v2p, cp=cp)
+    v = np.array(_block_entries(mix_params(p, cfg)), dtype=complex).reshape(3, 2, 2)
+    return OutputBlocks(v[0], v[1], v[2])
 
 
 def coupling_residuals(p: GaussianParams, cfg: MixerConfig) -> tuple[complex, complex]:
@@ -120,11 +121,21 @@ def coupling_residuals(p: GaussianParams, cfg: MixerConfig) -> tuple[complex, co
     Both vanish exactly when the cross block of the transformed covariance
     vanishes: the first is -2 times its anomalous entry, the second +2 times
     its occupation entry.  Raises :class:`NumericDomainError` where a residual
-    or its modulus is not finite in float64.
+    or its modulus is not finite in float64, or where ``2 theta`` is not.
     """
-    s2t = math.sin(2.0 * cfg.theta)
-    c2t = math.cos(2.0 * cfg.theta)
-    rho, sigma = cmath.exp(1j * cfg.phi0), cmath.exp(1j * cfg.phi1)  # any finite phase works
+    s2t, c2t = _double_angle(cfg.theta)
+    return _residuals(p, s2t, c2t, cmath.exp(1j * cfg.phi0), cmath.exp(1j * cfg.phi1))
+
+
+def _double_angle(theta: float) -> tuple[float, float]:
+    # the kernel's angle terms; 2 theta passes float64 for |theta| > ~8.99e307
+    if math.isinf(2.0 * theta):
+        raise NumericDomainError("mixer angle theta is too large: 2 theta overflows float64")
+    return math.sin(2.0 * theta), math.cos(2.0 * theta)
+
+
+def _residuals(p: GaussianParams, s2t, c2t, rho, sigma) -> tuple[complex, complex]:
+    # the residual kernel: sin, cos of 2 theta and the factors e^{i phi0}, e^{i phi1}
     e_sum = rho * sigma  # e^{i(phi0 + phi1)}
     r1 = s2t * (p.m2 * e_sum - p.m1 * e_sum.conjugate()) - 2.0 * c2t * p.m_c
     a = p.m_s * (rho * rho).conjugate()
@@ -163,7 +174,8 @@ def solve_decoupling_phases(
         psi = 0.5 * (cmath.phase(p.m1) - cmath.phase(p.m2))
 
     phi0 = phi1 = 0.5 * psi
-    r1, r2 = coupling_residuals(p, MixerConfig(theta=math.pi / 4, phi0=phi0, phi1=phi1))
+    rho = cmath.exp(1j * phi0)
+    r1, r2 = _residuals(p, _S2T_5050, _C2T_5050, rho, rho)
     if abs(r1) < tol and abs(r2) < tol:
         return phi0, phi1
     return None
@@ -211,16 +223,13 @@ def local_normal_form(
 
     phi1, z1 = _normal_op(p.n1, p.m1)
     phi2, z2 = _normal_op(p.n2, p.m2)
-    record = LocalOperations(rotation1=phi1, squeeze1=z1, rotation2=phi2, squeeze2=z2)
+    record = LocalOperations(phi1, z1, phi2, z2)
     # cp = L1^dagger C L2 with L = [[e ch, e sh], [conj(e) sh, conj(e) ch]]
     e1, e2 = cmath.exp(1j * phi1), cmath.exp(1j * phi2)
     ch1, sh1, ch2, sh2 = math.cosh(z1), math.sinh(z1), math.cosh(z2), math.sinh(z2)
     a = e1.conjugate() * ch1 * p.m_s + e1 * sh1 * p.m_c.conjugate()  # row 0 of L1^dagger C
     b = e1.conjugate() * ch1 * p.m_c + e1 * sh1 * p.m_s.conjugate()
-    normal = GaussianParams(
-        n1=math.sqrt(det1),
-        n2=math.sqrt(det2),
-        m_s=e2 * ch2 * a + e2.conjugate() * sh2 * b,
-        m_c=e2 * sh2 * a + e2.conjugate() * ch2 * b,
-    )
+    normal = GaussianParams(math.sqrt(det1), math.sqrt(det2), 0j, 0j,
+                            e2 * ch2 * a + e2.conjugate() * sh2 * b,
+                            e2 * sh2 * a + e2.conjugate() * ch2 * b)
     return normal, record

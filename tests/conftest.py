@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gausspair import (
     DEFAULT_TOL, GaussianParams, MixerConfig, ModeParams, build_covariance, is_physical,
 )
-from gausspair import covariance
+from gausspair import covariance, mixer
 from gausspair.oracle import eig_min_hermitian
 
 
@@ -155,24 +155,49 @@ def joint_band_states(draw, near_vacuum):
     return replace(base, n1=base.n1 + shift, n2=base.n2 + shift)
 
 
-@pytest.fixture
-def kernel_passes(monkeypatch):
-    """The elimination passes as they run: ``("uncertainty", shift)`` and
-    ``("joint", tol)`` in call order, through every binding in the package."""
-    passes = []
+def _record_calls(monkeypatch, targets) -> list:
+    """Wrap each ``(name, function, entry)`` target through every binding in
+    the package; each call appends ``entry(name, *args)`` to the returned list."""
+    calls = []
 
-    def counting(name, original):
-        def counted(p, arg):
-            passes.append((name, arg))
-            return original(p, arg)
+    def counting(name, original, entry):
+        def counted(*args, **kwargs):
+            calls.append(entry(name, *args))
+            return original(*args, **kwargs)
         return counted
 
-    wrapped = [(original, counting(name, original)) for name, original in
-               (("uncertainty", covariance._uncertainty_verdicts), ("joint", covariance._joint_verdict))]
+    wrapped = [(original, counting(name, original, entry)) for name, original, entry in targets]
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "gausspair"]
     for module in modules:
         for attr, value in list(vars(module).items()):
             for original, counted in wrapped:
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
-    return passes
+    return calls
+
+
+@pytest.fixture
+def kernel_passes(monkeypatch):
+    """The elimination passes as they run: ``("uncertainty", shift)`` and
+    ``("joint", tol)`` in call order, through every binding in the package."""
+    def entry(name, p, arg):
+        return name, arg
+    return _record_calls(monkeypatch, [("uncertainty", covariance._uncertainty_verdicts, entry),
+                                       ("joint", covariance._joint_verdict, entry)])
+
+
+@pytest.fixture
+def mixer_calls(monkeypatch):
+    """Names of the mixer's residual routes, ``is_physical`` and the
+    ``MixerConfig`` constructor, in call order as they run."""
+    def entry(name, *args):
+        return name
+    calls = _record_calls(monkeypatch, [(name, getattr(mixer, name), entry) for name in
+                                        ("_residuals", "coupling_residuals", "is_physical")])
+    init = MixerConfig.__init__
+
+    def counted_init(self, *args, **kwargs):
+        calls.append("MixerConfig")
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(MixerConfig, "__init__", counted_init)
+    return calls

@@ -523,6 +523,15 @@ class TestTransform:
         assert payload["error"] == "NumericDomainError"
         assert "mixer" in payload["message"]
 
+    @pytest.mark.parametrize("theta", ["1e308", "-1e308", "8.99e307"])
+    def test_angle_whose_double_overflows_is_named(self, tmp_path, capsys, theta):
+        path = self.write_state(tmp_path, n1=2.0, n2=2.0, mc=[1.8, 0.0])
+        code, out, err = run_cli(["transform", "--state", path, f"--theta={theta}"], capsys)
+        assert (code, out) == (2, "")
+        payload = json.loads(err)
+        assert payload["error"] == "NumericDomainError"
+        assert "mixer angle theta" in payload["message"]
+
     def test_json_integers_read_as_floats(self, tmp_path, capsys):
         argv = ["transform", "--theta", "0.3", "--state"]
         ints = self.write_state(tmp_path, n1=2, n2=3, m1=1, mc=[1, -1])

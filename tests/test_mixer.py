@@ -399,6 +399,21 @@ class TestCouplingResiduals:
         r1, r2 = coupling_residuals(GaussianParams(n1=2.0, n2=2.0, m_s=1e307), MixerConfig(0.0))
         assert (r1, r2) == (0j, 2e307 + 0j)
 
+    @pytest.mark.parametrize("theta", [1e308, -1e308, 8.99e307, sys.float_info.max])
+    def test_angle_whose_double_overflows_is_a_domain_error(self, theta):
+        # MixerConfig admits any finite angle, but the residuals need sin and cos of 2 theta
+        p, cfg = GaussianParams(n1=2.0, n2=2.0, m_c=1.8), MixerConfig(theta)
+        for entry in (coupling_residuals, mix_params, transform_blocks):
+            with pytest.raises(NumericDomainError, match="mixer angle theta"):
+                entry(p, cfg)
+
+    def test_largest_angle_with_a_finite_double_passes(self):
+        cfg = MixerConfig(sys.float_info.max / 2)  # 2 theta is exactly the largest float
+        p = GaussianParams(n1=2.0, n2=2.0, m_c=1.8)
+        q = mix_params(p, cfg)
+        assert coupling_residuals(p, cfg) == (-2.0 * q.m_c, 2.0 * q.m_s)
+        assert all(cmath.isfinite(z) for z in (q.n1, q.n2, q.m1, q.m2, q.m_s, q.m_c))
+
     @pytest.mark.parametrize("phase", [1e308, -1e308, 9e307, 2.0 ** 1000])
     def test_any_finite_phase_is_accepted(self, phase):
         p = GaussianParams(n1=3.0, n2=2.0, m1=0.3j, m2=0.2, m_s=0.4 - 0.1j, m_c=0.5)
@@ -471,6 +486,81 @@ class TestSolveDecouplingPhases:
             cp = transform_blocks(p, MixerConfig(math.pi / 4, *phases)).cp
             assert np.abs(cp).max() <= 1e-9
         assert solved > 50
+
+
+def _documented_psi(p):
+    # the phase sum of solve_decoupling_phases' docstring, None where
+    # |m1| != |m2| leaves no phases to try
+    tol = 1e-9
+    if abs(abs(p.m1) - abs(p.m2)) > tol:
+        return None
+    if abs(p.m1) <= tol and abs(p.m2) <= tol:
+        return cmath.phase(p.m_s) % math.pi if abs(p.m_s) > tol else 0.0
+    return 0.5 * (cmath.phase(p.m1) - cmath.phase(p.m2))
+
+
+def _threshold_states(n=1.7):
+    # one residual at (1 + k) tol, the other far below it: r2 = n1 - n2 for
+    # a symmetric-class m_c, r1 = -2 cos(pi/2) m_c for equal occupations
+    for k in (-0.5, -1e-3, -1e-6, 0.0, 1e-6, 1e-3, 0.5):  # k tol above an ulp of n
+        yield GaussianParams(n1=n + (1.0 + k) * 1e-9, n2=n, m_c=0.4)
+        yield GaussianParams(n1=n, n2=n, m_c=(1.0 + k) * 1e-9 / (2.0 * math.cos(math.pi / 2)))
+
+
+class TestResidualKernel:
+    """``mix_params``, ``coupling_residuals`` and the 50:50 solver share one kernel."""
+
+    P = GaussianParams(n1=2.0, n2=1.5, m1=0.3j, m2=0.2, m_s=0.2, m_c=0.4)
+    CFG = MixerConfig(0.3, 0.1, -0.2)
+
+    def test_solver_agrees_with_the_public_route(self):
+        rng = np.random.default_rng(33)
+        states = list(_threshold_states())
+        for _ in range(300):
+            n2, mag = rng.uniform(1.0, 3.0), rng.uniform(0.0, 0.5)
+            m1 = mag * np.exp(2j * np.pi * rng.uniform())
+            mag2 = mag if rng.uniform() < 0.5 else rng.uniform(0.0, 0.5)
+            m2 = mag2 * np.exp(2j * np.pi * rng.uniform())
+            n1 = math.sqrt(n2 * n2 - abs(m2) ** 2 + abs(m1) ** 2)  # equal local determinants
+            p = GaussianParams(n1=n1, n2=n2, m1=m1, m2=m2,
+                               m_s=0.2 * np.exp(2j * np.pi * rng.uniform()) * (rng.uniform() < 0.5),
+                               m_c=0.3 * np.exp(2j * np.pi * rng.uniform()))
+            states += [p, local_normal_form(p)[0]] if is_physical(p) else [p]
+        found = 0
+        for p in states:
+            psi = _documented_psi(p)
+            want = None
+            if psi is not None:
+                r1, r2 = coupling_residuals(p, MixerConfig(math.pi / 4, psi / 2, psi / 2))
+                want = (psi / 2, psi / 2) if abs(r1) < 1e-9 and abs(r2) < 1e-9 else None
+            assert solve_decoupling_phases(p) == want
+            found += want is not None
+        assert 100 < found < len(states) - 100
+
+    def test_threshold_states_straddle_tol(self):
+        verdicts = [solve_decoupling_phases(p) is not None for p in _threshold_states()]
+        assert verdicts == [True] * 6 + [False] * 8
+
+    def test_one_kernel_call_per_mix(self, mixer_calls):
+        mix_params(self.P, self.CFG)
+        transform_blocks(self.P, self.CFG)
+        assert mixer_calls == ["_residuals"] * 2
+        mixer_calls.clear()
+        mixer.coupling_residuals(self.P, self.CFG)  # the binding the fixture wraps
+        assert mixer_calls == ["coupling_residuals", "_residuals"]
+
+    @pytest.mark.parametrize("p", [
+        GaussianParams(n1=2.0, n2=2.0, m_c=1.8),
+        GaussianParams(n1=1.7, n2=1.7, m_s=0.4j),
+        GaussianParams(n1=1.5, n2=1.5, m1=0.3j, m2=0.3, m_c=0.4),
+    ], ids=["symmetric", "cross-moment", "phase-sum"])
+    def test_solver_builds_no_config(self, mixer_calls, p):
+        assert solve_decoupling_phases(p) is not None
+        assert mixer_calls == ["_residuals"]
+
+    def test_normal_form_checks_physicality_once(self, mixer_calls):
+        local_normal_form(self.P)
+        assert mixer_calls == ["is_physical"]
 
 
 class TestIsSsld:
