@@ -8,7 +8,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, _joint_verdict
-from .covariance import _finite_numbers, _uncertainty_verdicts
+from .covariance import _elimination_verdicts, _finite_numbers
+from .errors import NumericDomainError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -36,9 +37,16 @@ def mode_params(block: np.ndarray) -> ModeParams:
     return ModeParams(block.item(0, 0).real, block.item(0, 1))
 
 
+def _modulus(m: complex) -> float:
+    try:  # |m|, or inf where it passes float64 and so exceeds every finite n
+        return abs(m)
+    except OverflowError:
+        return math.inf
+
+
 def mode_is_physical(md: ModeParams, tol: float = DEFAULT_TOL) -> bool:
     """One-mode uncertainty bound, boundary states accepted."""
-    return md.n >= math.hypot(abs(md.m), 0.5) - _check_tol(tol)
+    return md.n >= math.hypot(_modulus(md.m), 0.5) - _check_tol(tol)
 
 
 def is_p_representable_joint(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
@@ -46,23 +54,26 @@ def is_p_representable_joint(p: GaussianParams, tol: float = DEFAULT_TOL) -> boo
 
     Accepts exactly when the smallest eigenvalue of ``V - I/2`` is at least
     ``-tol``, i.e. when ``V - (1/2 - tol) I`` is positive definite, decided by
-    a real elimination pass in the quadrature basis.  A classical state is
-    physical and separable, so the pass runs only where the pass of
-    :func:`~gausspair.covariance.is_separable` accepts; elsewhere the answer
-    is ``False``.  Both passes are backward stable, so rounding moves the
-    boundary by ``~1e-16 |V|`` at most.  Raises :class:`NumericDomainError`
-    where a pivot overflows float64.
+    the elimination kernel at ``(tol - 1/2, 0)``.  A classical state is
+    physical and separable, so that pass runs only where the kernel at
+    ``(tol, 1/2)`` accepts both; elsewhere the answer is ``False``.  The
+    passes are backward stable, so rounding moves the boundary by
+    ``~1e-16 |V|`` at most.  Raises :class:`NumericDomainError` where a pivot
+    overflows float64.
     """
     tol = _check_tol(tol)
-    physical, separable = _uncertainty_verdicts(p, tol)
+    physical, separable = _elimination_verdicts(p, tol, 0.5)
     return physical and separable and _joint_verdict(p, tol)
 
 
 def is_p_representable_mode(md: ModeParams, tol: float = DEFAULT_TOL) -> bool:
     """One-mode classicality in closed form: ``n >= |m| + 1/2``."""
-    return md.n >= abs(md.m) + 0.5 - _check_tol(tol)
+    return md.n >= _modulus(md.m) + 0.5 - _check_tol(tol)
 
 
 def nonclassicality_margin(md: ModeParams) -> float:
     """Signed distance past the classicality boundary; positive means nonclassical."""
-    return abs(md.m) + 0.5 - md.n
+    try:
+        return abs(md.m) + 0.5 - md.n
+    except OverflowError:  # |m| passes float64
+        raise NumericDomainError("|m| overflows float64 in the nonclassicality margin") from None

@@ -17,7 +17,7 @@ from dataclasses import MISSING, fields
 
 from . import measures, mixer, tmtss
 from .covariance import DEFAULT_TOL, GaussianParams, _block_entries, _check_tol
-from .covariance import _finite_numbers, _joint_verdict, _uncertainty_verdicts
+from .covariance import _elimination_verdicts, _finite_numbers, _joint_verdict
 from .errors import ModelValidityError, NonPhysicalStateError, NumericDomainError
 from .sweep import SweepConfig, sweep_grid, write_sweep_csv, write_sweep_matrix
 
@@ -28,7 +28,7 @@ def run_check(p: GaussianParams, r: float, tol: float = DEFAULT_TOL) -> dict:
     Raises :class:`NonPhysicalStateError` for a nonphysical state.
     """
     tol = _check_tol(tol)
-    physical, separable = _uncertainty_verdicts(p, tol)
+    physical, separable = _elimination_verdicts(p, tol, 0.5)
     if not physical:
         raise NonPhysicalStateError("state violates the uncertainty principle")
     classical = separable and _joint_verdict(p, tol)

@@ -7,25 +7,21 @@ and ``m_c`` (conjugate type).  They fill a 4x4 Hermitian matrix over the
 ordered basis ``(a1+, a1, a2+, a2)``; the vacuum has ``n = 1/2`` and all
 ``m`` zero.
 
-Two questions are decided here in closed form:
-
-* physicality, i.e. whether the matrix is compatible with the uncertainty
-  principle (``V`` plus half the commutator signature is positive), and
-* separability, i.e. physicality of the state after mirroring the second
-  party in phase space (:func:`mirror_party2`, the partial transpose on the
-  moments; the PPT test, necessary and sufficient for these states).
-
-Both go through one ``LDL^H`` elimination of ``H = V_q + tol I + (i/2) Omega``,
-the covariance in the real quadrature basis ``(x1, p1, x2, p2)`` plus half
-the symplectic form, read off the six moments.  The mirror only flips the
-sign of the ``(x2, p2)`` commutator entry, so one pass decides both.  A
-real pass decides joint classicality (:mod:`gausspair.classicality`),
-``V_q - (1/2 - tol) I > 0``, which implies both, so it runs only on physical
-separable states.  ``tol`` is slack on the smallest eigenvalue, as in the
-one-mode and symmetric-class bounds.  Rounding moves the boundary by
-``~1e-16 |V|``; ``tol`` is absolute, so once that nears it (``|V|`` around
-1e6 to 1e7 at the default) no float64 route, ``eigvalsh`` included, keeps the
-verdict within ``tol`` on both sides.
+One ``LDL^H`` elimination kernel decides three questions, by the positivity
+of ``H = V_q + shift I + i half Omega``: the covariance in the real
+quadrature basis ``(x1, p1, x2, p2)``, read off the six moments, plus a
+multiple of the symplectic form.  At ``(tol, 1/2)`` one pass decides
+physicality (``V`` plus half the commutator signature is positive) and
+separability, i.e. physicality after mirroring the second party in phase
+space (:func:`mirror_party2`; the PPT test, necessary and sufficient for
+these states), since the mirror only flips the sign of the ``(x2, p2)``
+commutator entry.  At ``(tol - 1/2, 0)`` it decides joint classicality
+(:mod:`gausspair.classicality`), ``V_q - (1/2 - tol) I > 0``, which implies
+both, so that pass runs only on physical separable states.  ``tol`` is slack
+on the smallest eigenvalue, as in the one-mode and symmetric-class bounds.
+Rounding moves the boundary by ``~1e-16 |V|``; ``tol`` is absolute, so once
+that nears it (``|V|`` around 1e6 to 1e7 at the default) no float64 route,
+``eigvalsh`` included, keeps the verdict within ``tol`` on both sides.
 """
 
 from __future__ import annotations
@@ -170,8 +166,8 @@ def _rejected(pivot: float) -> bool:
     raise NumericDomainError("moments overflow float64 in the elimination")
 
 
-def _uncertainty_verdicts(p: GaussianParams, shift: float) -> tuple[bool, bool]:
-    """Whether ``H = V_q + shift I + (i/2) Omega`` and its party-2 mirror are
+def _elimination_verdicts(p: GaussianParams, shift: float, half: float) -> tuple[bool, bool]:
+    """Whether ``H = V_q + shift I + i half Omega`` and its party-2 mirror are
     positive definite (all four pivots positive), by one ``LDL^H`` pass.
 
     ``V_q`` is the real covariance of the six moments in the quadrature
@@ -180,8 +176,8 @@ def _uncertainty_verdicts(p: GaussianParams, shift: float) -> tuple[bool, bool]:
     and the cross block ``[[Re(ms + mc), Im(mc - ms)], [Im(ms + mc), Re(ms - mc)]]``
     (rows ``x1``, ``p1``; columns ``x2``, ``p2``).
     ``Omega`` is ``+1`` above the diagonal at ``(x1, p1)`` and ``(x2, p2)``;
-    the mirror's ``-1`` at ``(x2, p2)`` reaches only the last pivot.  At
-    ``shift = tol`` the two verdicts are physicality and the PPT test.
+    the mirror's ``-1`` at ``(x2, p2)`` reaches only the last pivot, and at
+    ``half = 0`` the two verdicts agree.
     Raises :class:`NumericDomainError` where a pivot is not finite.
     """
     # V_q = [[a, c, g, h], [c, b, k, l], [g, k, d, f], [h, l, f, e]]; each
@@ -192,22 +188,22 @@ def _uncertainty_verdicts(p: GaussianParams, shift: float) -> tuple[bool, bool]:
     if not 0.0 < d0 < math.inf:
         return _rejected(d0), False
     b, c, r0 = p.n1 - m1.real, m1.imag, 1.0 / d0
-    d1 = b + shift - (c * c + 0.25) * r0
+    d1 = b + shift - (c * c + half * half) * r0
     if not 0.0 < d1 < math.inf:
         return _rejected(d1), False
     plus, minus = p.m_s + p.m_c, p.m_s - p.m_c
     g, h, k, l, r1 = plus.real, -minus.imag, plus.imag, minus.real, 1.0 / d1
     # row p1 right of its pivot after step one, at x2 and p2, as (re, im)
-    xr, xi, pr, pim = k - c * g * r0, 0.5 * g * r0, l - c * h * r0, 0.5 * h * r0
+    xr, xi, pr, pim = k - c * g * r0, half * g * r0, l - c * h * r0, half * h * r0
     d, e, f = p.n2 + m2.real, p.n2 - m2.real, m2.imag
     d2 = d + shift - g * g * r0 - (xr * xr + xi * xi) * r1
     if not 0.0 < d2 < math.inf:
         return _rejected(d2), False
-    # the (x2, p2) entry after step two is yr + i (yi +- 1/2)
+    # the (x2, p2) entry after step two is yr + i (yi +- half)
     yr = f - g * h * r0 - (xr * pr + xi * pim) * r1
     yi = (xi * pr - xr * pim) * r1
     last = e + shift - h * h * r0 - (pr * pr + pim * pim) * r1
-    yp, ym, r2 = yi + 0.5, yi - 0.5, 1.0 / d2
+    yp, ym, r2 = yi + half, yi - half, 1.0 / d2
     d3 = last - (yr * yr + yp * yp) * r2
     d3_mirror = last - (yr * yr + ym * ym) * r2
     if not (abs(d3) < math.inf and abs(d3_mirror) < math.inf):
@@ -217,35 +213,13 @@ def _uncertainty_verdicts(p: GaussianParams, shift: float) -> tuple[bool, bool]:
 
 def _joint_verdict(p: GaussianParams, tol: float) -> bool:
     """Whether ``J = V_q - (1/2 - tol) I`` is positive definite, joint
-    classicality at ``tol``: the real ``LDL^T`` pass of
-    :func:`_uncertainty_verdicts` at ``shift = tol - 1/2``, without ``Omega``.
+    classicality at ``tol``: the elimination pass at ``(tol - 1/2, 0)``.
 
     ``H - J`` and its mirror's are ``(I +- i Omega)/2``, positive semidefinite,
     so ``J > 0`` implies that ``H`` and its mirror are positive definite:
     callers run this pass only on states found physical and separable.
-    Raises :class:`NumericDomainError` where a pivot is not finite.
     """
-    m1, m2, shift = p.m1, p.m2, tol - 0.5
-    a = p.n1 + m1.real
-    d0 = a + shift
-    if not 0.0 < d0 < math.inf:
-        return _rejected(d0)
-    b, c, r0 = p.n1 - m1.real, m1.imag, 1.0 / d0
-    d1 = b + shift - c * c * r0
-    if not 0.0 < d1 < math.inf:
-        return _rejected(d1)
-    plus, minus = p.m_s + p.m_c, p.m_s - p.m_c
-    g, h, k, l, r1 = plus.real, -minus.imag, plus.imag, minus.real, 1.0 / d1
-    xr, pr = k - c * g * r0, l - c * h * r0
-    d, e, f = p.n2 + m2.real, p.n2 - m2.real, m2.imag
-    d2 = d + shift - g * g * r0 - xr * xr * r1
-    if not 0.0 < d2 < math.inf:
-        return _rejected(d2)
-    yr, r2 = f - g * h * r0 - xr * pr * r1, 1.0 / d2
-    d3 = e + shift - h * h * r0 - pr * pr * r1 - yr * yr * r2
-    if not abs(d3) < math.inf:
-        raise NumericDomainError("moments overflow float64 in the elimination")
-    return d3 > 0.0
+    return _elimination_verdicts(p, tol - 0.5, 0.0)[0]
 
 
 def is_physical(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
@@ -257,7 +231,7 @@ def is_physical(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
     ``tol`` must be positive and finite; raises :class:`NumericDomainError`
     where a pivot overflows float64.
     """
-    return _uncertainty_verdicts(p, _check_tol(tol))[0]
+    return _elimination_verdicts(p, _check_tol(tol), 0.5)[0]
 
 
 def is_separable(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
@@ -267,7 +241,7 @@ def is_separable(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
     (:func:`mirror_party2`) is physical too; one elimination pass decides
     both.  Raises :class:`NonPhysicalStateError` for a nonphysical state.
     """
-    physical, separable = _uncertainty_verdicts(p, _check_tol(tol))
+    physical, separable = _elimination_verdicts(p, _check_tol(tol), 0.5)
     if not physical:
         raise NonPhysicalStateError("state violates the uncertainty principle")
     return separable

@@ -162,17 +162,18 @@ def solve_decoupling_phases(
     phase sum itself whenever the anomalous moments vanish.  The signed part
     of the occupation residual is then ``|m_s| sin(arg(m_s) - psi)``, whose
     root in ``[0, pi)`` is ``arg(m_s) mod pi``.  Returns None when no phases
-    work.
+    work; raises :class:`NumericDomainError` where a modulus passes float64.
     """
     tol = _check_tol(tol)
-    if abs(abs(p.m1) - abs(p.m2)) > tol:
-        return None
-
-    if abs(p.m1) <= tol and abs(p.m2) <= tol:
-        psi = cmath.phase(p.m_s) % math.pi if abs(p.m_s) > tol else 0.0
-    else:
-        psi = 0.5 * (cmath.phase(p.m1) - cmath.phase(p.m2))
-
+    try:
+        if abs(abs(p.m1) - abs(p.m2)) > tol:
+            return None
+        if abs(p.m1) <= tol and abs(p.m2) <= tol:
+            psi = cmath.phase(p.m_s) % math.pi if abs(p.m_s) > tol else 0.0
+        else:
+            psi = 0.5 * (cmath.phase(p.m1) - cmath.phase(p.m2))
+    except OverflowError:  # a moment's modulus passes float64
+        raise NumericDomainError("moments overflow float64 in the decoupling phases") from None
     phi0 = phi1 = 0.5 * psi
     rho = cmath.exp(1j * phi0)
     r1, r2 = _residuals(p, _S2T_5050, _C2T_5050, rho, rho)

@@ -319,7 +319,8 @@ def quadrature_minors(
 
     Party blocks ``[[n + Re m, Im m], [Im m, n - Re m]]`` and the cross block
     ``[[Re(ms + mc), Im(mc - ms)], [Im(ms + mc), Re(ms - mc)]]``, as in
-    :func:`gausspair.covariance._uncertainty_verdicts`.  Entry ``mask`` of
+    :func:`gausspair.covariance._elimination_verdicts`, the one kernel of the
+    physicality, PPT and joint classicality passes.  Entry ``mask`` of
     the returned 16-tuple is the minor on the quadratures whose bits are set
     in ``mask`` (bit 0 is ``x1``, bit 3 is ``p2``); entry 0 is the empty
     minor, 1.  Plain float products, so an overflow gives ``inf`` or ``nan``.

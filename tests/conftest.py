@@ -178,12 +178,12 @@ def _record_calls(monkeypatch, targets) -> list:
 
 @pytest.fixture
 def kernel_passes(monkeypatch):
-    """The elimination passes as they run: ``("uncertainty", shift)`` and
-    ``("joint", tol)`` in call order, through every binding in the package."""
-    def entry(name, p, arg):
-        return name, arg
-    return _record_calls(monkeypatch, [("uncertainty", covariance._uncertainty_verdicts, entry),
-                                       ("joint", covariance._joint_verdict, entry)])
+    """The passes of the elimination kernel as they run, as ``(shift, half)``
+    in call order, through every binding in the package: ``(tol, 0.5)`` for
+    the uncertainty pass, ``(tol - 0.5, 0.0)`` for the joint pass."""
+    def entry(name, p, shift, half):
+        return shift, half
+    return _record_calls(monkeypatch, [("kernel", covariance._elimination_verdicts, entry)])
 
 
 @pytest.fixture

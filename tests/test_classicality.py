@@ -11,6 +11,7 @@ from gausspair import (
     GaussianParams,
     MixerConfig,
     ModeParams,
+    NumericDomainError,
     build_covariance,
     is_p_representable_joint,
     is_p_representable_mode,
@@ -144,6 +145,15 @@ class TestOverflow:
         # |m|^2 overflows float64, n > |m| still decides the bound
         assert mode_is_physical(ModeParams(1e200, 1e160))
         assert not mode_is_physical(ModeParams(1e160, 1e200))
+
+    @pytest.mark.parametrize("n", [1.0, 1.7e308, -1.7e308])
+    def test_a_modulus_past_float64_is_neither_physical_nor_classical(self, n):
+        # both parts are finite, so the mode is admitted; |m| exceeds every finite n
+        md = ModeParams(n, complex(1.5e308, 1.5e308))
+        assert mode_is_physical(md) is False
+        assert is_p_representable_mode(md) is False
+        with pytest.raises(NumericDomainError, match="nonclassicality margin"):
+            nonclassicality_margin(md)
 
 
 class TestMargin:

@@ -296,8 +296,8 @@ class TestRunCheck:
         # since joint classicality implies separability
         payload = cli.run_check(p, 1.0, Fraction(1, 10**6))
         assert payload["separable"] is separable
-        assert kernel_passes == [("uncertainty", 1e-6)] + [("joint", 1e-6)] * separable
-        assert all(type(tol) is float for _, tol in kernel_passes)
+        assert kernel_passes == [(1e-6, 0.5)] + [(1e-6 - 0.5, 0.0)] * separable
+        assert all(type(shift) is float for shift, _ in kernel_passes)
 
     def test_matrix_route_stays_off_the_check_path(self, monkeypatch):
         # the overlap and the joint test come from the moments: with every

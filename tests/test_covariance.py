@@ -28,7 +28,7 @@ from gausspair import (
     schur_terms,
     solve_decoupling_phases,
 )
-from gausspair import oracle
+from gausspair import covariance, oracle
 from gausspair.cli import run_check
 from gausspair.oracle import COMMUTATOR_SIGNATURE, partial_transpose
 
@@ -165,17 +165,31 @@ class TestPasses:
         is_physical(p, 1e-6)
         is_separable(p, 1e-6)
         entanglement_degree(p, 1.0, 1e-6)
-        assert kernel_passes == [("uncertainty", 1e-6)] * 3
+        assert kernel_passes == [(1e-6, 0.5)] * 3
 
-    @pytest.mark.parametrize("p, passes", [
-        (GaussianParams(n1=2, n2=2, m_c=1.4), ["uncertainty", "joint"]),
-        (GaussianParams(n1=2, n2=2, m_c=1.8), ["uncertainty"]),  # entangled
-        (GaussianParams(n1=1, n2=1, m_c=1.8), ["uncertainty"]),  # nonphysical
+    @pytest.mark.parametrize("p, joint", [
+        (GaussianParams(n1=2, n2=2, m_c=1.4), True),
+        (GaussianParams(n1=2, n2=2, m_c=1.8), False),  # entangled
+        (GaussianParams(n1=1, n2=1, m_c=1.8), False),  # nonphysical
     ], ids=["separable", "entangled", "nonphysical"])
     def test_joint_classicality_runs_the_joint_pass_on_separable_states_only(
-            self, kernel_passes, p, passes):
+            self, kernel_passes, p, joint):
         is_p_representable_joint(p)
-        assert [name for name, _ in kernel_passes] == passes
+        assert kernel_passes == [(DEFAULT_TOL, 0.5)] + [(DEFAULT_TOL - 0.5, 0.0)] * joint
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.builds(
+            GaussianParams,
+            n1=st.floats(-1e3, 1e3), n2=st.floats(-1e3, 1e3),
+            m1=moments(1e3), m2=moments(1e3), m_s=moments(1e3), m_c=moments(1e3),
+        ),
+        st.one_of(st.sampled_from([DEFAULT_TOL - 0.5, DEFAULT_TOL]), st.floats(-1e3, 1e3)),
+    )
+    def test_without_the_symplectic_term_the_mirror_verdict_is_the_same(self, p, shift):
+        # at half = 0 the mirror's last pivot is the state's, bit for bit
+        physical, mirrored = covariance._elimination_verdicts(p, shift, 0.0)
+        assert physical is mirrored
 
 
 class TestDrawParams:

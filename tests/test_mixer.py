@@ -437,6 +437,16 @@ class TestSolveDecouplingPhases:
         with pytest.raises(NumericDomainError):
             solve_decoupling_phases(GaussianParams(n1=2.0, n2=2.0, m_s=1e308))
 
+    @pytest.mark.parametrize("moments", [
+        {"m_s": complex(1.5e308, 1.5e308)},
+        {"m1": complex(1.5e308, 1.5e308)},
+        {"m1": complex(1.5e308, 1.5e308), "m2": complex(1.5e308, 1.5e308)},
+    ], ids=["m_s", "m1", "m1-and-m2"])
+    def test_a_modulus_past_float64_is_a_domain_error(self, moments):
+        # each part is finite, so the state is admitted; its modulus is not
+        with pytest.raises(NumericDomainError, match="decoupling phases"):
+            solve_decoupling_phases(GaussianParams(n1=1.0, n2=1.0, **moments))
+
     def test_unequal_magnitudes_unsolvable(self):
         assert solve_decoupling_phases(GaussianParams(n1=1.5, n2=1.5, m1=0.3, m2=0.5)) is None
 
