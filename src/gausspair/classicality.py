@@ -72,8 +72,15 @@ def is_p_representable_mode(md: ModeParams, tol: float = DEFAULT_TOL) -> bool:
 
 
 def nonclassicality_margin(md: ModeParams) -> float:
-    """Signed distance past the classicality boundary; positive means nonclassical."""
+    """Signed distance past the classicality boundary; positive means nonclassical.
+
+    Raises :class:`NumericDomainError` where ``|m|`` or ``|m| + 1/2 - n``
+    passes float64.
+    """
     try:
-        return abs(md.m) + 0.5 - md.n
+        margin = abs(md.m) + 0.5 - md.n
     except OverflowError:  # |m| passes float64
-        raise NumericDomainError("|m| overflows float64 in the nonclassicality margin") from None
+        margin = math.inf
+    if not math.isfinite(margin):
+        raise NumericDomainError("the nonclassicality margin overflows float64")
+    return margin

@@ -4,9 +4,10 @@ No other module of the package imports this one; the test suite uses
 these routines to cross-check closed-form results through unrelated
 algorithms (Jacobi rotations, Fock-basis sums, direct quadrature, the full
 4x4 conjugation through the mixer matrix, the matrix partial transpose, an
-eigenvalue test of joint classicality, a many-digit determinant and the
-complex minor-sum route to the reference overlap), and build the one-mode
-and local-operation matrices those routes take.
+eigenvalue test of joint classicality, a many-digit determinant, the
+complex minor-sum route to the reference overlap and the exact rational
+determinant of its frame), and build the one-mode and local-operation
+matrices those routes take.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -260,14 +262,15 @@ def _decimal_quadratures(n1, n2, m1, m2, ms, mc) -> list[list[Decimal]]:
     ]
 
 
-def _decimal_det(a: list[list[Decimal]]) -> Decimal:
-    # Gaussian elimination with partial pivoting, in the current context
+def _elimination_det(a: list[list]):
+    # Gaussian elimination with partial pivoting: exact on Fractions, in the
+    # current context on Decimals
     a = [row[:] for row in a]
-    det = Decimal(1)
+    det = 1
     for col in range(len(a)):
         pivot = max(range(col, len(a)), key=lambda row: abs(a[row][col]))
         if a[pivot][col] == 0:
-            return Decimal(0)
+            return 0
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
             det = -det
@@ -305,10 +308,17 @@ def reference_overlap_decimal(p, r: float) -> float:
         state = _decimal_quadratures(Decimal(p.n1), Decimal(p.n2), pair(p.m1), pair(p.m2),
                                      pair(p.m_s), pair(p.m_c))
         ref = _decimal_quadratures(big_n, big_n, zero, zero, zero, (big_m * cos, big_m * sin))
-        det = _decimal_det([[x + y for x, y in zip(u, w)] for u, w in zip(state, ref)])
+        det = _elimination_det([[x + y for x, y in zip(u, w)] for u, w in zip(state, ref)])
         if det <= 0:
             raise NumericDomainError("summed covariance is not positive definite")
         return float(1 / det.sqrt())
+
+
+def _quadrature_entries(n1, n2, m1, m2, ms, mc) -> tuple:
+    # (x1x1, x1p1, p1p1, x2x2, x2p2, p2p2) and the cross block's rows x1, p1
+    plus, minus = ms + mc, ms - mc
+    return (n1 + m1.real, m1.imag, n1 - m1.real, n2 + m2.real, m2.imag, n2 - m2.real,
+            plus.real, -minus.imag, plus.imag, minus.real)
 
 
 def quadrature_minors(
@@ -325,9 +335,7 @@ def quadrature_minors(
     in ``mask`` (bit 0 is ``x1``, bit 3 is ``p2``); entry 0 is the empty
     minor, 1.  Plain float products, so an overflow gives ``inf`` or ``nan``.
     """
-    plus, minus = ms + mc, ms - mc
-    a, c, b, d, f, e = n1 + m1.real, m1.imag, n1 - m1.real, n2 + m2.real, m2.imag, n2 - m2.real
-    g, h, k, l = plus.real, -minus.imag, plus.imag, minus.real  # rows x1, p1 of the cross block
+    a, c, b, d, f, e, g, h, k, l = _quadrature_entries(n1, n2, m1, m2, ms, mc)
     r02, r03, r12, r13 = a * k - c * g, a * l - c * h, c * k - b * g, c * l - b * h
     s02, s03, s12, s13 = g * f - d * h, g * e - f * h, k * f - d * l, k * e - f * l
     r01, s23, cross = a * b - c * c, d * e - f * f, g * l - h * k
@@ -341,25 +349,32 @@ def quadrature_minors(
     )
 
 
+def _frame_moments(p: GaussianParams) -> tuple:
+    # p's six moments in the aligned reference's 50:50 frame, party 2 rotated
+    # by the phase u of m_c; their quadrature entries are the frame entries
+    # (v0, w, v1, v2, w, v3, g, h, k, l) of measures._reference_overlap
+    u = cmath.exp(1j * cmath.phase(p.m_c)) if p.m_c != 0 else 1.0
+    ms, m2, mc = p.m_s * u, p.m2 * (u * u).conjugate(), abs(p.m_c)
+    half, mean = 0.5 * (p.n1 + p.n2), 0.5 * (p.m1 + m2)
+    return (half + ms.real, half - ms.real, mean + mc, mean - mc,
+            complex(0.5 * (p.n1 - p.n2), -ms.imag), 0.5 * (p.m1 - m2))
+
+
 def reference_overlap_minors(p: GaussianParams, a: float, b: float) -> float:
     """Overlap of ``p`` with its phase-aligned twin-beam reference, by complex
     moments and :func:`quadrature_minors`.
 
-    The route that :func:`gausspair.measures._reference_overlap` writes out
-    in real arithmetic: party 2 rotated by the phase ``u`` of ``m_c``, the
-    moments repacked as complex numbers in the 50:50 frame, where the
-    reference is ``diag(b, a, a, b)``, and the determinant of the sum taken
-    as the reference's variances times the state's principal minors.
-    Raises :class:`NumericDomainError` where that determinant is not finite
-    or not positive.
+    The former production route, now a referee of
+    :func:`gausspair.measures._reference_overlap`: party 2 rotated by the
+    phase ``u`` of ``m_c``, the moments repacked as complex numbers in the
+    50:50 frame, where the reference is ``diag(b, a, a, b)``, and the
+    determinant of the sum taken as the reference's variances times the
+    state's principal minors.  The 16 terms are nonnegative, but the minors
+    of a near-pure state cancel, so this route is not exact either.  Raises
+    :class:`NumericDomainError` where that determinant is not finite or not
+    positive.
     """
-    u = cmath.exp(1j * cmath.phase(p.m_c)) if p.m_c != 0 else 1.0
-    ms, m2, mc = p.m_s * u, p.m2 * (u * u).conjugate(), abs(p.m_c)
-    half, mean = 0.5 * (p.n1 + p.n2), 0.5 * (p.m1 + m2)
-    m = quadrature_minors(
-        half + ms.real, half - ms.real, mean + mc, mean - mc,
-        complex(0.5 * (p.n1 - p.n2), -ms.imag), 0.5 * (p.m1 - m2),
-    )
+    m = quadrature_minors(*_frame_moments(p))
     det = (
         m[15] + b * (m[7] + m[14]) + a * (m[11] + m[13]) + b * b * m[6] + a * a * m[9]
         + 0.25 * (m[3] + m[5] + m[10] + m[12] + a * (m[1] + m[8]) + b * (m[2] + m[4]) + 0.25)
@@ -369,3 +384,21 @@ def reference_overlap_minors(p: GaussianParams, a: float, b: float) -> float:
     if det <= 0.0:
         raise NumericDomainError("overlap determinant is not positive")
     return 1.0 / math.sqrt(det)
+
+
+def overlap_minors_exact(p: GaussianParams, a: float, b: float) -> tuple[Fraction, ...]:
+    """Exact leading principal minors of ``M = V + diag(b, a, a, b)`` on the
+    frame quadratures 1; 1, 2; 1, 2, 0 and all four, the last being ``det M``.
+
+    ``V`` holds the float entries of ``p``'s covariance in the aligned
+    reference's 50:50 frame, rounded as
+    :func:`gausspair.measures._reference_overlap` rounds them before it
+    eliminates in that order; from there on every step is exact in
+    :class:`fractions.Fraction`, so this referees the elimination alone.
+    ``M`` is positive definite exactly when all four minors are positive
+    (Sylvester's criterion).
+    """
+    v0, w, v1, v2, w2, v3, g, h, k, l = map(Fraction, _quadrature_entries(*_frame_moments(p)))
+    a, b = Fraction(a), Fraction(b)
+    m = [[v1 + a, k, w, l], [k, v2 + a, g, w2], [w, g, v0 + b, h], [l, w2, h, v3 + b]]
+    return tuple(_elimination_det([row[:size] for row in m[:size]]) for size in range(1, 5))

@@ -160,6 +160,18 @@ class TestMargin:
     def test_vacuum(self):
         assert nonclassicality_margin(ModeParams(n=0.5, m=0)) == 0.0
 
+    @pytest.mark.parametrize("n, m", [(-1e308, 1e308), (-1.7e308, 1e307), (-1e308, 1e308 - 1e308j)])
+    def test_a_margin_past_float64_is_a_domain_error(self, n, m):
+        # |m| is finite, but |m| + 1/2 - n is not; the verdicts compare, so they stand
+        md = ModeParams(n, m)
+        assert is_p_representable_mode(md) is False
+        with pytest.raises(NumericDomainError, match="nonclassicality margin"):
+            nonclassicality_margin(md)
+
+    def test_the_largest_finite_margins_pass(self):
+        assert nonclassicality_margin(ModeParams(-8e307, 8e307)) == 1.6e308
+        assert nonclassicality_margin(ModeParams(1.7e308, 0j)) == 0.5 - 1.7e308
+
     def test_signed_values(self):
         assert nonclassicality_margin(ModeParams(n=2, m=1.8)) == pytest.approx(0.3)
         assert nonclassicality_margin(ModeParams(n=2, m=1.4)) == pytest.approx(-0.1)

@@ -1,6 +1,5 @@
 import cmath
 import math
-import re
 import warnings
 
 import numpy as np
@@ -20,6 +19,7 @@ from gausspair import (
     bures_from_fidelity,
     compose_bures,
     entanglement_degree,
+    is_physical,
     is_separable,
     mix_params,
     output_port_fidelity,
@@ -532,6 +532,18 @@ def general_physical_states(draw):
     return mix_params(GaussianParams(n1=n1, n2=n2, m1=m1, m2=m2), MixerConfig(*angles))
 
 
+# The measured worst relative errors of the overlap on the draws of
+# TestGeneralOverlap, rounded up in the second digit: against the exact
+# determinant of its frame entries and against the former minor-sum route on
+# the scaled states, and against the decimal referee on the near-pure states.
+# Hypothesis seeds its derandomized draws from a test's source and its own
+# version, so an edit to that test or another hypothesis asks for the bound
+# to be measured again (these are from hypothesis 6.155.2).
+EXACT_FRAME_REL = 2.1e-15  # measured 2.10e-15
+MINOR_SUM_REL = 1.8e-14  # measured 1.80e-14
+NEAR_PURE_REL = 4.9e-11  # measured 4.87e-11
+
+
 @st.composite
 def scaled_states(draw):
     """Moments of magnitude up to one scale from 1e-3 to 1e3, at any phase,
@@ -565,15 +577,59 @@ class TestGeneralOverlap:
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(scaled_states(), st.floats(math.log(1e-6), math.log(170.0)).map(math.exp))
-    def test_is_the_minor_sum_route_bit_for_bit(self, p, r):
-        # the real arithmetic of the production route against the complex
-        # moments and principal minors of the referee: the same value, or the
-        # same error
+    def test_is_the_exact_determinant_of_its_frame(self, p, r):
+        # the elimination against the exact determinant of the same float
+        # frame entries: within the measured worst case where the sum is
+        # positive definite, a typed error where it is not; the former
+        # minor-sum route, a second referee, within its own bound
         _, _, _, a, b = measures._reference(r)
-        try:
-            want = oracle.reference_overlap_minors(p, a, b)
-        except NumericDomainError as err:
-            with pytest.raises(NumericDomainError, match=re.escape(str(err))):
+        minors = oracle.overlap_minors_exact(p, a, b)
+        if not all(m > 0 for m in minors):
+            with pytest.raises(NumericDomainError, match="overlap determinant is not positive"):
                 measures._reference_overlap(p, a, b)
-        else:
-            assert measures._reference_overlap(p, a, b) == want
+            return
+        got = measures._reference_overlap(p, a, b)
+        want = 1.0 / math.sqrt(minors[-1])
+        assert abs(got - want) / want <= EXACT_FRAME_REL
+        assert abs(got - oracle.reference_overlap_minors(p, a, b)) / want <= MINOR_SUM_REL
+
+    def test_a_zero_pivot_is_a_typed_error(self):
+        # a = 1/4 and b = 1 at r = ln(2)/2, where the first pivot v1 + a is
+        # -1/4 + 1/4 = 0 exactly; dividing by it would be a ZeroDivisionError
+        _, _, _, a, b = measures._reference(math.log(2.0) / 2.0)
+        assert (a, b) == (0.25, 1.0)
+        p = GaussianParams(0.5, 0.5, m_c=0.75)
+        assert oracle.overlap_minors_exact(p, a, b)[0] == 0
+        with pytest.raises(NumericDomainError, match="overlap determinant is not positive"):
+            measures._reference_overlap(p, a, b)
+
+    def test_an_overflow_is_a_typed_error(self):
+        # physical states whose determinant passes float64
+        _, _, _, a, b = measures._reference(1.0)
+        for p in (GaussianParams(1e200, 1e200), GaussianParams(1e155, 1e155, m_c=0.5e155),
+                  GaussianParams(1e300, 1e300, m1=0.5e300, m_s=0.5e300j)):
+            with pytest.raises(NumericDomainError, match="not finite in float64"):
+                measures._reference_overlap(p, a, b)
+
+    def test_near_pure_states_at_the_measured_bound(self):
+        # two squeezed vacua (z up to 4, so moments up to ~750) through a
+        # random mixer: near-pure general states, whose principal minors
+        # cancel; judged against the decimal referee.  Neither determinant
+        # route keeps full relative precision here: the former minor sum
+        # has the same worst case on these states
+        rng = np.random.default_rng(61)
+        worst, kept = 0.0, 0
+        while kept < 1000:
+            z1, z2 = rng.uniform(0.0, 4.0, 2).tolist()
+            f1, f2 = rng.uniform(-math.pi, math.pi, 2).tolist()
+            vacua = GaussianParams(n1=math.cosh(2 * z1) / 2, n2=math.cosh(2 * z2) / 2,
+                                   m1=math.sinh(2 * z1) / 2 * cmath.exp(1j * f1),
+                                   m2=math.sinh(2 * z2) / 2 * cmath.exp(1j * f2))
+            p = mix_params(vacua, MixerConfig(*rng.uniform(-math.pi, math.pi, 3).tolist()))
+            r = rng.uniform(0.05, 5.0)
+            if not is_physical(p):
+                continue
+            kept += 1
+            want = oracle.reference_overlap_decimal(p, r)
+            worst = max(worst, abs(entanglement_degree(p, r).fidelity - want) / want)
+        assert worst <= NEAR_PURE_REL

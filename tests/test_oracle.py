@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from gausspair import (
     trace_overlap,
 )
 from gausspair.oracle import (
-    QuadratureSpec, eig_min_hermitian, mode_covariance, overlap_fock_tmsv, overlap_numint,
+    QuadratureSpec, eig_min_hermitian, mode_covariance, overlap_fock_tmsv, overlap_minors_exact,
+    overlap_numint, reference_overlap_decimal,
 )
 
 from conftest import reference_states
@@ -114,3 +116,28 @@ class TestOverlapNumint:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             overlap_numint(np.eye(2), np.eye(4))
+
+
+class TestOverlapMinorsExact:
+    def test_thermal_state_is_diagonal_in_the_frame(self):
+        # V = n I, so M = diag(n + b, n + a, n + a, n + b) and its leading
+        # minors in the order 1, 2, 0, 3 are exact products
+        n, a, b = 1.25, 0.1, 2.5
+        x, y = Fraction(n) + Fraction(a), Fraction(n) + Fraction(b)
+        got = overlap_minors_exact(GaussianParams(n1=n, n2=n), a, b)
+        assert got == (x, x * x, x * x * y, x * x * y * y)
+        assert all(type(m) is Fraction for m in got)
+
+    def test_determinant_is_the_decimal_referee_s(self):
+        # with the reference's a and b, det M is the summed covariance's
+        # determinant up to the rounding of the frame entries
+        p = GaussianParams(n1=2.86, n2=1.78, m1=0.5 + 0.2j, m2=-0.49,
+                           m_s=-0.19 + 0.04j, m_c=-1.29 + 0.19j)
+        a, b = 0.5 * math.exp(-2.0), 0.5 * math.exp(2.0)
+        want = reference_overlap_decimal(p, 1.0)
+        assert 1.0 / math.sqrt(overlap_minors_exact(p, a, b)[-1]) == pytest.approx(
+            want, rel=1e-15, abs=0.0)
+
+    def test_a_nonphysical_state_is_not_positive_definite(self):
+        # n = 1/2 with |m_c| = 3/4: the first pivot is exactly 0 at a = 1/4
+        assert overlap_minors_exact(GaussianParams(0.5, 0.5, m_c=0.75), 0.25, 1.0)[0] == 0
