@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from dataclasses import MISSING, fields
 
@@ -124,6 +125,14 @@ def state_to_json(p: GaussianParams) -> dict:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # an argument that starts as a negative number does, "-" then a digit,
+        # ".digit", inf or nan, is a value, as in --n1 -1e-3 or --ms -0.19,0.04,
+        # just as after "="; argparse's own pattern admits only -5 and -0.5
+        # forms before Python 3.13.  The subparsers are of this class too.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
     def print_help(self, file=None):
         # argparse's writer drops a failed write; this one lets it reach main,
         # where a closed or unwritable stdout is exit 2, as for the commands

@@ -192,10 +192,17 @@ def _local_determinants(p: GaussianParams) -> tuple[float, float]:
 
 
 def is_ssld(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
-    """Whether the two local blocks have equal determinants."""
+    """Whether the two local blocks have equal determinants.
+
+    The blocks' local symplectic eigenvalues ``sqrt(n^2 - |m|^2)`` are
+    compared, within ``tol``: they are linear in the moments, as ``tol`` is,
+    where the determinants are quadratic.  A negative determinant never
+    equals a positive one.
+    """
     tol = _check_tol(tol)
     det1, det2 = _local_determinants(p)
-    return abs(det1 - det2) <= tol
+    nu1, nu2 = math.sqrt(abs(det1)), math.sqrt(abs(det2))
+    return (det1 < 0.0) == (det2 < 0.0) and abs(nu1 - nu2) <= tol
 
 
 def _normal_op(n: float, m: complex) -> tuple[float, float]:

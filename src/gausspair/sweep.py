@@ -3,12 +3,20 @@
 Each point's class travels from :func:`sweep_grid` to the writers as its code
 in :data:`~gausspair.tmtss.SYMMETRIC_CLASSES`; only the CSV writer spells the
 names.  numpy is imported inside the functions that need it.
+
+Both writers run one block loop.  A call allocates one buffer that holds a
+run of whole ``n`` rows, at most ``_BLOCK_POINTS`` grid points, or one row
+where a row is wider.  For each block the buffer is set from a per-column
+line template in one copy, each row's ``n`` cells, class names and degrees go
+into their slots, the cells' NUL padding is stripped with ``translate`` and
+the stripped bytes are written.  So a writer's memory is bounded by the
+block, not by the grid: the buffer, one stripped block and the scratch of
+formatting one block's degrees.
 """
 
 from __future__ import annotations
 
 import io
-import math
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -47,8 +55,9 @@ class SweepConfig:
             raise ValueError("reference squeezing r must be positive")
         if n_steps < 2 or m_steps < 2:
             raise ValueError("grids need at least 2 steps per axis")
-        # the padded CSV table holds 63 bytes a point, so its size must stay an
-        # index-sized int; past that numpy fails untyped, not with MemoryError
+        # the grid's arrays (8 bytes a point for the degrees) and a CSV block of
+        # one row (63 bytes a column) must stay index-sized; past that numpy
+        # fails untyped, not with MemoryError
         if n_steps * m_steps * 64 > sys.maxsize:
             raise ValueError("sweep grid is too large")
         if not (n_max > n_min and m_max > m_min):
@@ -147,64 +156,87 @@ def _sci_table(values) -> np.ndarray:
     return table
 
 
-def _table(shape, *parts):
-    # a bytearray holding a uint8 table of the given shape whose last axis
-    # joins the parts: arrays broadcasting to shape + (width,), strings of
-    # separator bytes, or the int width of a zero slot the caller fills; returns
-    # the buffer and each part's slot, a view into it
+# grid points in one block of the writers: a CSV block buffer is ~0.38 MB, a
+# matrix one ~0.1 MB, and formatting a block's degrees takes ~0.5 MB of scratch
+_BLOCK_POINTS = 6000
+
+
+def _cells(values):
+    # _sci_table's rows as one NUL-padded 16-byte string each
+    return _sci_table(values).view(f"S{_CELL}")[:, 0]
+
+
+def _write_blocks(stream, head: bytes, rows: int, template, fill) -> None:
+    # writes head, then the rows through one buffer of whole rows, reused for
+    # every block: each block starts as a copy of the row template, one
+    # structured line per column, and fill(lines, start, stop) completes it
+    # for rows start to stop - 1.  The NUL padding is stripped from the
+    # buffer itself; a short last block leaves NULs behind it, so no slice is
+    # copied.  A row wider than a block gets a block of its own.  stream is
+    # binary or text.
     import numpy as np
-    widths = [p if isinstance(p, int) else len(p) if isinstance(p, str) else p.shape[-1]
-              for p in parts]
-    row = sum(widths)
-    buf = bytearray(math.prod(shape) * row)
-    table = np.frombuffer(buf, np.uint8).reshape(*shape, row)
-    slots, start = [], 0
-    for part, width in zip(parts, widths):
-        slot = table[..., start:start + width]
-        if not isinstance(part, int):
-            slot[...] = np.frombuffer(part.encode(), np.uint8) if isinstance(part, str) else part
-        slots.append(slot)
-        start += width
-    return buf, slots
+    per_block = max(1, min(rows, _BLOCK_POINTS // max(template.size, 1)))
+    buf = bytearray(per_block * template.nbytes)
+    raw = np.frombuffer(buf, np.uint8).reshape(per_block, template.nbytes)
+    table = raw.view(template.dtype)  # (per_block, columns)
+    _write(stream, head)
+    for start in range(0, rows, per_block):
+        stop = min(start + per_block, rows)
+        raw[:stop - start] = template.view(np.uint8)  # bytewise: one copy, not one per field
+        fill(table[:stop - start], start, stop)
+        raw[stop - start:] = 0
+        _write(stream, buf.translate(None, b"\0"))  # freed before the next block is filled
 
 
-def _write(stream, *chunks) -> None:
+def _write(stream, chunk: bytes) -> None:
     # ASCII bytes as they are to a binary stream, decoded for a text one
-    text = isinstance(stream, io.TextIOBase)
-    for chunk in chunks:
-        stream.write(chunk.decode("ascii") if text else chunk)
+    stream.write(chunk.decode("ascii") if isinstance(stream, io.TextIOBase) else chunk)
 
 
 def write_sweep_csv(result: SweepResult, stream) -> None:
     # '\n' endings, empty E column for nonphysical rows; stream is binary or text
     import numpy as np
-    shape = result.degree.shape
+    rows, cols = result.degree.shape
+    axes = _cells(np.concatenate((result.n, result.m)))  # n cells, then m cells
     names = np.array(tmtss.SYMMETRIC_CLASSES, dtype="S")  # NUL-padded class names
-    names = names.view(np.uint8).reshape(names.size, -1)
-    buf, (*_, e_cells, _) = _table(shape, _sci_table(result.n)[:, None], ",",
-                                   _sci_table(result.m), ",", names.take(result.codes, axis=0),
-                                   ",", _CELL, "\n")
-    physical = result.codes > 0
-    e_cells[physical] = _sci_table(result.degree[physical])
-    _write(stream, b"n,m,class,E\n", buf.translate(None, b"\0"))
+    cell = f"S{_CELL}"
+    template = np.zeros(cols, [("n", cell), ("c1", "S1"), ("m", cell), ("c2", "S1"),
+                               ("label", names.dtype), ("c3", "S1"), ("e", cell), ("end", "S1")])
+    template["c1"] = template["c2"] = template["c3"] = b","
+    template["m"] = axes[rows:]
+    template["end"] = b"\n"  # "e" stays NUL, an empty E, unless the point is physical
+
+    def fill(lines, start, stop):
+        lines["n"] = axes[start:stop, None]
+        codes = result.codes[start:stop].ravel()
+        lines = lines.reshape(-1)
+        lines["label"] = names[codes]
+        physical = np.flatnonzero(codes)
+        lines["e"][physical] = _cells(result.degree[start:stop].ravel()[physical])
+
+    _write_blocks(stream, b"n,m,class,E\n", rows, template, fill)
 
 
 def write_sweep_matrix(result: SweepResult, stream) -> None:
-    # gnuplot nonuniform-matrix block: first row holds the m coordinates,
-    # each following row is n followed by the E values (nan where nonphysical);
-    # stream is binary or text
+    # gnuplot nonuniform-matrix block: first line holds the column count and
+    # the m coordinates, each following line is n followed by the E values
+    # (nan where nonphysical); stream is binary or text
     import numpy as np
     rows, cols = result.degree.shape
-    head = str(cols).encode()
-    physical = result.codes > 0
-    e_cells = _sci_table(result.degree[physical])  # before the table: its scratch arrays are the peak
-    sep = np.full((cols + 1, 1), ord(" "), np.uint8)
-    sep[-1] = ord("\n")
-    buf, (cells, _) = _table((rows + 1, cols + 1), _CELL, sep)
-    cells[0, 0, :len(head)] = list(head)
-    cells[0, 1:] = _sci_table(result.m)
-    cells[1:, 0] = _sci_table(result.n)
-    grid = cells[1:, 1:]
-    grid[physical] = e_cells
-    grid[~physical, :3] = np.frombuffer(b"nan", np.uint8)
-    _write(stream, buf.translate(None, b"\0"))
+    axes = _cells(np.concatenate((result.n, result.m)))  # n cells, then m cells
+    template = np.zeros(cols + 1, [("value", f"S{_CELL}"), ("sep", "S1")])
+    template["sep"] = b" "
+    template["sep"][-1] = b"\n"
+    head = template.copy()
+    head["value"][0] = str(cols).encode()
+    head["value"][1:] = axes[rows:]
+    template["value"][1:] = b"nan"
+
+    def fill(lines, start, stop):
+        lines["value"][:, 0] = axes[start:stop]
+        physical = np.flatnonzero(result.codes[start:stop])
+        # point p of the block is cell p + p // cols + 1 of its lines
+        lines.reshape(-1)["value"][physical + physical // cols + 1] = _cells(
+            result.degree[start:stop].ravel()[physical])
+
+    _write_blocks(stream, head.tobytes().translate(None, b"\0"), rows, template, fill)

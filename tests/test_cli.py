@@ -275,6 +275,52 @@ class TestParser:
         assert tols == [1e-6, 1e-6, covariance.DEFAULT_TOL, covariance.DEFAULT_TOL]
 
 
+def _value_flags():
+    # (command argv, flag) for every float, int and complex flag of every
+    # command, after the command's required flags
+    required = {"check": ["--n1", "2", "--n2", "2"], "transform": ["--state", "STATE"],
+                "sweep": ["--n-steps", "3", "--m-steps", "3"], "tmtss": ["--d", "0.5", "--r", "0.3"]}
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [([command, *required[command]], flag)
+            for command, parser in sub.choices.items() for action in parser._actions
+            if action.type in (float, int, cli.parse_complex) for flag in action.option_strings]
+
+
+class TestNegativeValues:
+    """A value that starts with "-" reads after a space as it does after "="."""
+
+    @pytest.mark.parametrize("argv, flag", _value_flags())
+    @pytest.mark.parametrize("value", ["-1e-3", "-.5", "-0.19,0.04", "-2E+1,-1e-1", "-inf"])
+    def test_space_form_is_the_equals_form(self, argv, flag, value, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        state.write_text('{"n1": 2.0, "n2": 2.0, "mc": [1.8, 0.0]}', encoding="utf-8")
+        argv = [str(state) if arg == "STATE" else arg for arg in argv]
+        spaced = _run_guarded([*argv, flag, value], capsys)
+        assert spaced == _run_guarded([*argv, f"{flag}={value}"], capsys)
+        assert "expected one argument" not in spaced[2]
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--n1", "-1e-3", "--n2", "1"],
+        ["check", "--n1", "2.86", "--n2", "1.78", "--m1", "0.5,0.2", "--m2", "-0.49",
+         "--ms", "-0.19,0.04", "--mc", "-1.29,0.19"],
+        ["tmtss", "--d", "0.5", "--r", "-3e-1"],
+        ["sweep", "--n-min", "-1e-1", "--n-steps", "3", "--m-steps", "3"],
+    ])
+    def test_negative_values_parse(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        for flag, text in zip(argv[1::2], argv[2::2]):
+            want = cli.parse_complex(text) if "," in text else float(text)
+            assert getattr(args, flag[2:].replace("-", "_")) == want
+
+    @pytest.mark.parametrize("argv", [["check", "--n1", "2", "--n2", "2", "--ms", "-x"],
+                                      ["check", "--n1", "-x", "--n2", "2"],
+                                      ["sweep", "--r", "-r"]])
+    def test_a_non_number_stays_a_usage_error(self, argv, capsys):
+        code, out, err = _run_guarded(argv, capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "UsageError"
+
+
 class TestRunCheck:
     def test_composition_matches_library(self):
         p = GaussianParams(n1=2, n2=2, m_c=1.4)

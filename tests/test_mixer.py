@@ -588,6 +588,41 @@ class TestIsSsld:
         with pytest.raises(NumericDomainError):
             is_ssld(GaussianParams(n1=1e200, n2=1, m1=1e155))
 
+    @staticmethod
+    def _equal_eigenvalue_states(scale, seed, offset=0.0, count=2000):
+        # n1, m1 and m2 drawn at the moment scale, and n2 set so that party 2's
+        # symplectic eigenvalue is party 1's plus offset, up to the rounding of n2
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            n1 = scale * rng.uniform(0.5, 1.0)
+            m1 = n1 * rng.uniform(0.0, 0.9) * cmath.exp(2j * math.pi * rng.uniform())
+            m2 = scale * rng.uniform() * cmath.exp(2j * math.pi * rng.uniform())
+            nu = math.sqrt(n1 * n1 - abs(m1) ** 2) + offset
+            yield GaussianParams(n1=n1, n2=math.sqrt(nu * nu + abs(m2) ** 2), m1=m1, m2=m2)
+
+    @pytest.mark.parametrize("scale", [3e3, 1e6])
+    def test_equal_eigenvalues_at_large_moments(self, scale):
+        # comparing the determinants refused 353 (3e3) and 1,407 (1e6) of these:
+        # their rounding grows like eps scale^2, past tol
+        states = self._equal_eigenvalue_states(scale, seed=66)
+        assert [p for p in states if not is_ssld(p)] == []
+
+    @pytest.mark.parametrize("scale", [1.0, 3e3, 1e6])
+    @pytest.mark.parametrize("offset", [-10e-9, 10e-9])
+    def test_eigenvalues_ten_tol_apart_are_refused(self, scale, offset):
+        states = self._equal_eigenvalue_states(scale, seed=67, offset=offset, count=500)
+        assert [p for p in states if is_ssld(p, 1e-9)] == []
+
+    def test_a_negative_determinant_never_equals_a_positive_one(self):
+        # det = -3e-24 and +3e-24: equal within tol, and equal eigenvalue moduli
+        negative, positive = (1e-12, 2e-12), (2e-12, 1e-12)
+        assert not is_ssld(GaussianParams(n1=negative[0], m1=negative[1],
+                                          n2=positive[0], m2=positive[1]))
+        assert not is_ssld(GaussianParams(n1=positive[0], m1=positive[1],
+                                          n2=negative[0], m2=negative[1]))
+        assert is_ssld(GaussianParams(n1=negative[0], m1=negative[1],
+                                      n2=negative[0], m2=1j * negative[1]))
+
 
 class TestLocalNormalForm:
     def test_symmetric_input_unchanged(self):
