@@ -4,15 +4,12 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, _joint_verdict
 from .covariance import _elimination_verdicts, _finite_numbers
 from .errors import NumericDomainError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True, init=False)
@@ -28,13 +25,24 @@ class ModeParams:
         self.__dict__.update(n=n, m=m)  # past the frozen __setattr__
 
 
-def mode_params(block: np.ndarray) -> ModeParams:
-    """Read one-mode data off a 2x2 Hermitian covariance block."""
-    import numpy as np
-    block = np.asarray(block, dtype=complex)
-    if block.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 block, got shape {block.shape}")
-    return ModeParams(block.item(0, 0).real, block.item(0, 1))
+def mode_params(block: Sequence[Sequence[complex]]) -> ModeParams:
+    """Read one-mode data off a 2x2 Hermitian covariance block.
+
+    The block is any 2x2 nested sequence: the nested tuples of
+    :class:`~gausspair.mixer.OutputBlocks`, a list or an ndarray.  ``n`` is
+    the real part of ``block[0][0]`` and ``m`` is ``block[0][1]``, admitted by
+    :class:`ModeParams`'s rule, so an entry that is not a number is a
+    ``TypeError``.  Any other shape is a ``ValueError``.
+    """
+    try:  # two rows of two entries
+        (n, m), (c, d) = block
+        for x in (n, m, c, d):  # an entry with a length, a str aside, is a row of a deeper array
+            if hasattr(x, "__len__") and not isinstance(x, str):
+                raise ValueError
+    except (TypeError, ValueError):
+        got = f"shape {block.shape}" if hasattr(block, "shape") else f"{block!r:.80}"
+        raise ValueError(f"expected a 2x2 block, got {got}") from None
+    return ModeParams(getattr(n, "real", n), m)
 
 
 def _modulus(m: complex) -> float:

@@ -16,14 +16,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .covariance import DEFAULT_TOL, GaussianParams, _block_entries, _check_tol, is_physical
 from .covariance import _finite_numbers
 from .errors import DegenerateStateError, NonPhysicalStateError, NumericDomainError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # the kernel's angle terms at the 50:50 angle: 2.0 * (math.pi / 4) == math.pi / 2
 _S2T_5050, _C2T_5050 = math.sin(math.pi / 2), math.cos(math.pi / 2)
@@ -51,11 +47,15 @@ class MixerConfig:
 
 @dataclass(frozen=True, init=False, eq=False)
 class OutputBlocks:
-    """Output covariance in block form: local blocks and the cross block."""
+    """Output covariance in block form: local blocks and the cross block.
 
-    v1p: np.ndarray
-    v2p: np.ndarray
-    cp: np.ndarray
+    Each block is a 2x2 nested tuple of Python ``complex``, rows first;
+    ``np.asarray`` of one is its complex128 matrix.
+    """
+
+    v1p: tuple[tuple[complex, complex], tuple[complex, complex]]
+    v2p: tuple[tuple[complex, complex], tuple[complex, complex]]
+    cp: tuple[tuple[complex, complex], tuple[complex, complex]]
 
     def __init__(self, v1p, v2p, cp):
         self.__dict__.update(v1p=v1p, v2p=v2p, cp=cp)
@@ -109,10 +109,15 @@ def mix_params(p: GaussianParams, cfg: MixerConfig) -> GaussianParams:
 
 
 def transform_blocks(p: GaussianParams, cfg: MixerConfig) -> OutputBlocks:
-    """The output covariance of the mixer in block form, from :func:`mix_params`."""
-    import numpy as np
-    v = np.array(_block_entries(mix_params(p, cfg)), dtype=complex).reshape(3, 2, 2)
-    return OutputBlocks(v[0], v[1], v[2])
+    """The output covariance of the mixer in block form, from :func:`mix_params`.
+
+    The blocks are ``((n1, m1), (conj m1, n1))``, ``((n2, m2), (conj m2, n2))``
+    and ``((m_s, m_c), (conj m_c, conj m_s))`` of the output moments, every
+    entry a Python ``complex``.
+    """
+    n1, m1, m1c, _, n2, m2, m2c, _, ms, mc, mcc, msc = _block_entries(mix_params(p, cfg))
+    n1, n2 = complex(n1), complex(n2)
+    return OutputBlocks(((n1, m1), (m1c, n1)), ((n2, m2), (m2c, n2)), ((ms, mc), (mcc, msc)))
 
 
 def coupling_residuals(p: GaussianParams, cfg: MixerConfig) -> tuple[complex, complex]:

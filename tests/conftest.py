@@ -95,7 +95,7 @@ def block_error(full, blocks) -> float:
     """Largest entry error of mixer output blocks against the matching slices
     of the 4x4 output matrix ``full``, the lower-left ``cp^dagger`` included."""
     pairs = ((full[:2, :2], blocks.v1p), (full[2:, 2:], blocks.v2p),
-             (full[:2, 2:], blocks.cp), (full[2:, :2], blocks.cp.conj().T))
+             (full[:2, 2:], blocks.cp), (full[2:, :2], np.asarray(blocks.cp).conj().T))
     return max(float(np.abs(want - got).max()) for want, got in pairs)
 
 

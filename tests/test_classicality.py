@@ -51,6 +51,34 @@ def test_mode_params_rejects_bad_shape():
         mode_params(np.eye(4))
 
 
+def _bits(md):
+    return md.n.hex(), md.m.real.hex(), md.m.imag.hex()
+
+
+def test_mode_params_reads_tuples_lists_and_arrays_alike():
+    p = GaussianParams(1.3, 0.9, 0.2 - 0.1j, -0.3j, 0.1 + 0.2j, 0.4)
+    blocks = transform_blocks(p, MixerConfig(0.7, 0.2, -0.5))
+    for block in (blocks.v1p, blocks.v2p):
+        read = [mode_params(b) for b in (block, [list(row) for row in block], np.asarray(block))]
+        assert read[0] == read[1] == read[2]
+        assert len({_bits(md) for md in read}) == 1
+        assert all(type(md.n) is float and type(md.m) is complex for md in read)
+        assert _bits(read[0]) == _bits(ModeParams(block[0][0].real, block[0][1]))
+
+
+@pytest.mark.parametrize("block", [
+    np.eye(4), np.zeros(2), np.zeros((2, 2, 1)), [[1, 2], [3]], "ab", None,
+], ids=["eye4", "vector", "deep", "ragged", "str", "None"])
+def test_mode_params_rejects_non_2x2_blocks(block):
+    with pytest.raises(ValueError, match="expected a 2x2 block"):
+        mode_params(block)
+
+
+def test_mode_params_refuses_a_str_entry_as_mode_params_does():
+    with pytest.raises(TypeError, match="expected a number, got str"):
+        mode_params([["1.2", 0j], [0j, "1.2"]])
+
+
 class TestJoint:
     def test_vacuum_on_boundary(self):
         assert is_p_representable_joint(GaussianParams(0.5, 0.5))

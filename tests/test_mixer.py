@@ -119,13 +119,13 @@ class TestTransformBlocks:
             n = rng.uniform(0.5, 4.0)
             m = rng.uniform(0, 2.0) * np.exp(2j * np.pi * rng.uniform())
             b = transform_blocks(GaussianParams(n1=n, n2=n, m_c=m), BS5050)
-            assert abs(b.v1p[0, 0] - n) < 1e-12
-            assert abs(b.v1p[0, 1] - (-m)) < 1e-12
-            assert abs(b.v2p[0, 1] - m) < 1e-12
+            assert abs(b.v1p[0][0] - n) < 1e-12
+            assert abs(b.v1p[0][1] - (-m)) < 1e-12
+            assert abs(b.v2p[0][1] - m) < 1e-12
             assert np.abs(b.cp).max() < 1e-12
             # the output m_c is cos(pi/2) m_c, with cos(pi/2) = 6.1e-17 in
             # float64; cos^2 - sin^2 at the same angle leaves 2.2e-16
-            assert abs(b.cp[0, 1]) <= 1e-16 * abs(m)
+            assert abs(b.cp[0][1]) <= 1e-16 * abs(m)
 
     def test_mixing_uncorrelated_unequal_modes_creates_correlation(self):
         p = GaussianParams(n1=2.0, n2=1.0)
@@ -142,11 +142,25 @@ class TestTransformBlocks:
             full = transform_full(build_covariance(p), cfg)
             assert block_error(full, transform_blocks(p, cfg)) < 1e-10
 
+    def test_blocks_are_nested_tuples_of_the_covariance_entries(self):
+        # np.asarray of each block is the matching slice of the output
+        # covariance, bit for bit, and every entry is a Python complex
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            p, cfg = draw_params(rng, m_hi=2.0), draw_mixer(rng)
+            b = transform_blocks(p, cfg)
+            v = build_covariance(mix_params(p, cfg))
+            for blk, want in ((b.v1p, v[:2, :2]), (b.v2p, v[2:, 2:]), (b.cp, v[:2, 2:])):
+                assert type(blk) is tuple and [type(row) for row in blk] == [tuple, tuple]
+                assert [type(x) for row in blk for x in row] == [complex] * 4
+                got = np.asarray(blk)
+                assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
+
     def test_blocks_hermitian_with_real_diagonal(self):
         rng = np.random.default_rng(29)
         for _ in range(50):
             b = transform_blocks(draw_params(rng), draw_mixer(rng))
-            for blk in (b.v1p, b.v2p):
+            for blk in map(np.asarray, (b.v1p, b.v2p)):
                 assert np.abs(blk - blk.conj().T).max() < 1e-12
                 assert abs(blk[0, 0].imag) < 1e-14
 
@@ -298,7 +312,11 @@ class TestOracleSplit:
 
 
 class TestColdStart:
-    """Only the sweep and the array-returning functions import numpy."""
+    """Only the sweep and the array-returning functions import numpy.
+
+    The scalar commands and the library's mixer pipeline, from the normal
+    form to each output port's classicality, run without it.
+    """
 
     ENV = {**os.environ, "PYTHONPATH": str(TestOracleSplit.PACKAGE_DIR.parent)}
     STATE = {"n1": 1.6, "n2": 1.9, "m1": [0.3, 0.2], "m2": [-0.2, 0.1], "ms": [0.2, -0.3], "mc": [0.4, 0.1]}
@@ -311,13 +329,17 @@ class TestColdStart:
     }
 
     def _run(self, command: str, tmp_path) -> tuple[str, set[str]]:
-        # a fresh `python -m gausspair` under -X importtime, which logs every
-        # module the process imports on stderr as "self | cumulative | name"
+        # a fresh `python -m gausspair`
         path = tmp_path / "state.json"
         path.write_text(json.dumps(self.STATE), encoding="utf-8")
         argv = [arg.format(state=path) for arg in self.COMMANDS[command]]
+        return self._importtime("-m", "gausspair", *argv)
+
+    def _importtime(self, *args: str) -> tuple[str, set[str]]:
+        # a fresh interpreter under -X importtime, which logs every module
+        # the process imports on stderr as "self | cumulative | name"
         result = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "gausspair", *argv],
+            [sys.executable, "-X", "importtime", *args],
             capture_output=True, text=True, timeout=120, env=self.ENV,
         )
         assert result.returncode == 0, result.stderr
@@ -337,6 +359,24 @@ class TestColdStart:
         out, loaded = self._run("sweep", tmp_path)
         assert out.startswith("n,m,class,E\n")
         assert "numpy" in loaded
+
+    def test_mixer_pipeline_leaves_numpy_unloaded(self):
+        # the paper's theorem through the library on one SSLD state: normal
+        # form, 50:50 decoupling phases, output blocks and port classicality
+        code = (
+            "import math, gausspair as gp; "
+            "p = gp.GaussianParams(1.5, 1.5, 0.3j, 0.3, 0.2, 0.5); "
+            "normal, _ = gp.local_normal_form(p); "
+            "cfg = gp.MixerConfig(math.pi / 4, *gp.solve_decoupling_phases(normal)); "
+            "blocks = gp.transform_blocks(normal, cfg); "
+            "ports = [gp.is_p_representable_mode(gp.mode_params(b)) for b in (blocks.v1p, blocks.v2p)]; "
+            "print(gp.is_ssld(p), gp.is_separable(p), *ports)"
+        )
+        out, loaded = self._importtime("-c", code)
+        ssld, *verdicts = out.split()
+        assert ssld == "True" and len(set(verdicts)) == 1 and len(verdicts) == 3
+        assert "gausspair" in loaded
+        assert "numpy" not in loaded
 
     def test_run_check_leaves_numpy_unloaded(self):
         code = (
