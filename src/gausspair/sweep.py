@@ -16,6 +16,7 @@ formatting one block's degrees.
 
 from __future__ import annotations
 
+import functools
 import io
 import sys
 from dataclasses import dataclass
@@ -109,9 +110,26 @@ def sweep_grid(cfg: SweepConfig) -> SweepResult:
     return SweepResult(n=n, m=m, codes=codes, degree=degree)
 
 
-# 10^0 .. 10^22, each exact in float64
-_POW10 = tuple(float(10 ** i) for i in range(23))
 _CELL = 16  # bytes per formatted cell: "-1.00000000e+308" is the longest
+
+
+@functools.cache
+def _sci_tables():
+    # the fast path's constant tables, indexed by k + 14 for k in [-14, 30]
+    # or by the lead digit, built on first use so that importing this module
+    # does not import numpy: the exact powers 10^max(8-k, 0) and
+    # 10^max(k-8, 0), "d." as uint16, "e±kk" as uint32, and the cell as a
+    # structured row of its five fields
+    import numpy as np
+    ks = range(-14, 31)
+    mul = np.array([float(10 ** max(8 - k, 0)) for k in ks])
+    div = np.array([float(10 ** max(k - 8, 0)) for k in ks])
+    mul.flags.writeable = div.flags.writeable = False
+    lead = np.frombuffer(b"".join(b"%d." % d for d in range(10)), "<u2")
+    exp = np.frombuffer(b"".join(b"e%+03d" % k for k in ks), "<u4")
+    row = np.dtype([("sign", "u1"), ("lead", "<u2"), ("digits", "<u8"), ("exp", "<u4"),
+                    ("end", "u1")])
+    return mul, div, lead, exp, row
 
 
 def _sci_table(values) -> np.ndarray:
@@ -119,36 +137,78 @@ def _sci_table(values) -> np.ndarray:
     ``(size, 16)`` uint8 table.
 
     Where ``k = floor(log10|v|)`` lies in [-14, 30], ``10^|8-k|`` is exact, so
-    ``y = |v| 10^(8-k)`` carries one rounding of less than 6e-8 and
-    ``rint(y)`` is the correctly rounded 9-digit mantissa unless ``y`` lies
-    within 1e-6 of a half-integer or outside [1e8, 1e9) (a log10 miss).  Those
-    values, zeros, subnormals, other exponents, inf and nan go through
-    ``f"{v:.8e}"`` itself.  Positive rows start with a NUL, not a sign.
+    ``y = |v| 10^(8-k)``, one multiplication and one division by table
+    entries, carries one rounding of less than 6e-8, and ``q = rint(y)`` is
+    the correctly rounded 9-digit mantissa unless ``y`` lies within 1e-6 of a
+    half-integer (``|y - q| >= 0.5 - 1e-6``; both differences are exact for
+    ``y >= 1e8``) or outside [1e8, 1e9) (a log10 miss).  Those values,
+    zeros, subnormals, other exponents, inf and nan go through
+    ``f"{v:.8e}"`` itself.
+
+    A fast cell is one 16-byte row: the sign byte (a NUL where ``v`` is
+    positive), ``"d."`` from a table by the lead digit ``q // 10^8``, the
+    eight trailing digits as one little-endian uint64, ``"e±kk"`` from a
+    table by ``k``, and a NUL, so every byte is written.  The digits are
+    built word-parallel in integer arithmetic, which is exact: the tail
+    ``q mod 10^8`` is split into 4-digit halves, one per 32-bit lane (the
+    first half in the low lane, which is written first); ``(x * 10486) >> 20``
+    masked to 7 bits a lane is each lane's ``// 100``, since 9999 * 10486 <
+    2^32, and splits it into two 16-bit lanes; ``(x * 103) >> 10`` masked to
+    4 bits a lane is each of those lanes' ``// 10``, since 99 * 103 < 2^16;
+    adding ``"0"`` to each byte spells the digits.  Every integer operand is
+    a ``uint64``, so no promotion rule leaves the integers.
     """
     import numpy as np
+    mul, div, lead, exp, row = _sci_tables()
+    u64 = np.uint64
     v = np.asarray(values, dtype=np.float64).ravel()
-    a = np.abs(v)
+    y = np.abs(v)
     with np.errstate(all="ignore"):  # log10 of 0, inf and nan
-        k = np.floor(np.log10(a))
+        k = np.log10(y)
+        np.floor(k, out=k)
         fast = (k >= -14.0) & (k <= 30.0)
-        k = np.where(fast, k, 0.0).astype(np.int64)
-        pow10 = np.array(_POW10)
-        y = a * pow10[np.maximum(8 - k, 0)] / pow10[np.maximum(k - 8, 0)]
+        k += 14.0
+        np.copyto(k, 14.0, where=~fast)  # slow rows take k = 0
+        i = k.astype(np.intp)  # k + 14
+        del k
+        y *= mul.take(i)
+        y /= div.take(i)
+        fast &= y >= 1e8
         q = np.rint(y)
-        fast &= (y >= 1e8) & (q < 1e9) & (np.abs(y - np.floor(y) - 0.5) > 1e-6)
-        q = np.where(fast, q, 0.0).astype(np.uint32)
-    table = np.zeros((v.size, _CELL), np.uint8)
-    table[:, 0] = np.where(np.signbit(v), ord("-"), 0)  # sets no FP flag; -0.0, -nan rows are slow
-    table[:, 2] = ord(".")
-    for col in (10, 9, 8, 7, 6, 5, 4, 3, 1):  # the mantissa's digits, last first
-        rest = q // 10
-        table[:, col] = q - 10 * rest + ord("0")
-        q = rest
-    table[:, 11] = ord("e")
-    table[:, 12] = np.where(k < 0, ord("-"), ord("+"))
-    k = np.abs(k)
-    table[:, 13] = k // 10 + ord("0")
-    table[:, 14] = k % 10 + ord("0")
+        y -= q
+        fast &= (q < 1e9) & (np.abs(y, out=y) < 0.5 - 1e-6)
+        del y
+    q[~fast] = 0.0
+    x = q.astype(u64)
+    del q
+    table = np.empty(v.size, row)
+    # signbit sets no FP flag; -0.0 and -nan rows are slow
+    np.multiply(np.signbit(v), np.uint8(ord("-")), out=table["sign"])
+    table["exp"] = exp.take(i)
+    table["end"] = 0
+    d = x // u64(10**8)
+    table["lead"] = lead.take(d)
+    x -= d * u64(10**8)
+    d = x // u64(10**4)  # two 4-digit lanes
+    x -= d * u64(10**4)
+    x <<= u64(32)
+    x |= d
+    d = x * u64(10486)  # four 2-digit lanes
+    d >>= u64(20)
+    d &= u64(0x0000007F_0000007F)
+    x -= d * u64(100)
+    x <<= u64(16)
+    x |= d
+    d = x * u64(103)  # eight digits
+    d >>= u64(10)
+    d &= u64(0x000F000F_000F000F)
+    x -= d * u64(10)
+    x <<= u64(8)
+    x |= d
+    x |= u64(0x30303030_30303030)
+    table["digits"] = x
+    del x, d
+    table = table.view(np.uint8).reshape(-1, _CELL)
     slow = np.flatnonzero(~fast)
     if slow.size:
         cells = [f"{x:.8e}" for x in v[slow].tolist()]

@@ -476,6 +476,16 @@ class TestSciTable:
         values = np.asarray(values)
         assert _kernel_mismatches(np.concatenate([values, -values])) == []
 
+    def test_every_digit_lane_value(self):
+        # exact 9-digit mantissas at k = 8 whose 4-digit halves each run
+        # through 0..9999, under every lead digit, so the word-parallel digit
+        # split meets every lane value; plus one mantissa at each fast exponent
+        j = np.arange(10_000)
+        tails = np.concatenate([j * 10**4 + (9999 - j), (9999 - j) * 10**4 + j])
+        mantissas = (np.arange(1, 10)[:, None] * 10**8 + tails).ravel().astype(np.float64)
+        exponents = [float(f"1.23456789e{k}") for k in range(-14, 31)]
+        assert _kernel_mismatches(np.concatenate([mantissas, exponents])) == []
+
     def test_silent_under_raising_errstate(self):
         values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.5]  # 1.5: the fast path
         with np.errstate(all="raise"), warnings.catch_warnings():
