@@ -399,8 +399,8 @@ def _writer_peak(writer, cfg):
     return _traced_peak(lambda: writer(result, sink)), sink.size
 
 
-# peak traced memory per output byte on the default grid (numpy 2.4): 0.90 for
-# the CSV and 2.59 for the matrix; one more copy of a block exceeds either bound
+# peak traced memory per output byte on the default grid (numpy 2.4): 0.88 for
+# the CSV and 2.33 for the matrix; one more copy of a block exceeds either bound
 @pytest.mark.parametrize("writer, budget", [(sweep.write_sweep_csv, 1.0),
                                             (sweep.write_sweep_matrix, 2.8)],
                          ids=["csv", "matrix"])
