@@ -115,21 +115,24 @@ _CELL = 16  # bytes per formatted cell: "-1.00000000e+308" is the longest
 
 @functools.cache
 def _sci_tables():
-    # the fast path's constant tables, indexed by k + 14 for k in [-14, 30]
-    # or by the lead digit, built on first use so that importing this module
-    # does not import numpy: the exact powers 10^max(8-k, 0) and
-    # 10^max(k-8, 0), "d." as uint16, "e±kk" as uint32, and the cell as a
-    # structured row of its five fields
+    # the fast path's constant tables, read-only and shared by every call,
+    # indexed by k + 14 for k in [-14, 30], by the lead digit or by a 4-digit
+    # group, built on first use so that importing this module does not import
+    # numpy: the exact powers 10^max(8-k, 0) and 10^max(k-8, 0), "d." as
+    # uint16, "e±kk" as uint32, "%04d" as uint32 for 0..9999, and the cell as
+    # a structured row of its six fields
     import numpy as np
     ks = range(-14, 31)
     mul = np.array([float(10 ** max(8 - k, 0)) for k in ks])
     div = np.array([float(10 ** max(k - 8, 0)) for k in ks])
-    mul.flags.writeable = div.flags.writeable = False
     lead = np.frombuffer(b"".join(b"%d." % d for d in range(10)), "<u2")
     exp = np.frombuffer(b"".join(b"e%+03d" % k for k in ks), "<u4")
-    row = np.dtype([("sign", "u1"), ("lead", "<u2"), ("digits", "<u8"), ("exp", "<u4"),
-                    ("end", "u1")])
-    return mul, div, lead, exp, row
+    pair = np.frombuffer(b"".join(b"%02d" % d for d in range(100)), "<u2").astype(np.uint32)
+    quad = np.bitwise_or.outer(pair, pair << 16).ravel()  # entry 100a + b: pair a, then pair b
+    mul.flags.writeable = div.flags.writeable = quad.flags.writeable = False
+    row = np.dtype([("sign", "u1"), ("lead", "<u2"), ("hi", "<u4"), ("lo", "<u4"),
+                    ("exp", "<u4"), ("end", "u1")])
+    return mul, div, lead, exp, quad, row
 
 
 def _sci_table(values) -> np.ndarray:
@@ -147,20 +150,12 @@ def _sci_table(values) -> np.ndarray:
 
     A fast cell is one 16-byte row: the sign byte (a NUL where ``v`` is
     positive), ``"d."`` from a table by the lead digit ``q // 10^8``, the
-    eight trailing digits as one little-endian uint64, ``"e±kk"`` from a
-    table by ``k``, and a NUL, so every byte is written.  The digits are
-    built word-parallel in integer arithmetic, which is exact: the tail
-    ``q mod 10^8`` is split into 4-digit halves, one per 32-bit lane (the
-    first half in the low lane, which is written first); ``(x * 10486) >> 20``
-    masked to 7 bits a lane is each lane's ``// 100``, since 9999 * 10486 <
-    2^32, and splits it into two 16-bit lanes; ``(x * 103) >> 10`` masked to
-    4 bits a lane is each of those lanes' ``// 10``, since 99 * 103 < 2^16;
-    adding ``"0"`` to each byte spells the digits.  Every integer operand is
-    a ``uint64``, so no promotion rule leaves the integers.
+    eight trailing digits as two 4-digit groups from a table of their
+    ``"%04d"`` spellings, ``"e±kk"`` from a table by ``k``, and a NUL, so
+    every byte is written.
     """
     import numpy as np
-    mul, div, lead, exp, row = _sci_tables()
-    u64 = np.uint64
+    mul, div, lead, exp, quad, row = _sci_tables()
     v = np.asarray(values, dtype=np.float64).ravel()
     y = np.abs(v)
     with np.errstate(all="ignore"):  # log10 of 0, inf and nan
@@ -179,34 +174,20 @@ def _sci_table(values) -> np.ndarray:
         fast &= (q < 1e9) & (np.abs(y, out=y) < 0.5 - 1e-6)
         del y
     q[~fast] = 0.0
-    x = q.astype(u64)
+    x = q.astype(np.intp)  # the mantissa, below 10^9
     del q
     table = np.empty(v.size, row)
     # signbit sets no FP flag; -0.0 and -nan rows are slow
     np.multiply(np.signbit(v), np.uint8(ord("-")), out=table["sign"])
     table["exp"] = exp.take(i)
     table["end"] = 0
-    d = x // u64(10**8)
+    d = x // 10**8
     table["lead"] = lead.take(d)
-    x -= d * u64(10**8)
-    d = x // u64(10**4)  # two 4-digit lanes
-    x -= d * u64(10**4)
-    x <<= u64(32)
-    x |= d
-    d = x * u64(10486)  # four 2-digit lanes
-    d >>= u64(20)
-    d &= u64(0x0000007F_0000007F)
-    x -= d * u64(100)
-    x <<= u64(16)
-    x |= d
-    d = x * u64(103)  # eight digits
-    d >>= u64(10)
-    d &= u64(0x000F000F_000F000F)
-    x -= d * u64(10)
-    x <<= u64(8)
-    x |= d
-    x |= u64(0x30303030_30303030)
-    table["digits"] = x
+    x -= d * 10**8  # the tail, below 10^8
+    d = x // 10**4
+    table["hi"] = quad.take(d)
+    x -= d * 10**4
+    table["lo"] = quad.take(x)
     del x, d
     table = table.view(np.uint8).reshape(-1, _CELL)
     slow = np.flatnonzero(~fast)
@@ -270,7 +251,7 @@ def write_sweep_csv(result: SweepResult, stream) -> None:
         lines["n"] = axes[start:stop, None]
         codes = result.codes[start:stop].ravel()
         lines = lines.reshape(-1)
-        lines["label"] = names[codes]
+        lines["label"] = names.take(codes)
         physical = np.flatnonzero(codes)
         lines["e"][physical] = _cells(result.degree[start:stop].ravel()[physical])
 

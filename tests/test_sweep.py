@@ -476,15 +476,26 @@ class TestSciTable:
         values = np.asarray(values)
         assert _kernel_mismatches(np.concatenate([values, -values])) == []
 
-    def test_every_digit_lane_value(self):
+    def test_every_four_digit_group(self):
         # exact 9-digit mantissas at k = 8 whose 4-digit halves each run
-        # through 0..9999, under every lead digit, so the word-parallel digit
-        # split meets every lane value; plus one mantissa at each fast exponent
+        # through 0..9999, under every lead digit, so every 4-digit group is
+        # spelled in both the first and the second half of the tail; plus one
+        # mantissa at each fast exponent
         j = np.arange(10_000)
         tails = np.concatenate([j * 10**4 + (9999 - j), (9999 - j) * 10**4 + j])
         mantissas = (np.arange(1, 10)[:, None] * 10**8 + tails).ravel().astype(np.float64)
         exponents = [float(f"1.23456789e{k}") for k in range(-14, 31)]
         assert _kernel_mismatches(np.concatenate([mantissas, exponents])) == []
+
+    def test_tables_are_read_only_and_spell_their_entries(self):
+        # the tables are cached for the whole process, so no caller may write them
+        arrays = [t for t in sweep._sci_tables() if isinstance(t, np.ndarray)]
+        assert len(arrays) == 5
+        for table in arrays:
+            with pytest.raises(ValueError):
+                table[0] = 0
+        quad = sweep._sci_tables()[4]
+        assert quad.astype("<u4").tobytes() == b"".join(b"%04d" % i for i in range(10_000))
 
     def test_silent_under_raising_errstate(self):
         values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.5]  # 1.5: the fast path
