@@ -17,7 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .covariance import DEFAULT_TOL, GaussianParams, _block_entries, _check_tol, is_physical
+from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, is_physical
 from .covariance import _finite_numbers
 from .errors import DegenerateStateError, NonPhysicalStateError, NumericDomainError
 
@@ -37,7 +37,23 @@ class MixerConfig:
         if not (type(theta) is type(phi0) is type(phi1) is float
                 and math.isfinite(theta + phi0 + phi1)):
             theta, phi0, phi1 = _finite_numbers("mixer angles", (float,) * 3, theta, phi0, phi1)
-        self.__dict__.update(theta=theta, phi0=phi0, phi1=phi1)  # past the frozen __setattr__
+        # the kernel's angle terms, stored past the frozen __setattr__ beside
+        # the fields but not as one, so ==, hash, repr and replace never see
+        # them: cos and sin of theta, sin and cos of 2 theta, e^{i phi0} and
+        # e^{i phi1}.  None where 2 theta passes float64 (|theta| > ~8.99e307),
+        # which every entry point refuses when it reads them.
+        terms = None
+        if not math.isinf(2.0 * theta):
+            terms = (math.cos(theta), math.sin(theta), math.sin(2.0 * theta),
+                     math.cos(2.0 * theta), cmath.exp(1j * phi0), cmath.exp(1j * phi1))
+        self.__dict__.update(theta=theta, phi0=phi0, phi1=phi1, _terms=terms)
+
+    def __getstate__(self):
+        # a pickle holds the fields alone, and loading one recomputes the terms
+        return {"theta": self.theta, "phi0": self.phi0, "phi1": self.phi1}
+
+    def __setstate__(self, state):
+        MixerConfig.__init__(self, **state)
 
     @property
     def inverse(self) -> "MixerConfig":
@@ -89,35 +105,20 @@ def mix_params(p: GaussianParams, cfg: MixerConfig) -> GaussianParams:
     The cross moments come from the residual kernel of :func:`coupling_residuals`
     on these phase factors; an output moment past float64 is a :class:`NumericDomainError`.
     """
-    c, s = math.cos(cfg.theta), math.sin(cfg.theta)
-    cc, ss, cs = c * c, s * s, c * s
-    rho, sigma = cmath.exp(1j * cfg.phi0), cmath.exp(1j * cfg.phi1)
-    rho2, sigma2 = rho * rho, sigma * sigma
-    e_dif = sigma * rho.conjugate()  # e^{i(phi1 - phi0)}
-    cross = 2.0 * cs * (rho * sigma * p.m_s.conjugate()).real
-    mix_c = 2.0 * cs * p.m_c
-    r1, r2 = _residuals(p, *_double_angle(cfg.theta), rho, sigma)
-    try:  # positional: keyword packing is measurably slower on this path
-        return GaussianParams(
-            cc * p.n1 + ss * p.n2 - cross,
-            ss * p.n1 + cc * p.n2 + cross,
-            cc * rho2.conjugate() * p.m1 + ss * sigma2 * p.m2 - e_dif * mix_c,
-            ss * sigma2.conjugate() * p.m1 + cc * rho2 * p.m2 + e_dif.conjugate() * mix_c,
-            0.5 * r2, -0.5 * r1)
-    except ValueError:  # a local output moment is not finite
-        raise NumericDomainError("mixer output moments overflow float64") from None
+    return GaussianParams(*_mixed(p, cfg))  # positional: keyword packing is measurably slower
 
 
 def transform_blocks(p: GaussianParams, cfg: MixerConfig) -> OutputBlocks:
-    """The output covariance of the mixer in block form, from :func:`mix_params`.
+    """The output covariance of the mixer in block form, from the kernel of :func:`mix_params`.
 
     The blocks are ``((n1, m1), (conj m1, n1))``, ``((n2, m2), (conj m2, n2))``
     and ``((m_s, m_c), (conj m_c, conj m_s))`` of the output moments, every
     entry a Python ``complex``.
     """
-    n1, m1, m1c, _, n2, m2, m2c, _, ms, mc, mcc, msc = _block_entries(mix_params(p, cfg))
+    n1, n2, m1, m2, ms, mc = _mixed(p, cfg)
     n1, n2 = complex(n1), complex(n2)
-    return OutputBlocks(((n1, m1), (m1c, n1)), ((n2, m2), (m2c, n2)), ((ms, mc), (mcc, msc)))
+    return OutputBlocks(((n1, m1), (m1.conjugate(), n1)), ((n2, m2), (m2.conjugate(), n2)),
+                        ((ms, mc), (mc.conjugate(), ms.conjugate())))
 
 
 def coupling_residuals(p: GaussianParams, cfg: MixerConfig) -> tuple[complex, complex]:
@@ -128,15 +129,36 @@ def coupling_residuals(p: GaussianParams, cfg: MixerConfig) -> tuple[complex, co
     its occupation entry.  Raises :class:`NumericDomainError` where a residual
     or its modulus is not finite in float64, or where ``2 theta`` is not.
     """
-    s2t, c2t = _double_angle(cfg.theta)
-    return _residuals(p, s2t, c2t, cmath.exp(1j * cfg.phi0), cmath.exp(1j * cfg.phi1))
+    _, _, s2t, c2t, rho, sigma = _angle_terms(cfg)
+    return _residuals(p, s2t, c2t, rho, sigma)
 
 
-def _double_angle(theta: float) -> tuple[float, float]:
-    # the kernel's angle terms; 2 theta passes float64 for |theta| > ~8.99e307
-    if math.isinf(2.0 * theta):
+def _angle_terms(cfg: MixerConfig) -> tuple:
+    terms = cfg._terms
+    if terms is None:
         raise NumericDomainError("mixer angle theta is too large: 2 theta overflows float64")
-    return math.sin(2.0 * theta), math.cos(2.0 * theta)
+    return terms
+
+
+def _mixed(p: GaussianParams, cfg: MixerConfig) -> tuple:
+    # the mixing kernel: the output moments (n1, n2, m1, m2, m_s, m_c), two
+    # floats then four complexes, each finite in float64
+    c, s, s2t, c2t, rho, sigma = _angle_terms(cfg)
+    cc, ss, cs = c * c, s * s, c * s
+    rho2, sigma2 = rho * rho, sigma * sigma
+    e_dif = sigma * rho.conjugate()  # e^{i(phi1 - phi0)}
+    cross = 2.0 * cs * (rho * sigma * p.m_s.conjugate()).real
+    mix_c = 2.0 * cs * p.m_c
+    r1, r2 = _residuals(p, s2t, c2t, rho, sigma)
+    out = (cc * p.n1 + ss * p.n2 - cross,
+           ss * p.n1 + cc * p.n2 + cross,
+           cc * rho2.conjugate() * p.m1 + ss * sigma2 * p.m2 - e_dif * mix_c,
+           ss * sigma2.conjugate() * p.m1 + cc * rho2 * p.m2 + e_dif.conjugate() * mix_c,
+           0.5 * r2, -0.5 * r1)
+    # a finite sum has finite terms; an overflowing one is checked term by term
+    if cmath.isfinite(sum(out)) or all(map(cmath.isfinite, out)):
+        return out
+    raise NumericDomainError("mixer output moments overflow float64")
 
 
 def _residuals(p: GaussianParams, s2t, c2t, rho, sigma) -> tuple[complex, complex]:

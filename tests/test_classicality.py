@@ -79,6 +79,51 @@ def test_mode_params_refuses_a_str_entry_as_mode_params_does():
         mode_params([["1.2", 0j], [0j, "1.2"]])
 
 
+@pytest.mark.parametrize("n, m", [(1.5, 0.25), (1.5, -0.25), (2, 0), (0.5, -0.0), (3, -1)])
+def test_mode_params_reads_real_entries_as_complex_ones(n, m):
+    # floats and ints, in tuples, lists or arrays, read as the complex entries
+    # an OutputBlocks holds
+    entries = [[complex(n), complex(m)], [complex(m), complex(n)]]
+    want = mode_params(tuple(map(tuple, entries)))
+    for block in (((n, m), (m, n)), [[n, m], [m, n]], np.array([[n, m], [m, n]]), entries,
+                  np.asarray(entries)):
+        read = mode_params(block)
+        assert read == want and _bits(read) == _bits(want)
+        assert type(read.n) is float and type(read.m) is complex
+
+
+class _Row(complex):
+    """A complex with a length, as a row of a deeper array has."""
+
+    def __len__(self):
+        return 2
+
+
+def test_mode_params_checks_a_complex_subclass_as_any_entry():
+    # only exact complex entries skip the shape check
+    with pytest.raises(ValueError, match="expected a 2x2 block"):
+        mode_params(((_Row(1.5), 0j), (0j, 1.5 + 0j)))
+    with pytest.raises(ValueError, match="expected a 2x2 block"):
+        mode_params(((1.5 + 0j, 0j), (0j, _Row(1.5))))
+
+    class Plain(complex):
+        pass
+    read = mode_params(((Plain(1.5), Plain(0.25j)), (Plain(-0.25j), Plain(1.5))))
+    assert read == ModeParams(1.5, 0.25j) and type(read.m) is complex
+
+
+@pytest.mark.parametrize("block, error, message", [
+    (((1j, 2j, 3j), (4j, 5j, 6j)), ValueError, "expected a 2x2 block, got ((1j, 2j, 3j), (4j, 5j, 6j))"),
+    (np.zeros((2, 3), complex), ValueError, "expected a 2x2 block, got shape (2, 3)"),
+    ("ab", ValueError, "expected a 2x2 block, got 'ab'"),
+    (((1j, "x"), (1j, 1j)), TypeError, "expected a number, got str"),
+], ids=["2x3-tuples", "2x3-array", "str", "str-entry"])
+def test_mode_params_errors_keep_their_messages(block, error, message):
+    with pytest.raises(error) as info:
+        mode_params(block)
+    assert str(info.value) == message
+
+
 class TestJoint:
     def test_vacuum_on_boundary(self):
         assert is_p_representable_joint(GaussianParams(0.5, 0.5))
@@ -166,6 +211,15 @@ class TestMode:
 
     def test_classical_mode(self):
         assert is_p_representable_mode(ModeParams(n=2, m=1.4))
+
+    def test_an_exact_tie_with_both_bounds_is_accepted(self):
+        # tol = 2**-30 and n = 1/2 - tol: in float64 n equals hypot(0, 1/2) - tol
+        # and 0 + 1/2 - tol exactly, and boundary states are accepted
+        tol = 2.0 ** -30
+        md = ModeParams(n=0.5 - tol, m=0j)
+        assert md.n == math.hypot(0.0, 0.5) - tol == 0.0 + 0.5 - tol
+        assert mode_is_physical(md, tol) is True
+        assert is_p_representable_mode(md, tol) is True
 
 
 class TestOverflow:

@@ -89,6 +89,17 @@ class TestCheck:
         assert out == ""
         assert json.loads(err)["error"] == "NonPhysicalStateError"
 
+    def test_a_party_1_pivot_of_exactly_zero_is_nonphysical(self, capsys):
+        # n1 + Re m1 + tol is exactly 0.0 in float64: the kernel's first pivot
+        # rejects it before dividing by it
+        argv = ["check", "--n1", "0.5", "--n2", "0.5", "--m1=-0.5000000009313226",
+                "--tol", "9.313225746154785e-10"]
+        assert 0.5 + -0.5000000009313226 + 9.313225746154785e-10 == 0.0
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "NonPhysicalStateError",
+                                   "message": "state violates the uncertainty principle"}
+
     def test_overflowing_reference_exits_2(self, capsys):
         code, out, err = run_cli(["check", "--n1", "1", "--n2", "1", "--r", "1e3"], capsys)
         assert code == 2

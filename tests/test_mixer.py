@@ -1,8 +1,11 @@
 import ast
 import cmath
+import copy
+import dataclasses
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +31,7 @@ from gausspair import (
     transform_blocks,
 )
 from gausspair import cli, mixer, oracle
+from gausspair.covariance import _block_entries
 from gausspair.oracle import (
     COMMUTATOR_SIGNATURE, build_mixer, local_operation_matrix, mixer_inverse, transform_full,
 )
@@ -234,6 +238,142 @@ class TestMixParams:
         assert block_error(build_covariance(mix_params(p, cfg)), transform_blocks(p, cfg)) == 0.0
 
 
+def _hex(z) -> tuple[str, str]:
+    # (real, imag) as exact hex strings, so -0.0 and 0.0 differ
+    return complex(z).real.hex(), complex(z).imag.hex()
+
+
+def _outcome(entry, p, cfg):
+    # the result, or the message of the domain error raised instead
+    try:
+        return entry(p, cfg)
+    except NumericDomainError as err:
+        return str(err)
+
+
+# states of the overflow tests, each with the configs that reach its error
+_OVERFLOW_CASES = [
+    (GaussianParams(n1=1.0, n2=1.0, m1=1e308, m2=1e308, m_c=-1e308), BS5050),  # output m1
+    (GaussianParams(n1=1e308, n2=-1e308, m_s=1e308), MixerConfig(0.7)),  # output n1
+    (GaussianParams(n1=2.0, n2=2.0, m_s=1e308), MixerConfig(0.0)),  # residual inf + nan j
+    (GaussianParams(n1=2.0, n2=2.0, m1=0.5 - 1j, m2=0.2 - 1j, m_s=1e308 + 0.2j, m_c=1e-300),
+     MixerConfig(2.0, phi1=2.0)),  # residual modulus
+    (GaussianParams(n1=2.0, n2=2.0, m_s=1e307), MixerConfig(0.0)),  # large but finite
+    (GaussianParams(n1=2.0, n2=2.0, m_c=1.8), MixerConfig(sys.float_info.max / 2)),
+    (GaussianParams(n1=2.0, n2=2.0, m_c=1.8), MixerConfig(1e308)),  # 2 theta overflows
+    (GaussianParams(n1=2.0, n2=2.0, m_c=1.8), MixerConfig(-8.99e307, 0.3, 0.1)),
+]
+_SIGNED_ZEROS = (0j, -0j, complex(-0.0, 0.0), complex(0.0, -0.0))
+
+
+def _parity_cases():
+    """2,400 seeded (state, config) pairs for the block parity, plus the
+    overflow cases: angles 0, -0, pi/4 and random, phases 0, -0 and random,
+    moments drawn, set to signed zeros, or scaled up to 1e300."""
+    rng = np.random.default_rng(44)
+    for i in range(2400):
+        p = draw_params(rng, m_hi=(0.5, 2.0, 5.0)[i % 3])
+        if i % 4 == 1:  # signed zeros in place of some moments and occupations
+            zeros = [_SIGNED_ZEROS[j] for j in rng.integers(0, 4, 4)]
+            keep = rng.random(4) < 0.5
+            moments = [z if k else m for z, k, m in zip(zeros, keep, (p.m1, p.m2, p.m_s, p.m_c))]
+            p = GaussianParams(rng.choice([p.n1, 0.0, -0.0]), p.n2, *moments)
+        elif i % 4 == 2:  # moments up to the float64 range
+            scale = 10.0 ** rng.uniform(-3.0, 300.0)
+            p = GaussianParams(*(scale * x for x in (p.n1, p.n2, p.m1, p.m2, p.m_s, p.m_c)))
+        theta, phi0, phi1 = rng.uniform(-np.pi, np.pi, 3).tolist()
+        theta = (0.0, -0.0, math.pi / 4, -math.pi / 4, theta, theta)[i % 6]
+        phi0, phi1 = [(0.0, -0.0, x)[j] if rng.random() < 0.3 else x
+                      for j, x in zip(rng.integers(0, 3, 2), (phi0, phi1))]
+        yield p, MixerConfig(theta, phi0, phi1)
+    yield from _OVERFLOW_CASES
+
+
+class TestBlockParity:
+    """``transform_blocks`` and ``mix_params`` share one kernel: the blocks
+    are the covariance layout of the mixed moments, bit for bit, and the two
+    raise the same domain errors."""
+
+    def test_blocks_are_the_layout_of_the_mixed_moments_bit_for_bit(self):
+        blocks_checked = errors = 0
+        for p, cfg in _parity_cases():
+            q, blocks = _outcome(mix_params, p, cfg), _outcome(transform_blocks, p, cfg)
+            if isinstance(q, str):
+                assert blocks == q, (p, cfg)
+                errors += 1
+                continue
+            got = [z for block in (blocks.v1p, blocks.v2p, blocks.cp) for row in block for z in row]
+            assert all(type(z) is complex for z in got)
+            assert [_hex(z) for z in got] == [_hex(z) for z in _block_entries(q)], (p, cfg)
+            blocks_checked += 1
+        assert blocks_checked > 2000 and errors >= 5
+
+    def test_finite_moments_whose_sum_overflows_pass(self):
+        # n1 + n2 passes float64, but each output moment is finite
+        p = GaussianParams(n1=1e308, n2=1e308, m1=1e308, m2=-1e308j)
+        for theta in (0.0, -0.0):
+            cfg = MixerConfig(theta)
+            assert mix_params(p, cfg) == p
+            assert transform_blocks(p, cfg).v1p[0] == (1e308 + 0j, 1e308 + 0j)
+
+    def test_the_overflow_cases_raise_each_error(self):
+        messages = {_outcome(mix_params, p, cfg) for p, cfg in _OVERFLOW_CASES}
+        assert {m for m in messages if isinstance(m, str)} == {
+            "mixer output moments overflow float64",
+            "mixer residuals are not finite in float64",
+            "mixer angle theta is too large: 2 theta overflows float64",
+        }
+
+
+class TestConfigTerms:
+    """A ``MixerConfig`` computes its angle terms once, outside its value."""
+
+    ANGLES = [0.0, -0.0, math.pi / 4, -math.pi / 2, 1e-300, 5e-324, 2.0 ** 1000, 1e308 / 2,
+              sys.float_info.max / 2]
+
+    def test_terms_are_the_math_calls_bit_for_bit(self):
+        rng = np.random.default_rng(45)
+        angles = self.ANGLES + rng.uniform(-10.0, 10.0, 1000).tolist()
+        phases = [0.0, -0.0, 1e308, -(2.0 ** 1000)] + rng.uniform(-10.0, 10.0, 1000).tolist()
+        for k, theta in enumerate(angles):
+            phi0, phi1 = phases[k % len(phases)], phases[-1 - k % len(phases)]
+            terms = MixerConfig(theta, phi0, phi1)._terms
+            want = (math.cos(theta), math.sin(theta), math.sin(2.0 * theta), math.cos(2.0 * theta),
+                    cmath.exp(1j * phi0), cmath.exp(1j * phi1))
+            assert [type(t) for t in terms] == [float] * 4 + [complex] * 2
+            assert [_hex(t) for t in terms] == [_hex(t) for t in want], (theta, phi0, phi1)
+
+    @pytest.mark.parametrize("theta", [1e308, -1e308, 8.99e307, sys.float_info.max])
+    def test_an_overflowing_double_angle_still_constructs(self, theta):
+        cfg = MixerConfig(theta, 0.3)
+        assert cfg._terms is None and cfg.inverse._terms is None
+        assert cfg.inverse == MixerConfig(-theta, -0.3)
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+
+    def test_the_terms_stay_out_of_the_value(self):
+        cfg = MixerConfig(0.7, 0.2, -0.5)
+        assert cfg == MixerConfig(0.7, 0.2, -0.5) != MixerConfig(0.7, 0.2, 0.5)
+        assert hash(cfg) == hash((0.7, 0.2, -0.5))
+        assert repr(cfg) == "MixerConfig(theta=0.7, phi0=0.2, phi1=-0.5)"
+        assert [f.name for f in dataclasses.fields(cfg)] == ["theta", "phi0", "phi1"]
+        moved = dataclasses.replace(cfg, phi1=1)
+        assert moved._terms == MixerConfig(0.7, 0.2, 1.0)._terms != cfg._terms
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg._terms = None
+
+    def test_a_pickle_holds_the_fields_alone(self):
+        # the bytes of a config that stored no terms, which load with them
+        cfg = MixerConfig(0.7, 0.2, -0.5)
+        fields_only = (b"\x80\x02cgausspair.mixer\nMixerConfig\nq\x00)\x81q\x01}q\x02(X\x05\x00\x00"
+                       b"\x00thetaq\x03G?\xe6ffffffX\x04\x00\x00\x00phi0q\x04G?\xc9\x99\x99\x99\x99"
+                       b"\x99\x9aX\x04\x00\x00\x00phi1q\x05G\xbf\xe0\x00\x00\x00\x00\x00\x00ub.")
+        assert pickle.dumps(cfg, 2) == fields_only
+        for twin in (pickle.loads(fields_only), pickle.loads(pickle.dumps(cfg)),
+                     copy.copy(cfg), copy.deepcopy(cfg)):
+            assert twin == cfg
+            assert [_hex(t) for t in twin._terms] == [_hex(t) for t in cfg._terms]
+
+
 class TestOracleSplit:
     PACKAGE_DIR = Path(gausspair.__file__).parent
     PRODUCT_MODULES = tuple(sorted(f.stem for f in PACKAGE_DIR.glob("*.py") if f.stem != "oracle"))
@@ -291,17 +431,17 @@ class TestOracleSplit:
             assert hasattr(oracle, name)
 
     def test_matrix_helpers_live_in_the_oracle(self):
-        # the moment layout has one writer, covariance._block_entries, which
-        # mixer and cli import; the one-mode and local-operation matrices are
-        # referee code
+        # the flat moment layout has one writer, covariance._block_entries,
+        # which cli imports; transform_blocks's nested blocks, built from the
+        # mixing kernel, are pinned to it by TestBlockParity; the one-mode and
+        # local-operation matrices are referee code
         owners = (mixer.OutputBlocks, mixer.LocalOperations, mixer, gausspair.classicality,
                   cli, gausspair)
         for owner in owners:
             for name in ("assemble", "matrix", "_rotation", "_squeeze", "mode_covariance",
                          "_output_blocks"):
                 assert not hasattr(owner, name), (owner, name)
-        for module in (mixer, cli):
-            assert module._block_entries is gausspair.covariance._block_entries
+        assert cli._block_entries is gausspair.covariance._block_entries
         assert "mode_covariance" not in gausspair.__all__
         assert hasattr(oracle, "mode_covariance") and hasattr(oracle, "local_operation_matrix")
 

@@ -109,6 +109,16 @@ class TestClassifySymmetric:
         assert symmetric_class_codes(2.0, 1.4).dtype == np.uint8
         assert [SYMMETRIC_CLASSES[c] for c in codes[:, 0]] == ["nonphysical", "entangled", "separable"]
 
+    def test_an_exact_tie_with_both_bounds_is_separable(self):
+        # at m = 0, tol = 2**-30 and n = 1/2 - tol tie both bounds exactly in
+        # float64; boundary points classify on the accepting side
+        tol = 2.0 ** -30
+        n = 0.5 - tol
+        assert n == math.hypot(0.0, 0.5) - tol == 0.0 + 0.5 - tol
+        assert symmetric_class_codes(n, 0.0, tol) == 2
+        assert symmetric_class_codes(np.array([n]), np.array([0.0]), tol).tolist() == [2]
+        assert classify_symmetric(n, 0.0, tol) == "separable"
+
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):
             classify_symmetric(1.0, -0.1)
