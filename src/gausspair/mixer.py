@@ -105,7 +105,7 @@ def mix_params(p: GaussianParams, cfg: MixerConfig) -> GaussianParams:
     The cross moments come from the residual kernel of :func:`coupling_residuals`
     on these phase factors; an output moment past float64 is a :class:`NumericDomainError`.
     """
-    return GaussianParams(*_mixed(p, cfg))  # positional: keyword packing is measurably slower
+    return GaussianParams(*_mixed(p, cfg))
 
 
 def transform_blocks(p: GaussianParams, cfg: MixerConfig) -> OutputBlocks:
