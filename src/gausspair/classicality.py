@@ -36,12 +36,9 @@ def mode_params(block: Sequence[Sequence[complex]]) -> ModeParams:
     """
     try:  # two rows of two entries
         (n, m), (c, d) = block
-        # exact complex entries, as OutputBlocks holds, are numbers; any other
-        # entry with a length, a str aside, is a row of a deeper array
-        if not (type(n) is type(m) is type(c) is type(d) is complex):
-            for x in (n, m, c, d):
-                if hasattr(x, "__len__") and not isinstance(x, str):
-                    raise ValueError
+        for x in (n, m, c, d):  # an entry with a length, a str aside, is a row of a deeper array
+            if hasattr(x, "__len__") and not isinstance(x, str):
+                raise ValueError
     except (TypeError, ValueError):
         got = f"shape {block.shape}" if hasattr(block, "shape") else f"{block!r:.80}"
         raise ValueError(f"expected a 2x2 block, got {got}") from None

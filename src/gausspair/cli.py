@@ -17,7 +17,7 @@ import sys
 from dataclasses import MISSING, fields
 
 from . import measures, mixer, tmtss
-from .covariance import DEFAULT_TOL, GaussianParams, _block_entries, _check_tol
+from .covariance import DEFAULT_TOL, GaussianParams, _blocks, _check_tol
 from .covariance import _elimination_verdicts, _finite_numbers, _joint_verdict
 from .errors import ModelValidityError, NonPhysicalStateError, NumericDomainError
 from .sweep import SweepConfig, sweep_grid, write_sweep_csv, write_sweep_matrix
@@ -185,12 +185,13 @@ def cmd_transform(args) -> dict:
     p = load_state(args.state)
     cfg = _from_args(mixer.MixerConfig, args)
     q = mixer.mix_params(p, cfg)
-    entries = [_pair(z) for z in _block_entries(q)]
+    v1p, v2p, cp = ([_pair(z) for row in block for z in row]
+                    for block in _blocks(q.n1, q.n2, q.m1, q.m2, q.m_s, q.m_c))
     r1, r2 = -2.0 * q.m_c, 2.0 * q.m_s  # mix_params stores them halved
     return {
-        "v1p": entries[:4],
-        "v2p": entries[4:8],
-        "cp": entries[8:],
+        "v1p": v1p,
+        "v2p": v2p,
+        "cp": cp,
         "mode1": {"n": q.n1, "m": _pair(q.m1)},
         "mode2": {"n": q.n2, "m": _pair(q.m2)},
         "residuals": {"anomalous": _pair(r1), "balance": _pair(r2)},

@@ -96,22 +96,18 @@ class GaussianParams:
         self.__dict__.update(n1=n1, n2=n2, m1=m1, m2=m2, m_s=m_s, m_c=m_c)
 
 
-def _block_entries(p: GaussianParams) -> list[complex]:
+def _blocks(n1, n2, m1, m2, ms, mc) -> tuple:
     # the one writer of the (a1+, a1, a2+, a2) layout: the party blocks v1,
-    # v2 and the cross block c of build_covariance(p), row by row; the lower
-    # left block is c^dagger
-    m1, m2, ms, mc = p.m1, p.m2, p.m_s, p.m_c
-    return [
-        p.n1, m1, m1.conjugate(), p.n1,
-        p.n2, m2, m2.conjugate(), p.n2,
-        ms, mc, mc.conjugate(), ms.conjugate(),
-    ]
+    # v2 and the cross block c of six moments, as 2x2 nested tuples, rows
+    # first; the lower left block of the matrix is c^dagger
+    return (((n1, m1), (m1.conjugate(), n1)), ((n2, m2), (m2.conjugate(), n2)),
+            ((ms, mc), (mc.conjugate(), ms.conjugate())))
 
 
 def build_covariance(p: GaussianParams) -> np.ndarray:
     """Assemble the 4x4 Hermitian covariance matrix in the (a1+, a1, a2+, a2) basis."""
     import numpy as np
-    v1, v2, c = np.array(_block_entries(p), dtype=complex).reshape(3, 2, 2)
+    v1, v2, c = np.array(_blocks(p.n1, p.n2, p.m1, p.m2, p.m_s, p.m_c), dtype=complex)
     return np.block([[v1, c], [c.conj().T, v2]])
 
 

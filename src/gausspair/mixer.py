@@ -17,7 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, is_physical
+from .covariance import DEFAULT_TOL, GaussianParams, _blocks, _check_tol, is_physical
 from .covariance import _finite_numbers
 from .errors import DegenerateStateError, NonPhysicalStateError, NumericDomainError
 
@@ -116,9 +116,7 @@ def transform_blocks(p: GaussianParams, cfg: MixerConfig) -> OutputBlocks:
     entry a Python ``complex``.
     """
     n1, n2, m1, m2, ms, mc = _mixed(p, cfg)
-    n1, n2 = complex(n1), complex(n2)
-    return OutputBlocks(((n1, m1), (m1.conjugate(), n1)), ((n2, m2), (m2.conjugate(), n2)),
-                        ((ms, mc), (mc.conjugate(), ms.conjugate())))
+    return OutputBlocks(*_blocks(complex(n1), complex(n2), m1, m2, ms, mc))
 
 
 def coupling_residuals(p: GaussianParams, cfg: MixerConfig) -> tuple[complex, complex]:
@@ -155,8 +153,7 @@ def _mixed(p: GaussianParams, cfg: MixerConfig) -> tuple:
            cc * rho2.conjugate() * p.m1 + ss * sigma2 * p.m2 - e_dif * mix_c,
            ss * sigma2.conjugate() * p.m1 + cc * rho2 * p.m2 + e_dif.conjugate() * mix_c,
            0.5 * r2, -0.5 * r1)
-    # a finite sum has finite terms; an overflowing one is checked term by term
-    if cmath.isfinite(sum(out)) or all(map(cmath.isfinite, out)):
+    if all(map(cmath.isfinite, out)):
         return out
     raise NumericDomainError("mixer output moments overflow float64")
 

@@ -100,7 +100,7 @@ class _Row(complex):
 
 
 def test_mode_params_checks_a_complex_subclass_as_any_entry():
-    # only exact complex entries skip the shape check
+    # a complex with a length is a row of a deeper array, as any such entry is
     with pytest.raises(ValueError, match="expected a 2x2 block"):
         mode_params(((_Row(1.5), 0j), (0j, 1.5 + 0j)))
     with pytest.raises(ValueError, match="expected a 2x2 block"):

@@ -31,7 +31,6 @@ from gausspair import (
     transform_blocks,
 )
 from gausspair import cli, mixer, oracle
-from gausspair.covariance import _block_entries
 from gausspair.oracle import (
     COMMUTATOR_SIGNATURE, build_mixer, local_operation_matrix, mixer_inverse, transform_full,
 )
@@ -304,7 +303,9 @@ class TestBlockParity:
                 continue
             got = [z for block in (blocks.v1p, blocks.v2p, blocks.cp) for row in block for z in row]
             assert all(type(z) is complex for z in got)
-            assert [_hex(z) for z in got] == [_hex(z) for z in _block_entries(q)], (p, cfg)
+            want = [q.n1, q.m1, q.m1.conjugate(), q.n1, q.n2, q.m2, q.m2.conjugate(), q.n2,
+                    q.m_s, q.m_c, q.m_c.conjugate(), q.m_s.conjugate()]
+            assert [_hex(z) for z in got] == [_hex(z) for z in want], (p, cfg)
             blocks_checked += 1
         assert blocks_checked > 2000 and errors >= 5
 
@@ -431,17 +432,17 @@ class TestOracleSplit:
             assert hasattr(oracle, name)
 
     def test_matrix_helpers_live_in_the_oracle(self):
-        # the flat moment layout has one writer, covariance._block_entries,
-        # which cli imports; transform_blocks's nested blocks, built from the
-        # mixing kernel, are pinned to it by TestBlockParity; the one-mode and
-        # local-operation matrices are referee code
+        # the moment layout has one writer, covariance._blocks, which mixer
+        # and cli import; the one-mode and local-operation matrices are
+        # referee code
         owners = (mixer.OutputBlocks, mixer.LocalOperations, mixer, gausspair.classicality,
                   cli, gausspair)
         for owner in owners:
             for name in ("assemble", "matrix", "_rotation", "_squeeze", "mode_covariance",
                          "_output_blocks"):
                 assert not hasattr(owner, name), (owner, name)
-        assert cli._block_entries is gausspair.covariance._block_entries
+        for module in (mixer, cli):
+            assert module._blocks is gausspair.covariance._blocks
         assert "mode_covariance" not in gausspair.__all__
         assert hasattr(oracle, "mode_covariance") and hasattr(oracle, "local_operation_matrix")
 
