@@ -8,19 +8,22 @@ Complex-valued flags accept ``re`` or ``re,im``.
 
 from __future__ import annotations
 
-import argparse
 import functools
-import json
 import os
-import re
 import sys
 from dataclasses import MISSING, fields
+from typing import TYPE_CHECKING
 
 from . import measures, mixer, tmtss
 from .covariance import DEFAULT_TOL, GaussianParams, _blocks, _check_tol
 from .covariance import _elimination_verdicts, _finite_numbers, _joint_verdict
 from .errors import ModelValidityError, NonPhysicalStateError, NumericDomainError
 from .sweep import SweepConfig, sweep_grid, write_sweep_csv, write_sweep_matrix
+
+# argparse and json are imported in the functions that use them, so importing
+# this module and calling run_check load neither; main loads both
+if TYPE_CHECKING:
+    import argparse
 
 
 def run_check(p: GaussianParams, r: float, tol: float = DEFAULT_TOL) -> dict:
@@ -54,6 +57,7 @@ def parse_complex(text: str) -> complex:
             return complex(float(parts[0]), float(parts[1]))
     except ValueError:
         pass
+    import argparse
     raise argparse.ArgumentTypeError(f"expected 're' or 're,im', got {text!r}")
 
 
@@ -106,6 +110,7 @@ def load_state(path: str) -> GaussianParams:
     top-level type, nesting too deep to parse, the missing key or the key
     whose value is anything else.
     """
+    import json
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -124,29 +129,6 @@ def state_to_json(p: GaussianParams) -> dict:
     return out
 
 
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # an argument that starts as a negative number does, "-" then a digit,
-        # ".digit", inf or nan, is a value, as in --n1 -1e-3 or --ms -0.19,0.04,
-        # just as after "="; argparse's own pattern admits only -5 and -0.5
-        # forms before Python 3.13.  The subparsers are of this class too.
-        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
-
-    def print_help(self, file=None):
-        # argparse's writer drops a failed write; this one lets it reach main,
-        # where a closed or unwritable stdout is exit 2, as for the commands
-        out = _stdout() if file is None else file
-        out.write(self.format_help())
-        out.flush()
-
-    def error(self, message):
-        # usage errors are JSON on stderr too, with exit code 1
-        payload = {"error": "UsageError", "message": f"{self.prog}: {message}",
-                   "usage": self.format_usage().strip()}
-        self.exit(1, json.dumps(payload, sort_keys=True) + "\n")
-
-
 def _add_fields(parser: argparse.ArgumentParser, cls) -> None:
     # one flag per field of the value type cls, required where it has no default
     for f in fields(cls):
@@ -156,8 +138,36 @@ def _add_fields(parser: argparse.ArgumentParser, cls) -> None:
                             help=f.metadata.get("help"))
 
 
-def build_parser() -> _Parser:
+def build_parser() -> argparse.ArgumentParser:
     # the parser with a subparser for each command of _COMMANDS
+    import argparse
+    import re
+
+    class _Parser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            # an argument that starts as a negative number does, "-" then a
+            # digit, ".digit", inf or nan, is a value, as in --n1 -1e-3 or
+            # --ms -0.19,0.04, just as after "="; argparse's own pattern admits
+            # only -5 and -0.5 forms before Python 3.13.  The subparsers are of
+            # this class too.
+            self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+        def print_help(self, file=None):
+            # argparse's writer drops a failed write; this one lets it reach
+            # main, where a closed or unwritable stdout is exit 2, as for the
+            # commands
+            out = _stdout() if file is None else file
+            out.write(self.format_help())
+            out.flush()
+
+        def error(self, message):
+            # usage errors are JSON on stderr too, with exit code 1
+            import json
+            payload = {"error": "UsageError", "message": f"{self.prog}: {message}",
+                       "usage": self.format_usage().strip()}
+            self.exit(1, json.dumps(payload, sort_keys=True) + "\n")
+
     parser = _Parser(prog="gausspair", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, run, *flags) in _COMMANDS.items():
@@ -249,6 +259,7 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)  # help is written here
         payload = args.run(args)  # None where the command wrote its own output
         if payload is not None:
+            import json
             print(json.dumps(payload, sort_keys=True), file=_stdout(), flush=True)
     except BrokenPipeError as err:
         # stdout's reader has exited: fd 1 goes to devnull, so that the
@@ -281,6 +292,7 @@ def _stdout():
 
 
 def _print_error(err: Exception, **extra) -> None:
+    import json
     payload = {"error": type(err).__name__, "message": str(err)}
     payload.update(extra)
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)

@@ -519,18 +519,68 @@ class TestColdStart:
         assert "gausspair" in loaded
         assert "numpy" not in loaded
 
-    def test_run_check_leaves_numpy_unloaded(self):
-        code = (
-            "import sys, gausspair, gausspair.cli; "
-            "p = gausspair.GaussianParams(1.6, 1.9, 0.3+0.2j, -0.2+0.1j, 0.2-0.3j, 0.4+0.1j); "
-            "report = gausspair.cli.run_check(p, 1.0); "
-            "print(report['degree'] > 0, 'numpy' in sys.modules)"
-        )
+    def _fresh(self, code: str) -> str:
+        # stdout of a fresh `python -c code`
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=self.ENV,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["True", "False"]
+        return result.stdout
+
+    def test_run_check_leaves_argparse_json_and_numpy_unloaded(self):
+        # only main parses argv and writes JSON; a module a bare interpreter
+        # already holds (a site hook may load one) does not count
+        bare = set(self._fresh("import sys; print(*sys.modules)").split())
+        code = (
+            "import sys, gausspair, gausspair.cli; "
+            "p = gausspair.GaussianParams(1.6, 1.9, 0.3+0.2j, -0.2+0.1j, 0.2-0.3j, 0.4+0.1j); "
+            "report = gausspair.cli.run_check(p, 1.0); "
+            "print(report['degree'] > 0, *sys.modules)"
+        )
+        positive, *loaded = self._fresh(code).split()
+        assert positive == "True"
+        assert "gausspair.cli" in loaded
+        assert [name for name in ("argparse", "gettext", "json", "numpy")
+                if name in loaded and name not in bare] == []
+
+    def test_parser_works_before_main(self):
+        # the tests build the parser and parse values without main
+        code = "\n".join([
+            "import gausspair.cli as cli",
+            "args = cli.build_parser().parse_args(['check', '--n1', '1.6', '--n2=1.9', '--mc', '-0.4,0.1'])",
+            "print(args.command, args.n1, args.n2, args.mc, args.r, args.run is cli.cmd_check)",
+            "try:",
+            "    cli.parse_complex('a,b')",
+            "except Exception as err:",
+            "    print(type(err).__module__, type(err).__name__)",
+        ])
+        assert self._fresh(code).splitlines() == [
+            "check 1.6 1.9 (-0.4+0.1j) 1.0 True", "argparse ArgumentTypeError"]
+
+    def test_sweep_names_are_the_sweep_modules(self):
+        # README documents them on cli, the tests patch cli.sweep_grid and
+        # bench/spans.py wraps cli.sweep_grid and cli.write_sweep_csv
+        from gausspair import sweep
+        for name in ("SweepConfig", "sweep_grid", "write_sweep_csv", "write_sweep_matrix"):
+            assert getattr(cli, name) is getattr(sweep, name)
+        assert "__getattr__" not in vars(cli)
+
+    def test_bench_traced_names_resolve(self):
+        # bench/spans.py wraps getattr(gausspair.<layer>, name) for each pair
+        # of its TRACED table once gausspair and gausspair.cli are imported;
+        # the table is read without importing the bench
+        spans = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+        traced = next(
+            ast.literal_eval(node.value) for node in ast.parse(spans.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]
+        )
+        assert len(traced) > 0
+        code = (
+            "import sys, gausspair, gausspair.cli; "
+            f"print([(layer, name) for layer, name in {traced!r} "
+            "if not hasattr(sys.modules['gausspair.' + layer], name)])"
+        )
+        assert self._fresh(code).strip() == "[]"
 
 
 class TestCouplingResiduals:

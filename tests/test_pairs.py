@@ -1,0 +1,95 @@
+"""tools/pairs.py on two stub trees whose bench/run.py prints fixed JSON."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PAIRS = ROOT / "tools" / "pairs.py"
+METRICS = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+
+# a bench/run.py that logs its tree and argv, then prints a progress line and
+# the JSON result of its next call: values.json holds one value a call for
+# every metric, and "correct" is false once the values run out
+STUB = """\
+import json, sys
+from pathlib import Path
+tree = Path(__file__).resolve().parent.parent
+calls = tree / "calls"
+call = int(calls.read_text()) if calls.exists() else 0
+calls.write_text(str(call + 1))
+with open(tree.parent / "order.log", "a") as fh:
+    fh.write(tree.name + " " + " ".join(sys.argv[1:]) + "\\n")
+values = json.loads((tree / "values.json").read_text())
+correct = all(call < len(v) for v in values.values())
+metrics = {name: {"value": v[min(call, len(v) - 1)], "unit": "u"} for name, v in values.items()}
+print("# a progress line")
+print(json.dumps({"correct": correct, "attempted": 5, "failed": 0, "metrics": metrics}))
+"""
+
+
+def _tree(path: Path, values: dict) -> Path:
+    (path / "bench").mkdir(parents=True)
+    (path / "bench" / "run.py").write_text(STUB, encoding="utf-8")
+    (path / "values.json").write_text(json.dumps(values), encoding="utf-8")
+    return path
+
+
+def _pairs(tmp_path, base: dict, head: dict, *args: str) -> subprocess.CompletedProcess:
+    trees = [_tree(tmp_path / "base", base), _tree(tmp_path / "head", head)]
+    return subprocess.run([sys.executable, str(PAIRS), *map(str, trees), *args],
+                          capture_output=True, text=True, timeout=120)
+
+
+def _values(lower: list[float], higher: list[float]) -> dict:
+    # one series for every end-to-end metric, in its better direction
+    return {m["name"]: lower if m["better"] == "lower" else higher for m in METRICS}
+
+
+def test_pairs_alternate_and_report_each_metric(tmp_path):
+    base = _values([1.0, 2.0, 3.0, 4.0, 5.0], [10.0, 20.0, 30.0, 40.0, 50.0])
+    head = _values([0.5, 1.5, 2.5, 3.5, 6.0], [15.0, 25.0, 35.0, 45.0, 40.0])
+    result = _pairs(tmp_path, base, head, "--workload", "check-ensemble", "--pairs", "5", "--seed", "7")
+    assert result.returncode == 0, result.stderr
+    order = (tmp_path / "order.log").read_text().splitlines()
+    assert [line.split()[0] for line in order] == ["base", "head", "head", "base", "base", "head",
+                                                   "head", "base", "base", "head"]
+    assert {line.split(maxsplit=1)[1] for line in order} == {"--workload check-ensemble --seed 7"}
+    out = result.stdout
+    for metric in METRICS:
+        assert f"{metric['name']} [{metric['unit']}, {metric['better']} is better]" in out
+    # lower is better: base median 3 [2, 4], head median 2.5, gap 0.5 / 2
+    assert "pairs (BASE -> HEAD): 1 -> 0.5, 2 -> 1.5, 3 -> 2.5, 4 -> 3.5, 5 -> 6" in out
+    assert "BASE median 3 [2, 4] -> HEAD median 2.5 (-16.67%)" in out
+    assert "HEAD better in 4 of 5 pairs; median gap +0.25 of BASE's quartile spread" in out
+    # higher is better: base median 30 [20, 40], head median 35, gap 5 / 20
+    assert "BASE median 30 [20, 40] -> HEAD median 35 (+16.67%)" in out
+    assert out.count("HEAD better in 4 of 5 pairs; median gap +0.25") == len(METRICS)
+
+
+def test_same_tree_gives_zero_gap(tmp_path):
+    values = _values([2.0, 2.0, 2.0], [3.0, 3.0, 3.0])
+    result = _pairs(tmp_path, values, values, "--workload", "sweep-surface", "--pairs", "3")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count("HEAD better in 0 of 3 pairs; median gap +0.00") == len(METRICS)
+
+
+def test_a_run_that_is_not_correct_fails(tmp_path):
+    # HEAD's values run out on its second call, which is then not correct
+    result = _pairs(tmp_path, _values([1.0] * 3, [1.0] * 3), _values([1.0], [1.0]),
+                    "--workload", "mixer-theorem", "--pairs", "3")
+    assert result.returncode == 1
+    assert "failed" in result.stderr
+    assert "HEAD better" not in result.stdout
+    # pair 1 runs base, head; pair 2 stops at its first run, head's second
+    assert [line.split()[0] for line in (tmp_path / "order.log").read_text().splitlines()] == [
+        "base", "head", "head"]
+
+
+def test_a_spec_that_is_neither_directory_nor_revision_is_refused(tmp_path):
+    missing = tmp_path / "no-such-tree"
+    result = subprocess.run([sys.executable, str(PAIRS), str(missing), str(missing),
+                             "--workload", "check-ensemble"], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 2
+    assert "neither a directory nor a revision" in result.stderr
