@@ -34,12 +34,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def end_to_end_metrics() -> list[dict]:
-    """The end-to-end metrics of ``BENCHMARK.json``, each with its ``better`` direction."""
-    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
-        return json.load(fh)["end_to_end"]
-
-
 def checkout(spec: str, scratch: Path) -> Path:
     """The tree of ``spec``: a directory as it is, or a revision exported into ``scratch``."""
     if Path(spec).is_dir():
@@ -121,7 +115,8 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    metrics = end_to_end_metrics()
+    # each with its name, unit and better direction
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     with tempfile.TemporaryDirectory(prefix="pairs-") as scratch:
         trees = {"BASE": checkout(args.base, Path(scratch)),
                  "HEAD": checkout(args.head, Path(scratch))}
