@@ -7,8 +7,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, _joint_verdict
-from .covariance import _elimination_verdicts, _finite_numbers
+from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, _finite_numbers, _verdicts
 from .errors import NumericDomainError
 
 
@@ -69,9 +68,7 @@ def is_p_representable_joint(p: GaussianParams, tol: float = DEFAULT_TOL) -> boo
     ``~1e-16 |V|`` at most.  Raises :class:`NumericDomainError` where a pivot
     overflows float64.
     """
-    tol = _check_tol(tol)
-    physical, separable = _elimination_verdicts(p, tol, 0.5)
-    return physical and separable and _joint_verdict(p, tol)
+    return _verdicts(p, tol)[2]
 
 
 def is_p_representable_mode(md: ModeParams, tol: float = DEFAULT_TOL) -> bool:
@@ -85,10 +82,7 @@ def nonclassicality_margin(md: ModeParams) -> float:
     Raises :class:`NumericDomainError` where ``|m|`` or ``|m| + 1/2 - n``
     passes float64.
     """
-    try:
-        margin = abs(md.m) + 0.5 - md.n
-    except OverflowError:  # |m| passes float64
-        margin = math.inf
+    margin = _modulus(md.m) + 0.5 - md.n
     if not math.isfinite(margin):
         raise NumericDomainError("the nonclassicality margin overflows float64")
     return margin

@@ -14,9 +14,8 @@ import sys
 from dataclasses import MISSING, fields
 from typing import TYPE_CHECKING
 
-from . import measures, mixer, tmtss
-from .covariance import DEFAULT_TOL, GaussianParams, _blocks, _check_tol
-from .covariance import _elimination_verdicts, _finite_numbers, _joint_verdict
+from . import classicality, measures, mixer, tmtss
+from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, _finite_numbers, _verdicts
 from .errors import ModelValidityError, NonPhysicalStateError, NumericDomainError
 from .sweep import SweepConfig, sweep_grid, write_sweep_csv, write_sweep_matrix
 
@@ -31,11 +30,9 @@ def run_check(p: GaussianParams, r: float, tol: float = DEFAULT_TOL) -> dict:
 
     Raises :class:`NonPhysicalStateError` for a nonphysical state.
     """
-    tol = _check_tol(tol)
-    physical, separable = _elimination_verdicts(p, tol, 0.5)
+    physical, separable, classical = _verdicts(p, tol)
     if not physical:
         raise NonPhysicalStateError("state violates the uncertainty principle")
-    classical = separable and _joint_verdict(p, tol)
     fidelity, bures, degree = measures._degree_terms(p, r)
     return {
         "physical": True,
@@ -194,16 +191,17 @@ def cmd_transform(args) -> dict:
     tol = _check_tol(args.tol)
     p = load_state(args.state)
     cfg = _from_args(mixer.MixerConfig, args)
-    q = mixer.mix_params(p, cfg)
-    v1p, v2p, cp = ([_pair(z) for row in block for z in row]
-                    for block in _blocks(q.n1, q.n2, q.m1, q.m2, q.m_s, q.m_c))
-    r1, r2 = -2.0 * q.m_c, 2.0 * q.m_s  # mix_params stores them halved
+    b = mixer.transform_blocks(p, cfg)
+    mode1, mode2 = classicality.mode_params(b.v1p), classicality.mode_params(b.v2p)
+    (ms, mc), _ = b.cp
+    r1, r2 = -2.0 * mc, 2.0 * ms  # the mixing kernel stores them halved
+    v1p, v2p, cp = ([_pair(z) for row in block for z in row] for block in (b.v1p, b.v2p, b.cp))
     return {
         "v1p": v1p,
         "v2p": v2p,
         "cp": cp,
-        "mode1": {"n": q.n1, "m": _pair(q.m1)},
-        "mode2": {"n": q.n2, "m": _pair(q.m2)},
+        "mode1": {"n": mode1.n, "m": _pair(mode1.m)},
+        "mode2": {"n": mode2.n, "m": _pair(mode2.m)},
         "residuals": {"anomalous": _pair(r1), "balance": _pair(r2)},
         "decoupled": bool(max(abs(r1), abs(r2)) < tol),
     }

@@ -17,8 +17,11 @@ space (:func:`mirror_party2`; the PPT test, necessary and sufficient for
 these states), since the mirror only flips the sign of the ``(x2, p2)``
 commutator entry.  At ``(tol - 1/2, 0)`` it decides joint classicality
 (:mod:`gausspair.classicality`), ``V_q - (1/2 - tol) I > 0``, which implies
-both, so that pass runs only on physical separable states.  ``tol`` is slack
-on the smallest eigenvalue, as in the one-mode and symmetric-class bounds.
+both, so that pass runs only on physical separable states.  One function,
+``_verdicts``, owns that rule and gives all three verdicts;
+:func:`is_physical` and :func:`is_separable` run the first pass alone.
+``tol`` is slack on the smallest eigenvalue, as in the one-mode and
+symmetric-class bounds.
 Rounding moves the boundary by ``~1e-16 |V|``; ``tol`` is absolute, so once
 that nears it (``|V|`` around 1e6 to 1e7 at the default) no float64 route,
 ``eigvalsh`` included, keeps the verdict within ``tol`` on both sides.
@@ -207,15 +210,20 @@ def _elimination_verdicts(p: GaussianParams, shift: float, half: float) -> tuple
     return d3 > 0.0, d3_mirror > 0.0
 
 
-def _joint_verdict(p: GaussianParams, tol: float) -> bool:
-    """Whether ``J = V_q - (1/2 - tol) I`` is positive definite, joint
-    classicality at ``tol``: the elimination pass at ``(tol - 1/2, 0)``.
+def _verdicts(p: GaussianParams, tol: float) -> tuple[bool, bool, bool]:
+    """Physicality, PPT separability and joint classicality at ``tol``.
 
-    ``H - J`` and its mirror's are ``(I +- i Omega)/2``, positive semidefinite,
-    so ``J > 0`` implies that ``H`` and its mirror are positive definite:
-    callers run this pass only on states found physical and separable.
+    The pass at ``(tol, 1/2)`` decides the first two; the pass at
+    ``(tol - 1/2, 0)`` decides whether ``J = V_q - (1/2 - tol) I`` is
+    positive definite.  ``H - J`` and its mirror's are ``(I +- i Omega)/2``,
+    positive semidefinite, so ``J > 0`` implies that ``H`` and its mirror are
+    positive definite: the joint pass runs only where the first accepts both,
+    and elsewhere classicality is ``False``.
     """
-    return _elimination_verdicts(p, tol - 0.5, 0.0)[0]
+    tol = _check_tol(tol)
+    physical, separable = _elimination_verdicts(p, tol, 0.5)
+    classical = physical and separable and _elimination_verdicts(p, tol - 0.5, 0.0)[0]
+    return physical, separable, classical
 
 
 def is_physical(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gausspair import GaussianParams, MixerConfig, NonPhysicalStateError, coupling_residuals
@@ -346,14 +346,19 @@ class TestRunCheck:
     @pytest.mark.parametrize("p, separable", [
         (GaussianParams(n1=2, n2=2, m1=0.3, m2=0.2j, m_s=0.4, m_c=1.2), True),
         (GaussianParams(n1=2, n2=2, m1=0.3, m2=0.2j, m_s=0.4, m_c=1.5), False),
-    ], ids=["separable", "entangled"])
+        # nonphysical, with a physical party-2 mirror
+        (GaussianParams(n1=2, n2=2, m_s=1.8), None),
+    ], ids=["separable", "entangled", "nonphysical"])
     def test_each_pass_runs_at_most_once(self, kernel_passes, p, separable):
         # one uncertainty pass decides the state and its party-2 mirror at the
-        # checked tol; the joint pass runs once, and only on a separable state,
-        # since joint classicality implies separability
-        payload = cli.run_check(p, 1.0, Fraction(1, 10**6))
-        assert payload["separable"] is separable
-        assert kernel_passes == [(1e-6, 0.5)] + [(1e-6 - 0.5, 0.0)] * separable
+        # checked tol; the joint pass runs once, and only on a physical
+        # separable state, since joint classicality implies both
+        if separable is None:
+            with pytest.raises(NonPhysicalStateError):
+                cli.run_check(p, 1.0, Fraction(1, 10**6))
+        else:
+            assert cli.run_check(p, 1.0, Fraction(1, 10**6))["separable"] is separable
+        assert kernel_passes == [(1e-6, 0.5)] + [(1e-6 - 0.5, 0.0)] * bool(separable)
         assert all(type(shift) is float for shift, _ in kernel_passes)
 
     def test_matrix_route_stays_off_the_check_path(self, monkeypatch):
@@ -438,6 +443,21 @@ class TestTransform:
         path.write_text(json.dumps(kwargs), encoding="utf-8")
         return str(path)
 
+    @staticmethod
+    def payload(state, angles):
+        # the command's payload for a state-file object at (theta, phi0, phi1),
+        # each angle written with repr
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/state.json"
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(state, fh)
+            argv = ["transform", "--state", path,
+                    *(f"--{name}={x!r}" for name, x in zip(("theta", "phi0", "phi1"), angles))]
+            with contextlib.redirect_stdout(out):
+                assert cli.main(argv) == 0
+        return json.loads(out.getvalue())
+
     def test_balanced_splitter_output(self, tmp_path, capsys):
         path = self.write_state(tmp_path, n1=2.0, n2=2.0, mc=[1.8, 0.0])
         code, out, _ = run_cli(
@@ -475,16 +495,7 @@ class TestTransform:
         state = {"n1": n1, "n2": n2}
         for key, re, im in zip(("m1", "m2", "ms", "mc"), parts[0::2], parts[1::2]):
             state[key] = [re, im]
-        out = io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp:
-            path = f"{tmp}/state.json"
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(state, fh)
-            argv = ["transform", "--state", path,
-                    *(f"--{name}={x!r}" for name, x in zip(("theta", "phi0", "phi1"), angles))]
-            with contextlib.redirect_stdout(out):
-                assert cli.main(argv) == 0
-        payload = json.loads(out.getvalue())
+        payload = self.payload(state, angles)
         p = GaussianParams(n1, n2, *(complex(re, im) for re, im in zip(parts[0::2], parts[1::2])))
         r1, r2 = coupling_residuals(p, MixerConfig(*angles))
         got = payload["residuals"]["anomalous"] + payload["residuals"]["balance"]
@@ -494,6 +505,29 @@ class TestTransform:
             else:
                 assert abs(read - want) <= 2.0 ** -1074
         assert payload["decoupled"] == (max(abs(r1), abs(r2)) < cli.DEFAULT_TOL)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.lists(moments(1e3), min_size=4, max_size=4),
+           st.lists(st.floats(-7.0, 7.0), min_size=3, max_size=3))
+    @example(2.86, 1.78, [0.5 + 0.2j, -0.49 + 0j, -0.19 + 0.04j, -1.29 + 0.19j], [0.7, 0.3, -1.1])
+    @example(2.0, 2.0, [0.3 + 0j, -0.3 + 0j, 0j, 0j], [-0.0, 0.3, -1.1])  # anomalous -0.0 + 0j
+    def test_output_is_transform_blocks_bit_for_bit(self, n1, n2, parts, angles):
+        # the blocks as transform_blocks gives them, the port modes as
+        # mode_params reads them off and the residuals as -2 m_c and 2 m_s of
+        # cp; json.dumps keeps the sign of zero
+        p = GaussianParams(n1, n2, *parts)
+        payload = self.payload(cli.state_to_json(p), angles)
+        blocks = transform_blocks(p, MixerConfig(*angles))
+        want = {key: [[z.real, z.imag] for row in getattr(blocks, key) for z in row]
+                for key in ("v1p", "v2p", "cp")}
+        for key, block in (("mode1", blocks.v1p), ("mode2", blocks.v2p)):
+            md = classicality.mode_params(block)
+            want[key] = {"n": md.n, "m": [md.m.real, md.m.imag]}
+        (ms, mc), _ = blocks.cp
+        want["residuals"] = {"anomalous": [(-2.0 * mc).real, (-2.0 * mc).imag],
+                             "balance": [(2.0 * ms).real, (2.0 * ms).imag]}
+        got = [payload[key] for key in want]
+        assert json.dumps(got, sort_keys=True) == json.dumps(list(want.values()), sort_keys=True)
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(

@@ -432,17 +432,23 @@ class TestOracleSplit:
             assert hasattr(oracle, name)
 
     def test_matrix_helpers_live_in_the_oracle(self):
-        # the moment layout has one writer, covariance._blocks, which mixer
-        # and cli import; the one-mode and local-operation matrices are
-        # referee code
+        # the moment layout has one writer, covariance._blocks, which only
+        # mixer imports; the cli and classicality take the layout from
+        # transform_blocks and the kernel's passes from covariance._verdicts;
+        # the one-mode and local-operation matrices are referee code
         owners = (mixer.OutputBlocks, mixer.LocalOperations, mixer, gausspair.classicality,
                   cli, gausspair)
         for owner in owners:
             for name in ("assemble", "matrix", "_rotation", "_squeeze", "mode_covariance",
                          "_output_blocks"):
                 assert not hasattr(owner, name), (owner, name)
-        for module in (mixer, cli):
-            assert module._blocks is gausspair.covariance._blocks
+        layout = gausspair.covariance._blocks
+        holders = {name for name, module in sys.modules.items() if name.split(".")[0] == "gausspair"
+                   and any(value is layout for value in vars(module).values())}
+        assert holders == {"gausspair.covariance", "gausspair.mixer"}
+        for module in (cli, gausspair.classicality):
+            for name in ("_blocks", "_elimination_verdicts", "_joint_verdict"):
+                assert not hasattr(module, name), (module, name)
         assert "mode_covariance" not in gausspair.__all__
         assert hasattr(oracle, "mode_covariance") and hasattr(oracle, "local_operation_matrix")
 
