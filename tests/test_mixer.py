@@ -433,8 +433,8 @@ class TestOracleSplit:
 
     def test_matrix_helpers_live_in_the_oracle(self):
         # the moment layout has one writer, covariance._blocks, which only
-        # mixer imports; the cli and classicality take the layout from
-        # transform_blocks and the kernel's passes from covariance._verdicts;
+        # mixer imports (the transform command prints transform_blocks); cli
+        # and classicality take the kernel's verdicts from covariance._verdicts;
         # the one-mode and local-operation matrices are referee code
         owners = (mixer.OutputBlocks, mixer.LocalOperations, mixer, gausspair.classicality,
                   cli, gausspair)
