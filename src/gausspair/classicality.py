@@ -52,8 +52,13 @@ def _modulus(m: complex) -> float:
 
 
 def mode_is_physical(md: ModeParams, tol: float = DEFAULT_TOL) -> bool:
-    """One-mode uncertainty bound, boundary states accepted."""
-    return md.n >= math.hypot(_modulus(md.m), 0.5) - _check_tol(tol)
+    """One-mode uncertainty bound ``n >= sqrt(|m|^2 + 1/4)``, boundary states accepted.
+
+    The root is libm's ``hypot(|m|, 1/2)``, taken as ``abs(complex(|m|, 0.5))``,
+    which does not square ``|m|``.  It is the ``hypot`` that ``np.hypot``
+    calls in the sweep's array pass; ``math.hypot`` may differ in the last ulp.
+    """
+    return md.n >= abs(complex(_modulus(md.m), 0.5)) - _check_tol(tol)
 
 
 def is_p_representable_joint(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:

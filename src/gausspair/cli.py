@@ -33,7 +33,7 @@ def run_check(p: GaussianParams, r: float, tol: float = DEFAULT_TOL) -> dict:
     physical, separable, classical = _verdicts(p, tol)
     if not physical:
         raise NonPhysicalStateError("state violates the uncertainty principle")
-    fidelity, bures, degree = measures._degree_terms(p, r)
+    fidelity, bures, degree = measures._degree_terms(p, r, tol)
     return {
         "physical": True,
         "separable": separable,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .classicality import ModeParams
-from .covariance import DEFAULT_TOL, GaussianParams, _finite_numbers, is_separable
+from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, _finite_numbers, is_separable
 from .errors import DegenerateStateError, NumericDomainError
 
 if TYPE_CHECKING:
@@ -268,11 +268,19 @@ def _reference_overlap(p: GaussianParams, a: float, b: float) -> float:
     return 1.0 / math.sqrt(det)
 
 
-def _degree_terms(p: GaussianParams, r: float) -> tuple[float, float, float]:
+def _degree_terms(p: GaussianParams, r: float, tol: float) -> tuple[float, float, float]:
     # entanglement_degree's fidelity, Bures distance and degree, for a state
-    # the caller has found physical
+    # the caller has found physical at tol: V + tol I is physical and so
+    # overlaps the pure reference sigma by at most 1.  As sigma >= a I,
+    # V + sigma >= (1 - tol/a)(V + tol I + sigma), so where a > tol the
+    # state's own fidelity is at most (a/(a - tol))^2, and up to that bound
+    # a fidelity past 1 is rounding, read as 1.
     d_sep, _, _, a, b = _reference_terms(r)  # typed errors for a bad r
     fid = _reference_overlap(p, a, b)
+    if fid > 1.0:
+        tol = _check_tol(tol)
+        if a > tol and fid <= (a / (a - tol)) ** 2:
+            fid = 1.0
     bures = bures_from_fidelity(fid)
     return fid, bures, 1.0 - bures / d_sep
 
@@ -296,4 +304,4 @@ def entanglement_degree(
     :class:`NonPhysicalStateError` for a nonphysical state.
     """
     separable = is_separable(p, tol)  # NonPhysicalStateError before r is read
-    return MeasureReport(*_degree_terms(p, r), separable)
+    return MeasureReport(*_degree_terms(p, r, tol), separable)

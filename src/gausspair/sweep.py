@@ -52,8 +52,7 @@ class SweepConfig:
             if isinstance(steps, bool) or not hasattr(steps, "__index__"):
                 raise TypeError(f"grid steps must be ints, got {type(steps).__name__}")
         n_steps, m_steps = int(n_steps), int(m_steps)
-        if r <= 0.0:
-            raise ValueError("reference squeezing r must be positive")
+        measures.separable_distance(r)  # typed error where r <= 0 or r over- or underflows
         if n_steps < 2 or m_steps < 2:
             raise ValueError("grids need at least 2 steps per axis")
         # the grid's arrays (8 bytes a point for the degrees) and a CSV block of
@@ -66,7 +65,6 @@ class SweepConfig:
         if m_min < 0.0:
             raise ValueError("m must be nonnegative (phase removed)")
         tol = _check_tol(tol)
-        measures.separable_distance(r)  # typed error where r over- or underflows
         self.__dict__.update(r=r, n_min=n_min, n_max=n_max, n_steps=n_steps, m_min=m_min,
                              m_max=m_max, m_steps=m_steps, tol=tol)  # past the frozen __setattr__
 
@@ -101,8 +99,9 @@ def sweep_grid(cfg: SweepConfig) -> SweepResult:
     import numpy as np
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         n, m = cfg.n_values(), cfg.m_values()
-        codes = tmtss.symmetric_class_codes(n[:, None], m, cfg.tol)  # (n_steps, m_steps)
-        physical = codes > 0
+        # the bounds of tmtss.classify_symmetric, on the (n_steps, m_steps) grid
+        physical = n[:, None] >= np.hypot(m, 0.5) - cfg.tol
+        codes = np.add(physical, physical & (n[:, None] >= m + 0.5 - cfg.tol), dtype=np.uint8)
         degree = np.full(codes.shape, np.nan)
         degree[physical] = measures.symmetric_degree(
             np.broadcast_to(n[:, None], codes.shape)[physical],

@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Literal
 
-from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, _finite_numbers, is_physical
+from .classicality import ModeParams, is_p_representable_mode, mode_is_physical
+from .covariance import DEFAULT_TOL, GaussianParams, _finite_numbers, is_physical
 from .errors import DegenerateStateError, ModelValidityError, NumericDomainError
 
 StateClass = Literal["nonphysical", "entangled", "separable"]
@@ -89,31 +90,25 @@ def tmtss_params(inputs: TmtssInputs, tol: float = DEFAULT_TOL) -> GaussianParam
     return p
 
 
-#: class names, indexed by the codes of :func:`symmetric_class_codes`
+#: class names, indexed by a symmetric-class point's code: 0 nonphysical,
+#: 1 entangled, 2 separable
 SYMMETRIC_CLASSES: tuple[StateClass, ...] = ("nonphysical", "entangled", "separable")
-
-
-def symmetric_class_codes(n, m, tol: float = DEFAULT_TOL):
-    """Class codes of symmetric-class points, one ``uint8`` each, elementwise on arrays.
-
-    Indexes :data:`SYMMETRIC_CLASSES`.  Physical states satisfy
-    ``n >= sqrt(m^2 + 1/4)``, separable ones ``n >= m + 1/2``; boundary
-    points classify on the accepting side.  The square root is taken as
-    ``hypot(m, 1/2)``, which does not overflow where ``m^2`` does.
-    """
-    import numpy as np
-    tol = _check_tol(tol)
-    physical = n >= np.hypot(m, 0.5) - tol
-    return np.add(physical, physical & (n >= m + 0.5 - tol), dtype=np.uint8)
 
 
 def classify_symmetric(n: float, m: float, tol: float = DEFAULT_TOL) -> StateClass:
     """Classify a symmetric-class point (m taken nonnegative, phase removed).
 
-    Raises TypeError for a ``bool`` or a non-number, and ValueError for a
-    non-finite ``n`` or ``m`` and a negative ``m``.
+    The state ``(n, n, m_c=m)`` is physical, or separable, exactly when its
+    50:50 port mode ``(n, m)`` is physical, or classical, so the point takes
+    the class of that mode by :func:`~gausspair.classicality.mode_is_physical`
+    and :func:`~gausspair.classicality.is_p_representable_mode`; boundary
+    points classify on the accepting side.  Raises TypeError for a ``bool``
+    or a non-number, and ValueError for a non-finite ``n`` or ``m`` and a
+    negative ``m``.
     """
     n, m = _finite_numbers("n and m", (float, float), n, m)
     if m < 0.0:
         raise ValueError("m must be nonnegative (phase removed)")
-    return SYMMETRIC_CLASSES[symmetric_class_codes(n, m, tol)]
+    port = ModeParams(n, complex(m))
+    physical = mode_is_physical(port, tol)
+    return SYMMETRIC_CLASSES[physical + (physical and is_p_representable_mode(port, tol))]

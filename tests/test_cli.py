@@ -100,6 +100,30 @@ class TestCheck:
         assert json.loads(err) == {"error": "NonPhysicalStateError",
                                    "message": "state violates the uncertainty principle"}
 
+    TIE = 2.0 ** -30  # tol; 1/2 - TIE + TIE is exactly 1/2
+
+    @pytest.mark.parametrize("state, pivot", [
+        # d1 = n1 + tol - (1/2)^2 / (n1 + tol)
+        ({"n1": 0.5 - TIE, "n2": 1.0}, (0.5 - TIE + TIE) - 0.25 / (0.5 - TIE + TIE)),
+        # d2 = n2 + Re m2 + tol, the parties uncoupled
+        ({"n1": 1.0, "n2": 0.5, "m2": -0.5000000009313226}, 0.5 + -0.5000000009313226 + TIE),
+        # d3 = n2 + tol - (1/2)^2 / (n2 + tol), the mirror's d3 the same
+        ({"n1": 1.0, "n2": 0.5 - TIE}, (0.5 - TIE + TIE) - 0.25 / (0.5 - TIE + TIE)),
+    ], ids=["pivot-1", "pivot-2", "pivot-3-and-mirror"])
+    def test_a_later_pivot_of_exactly_zero_is_nonphysical(self, state, pivot, capsys):
+        # the kernel's pivot 1, 2 or 3 is exactly 0.0 in float64 and is
+        # rejected, not divided by or read as positive
+        assert pivot == 0.0
+        p = GaussianParams(**state)
+        assert not covariance.is_physical(p, self.TIE)
+        assert covariance._elimination_verdicts(p, self.TIE, 0.5) == (False, False)
+        argv = ["check", *(f"--{key}={value!r}" for key, value in state.items()),
+                f"--tol={self.TIE!r}"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "NonPhysicalStateError",
+                                   "message": "state violates the uncertainty principle"}
+
     def test_overflowing_reference_exits_2(self, capsys):
         code, out, err = run_cli(["check", "--n1", "1", "--n2", "1", "--r", "1e3"], capsys)
         assert code == 2
@@ -746,6 +770,15 @@ class TestSweep:
         assert "error" in json.loads(err)
         code, _, _ = run_cli(["sweep", "--n-steps", "1"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("r", ["0", "-1"])
+    def test_nonpositive_r_is_the_check_error(self, r, capsys):
+        # one rule for the reference squeezing: measures.separable_distance's
+        code, out, err = run_cli(["sweep", "--r", r], capsys)
+        assert (code, out) == (2, "")
+        assert run_cli(["check", "--n1", "1", "--n2", "1", "--r", r], capsys) == (code, out, err)
+        assert json.loads(err) == {"error": "DegenerateStateError",
+                                   "message": f"reference squeezing r={r} must be positive"}
 
     @pytest.mark.parametrize("flag", ["--r", "--n-min", "--n-max", "--m-min", "--m-max", "--tol"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

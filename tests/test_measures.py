@@ -27,7 +27,7 @@ from gausspair import (
     symmetric_degree,
     trace_overlap,
 )
-from gausspair import measures, oracle
+from gausspair import cli, measures, oracle
 from gausspair.oracle import mode_covariance, transform_full
 
 from conftest import draw_physical, draw_symmetric_physical, reference_states
@@ -372,6 +372,66 @@ class TestSeparableDistance:
         for r in (1e-160, 178.0, 400.0, math.nan):
             with pytest.raises(NumericDomainError):
                 separable_distance(r)
+
+
+# states within the default tol below the vacuum, each with its fidelity past
+# 1 + 1e-12 against the reference at r: the first has F = 1.000000001998998,
+# the others are derandomized joint_band_states draws (conftest)
+VACUUM_BAND = [
+    (GaussianParams(0.49999999900000097, 0.49999999900000097), 1e-6),
+    (GaussianParams(0.49999999900000985, 0.49999999900000985), 1e-6),
+    (GaussianParams(0.4999999990000071, 0.4999999990000071), 1e-6),
+    (GaussianParams(0.49999999900006104, 0.49999999900006104), 1e-6),
+    (GaussianParams(0.49999999974100157, 0.49999999974200154), 1e-6),
+    (GaussianParams(0.49999999940083434, 0.49999999940083434), 1e-6),
+    (GaussianParams(0.49999999900000996, 0.49999999900000996), 1e-6),
+    (GaussianParams(0.49999999909999987, 0.49999999909999987, m1=1e-10 + 1e-20j), 1e-6),
+    (GaussianParams(0.4999999991291402, 0.4999999991291402,
+                    m1=-1.1321872458599571e-10 - 6.211880602292124e-11j), 1e-6),
+    (GaussianParams(0.49999999900000675, 0.49999999900000675, m2=-0j), 1e-6),
+    (GaussianParams(0.4999999990000095, 0.4999999990000095), 9.592280006176652e-06),
+]
+
+
+def _twin_beam_below(r, d):
+    # the twin-beam reference at r with both occupations lowered by d
+    n = 0.5 * math.cosh(2.0 * r) - d
+    return GaussianParams(n, n, m_c=0.5 * math.sinh(2.0 * r))
+
+
+class TestFidelitySlack:
+    """A fidelity past 1 is read as 1 up to the bound that tol admits."""
+
+    @pytest.mark.parametrize("p, r", VACUUM_BAND)
+    def test_accepted_states_have_a_payload(self, p, r):
+        _, _, _, a, b = measures._reference_terms(r)
+        assert 1.0 + 1e-12 < measures._reference_overlap(p, a, b) <= (a / (a - 1e-9)) ** 2
+        assert is_physical(p)
+        report = entanglement_degree(p, r)
+        assert report == MeasureReport(1.0, 0.0, 1.0, True)
+        payload = cli.run_check(p, r)
+        assert [payload[key] for key in ("fidelity", "bures", "degree")] == [1.0, 0.0, 1.0]
+
+    def test_bound_follows_tol(self):
+        # at r = 1 and tol = 1e-3 the bound is 1.030; F = 1.0068 here
+        p = _twin_beam_below(1.0, 9e-4)
+        assert is_physical(p, 1e-3) and not is_physical(p)
+        assert entanglement_degree(p, 1.0, 1e-3).fidelity == 1.0
+        assert cli.run_check(p, 1.0, 1e-3)["fidelity"] == 1.0
+
+    def test_past_the_bound_is_a_domain_error(self):
+        p, r = VACUUM_BAND[0]
+        assert measures._degree_terms(p, r, 1e-9)[0] == 1.0
+        with pytest.raises(NumericDomainError, match=r"^fidelity must lie in \(0, 1\]$"):
+            measures._degree_terms(p, r, 1e-12)
+
+    def test_no_bound_where_a_is_within_tol(self):
+        # at r = 4, a = e^-8/2 = 1.7e-4 <= tol = 1e-3: F = 1.05 stays an error
+        p = _twin_beam_below(4.0, 1.7e-5)
+        assert is_physical(p, 1e-3)
+        for call in (lambda: entanglement_degree(p, 4.0, 1e-3), lambda: cli.run_check(p, 4.0, 1e-3)):
+            with pytest.raises(NumericDomainError, match=r"^fidelity must lie in \(0, 1\]$"):
+                call()
 
 
 def _uncached_report(p, r):

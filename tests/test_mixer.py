@@ -525,6 +525,14 @@ class TestColdStart:
         assert "gausspair" in loaded
         assert "numpy" not in loaded
 
+    def test_classify_symmetric_leaves_numpy_unloaded(self):
+        # the scalar class reads its port mode's one-mode criteria
+        out, loaded = self._importtime(
+            "-c", "import gausspair as gp; print(gp.classify_symmetric(2.0, 1.4))")
+        assert out.split() == ["separable"]
+        assert "gausspair" in loaded
+        assert "numpy" not in loaded
+
     def _fresh(self, code: str) -> str:
         # stdout of a fresh `python -c code`
         result = subprocess.run(

@@ -201,14 +201,18 @@ ANCHORED = sweep.SweepConfig(r=1.0, n_min=math.cosh(2.0) / 2, n_max=3.5, n_steps
 
 
 def _meshgrid_sweep(cfg):
-    # the referee: labels and degrees classified and scored on the full
-    # meshgrid arrays, not on the broadcast axes
+    # the referee: each point of the full meshgrid arrays, not of the
+    # broadcast axes, classified by classify_symmetric, and the physical ones
+    # scored in one array
     nn, mm = np.meshgrid(cfg.n_values(), cfg.m_values(), indexing="ij")
-    codes = tmtss.symmetric_class_codes(nn, mm, cfg.tol)
-    physical = codes > 0
+    names = np.array(tmtss.SYMMETRIC_CLASSES)
+    points = zip(nn.ravel().tolist(), mm.ravel().tolist())
+    label = np.array([classify_symmetric(n, m, cfg.tol) for n, m in points],
+                     dtype=names.dtype).reshape(nn.shape)
+    physical = label != "nonphysical"
     degree = np.full(nn.shape, np.nan)
     degree[physical] = symmetric_degree(nn[physical], mm[physical], cfg.r)
-    return np.array(tmtss.SYMMETRIC_CLASSES)[codes], degree
+    return label, degree
 
 
 def _assert_matches_meshgrid(cfg):

@@ -7,14 +7,18 @@ from gausspair import (
     DegenerateStateError,
     GaussianParams,
     ModelValidityError,
+    ModeParams,
     TmtssInputs,
     classify_symmetric,
+    is_p_representable_mode,
     is_physical,
     is_separable,
     is_ssld,
+    mode_is_physical,
+    sweep,
     tmtss_params,
 )
-from gausspair.tmtss import SYMMETRIC_CLASSES, _decay_ratio, symmetric_class_codes
+from gausspair.tmtss import SYMMETRIC_CLASSES, _decay_ratio
 
 
 class TestInputs:
@@ -103,11 +107,12 @@ class TestClassifySymmetric:
         assert classify_symmetric(1.0, 1.8) == "nonphysical"
 
     def test_codes_are_one_byte(self):
-        codes = symmetric_class_codes(np.array([[1.0], [2.0], [3.0]]), np.array([1.8, 1.4]))
+        # the grid n in {1, 2, 3} x m in {1.4, 1.8}, each class in one column
+        cfg = sweep.SweepConfig(n_min=1.0, n_max=3.0, n_steps=3, m_min=1.4, m_max=1.8, m_steps=2)
+        codes = sweep.sweep_grid(cfg).codes
         assert codes.dtype == np.uint8
-        assert codes.tolist() == [[0, 0], [1, 2], [2, 2]]
-        assert symmetric_class_codes(2.0, 1.4).dtype == np.uint8
-        assert [SYMMETRIC_CLASSES[c] for c in codes[:, 0]] == ["nonphysical", "entangled", "separable"]
+        assert codes.tolist() == [[0, 0], [2, 1], [2, 2]]
+        assert [SYMMETRIC_CLASSES[c] for c in codes[:, 1]] == ["nonphysical", "entangled", "separable"]
 
     def test_an_exact_tie_with_both_bounds_is_separable(self):
         # at m = 0, tol = 2**-30 and n = 1/2 - tol tie both bounds exactly in
@@ -115,9 +120,44 @@ class TestClassifySymmetric:
         tol = 2.0 ** -30
         n = 0.5 - tol
         assert n == math.hypot(0.0, 0.5) - tol == 0.0 + 0.5 - tol
-        assert symmetric_class_codes(n, 0.0, tol) == 2
-        assert symmetric_class_codes(np.array([n]), np.array([0.0]), tol).tolist() == [2]
         assert classify_symmetric(n, 0.0, tol) == "separable"
+        cfg = sweep.SweepConfig(n_min=n, n_steps=2, m_min=0.0, m_steps=2, tol=tol)
+        assert (cfg.n_values()[0], cfg.m_values()[0]) == (n, 0.0)
+        assert sweep.sweep_grid(cfg).codes[0, 0] == 2
+
+    @pytest.mark.parametrize("draw", ["uniform", "log-uniform"])
+    def test_placed_ties_agree_with_port_criteria_and_sweep(self, draw):
+        # n at each bound's float tie, hypot(m, 1/2) - tol and m + 1/2 - tol,
+        # and one ulp either side: the scalar class, the port mode's two
+        # criteria and the sweep's array pass must agree point for point.
+        # Where math.hypot and libm's hypot differ in the last ulp (a few m in
+        # a thousand), bounds whose roots come from different hypots split here.
+        rng = np.random.default_rng(34)
+        m = np.sort(rng.uniform(0.0, 10.0, 1000) if draw == "uniform"
+                    else 10.0 ** rng.uniform(-8.0, 8.0, 1000))
+        assert m[0] > 0.0
+        tol = 1e-9
+
+        def port_class(n, mj):
+            port = ModeParams(n, complex(mj))
+            physical = mode_is_physical(port, tol)
+            return SYMMETRIC_CLASSES[physical + (physical and is_p_representable_mode(port, tol))]
+
+        for tie in (np.hypot(m, 0.5) - tol, m + 0.5 - tol):
+            for n in (np.nextafter(tie, -np.inf), tie, np.nextafter(tie, np.inf)):
+                points = list(zip(n.tolist(), m.tolist()))  # n increases with m
+                for point in points:
+                    assert classify_symmetric(*point, tol) == port_class(*point), point
+                # a 2x2 grid's four corners are exact: point i is its (n_min,
+                # m_min) corner and point -1 - i its (n_max, m_max) corner
+                for (n_lo, m_lo), (n_hi, m_hi) in zip(points, reversed(points[len(points) // 2:])):
+                    cfg = sweep.SweepConfig(n_min=n_lo, n_max=n_hi, n_steps=2, m_min=m_lo,
+                                            m_max=m_hi, m_steps=2, tol=tol)
+                    assert cfg.n_values().tolist() == [n_lo, n_hi]
+                    assert cfg.m_values().tolist() == [m_lo, m_hi]
+                    codes = sweep.sweep_grid(cfg).codes.tolist()
+                    assert [SYMMETRIC_CLASSES[c] for row in codes for c in row] == [
+                        port_class(a, b) for a in (n_lo, n_hi) for b in (m_lo, m_hi)], (n_lo, m_lo)
 
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):
