@@ -117,8 +117,12 @@ def _symmetric_distance(n, m, big_n: float, big_m: float, a: float, b: float):
     # small r, det - 1 is taken relative to the traced-out reference (N, 0),
     # where it is 3M^2 and a plain det - 1 would cancel.  The separable
     # distance is this function at (N, 0), so that point scores exactly 0.
-    # ** 0.5 serves floats without numpy and arrays as numpy's sqrt.
+    # ** 0.5 serves floats without numpy and arrays as numpy's sqrt.  A scalar
+    # point whose det is not positive and finite is refused; arrays are not
+    # checked, as the sweep passes only physical points under its errstate.
     det = (n - m + a) * (n + m + b)
+    if not getattr(det, "ndim", 0) and not 0.0 < det < math.inf:
+        raise _overlap_refused(det)
     sep_excess = 3.0 * big_m * big_m
     if sep_excess < 1.0:
         excess = sep_excess + (n - big_n) * (n + 3.0 * big_n) - m * (m + 2.0 * big_m)
@@ -193,7 +197,9 @@ def symmetric_degree(n, m, r: float):
     overlaps the phase-aligned reference as ``F = 1/((n+N)^2 - (m+M)^2)``.
     Takes floats or arrays (elementwise) of physical points; the caller
     classifies them first.  Raises :class:`DegenerateStateError` for
-    ``r <= 0``.
+    ``r <= 0``, and :class:`NumericDomainError` for a float point whose
+    determinant ``(n - m + a)(n + m + b)``, with ``a = e^(-2r)/2`` and
+    ``b = e^(2r)/2``, is not positive and finite.
     """
     d_sep, *terms = _reference_terms(r)
     return 1.0 - _symmetric_distance(n, m, *terms) / d_sep
@@ -208,11 +214,10 @@ def compose_bures(d1: float, d2: float) -> float:
     included, is a :class:`NumericDomainError`; a ``bool`` or a non-number
     is a ``TypeError``.
     """
-    if not (type(d1) is type(d2) is float):
-        try:
-            d1, d2 = _finite_numbers("Bures distances", (float, float), d1, d2)
-        except ValueError:  # not finite, so refused below
-            d1 = math.nan
+    try:
+        d1, d2 = _finite_numbers("Bures distances", (float, float), d1, d2)
+    except ValueError:  # not finite, so refused below
+        d1 = math.nan
     if not (0.0 <= d1 <= 2.0 and 0.0 <= d2 <= 2.0):
         raise NumericDomainError("Bures distances must lie in [0, 2]")
     return d1 + d2 - 0.5 * d1 * d2
@@ -302,6 +307,13 @@ def entanglement_degree(
     form :func:`separable_distance`; it and the reference's variances depend
     on ``r`` alone and are computed once per ``r`` and process.  Raises
     :class:`NonPhysicalStateError` for a nonphysical state.
+
+    The degree carries information only where ``r**2`` is well above
+    ``tol``.  The traced-out reference's distance is about ``3 r**2`` at
+    small ``r``, while states that ``tol`` cannot tell apart may differ in
+    fidelity by about ``tol``: at ``r = 1e-6`` and the default ``tol``,
+    ``GaussianParams(0.5, 0.5)`` scores 0.667 and the accepted
+    ``GaussianParams(0.4999999999, 0.4999999999)`` scores 1.0.
     """
     separable = is_separable(p, tol)  # NonPhysicalStateError before r is read
     return MeasureReport(*_degree_terms(p, r, tol), separable)

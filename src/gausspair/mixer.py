@@ -61,7 +61,7 @@ class MixerConfig:
         return MixerConfig(theta=-self.theta, phi0=-self.phi0, phi1=self.phi1)
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class OutputBlocks:
     """Output covariance in block form: local blocks and the cross block.
 
@@ -73,11 +73,8 @@ class OutputBlocks:
     v2p: tuple[tuple[complex, complex], tuple[complex, complex]]
     cp: tuple[tuple[complex, complex], tuple[complex, complex]]
 
-    def __init__(self, v1p, v2p, cp):
-        self.__dict__.update(v1p=v1p, v2p=v2p, cp=cp)
 
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class LocalOperations:
     """Record of the per-party normal-form operations: rotation then squeeze.
 
@@ -88,10 +85,6 @@ class LocalOperations:
     squeeze1: float
     rotation2: float
     squeeze2: float
-
-    def __init__(self, rotation1, squeeze1, rotation2, squeeze2):
-        self.__dict__.update(rotation1=rotation1, squeeze1=squeeze1,
-                             rotation2=rotation2, squeeze2=squeeze2)
 
 
 def mix_params(p: GaussianParams, cfg: MixerConfig) -> GaussianParams:

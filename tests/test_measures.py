@@ -160,6 +160,13 @@ class TestBures:
             with pytest.raises(NumericDomainError):
                 bures_from_fidelity(bad)
 
+    def test_fixed_slack_past_one(self):
+        # a fidelity up to 1e-12 past 1, its end included, is read as 1
+        assert bures_from_fidelity(1.0 + 1e-12) == 0.0
+        assert bures_from_fidelity(math.nextafter(1.0, 2.0)) == 0.0
+        with pytest.raises(NumericDomainError, match=r"^fidelity must lie in \(0, 1\]$"):
+            bures_from_fidelity(math.nextafter(1.0 + 1e-12, 2.0))
+
     @pytest.mark.parametrize("bad", ["0.5", True, False, np.True_, None])
     def test_strings_and_bools_are_refused(self, bad):
         # float() reads "0.5" and True as fidelities
@@ -577,6 +584,20 @@ class TestSymmetricDegree:
             refs = reference_states(r)
             assert symmetric_degree(refs.sep.n1, 0.0, r) == 0.0
             assert symmetric_degree(refs.tmsv.n1, -refs.tmsv.m_c.real, r) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n, m, r, what", [
+        (0.1, 2.0, 1.0, "not positive"),  # nonphysical: its square root was complex
+        (1e-320, 0.5, 5.435746025958607e-48, "not positive"),  # det rounds to 0
+        (1e-320, 1.7976931348623157e308, 170.0, "not finite in float64"),  # det is -inf
+    ])
+    def test_unscorable_float_points_are_domain_errors(self, n, m, r, what):
+        with pytest.raises(NumericDomainError, match=f"^overlap determinant is {what}$"):
+            symmetric_degree(n, m, r)
+        if math.isfinite((n - m) * (n + m)):  # numpy warns where its scalar product overflows
+            with pytest.raises(NumericDomainError, match=f"^overlap determinant is {what}$"):
+                symmetric_degree(np.float64(n), np.float64(m), r)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            assert symmetric_degree(np.array([n]), np.array([m]), r).shape == (1,)
 
 
 @st.composite
