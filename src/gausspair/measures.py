@@ -118,8 +118,7 @@ def _symmetric_distance(n, m, big_n: float, big_m: float, a: float, b: float):
     # where it is 3M^2 and a plain det - 1 would cancel.  The separable
     # distance is this function at (N, 0), so that point scores exactly 0.
     # ** 0.5 serves floats without numpy and arrays as numpy's sqrt.  A scalar
-    # point whose det is not positive and finite is refused; arrays are not
-    # checked, as the sweep passes only physical points under its errstate.
+    # det must be positive and finite; the sweep's arrays hold physical points.
     det = (n - m + a) * (n + m + b)
     if not getattr(det, "ndim", 0) and not 0.0 < det < math.inf:
         raise _overlap_refused(det)
@@ -198,8 +197,7 @@ def symmetric_degree(n, m, r: float):
     Takes floats or arrays (elementwise) of physical points; the caller
     classifies them first.  Raises :class:`DegenerateStateError` for
     ``r <= 0``, and :class:`NumericDomainError` for a float point whose
-    determinant ``(n - m + a)(n + m + b)``, with ``a = e^(-2r)/2`` and
-    ``b = e^(2r)/2``, is not positive and finite.
+    determinant ``(n - m + a)(n + m + b)`` is not positive and finite.
     """
     d_sep, *terms = _reference_terms(r)
     return 1.0 - _symmetric_distance(n, m, *terms) / d_sep
@@ -306,14 +304,9 @@ def entanglement_degree(
     overflows float64.  The traced-out reference's distance is the closed
     form :func:`separable_distance`; it and the reference's variances depend
     on ``r`` alone and are computed once per ``r`` and process.  Raises
-    :class:`NonPhysicalStateError` for a nonphysical state.
-
-    The degree carries information only where ``r**2`` is well above
-    ``tol``.  The traced-out reference's distance is about ``3 r**2`` at
-    small ``r``, while states that ``tol`` cannot tell apart may differ in
-    fidelity by about ``tol``: at ``r = 1e-6`` and the default ``tol``,
-    ``GaussianParams(0.5, 0.5)`` scores 0.667 and the accepted
-    ``GaussianParams(0.4999999999, 0.4999999999)`` scores 1.0.
+    :class:`NonPhysicalStateError` for a nonphysical state.  The degree carries
+    information only where ``r**2`` is well above ``tol``: the traced-out distance,
+    about ``3 r**2`` at small ``r``, must exceed the fidelity slack ``tol`` admits.
     """
     separable = is_separable(p, tol)  # NonPhysicalStateError before r is read
     return MeasureReport(*_degree_terms(p, r, tol), separable)
