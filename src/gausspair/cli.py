@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import os
+import stat  # loaded by os already
 import sys
 from dataclasses import MISSING, fields
 from typing import TYPE_CHECKING
@@ -213,8 +214,17 @@ def cmd_sweep(args) -> None:
     result = sweep_grid(_from_args(SweepConfig, args))
     writer = write_sweep_csv if args.format == "csv" else write_sweep_matrix
     if args.out:
-        with open(args.out, "wb") as fh:
-            writer(result, fh)
+        # rewritten in place, then cut at the last byte written: a truncating
+        # open frees the old blocks only for the rewrite to allocate them
+        # again.  A target that is not a regular file (/dev/null, a pipe) is
+        # written as a stream and not cut, as O_TRUNC leaves it.
+        fd = os.open(args.out, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        with open(fd, "wb") as fh:
+            try:
+                writer(result, fh)
+            finally:
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    fh.truncate()  # flushes, then cuts at the descriptor's offset
     else:
         # the bytes go to stdout's binary buffer, where it has one, after what
         # its text layer still holds

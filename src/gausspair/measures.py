@@ -195,11 +195,16 @@ def symmetric_degree(n, m, r: float):
     The closed form of :func:`entanglement_degree` on that class: the state
     overlaps the phase-aligned reference as ``F = 1/((n+N)^2 - (m+M)^2)``.
     Takes floats or arrays (elementwise) of physical points; the caller
-    classifies them first.  Raises :class:`DegenerateStateError` for
-    ``r <= 0``, and :class:`NumericDomainError` for a float point whose
-    determinant ``(n - m + a)(n + m + b)`` is not positive and finite.
+    classifies them first.  A scalar point, numpy's included, is taken in
+    Python floats.  Raises :class:`DegenerateStateError` for ``r <= 0``, and
+    :class:`NumericDomainError` for a scalar point whose determinant
+    ``(n - m + a)(n + m + b)`` is not positive and finite.
     """
     d_sep, *terms = _reference_terms(r)
+    if not (getattr(n, "ndim", 0) or getattr(m, "ndim", 0)):
+        # a point: numpy scalars and 0-d arrays as their Python values, whose
+        # arithmetic meets the typed error without numpy's warning first
+        n, m = (x.item() if hasattr(x, "item") else x for x in (n, m))
     return 1.0 - _symmetric_distance(n, m, *terms) / d_sep
 
 

@@ -182,13 +182,15 @@ def solve_decoupling_phases(
     work; raises :class:`NumericDomainError` where a modulus passes float64.
     """
     tol = _check_tol(tol)
+    # phases by atan2: cmath.phase's value, without its range error where the
+    # phase of a subnormal imaginary part underflows
     try:
         if abs(abs(p.m1) - abs(p.m2)) > tol:
             return None
         if abs(p.m1) <= tol and abs(p.m2) <= tol:
-            psi = cmath.phase(p.m_s) % math.pi if abs(p.m_s) > tol else 0.0
+            psi = math.atan2(p.m_s.imag, p.m_s.real) % math.pi if abs(p.m_s) > tol else 0.0
         else:
-            psi = 0.5 * (cmath.phase(p.m1) - cmath.phase(p.m2))
+            psi = 0.5 * (math.atan2(p.m1.imag, p.m1.real) - math.atan2(p.m2.imag, p.m2.real))
     except OverflowError:  # a moment's modulus passes float64
         raise NumericDomainError("moments overflow float64 in the decoupling phases") from None
     phi0 = phi1 = 0.5 * psi
@@ -223,10 +225,11 @@ def is_ssld(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
 
 
 def _normal_op(n: float, m: complex) -> tuple[float, float]:
-    # the rotation making m real, then the squeeze removing it
+    # the rotation making m real (its phase by atan2, as in
+    # solve_decoupling_phases), then the squeeze removing it
     if m == 0:
         return 0.0, 0.0
-    return 0.5 * cmath.phase(m), 0.5 * math.atanh(-abs(m) / n)
+    return 0.5 * math.atan2(m.imag, m.real), 0.5 * math.atanh(-abs(m) / n)
 
 
 def local_normal_form(

@@ -1,10 +1,13 @@
 import argparse
 import contextlib
+import errno
+import hashlib
 import io
 import json
 import math
 import os
 import random
+import stat
 import subprocess
 import sys
 import tempfile
@@ -21,7 +24,7 @@ from gausspair import GaussianParams, MixerConfig, NonPhysicalStateError, coupli
 from gausspair import transform_blocks
 from gausspair import classicality, cli, covariance, measures, oracle
 
-from conftest import joint_band_states, moments
+from conftest import GOLDEN, joint_band_states, moments
 
 
 def run_cli(argv, capsys):
@@ -802,6 +805,79 @@ class TestSweep:
         assert json.loads(err) == {"error": "MemoryError",
                                    "message": "Unable to allocate 22.4 GiB for an array"}
         assert not out_path.exists()
+
+    # --out rewrites an existing file in place and cuts it to the bytes written
+
+    @pytest.mark.parametrize("fmt", ["csv", "matrix"])
+    @pytest.mark.parametrize("old", [b"x" * 2_000_000, b"x" * 10], ids=["longer", "shorter"])
+    def test_an_existing_file_becomes_the_golden_bytes(self, fmt, old, tmp_path, capsys):
+        out_path = tmp_path / "surface"
+        out_path.write_bytes(old)
+        assert run_cli(["sweep", "--format", fmt, "--out", str(out_path)], capsys) == (0, "", "")
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == GOLDEN[f"default_{fmt}"]
+
+    def test_dev_null_is_written_as_a_stream(self, capsys):
+        # a character device has no length to cut
+        assert run_cli(["sweep", "--out", os.devnull], capsys) == (0, "", "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_dev_stdout_into_a_pipe_gives_the_plain_bytes(self):
+        # stdout is a pipe, which cannot seek: no cut, and the stream's bytes
+        argv = [sys.executable, "-m", "gausspair", "sweep"]
+        plain = subprocess.run(argv, capture_output=True, timeout=120)
+        via_out = subprocess.run([*argv, "--out", "/dev/stdout"], capture_output=True, timeout=120)
+        assert (via_out.returncode, via_out.stderr) == (0, b"")
+        assert via_out.stdout == plain.stdout
+        assert hashlib.sha256(plain.stdout).hexdigest() == GOLDEN["default_csv"]
+
+    def test_a_failed_write_leaves_no_stale_tail(self, tmp_path, capsys, monkeypatch):
+        # the disk fills after the header and the first row block
+        written = []
+        write_csv = cli.write_sweep_csv
+
+        class FullDisk:
+            def __init__(self, stream):
+                self.stream = stream
+
+            def write(self, chunk):
+                if len(written) == 2:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                written.append(bytes(chunk))
+                return self.stream.write(chunk)
+
+        monkeypatch.setattr(cli, "write_sweep_csv",
+                            lambda result, fh: write_csv(result, FullDisk(fh)))
+        out_path = tmp_path / "surface.csv"
+        out_path.write_bytes(b"x" * 2_000_000)
+        code, out, err = run_cli(["sweep", "--out", str(out_path)], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "OSError",
+                                   "message": f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"}
+        assert len(written) == 2 and written[0] == b"n,m,class,E\n"
+        assert out_path.read_bytes() == b"".join(written)
+
+    def test_a_failing_grid_leaves_an_existing_file_as_it_was(self, tmp_path, capsys, monkeypatch):
+        def refuse(cfg):
+            raise MemoryError("Unable to allocate 22.4 GiB for an array")
+        monkeypatch.setattr(cli, "sweep_grid", refuse)
+        out_path = tmp_path / "surface.csv"
+        old = b"n,m,class,E\n" + b"x" * 100_000
+        out_path.write_bytes(old)
+        code, out, _ = run_cli(["sweep", "--n-steps", "3000000000", "--out", str(out_path)], capsys)
+        assert (code, out) == (2, "")
+        assert out_path.read_bytes() == old
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_a_new_file_is_created_with_the_umask_mode(self, umask, tmp_path, capsys):
+        out_path = tmp_path / "surface.csv"
+        previous = os.umask(umask)
+        try:
+            code = run_cli(["sweep", "--n-steps", "3", "--m-steps", "3", "--out", str(out_path)],
+                           capsys)[0]
+        finally:
+            os.umask(previous)
+        assert code == 0
+        assert stat.S_IMODE(out_path.stat().st_mode) == 0o666 & ~umask
 
 
 FUZZ_PLAIN = ["0.2", "0.5", "1.5", "2", "3"]

@@ -692,6 +692,17 @@ class TestSolveDecouplingPhases:
         with pytest.raises(NumericDomainError, match="decoupling phases"):
             solve_decoupling_phases(GaussianParams(n1=1.0, n2=1.0, **moments))
 
+    @pytest.mark.parametrize("moments", [
+        (3.0, 3.0, 0j, 0j, 2.5 + 5e-324j, 0.1),
+        (3.0, 3.0, 2.5 + 5e-324j, 2.5 + 0j, 0j, 0.1),
+    ], ids=["m_s", "m1"])
+    def test_a_subnormal_imaginary_part_is_its_real_moment(self, moments):
+        # the phase of 5e-324j / 2.5 underflows: cmath.phase raised a range
+        # error there, read as an overflow of the moments
+        real = [z.real if isinstance(z, complex) else z for z in moments]
+        assert solve_decoupling_phases(GaussianParams(*moments)) == (0.0, 0.0)
+        assert solve_decoupling_phases(GaussianParams(*real)) == (0.0, 0.0)
+
     def test_unequal_magnitudes_unsolvable(self):
         assert solve_decoupling_phases(GaussianParams(n1=1.5, n2=1.5, m1=0.3, m2=0.5)) is None
 
@@ -933,3 +944,33 @@ class TestLocalNormalForm:
     def test_overflowing_moments_are_a_domain_error(self):
         with pytest.raises(NumericDomainError):
             local_normal_form(GaussianParams(n1=1e200, n2=1, m1=1e155))
+
+    def test_a_subnormal_imaginary_part_is_its_real_moment(self):
+        # cmath.phase raised an untyped OverflowError where its value underflows
+        assert local_normal_form(GaussianParams(3.0, 1.0, 2.5 + 5e-324j)) == local_normal_form(
+            GaussianParams(3.0, 1.0, 2.5))
+
+
+def test_atan2_phases_are_cmath_phase_on_the_bench_mixer_states(monkeypatch):
+    # the normal form and the decoupling phases take each phase as
+    # atan2(imag, real); on the SSLD states of the mixer-theorem workload
+    # (bench/inputs.py at the bench's default seed and count), bit for bit
+    # what cmath.phase gives wherever it returns
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import inputs
+    cases = [c for c in inputs.mixer_ensemble(np.random.default_rng(0), 1200) if not c.angles]
+    assert len(cases) == 800
+    solved = 0
+    for case in cases:
+        p = GaussianParams(*case.moments)
+        normal, ops = local_normal_form(p)
+        target = p if case.kind == "phase-sum" else normal
+        for z in (p.m1, p.m2, target.m1, target.m2, target.m_s):
+            assert math.atan2(z.imag, z.real).hex() == cmath.phase(z).hex()
+        for rotation, m in ((ops.rotation1, p.m1), (ops.rotation2, p.m2)):
+            assert rotation.hex() == (0.5 * cmath.phase(m) if m else 0.0).hex()
+        phases = solve_decoupling_phases(target)
+        if phases is not None:
+            solved += 1
+            assert phases[0].hex() == phases[1].hex() == (0.5 * _documented_psi(target)).hex()
+    assert solved > 400

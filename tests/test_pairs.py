@@ -93,3 +93,51 @@ def test_a_spec_that_is_neither_directory_nor_revision_is_refused(tmp_path):
                              "--workload", "check-ensemble"], capture_output=True, text=True, timeout=120)
     assert result.returncode == 2
     assert "neither a directory nor a revision" in result.stderr
+
+
+def test_json_records_every_pair_and_summary(tmp_path):
+    # two calls append two comparisons to one record; stub trees are
+    # directories, so no commit, and their runs print no provenance line
+    base = _values([1.0, 2.0, 3.0], [10.0, 20.0, 30.0])
+    head = _values([0.5, 1.5, 4.0], [15.0, 25.0, 20.0])
+    path = tmp_path / "BENCH.json"
+    first = _pairs(tmp_path, base, head, "--workload", "sweep-surface", "--pairs", "3",
+                   "--seed", "4", "--json", str(path))
+    assert first.returncode == 0, first.stderr
+    comparisons = json.loads(path.read_text())["comparisons"]
+    assert len(comparisons) == 1
+    c = comparisons[0]
+    assert c["base"] == {"spec": str(tmp_path / "base"), "commit": None, "provenance": None}
+    assert c["head"]["spec"] == str(tmp_path / "head")
+    assert (c["workload"], c["seed"]) == ("sweep-surface", 4)
+    assert [p["first"] for p in c["pairs"]] == ["BASE", "HEAD", "BASE"]
+    items = [(p["base"]["items_per_s"], p["head"]["items_per_s"]) for p in c["pairs"]]
+    assert items == [(10.0, 15.0), (20.0, 25.0), (30.0, 20.0)]
+    assert {p["base"]["attempted"] for p in c["pairs"]} == {5}
+    assert [s["name"] for s in c["summary"]] == [m["name"] for m in METRICS]
+    by_name = {s["name"]: s for s in c["summary"]}
+    # higher is better: base median 20 [15, 25], head median 20, gap 0
+    assert by_name["items_per_s"] == {
+        "name": "items_per_s", "unit": "items/s", "better": "higher", "base_median": 20.0,
+        "base_q1": 15.0, "base_q3": 25.0, "head_median": 20.0, "change_pct": 0.0, "wins": 2,
+        "pairs": 3, "scaled_gap": 0.0}
+    # lower is better: base median 2 [1.5, 2.5], head median 1.5, gap 0.5 / 1
+    assert by_name["op_p50_us"]["change_pct"] == -25.0
+    assert (by_name["op_p50_us"]["wins"], by_name["op_p50_us"]["scaled_gap"]) == (2, 0.5)
+    # the printed tables are those of the record
+    assert "HEAD better in 2 of 3 pairs; median gap +0.50 of BASE's quartile spread" in first.stdout
+
+    # a zero spread gives an infinite gap, recorded as null
+    for side in ("base", "head"):
+        (tmp_path / side / "calls").unlink()
+    flat = _values([2.0, 2.0, 2.0], [2.0, 2.0, 2.0])
+    (tmp_path / "base" / "values.json").write_text(json.dumps(flat))
+    (tmp_path / "head" / "values.json").write_text(json.dumps(_values([1.0] * 3, [3.0] * 3)))
+    argv = [sys.executable, str(PAIRS), str(tmp_path / "base"), str(tmp_path / "head"),
+            "--workload", "check-ensemble", "--pairs", "3", "--json", str(path)]
+    second = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert second.returncode == 0, second.stderr
+    comparisons = json.loads(path.read_text())["comparisons"]
+    assert [c["workload"] for c in comparisons] == ["sweep-surface", "check-ensemble"]
+    assert {s["scaled_gap"] for s in comparisons[1]["summary"]} == {None}
+    assert "median gap +inf" in second.stdout

@@ -25,12 +25,7 @@ from gausspair import (
     tmtss,
 )
 
-# SHA-256 of the sweep outputs as the per-point implementation wrote them
-GOLDEN = {
-    "default_csv": "87364d3fda25f51c1882097a8f9dbc9f97dd71fc3cd1d3e90222bf27bc36ce41",
-    "default_matrix": "356b4bafc64082bd74bc21e102c18d537999326ebf5f06525f808c87ff3d7d74",
-    "anchored_csv": "d914c732e274c0954f41ab65d01a164dd6795b3a5c92dc4559de5d8a72c33fa7",
-}
+from conftest import GOLDEN
 
 # the grid of acceptance criterion 6 that holds the E = 0 and E = 1 anchors
 ANCHORED_ARGS = [
