@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from . import classicality, measures, mixer, tmtss
 from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, _finite_numbers, _verdicts
-from .errors import ModelValidityError, NonPhysicalStateError, NumericDomainError
+from .errors import ModelValidityError, NonPhysicalStateError
 from .sweep import SweepConfig, sweep_grid, write_sweep_csv, write_sweep_matrix
 
 # argparse and json are imported in the functions that use them, so importing
@@ -282,9 +282,6 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as err:  # the typed errors all subclass ValueError
         _print_error(err)
-        return 2
-    except FloatingPointError as err:
-        _print_error(NumericDomainError(f"float64 arithmetic failed: {err}"))
         return 2
     except MemoryError as err:  # numpy raises a private subclass
         _print_error(MemoryError(str(err) or "out of memory"))

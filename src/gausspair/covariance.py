@@ -138,9 +138,10 @@ def schur_terms(p: GaussianParams, tol: float) -> tuple[float, complex, float]:
     occupation ``n1 + tol`` and nothing else; ``tol = 0`` gives the terms of
     ``V``.  ``s`` and ``d`` are real by construction; ``d <= 0`` signals a
     singular (or nonphysical) party-1 pivot and must be handled by the
-    caller.  Raises :class:`NumericDomainError` when a term overflows float64.
+    caller.  ``tol`` is admitted by the value types' rule, so ``0.0`` is
+    legal.  Raises :class:`NumericDomainError` when a term overflows float64.
     """
-    n1 = p.n1 + tol
+    n1 = p.n1 + _finite_numbers("tol", (float,), tol)[0]  # a Python float: no numpy warning
     try:
         w = p.m_c * p.m_s * p.m1.conjugate()
         s = n1 * (abs(p.m_c) ** 2 + abs(p.m_s) ** 2) - 2.0 * w.real

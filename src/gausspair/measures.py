@@ -118,16 +118,22 @@ def _symmetric_distance(n, m, big_n: float, big_m: float, a: float, b: float):
     # where it is 3M^2 and a plain det - 1 would cancel.  The separable
     # distance is this function at (N, 0), so that point scores exactly 0.
     # ** 0.5 serves floats without numpy and arrays as numpy's sqrt.  A scalar
-    # det must be positive and finite; the sweep's arrays hold physical points.
+    # det must be positive and finite, and so must a scalar distance, whose
+    # small-r excess overflows (inf - inf) where det does not; the sweep's
+    # arrays hold physical points.
     det = (n - m + a) * (n + m + b)
-    if not getattr(det, "ndim", 0) and not 0.0 < det < math.inf:
+    scalar = not getattr(det, "ndim", 0)
+    if scalar and not 0.0 < det < math.inf:
         raise _overlap_refused(det)
     sep_excess = 3.0 * big_m * big_m
     if sep_excess < 1.0:
         excess = sep_excess + (n - big_n) * (n + 3.0 * big_n) - m * (m + 2.0 * big_m)
     else:
         excess = det - 1.0
-    return 2.0 * (excess / det) / (1.0 + (1.0 / det) ** 0.5)
+    distance = 2.0 * (excess / det) / (1.0 + (1.0 / det) ** 0.5)
+    if scalar and not math.isfinite(distance):
+        raise NumericDomainError("Bures distance is not finite in float64")
+    return distance
 
 
 @functools.lru_cache(maxsize=128)
@@ -196,15 +202,20 @@ def symmetric_degree(n, m, r: float):
     overlaps the phase-aligned reference as ``F = 1/((n+N)^2 - (m+M)^2)``.
     Takes floats or arrays (elementwise) of physical points; the caller
     classifies them first.  A scalar point, numpy's included, is taken in
-    Python floats.  Raises :class:`DegenerateStateError` for ``r <= 0``, and
+    Python floats, admitted as :func:`~gausspair.tmtss.classify_symmetric`
+    admits it: a ``bool`` or a non-number is a ``TypeError``, and a value
+    that is not finite, an int beyond float64 included, is "n and m must be
+    finite".  Raises :class:`DegenerateStateError` for ``r <= 0``, and
     :class:`NumericDomainError` for a scalar point whose determinant
-    ``(n - m + a)(n + m + b)`` is not positive and finite.
+    ``(n - m + a)(n + m + b)`` is not positive and finite, or whose distance
+    is not finite.
     """
     d_sep, *terms = _reference_terms(r)
     if not (getattr(n, "ndim", 0) or getattr(m, "ndim", 0)):
-        # a point: numpy scalars and 0-d arrays as their Python values, whose
+        # a point: numpy scalars and 0-d arrays as Python floats, whose
         # arithmetic meets the typed error without numpy's warning first
-        n, m = (x.item() if hasattr(x, "item") else x for x in (n, m))
+        n, m = _finite_numbers("n and m", (float, float),
+                               *(x.item() if hasattr(x, "item") else x for x in (n, m)))
     return 1.0 - _symmetric_distance(n, m, *terms) / d_sep
 
 

@@ -16,6 +16,7 @@ formatting one block's degrees.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import sys
@@ -24,6 +25,7 @@ from typing import TYPE_CHECKING
 
 from . import measures, tmtss
 from .covariance import DEFAULT_TOL, _check_tol, _finite_numbers
+from .errors import NumericDomainError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,11 +72,25 @@ class SweepConfig:
 
     def n_values(self) -> np.ndarray:
         import numpy as np
-        return np.linspace(self.n_min, self.n_max, self.n_steps)
+        with _float64_errors():
+            return np.linspace(self.n_min, self.n_max, self.n_steps)
 
     def m_values(self) -> np.ndarray:
         import numpy as np
-        return np.linspace(self.m_min, self.m_max, self.m_steps)
+        with _float64_errors():
+            return np.linspace(self.m_min, self.m_max, self.m_steps)
+
+
+@contextlib.contextmanager
+def _float64_errors():
+    # numpy's float64 overflow, division by zero and invalid results in the
+    # block as NumericDomainError, raised where they happen, not a warning
+    import numpy as np
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError as err:
+        raise NumericDomainError(f"float64 arithmetic failed: {err}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,11 +109,11 @@ class SweepResult:
 def sweep_grid(cfg: SweepConfig) -> SweepResult:
     """Classify and score every grid point in one array pass.
 
-    float64 overflow and invalid results raise ``FloatingPointError``, not
-    a warning.
+    float64 overflow and invalid results raise :class:`NumericDomainError`,
+    not a warning.
     """
     import numpy as np
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
+    with _float64_errors():
         n, m = cfg.n_values(), cfg.m_values()
         # the bounds of tmtss.classify_symmetric, on the (n_steps, m_steps) grid
         physical = n[:, None] >= np.hypot(m, 0.5) - cfg.tol

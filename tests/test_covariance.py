@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -98,6 +99,25 @@ class TestSchurTerms:
     def test_overflow_is_a_domain_error(self, p):
         with pytest.raises(NumericDomainError, match="overflow float64 in the Schur terms"):
             schur_terms(p, 1e-9)
+
+    @pytest.mark.parametrize("tol", [0.0, 0, np.float64(0.0), np.float32(0.0)])
+    def test_tol_is_taken_as_a_python_float(self, tol):
+        # a numpy tol once made the terms numpy scalars, whose powers overflow
+        # with a warning first
+        terms = schur_terms(GaussianParams(2.0, 2.0, m_c=1.8), tol)
+        assert terms == schur_terms(GaussianParams(2.0, 2.0, m_c=1.8), 0.0)
+        assert [type(x) for x in terms] == [float, complex, float]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericDomainError, match="overflow float64 in the Schur terms"):
+                schur_terms(GaussianParams(1e200, 1.0), tol)
+
+    @pytest.mark.parametrize("tol, error", [
+        (math.nan, ValueError), (math.inf, ValueError), (True, TypeError), ("0", TypeError),
+    ])
+    def test_tol_is_admitted_by_the_value_rule(self, tol, error):
+        with pytest.raises(error):
+            schur_terms(VACUUM, tol)
 
     def test_mixed_moments(self):
         s, c, d = schur_terms(GaussianParams(n1=1, n2=1, m1=0.5, m_c=0.5, m_s=0.5), 0.0)

@@ -17,6 +17,7 @@ from gausspair import (
     NumericDomainError,
     build_covariance,
     bures_from_fidelity,
+    classify_symmetric,
     compose_bures,
     entanglement_degree,
     is_physical,
@@ -599,6 +600,26 @@ class TestSymmetricDegree:
                 symmetric_degree(np.float64(n), np.float64(m), r)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             assert symmetric_degree(np.array([n]), np.array([m]), r).shape == (1,)
+
+    @pytest.mark.parametrize("kind", [float, np.float64], ids=["float", "float64"])
+    def test_overflowing_distance_is_a_domain_error(self, kind):
+        # below 3 M^2 < 1 the distance's excess is inf - inf at these moments,
+        # where the determinant is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericDomainError,
+                               match="^Bures distance is not finite in float64$"):
+                symmetric_degree(kind(1e300), kind(1e300), 1e-6)
+
+    @pytest.mark.parametrize("n, m, error", [
+        (0.0, 10**400, ValueError), (math.nan, 1.0, ValueError), (1.0, math.inf, ValueError),
+        (True, 0.0, TypeError), (np.True_, 0.0, TypeError), ("1.0", 0.0, TypeError),
+    ])
+    def test_scalar_points_are_admitted_as_classify_symmetric_admits_them(self, n, m, error):
+        with pytest.raises(error) as caught:
+            classify_symmetric(n, m)
+        with pytest.raises(error, match=f"^{caught.value}$"):
+            symmetric_degree(n, m, 1.0)
 
 
 @st.composite

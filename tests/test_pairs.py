@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = ROOT / "tools" / "pairs.py"
 METRICS = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
@@ -141,3 +143,41 @@ def test_json_records_every_pair_and_summary(tmp_path):
     assert [c["workload"] for c in comparisons] == ["sweep-surface", "check-ensemble"]
     assert {s["scaled_gap"] for s in comparisons[1]["summary"]} == {None}
     assert "median gap +inf" in second.stdout
+
+
+def test_an_aa_record_resolves_the_change(tmp_path):
+    # an A/A run of one tree: BASE takes calls 0, 3, 4 and HEAD calls 1, 2, 5,
+    # so every metric changes by +10%
+    path = tmp_path / "BENCH.json"
+    aa = _tree(tmp_path / "aa", _values([10.0, 11.0, 11.0, 10.0, 10.0, 11.0],
+                                        [10.0, 11.0, 11.0, 10.0, 10.0, 11.0]))
+    run = [sys.executable, str(PAIRS), str(aa), str(aa), "--pairs", "3", "--json", str(path)]
+    first = subprocess.run(run + ["--workload", "sweep-surface"], capture_output=True, text=True,
+                           timeout=120)
+    assert first.returncode == 0, first.stderr
+    assert "A/A" not in first.stdout  # the record held no A/A run yet
+    # lower is better: -5%, inside the A/A change; higher is better: +20%, outside it
+    second = _pairs(tmp_path, _values([1.0] * 3, [100.0] * 3), _values([0.95] * 3, [120.0] * 3),
+                    "--workload", "sweep-surface", "--pairs", "3", "--json", str(path))
+    assert second.returncode == 0, second.stderr
+    assert f"# A/A noise floor: {aa} on both sides, seed 0, 3 pairs" in second.stdout
+    lower = sum(m["better"] == "lower" for m in METRICS)
+    assert second.stdout.count("; A/A change +10.00%: unresolved") == lower
+    assert second.stdout.count("; A/A change +10.00%: resolved") == len(METRICS) - lower
+    comparisons = json.loads(path.read_text())["comparisons"]
+    by_name = {s["name"]: s for s in comparisons[1]["summary"]}
+    assert by_name["op_p50_us"]["change_pct"] == pytest.approx(-5.0)
+    assert (by_name["op_p50_us"]["aa_change_pct"], by_name["op_p50_us"]["resolved"]) == (
+        pytest.approx(10.0), False)
+    assert (by_name["items_per_s"]["aa_change_pct"], by_name["items_per_s"]["resolved"]) == (
+        pytest.approx(10.0), True)
+    # an A/A run of another workload resolves nothing here
+    for side in ("base", "head"):
+        (tmp_path / side / "calls").unlink()
+    third = subprocess.run([sys.executable, str(PAIRS), str(tmp_path / "base"),
+                            str(tmp_path / "head"), "--workload", "check-ensemble", "--pairs", "3",
+                            "--json", str(path)], capture_output=True, text=True, timeout=120)
+    assert third.returncode == 0, third.stderr
+    assert "A/A" not in third.stdout
+    summaries = json.loads(path.read_text())["comparisons"][2]["summary"]
+    assert all("resolved" not in s for s in summaries)

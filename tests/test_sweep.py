@@ -509,6 +509,14 @@ class TestSciTable:
 
 
 class TestValidation:
+    @pytest.fixture(params=[
+        ["--n-min", "-1e308", "--n-max", "1e308"],  # the grid's span overflows
+        ["--n-min", "1e300", "--n-max", "1.1e300", "--m-max", "1e300", "--r", "1e-6"],  # the degree
+    ], ids=["span", "degree"])
+    def overflow_argv(self, request):
+        # sweeps whose float64 arithmetic overflows
+        return ["sweep", *request.param, "--n-steps", "3", "--m-steps", "3"]
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
     def test_tol_must_be_positive_and_finite(self, tol):
         with pytest.raises(ValueError):
@@ -590,3 +598,37 @@ class TestValidation:
 
     def test_largest_representable_squeezing_sweeps(self):
         sweep.sweep_grid(sweep.SweepConfig(r=177.0, n_steps=2, m_steps=2))
+
+    @pytest.mark.parametrize("method, cfg", [
+        ("n_values", sweep.SweepConfig(n_min=-1e308, n_max=1e308, n_steps=3, m_steps=3)),
+        # the last step rounds past float64
+        ("m_values", sweep.SweepConfig(m_max=sys.float_info.max, m_steps=4)),
+    ])
+    def test_axis_values_past_float64_are_a_domain_error(self, method, cfg):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericDomainError,
+                               match="^float64 arithmetic failed: overflow encountered in "):
+                getattr(cfg, method)()
+
+    def _overflow_cli_error(self, argv, capsys) -> str:
+        # main's exit 2 and its JSON error, whose message it returns
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["error"] == "NumericDomainError"
+        return error["message"]
+
+    def test_float64_overflow_is_a_cli_domain_error(self, overflow_argv, capsys):
+        # numpy's wording after the prefix may differ by version
+        message = self._overflow_cli_error(overflow_argv, capsys)
+        assert message.startswith("float64 arithmetic failed: overflow encountered in ")
+
+    def test_sweep_grid_raises_the_cli_error(self, overflow_argv, capsys):
+        cfg = cli._from_args(sweep.SweepConfig, cli._parser().parse_args(overflow_argv))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericDomainError) as caught:
+                sweep.sweep_grid(cfg)
+        assert str(caught.value) == self._overflow_cli_error(overflow_argv, capsys)
