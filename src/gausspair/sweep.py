@@ -12,6 +12,13 @@ into their slots, the cells' NUL padding is stripped with ``translate`` and
 the stripped bytes are written.  So a writer's memory is bounded by the
 block, not by the grid: the buffer, one stripped block and the scratch of
 formatting one block's degrees.
+
+The formatter's cell is 16 bytes, NUL-padded.  The CSV line template is
+narrower than four such cells: its ``n`` and ``m`` slots take the width of
+the widest axis cell with its padding stripped (14 bytes on the default
+grid), and the class name and degree share one slot, the degree cell
+starting right after the longest physical ``name,``.  So the strip deletes
+about 6 NULs a line on the default grid, not about 12.
 """
 
 from __future__ import annotations
@@ -58,8 +65,8 @@ class SweepConfig:
         if n_steps < 2 or m_steps < 2:
             raise ValueError("grids need at least 2 steps per axis")
         # the grid's arrays (8 bytes a point for the degrees) and a CSV block of
-        # one row (63 bytes a column) must stay index-sized; past that numpy
-        # fails untyped, not with MemoryError
+        # one row (at most 61 bytes a column) must stay index-sized; past that
+        # numpy fails untyped, not with MemoryError
         if n_steps * m_steps * 64 > sys.maxsize:
             raise ValueError("sweep grid is too large")
         if not (n_max > n_min and m_max > m_min):
@@ -249,24 +256,48 @@ def _write(stream, chunk: bytes) -> None:
     stream.write(chunk.decode("ascii") if isinstance(stream, io.TextIOBase) else chunk)
 
 
+def _axis_cells(values):
+    # the cells of the axis values with their NUL padding stripped, as one
+    # string each of the widest stripped cell's width: a cell is one run of
+    # bytes behind at most one NUL, the sign byte of a positive fast cell
+    import numpy as np
+    table = _sci_table(values)
+    lead = np.flatnonzero(table[:, 0] == 0)
+    table[lead, :-1] = table[lead, 1:]
+    table[lead, -1] = 0
+    width = np.flatnonzero(table.any(axis=0))[-1] + 1
+    return np.ascontiguousarray(table[:, :width]).view(f"S{width}")[:, 0]
+
+
 def write_sweep_csv(result: SweepResult, stream) -> None:
     # '\n' endings, empty E column for nonphysical rows; stream is binary or text
     import numpy as np
     rows, cols = result.degree.shape
-    axes = _cells(np.concatenate((result.n, result.m)))  # n cells, then m cells
-    names = np.array(tmtss.SYMMETRIC_CLASSES, dtype="S")  # NUL-padded class names
-    cell = f"S{_CELL}"
-    template = np.zeros(cols, [("n", cell), ("c1", "S1"), ("m", cell), ("c2", "S1"),
-                               ("label", names.dtype), ("c3", "S1"), ("e", cell), ("end", "S1")])
-    template["c1"] = template["c2"] = template["c3"] = b","
+    axes = _axis_cells(np.concatenate((result.n, result.m)))  # n cells, then m cells
+    # "name," by code; a physical line's degree cell starts right after the
+    # longest physical "name,", so a nonphysical line, whose degree cell is
+    # never written, keeps an empty E
+    tails = np.array([name + "," for name in tmtss.SYMMETRIC_CLASSES], dtype="S")
+    e_at = max(len(name) + 1 for name in tmtss.SYMMETRIC_CLASSES[1:])
+    width = axes.itemsize
+    tail_at = 2 * width + 2
+    end_at = tail_at + max(tails.itemsize, e_at + _CELL)
+    line = np.dtype({"names": ["n", "c1", "m", "c2", "tail", "e", "end"],
+                     "formats": [axes.dtype, "S1", axes.dtype, "S1", tails.dtype, f"S{_CELL}",
+                                 "S1"],
+                     "offsets": [0, width, width + 1, 2 * width + 1, tail_at, tail_at + e_at,
+                                 end_at],
+                     "itemsize": end_at + 1})
+    template = np.zeros(cols, line)
+    template["c1"] = template["c2"] = b","
     template["m"] = axes[rows:]
-    template["end"] = b"\n"  # "e" stays NUL, an empty E, unless the point is physical
+    template["end"] = b"\n"
 
     def fill(lines, start, stop):
         lines["n"] = axes[start:stop, None]
         codes = result.codes[start:stop].ravel()
         lines = lines.reshape(-1)
-        lines["label"] = names.take(codes)
+        lines["tail"] = tails.take(codes)  # before "e": it overlaps the degree cell
         physical = np.flatnonzero(codes)
         lines["e"][physical] = _cells(result.degree[start:stop].ravel()[physical])
 

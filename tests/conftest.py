@@ -19,6 +19,9 @@ GOLDEN = {
     "default_csv": "87364d3fda25f51c1882097a8f9dbc9f97dd71fc3cd1d3e90222bf27bc36ce41",
     "default_matrix": "356b4bafc64082bd74bc21e102c18d537999326ebf5f06525f808c87ff3d7d74",
     "anchored_csv": "d914c732e274c0954f41ab65d01a164dd6795b3a5c92dc4559de5d8a72c33fa7",
+    # tests/test_sweep.py::MIXED_ARGS, whose axis cells are 14 to 16 bytes wide
+    "mixed_csv": "6ff487f1690a5b660fd8539bbeb727ae6fd04e8789dc2e20471a3a41bd941aff",
+    "mixed_matrix": "9ca48fe389f0d48841a5b1895dea9e26d97d59bea7a33a32b00833c56e099b95",
 }
 
 

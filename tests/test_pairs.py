@@ -122,7 +122,7 @@ def test_json_records_every_pair_and_summary(tmp_path):
     assert by_name["items_per_s"] == {
         "name": "items_per_s", "unit": "items/s", "better": "higher", "base_median": 20.0,
         "base_q1": 15.0, "base_q3": 25.0, "head_median": 20.0, "change_pct": 0.0, "wins": 2,
-        "pairs": 3, "scaled_gap": 0.0}
+        "pairs": 3, "scaled_gap": 0.0, "resolved": False}
     # lower is better: base median 2 [1.5, 2.5], head median 1.5, gap 0.5 / 1
     assert by_name["op_p50_us"]["change_pct"] == -25.0
     assert (by_name["op_p50_us"]["wins"], by_name["op_p50_us"]["scaled_gap"]) == (2, 0.5)
@@ -145,39 +145,61 @@ def test_json_records_every_pair_and_summary(tmp_path):
     assert "median gap +inf" in second.stdout
 
 
-def test_an_aa_record_resolves_the_change(tmp_path):
-    # an A/A run of one tree: BASE takes calls 0, 3, 4 and HEAD calls 1, 2, 5,
-    # so every metric changes by +10%
+def test_an_aa_record_does_not_resolve_the_change(tmp_path):
+    # an A/A run of one tree moves every metric by +0.02% (BASE takes calls 0,
+    # 3, 4 and HEAD calls 1, 2, 5); then HEAD is better in 2 of 5 pairs by
+    # -0.16% (higher is better) or +0.16% (lower is better), a change larger
+    # than the A/A one, and well inside BASE's quartile spread
     path = tmp_path / "BENCH.json"
-    aa = _tree(tmp_path / "aa", _values([10.0, 11.0, 11.0, 10.0, 10.0, 11.0],
-                                        [10.0, 11.0, 11.0, 10.0, 10.0, 11.0]))
-    run = [sys.executable, str(PAIRS), str(aa), str(aa), "--pairs", "3", "--json", str(path)]
-    first = subprocess.run(run + ["--workload", "sweep-surface"], capture_output=True, text=True,
-                           timeout=120)
+    aa_series = [100.0, 100.02, 100.02, 100.0, 100.0, 100.02]
+    aa = _tree(tmp_path / "aa", _values(aa_series, aa_series))
+    first = subprocess.run([sys.executable, str(PAIRS), str(aa), str(aa), "--pairs", "3",
+                            "--workload", "mixer-theorem", "--json", str(path)],
+                           capture_output=True, text=True, timeout=120)
     assert first.returncode == 0, first.stderr
-    assert "A/A" not in first.stdout  # the record held no A/A run yet
-    # lower is better: -5%, inside the A/A change; higher is better: +20%, outside it
-    second = _pairs(tmp_path, _values([1.0] * 3, [100.0] * 3), _values([0.95] * 3, [120.0] * 3),
-                    "--workload", "sweep-surface", "--pairs", "3", "--json", str(path))
+    base = [101.0, 99.0, 100.0, 102.0, 98.0]
+    lower = [100.5, 99.5, 100.16, 101.5, 98.5]  # 2 of 5 lower than BASE
+    higher = [101.5, 98.5, 99.84, 102.5, 97.5]  # 2 of 5 higher than BASE
+    second = _pairs(tmp_path, _values(base, base), _values(lower, higher),
+                    "--workload", "mixer-theorem", "--pairs", "5", "--json", str(path))
     assert second.returncode == 0, second.stderr
-    assert f"# A/A noise floor: {aa} on both sides, seed 0, 3 pairs" in second.stdout
-    lower = sum(m["better"] == "lower" for m in METRICS)
-    assert second.stdout.count("; A/A change +10.00%: unresolved") == lower
-    assert second.stdout.count("; A/A change +10.00%: resolved") == len(METRICS) - lower
-    comparisons = json.loads(path.read_text())["comparisons"]
-    by_name = {s["name"]: s for s in comparisons[1]["summary"]}
-    assert by_name["op_p50_us"]["change_pct"] == pytest.approx(-5.0)
-    assert (by_name["op_p50_us"]["aa_change_pct"], by_name["op_p50_us"]["resolved"]) == (
-        pytest.approx(10.0), False)
-    assert (by_name["items_per_s"]["aa_change_pct"], by_name["items_per_s"]["resolved"]) == (
-        pytest.approx(10.0), True)
-    # an A/A run of another workload resolves nothing here
-    for side in ("base", "head"):
-        (tmp_path / side / "calls").unlink()
-    third = subprocess.run([sys.executable, str(PAIRS), str(tmp_path / "base"),
-                            str(tmp_path / "head"), "--workload", "check-ensemble", "--pairs", "3",
-                            "--json", str(path)], capture_output=True, text=True, timeout=120)
-    assert third.returncode == 0, third.stderr
-    assert "A/A" not in third.stdout
-    summaries = json.loads(path.read_text())["comparisons"][2]["summary"]
-    assert all("resolved" not in s for s in summaries)
+    assert "A/A" not in second.stdout
+    assert second.stdout.count("HEAD better in 2 of 5 pairs") == len(METRICS)
+    assert second.stdout.count(": unresolved") == len(METRICS)
+    assert ": resolved" not in second.stdout
+    aa_run, change = json.loads(path.read_text())["comparisons"]
+    for old, new in zip(aa_run["summary"], change["summary"]):
+        # the rule of comparing with the A/A change would read this resolved
+        assert abs(new["change_pct"]) > abs(old["change_pct"]) > 0
+        assert new["resolved"] is False
+        assert "aa_change_pct" not in new
+
+
+@pytest.mark.parametrize("wins, ties, resolved", [(10, 0, True), (9, 1, True), (9, 0, True),
+                                                   (8, 2, False), (8, 0, False)])
+def test_resolution_is_read_from_the_pairs(tmp_path, wins, ties, resolved):
+    # no --json record, so no A/A run: HEAD better by a tenth in `wins` pairs,
+    # equal in `ties` and worse by a tenth in the rest; BASE's values 100 to
+    # 109 have a quartile spread of 4.5, so every gap below is beyond it
+    base = [100.0 + i for i in range(10)]
+    step = [0.1 * b for b in base]
+    lower = [b - s if i < wins else b if i < wins + ties else b + s
+             for i, (b, s) in enumerate(zip(base, step))]
+    higher = [2 * b - low for b, low in zip(base, lower)]
+    result = _pairs(tmp_path, _values(base, base), _values(lower, higher),
+                    "--workload", "sweep-surface", "--pairs", "10")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count(f"HEAD better in {wins} of 10 pairs") == len(METRICS)
+    verdict = ": resolved" if resolved else ": unresolved"
+    assert result.stdout.count(verdict) == len(METRICS)
+
+
+def test_a_resolved_loss_reads_resolved(tmp_path):
+    base = [100.0 + i for i in range(10)]
+    worse = [1.1 * b for b in base]
+    better = [0.9 * b for b in base]
+    result = _pairs(tmp_path, _values(base, base), _values(worse, better),
+                    "--workload", "sweep-surface", "--pairs", "10")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count("HEAD better in 0 of 10 pairs") == len(METRICS)
+    assert result.stdout.count(": resolved") == len(METRICS)

@@ -33,6 +33,14 @@ ANCHORED_ARGS = [
     "--m-min", "0.0", "--m-max", repr(math.sinh(2.0) / 2), "--m-steps", "2",
 ]
 
+# a grid whose axis cells differ in width: n cells of 16 bytes (-1e-300) and 14,
+# m cells of 15 (1e-300) and 14; its rows hold all three classes and degrees of
+# both signs
+MIXED_ARGS = [
+    "--n-min", "-1e-300", "--n-max", "3", "--n-steps", "4",
+    "--m-min", "1e-300", "--m-max", "2.7", "--m-steps", "4",
+]
+
 
 def _sweep_bytes(tmp_path, args):
     out = tmp_path / "sweep.out"
@@ -80,6 +88,19 @@ class TestGoldenBytes:
         assert hashlib.sha256(data).hexdigest() == GOLDEN["anchored_csv"]
         # the traced-out reference scores exactly 0, not a rounding residue
         assert data.split(b"\n")[1].endswith(b",separable,0.00000000e+00")
+
+    def test_mixed_width_csv(self, tmp_path):
+        data = _sweep_bytes(tmp_path, MIXED_ARGS)
+        assert hashlib.sha256(data).hexdigest() == GOLDEN["mixed_csv"]
+        rows = [row.split(b",") for row in data.split(b"\n")[1:-1]]
+        assert {len(row[0]) for row in rows} == {16, 14}
+        assert {len(row[1]) for row in rows} == {15, 14}
+        assert {row[2] for row in rows} == {b"nonphysical", b"entangled", b"separable"}
+        assert {row[3][:1] == b"-" for row in rows if row[3]} == {True, False}
+
+    def test_mixed_width_matrix(self, tmp_path):
+        data = _sweep_bytes(tmp_path, [*MIXED_ARGS, "--format", "matrix"])
+        assert hashlib.sha256(data).hexdigest() == GOLDEN["mixed_matrix"]
 
 
 grids = st.builds(

@@ -10,21 +10,18 @@ first.  The last line of a run's standard output is its JSON result.
 
 For each end-to-end metric of ``BENCHMARK.json`` it prints every pair's
 values, BASE's median and quartiles, HEAD's median, the pairs in which HEAD is
-better, and the median gap in units of BASE's quartile spread (positive where
-HEAD is better).  BASE equal to HEAD gives the run-to-run noise floor.
+better, the median gap in units of BASE's quartile spread (positive where
+HEAD is better), and whether the comparison resolves the change: it does
+when one side is better in at least 9 of 10 pairs, ties counting for
+neither, and the median gap in its favour exceeds BASE's quartile spread.
+BASE equal to HEAD gives the run-to-run noise of one tree.
 
 With ``--json PATH`` the comparison is also recorded in PATH, a JSON object
 whose ``comparisons`` list gains one entry per call, so that one file holds
 every run of a change: the specs (with the commit of a revision), each
 side's provenance line, the workload and seed, every pair's values, and each
-metric's summary.  A non-finite summary number (a gap over a zero spread) is
-written as null.
-
-When that record already holds an A/A comparison of the workload (the same
-commit, or the same directory, on both sides), the latest one is the noise
-floor: next to each metric's gap the table prints that run's % change, and a
-change no larger in size reads ``unresolved``.  The recorded summary then
-holds the same two fields, ``aa_change_pct`` and ``resolved``.
+metric's summary, ``resolved`` included.  A non-finite summary number (a
+gap over a zero spread) is written as null.
 
 Exit status: 0 when every run completes and reports ``correct``, 1 when a run
 fails or is not correct (the runs stop there), 2 on a usage error.  Standard
@@ -99,29 +96,12 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def _tree_name(side: dict) -> str:
-    # a recorded side's commit, or its directory
-    return side["commit"] or side["spec"]
-
-
-def noise_floor(path: Path, workload: str) -> dict | None:
-    """The latest A/A comparison of ``workload`` in the record at ``path``,
-    or None: one whose two sides name the same commit, or the same directory."""
-    if not path.exists():
-        return None
-    comparisons = json.loads(path.read_text(encoding="utf-8"))["comparisons"]
-    same = [c for c in comparisons
-            if c["workload"] == workload and _tree_name(c["base"]) == _tree_name(c["head"])]
-    return same[-1] if same else None
-
-
-def summary(metric: dict, pairs: list[tuple[float, float]], floor: dict | None = None) -> dict:
+def summary(metric: dict, pairs: list[tuple[float, float]]) -> dict:
     """One metric over the pairs (BASE value, HEAD value): BASE's median and
-    quartiles, HEAD's median, the % change, HEAD's wins and the median gap in
-    units of BASE's quartile spread (positive where HEAD is better).  With an
-    A/A comparison ``floor`` that reports the metric, also that run's % change
-    and whether this change is larger in size; an A/A change recorded as null
-    resolves nothing."""
+    quartiles, HEAD's median, the % change, HEAD's wins, the median gap in
+    units of BASE's quartile spread (positive where HEAD is better), and
+    whether the pairs resolve the change: one side better in at least 9 of 10
+    pairs, ties counting for neither, with the gap in its favour above 1."""
     # sign * (base - head) > 0 where HEAD is better
     sign = 1.0 if metric["better"] == "lower" else -1.0
     base = [b for b, _ in pairs]
@@ -135,18 +115,16 @@ def summary(metric: dict, pairs: list[tuple[float, float]], floor: dict | None =
     else:
         scaled = math.copysign(math.inf, gap) if gap else 0.0
     change = (head_median / base_median - 1.0) * 100.0 if base_median else math.nan
-    out = {
+    wins = sum(sign * (b - h) > 0 for b, h in pairs)
+    losses = sum(sign * (b - h) < 0 for b, h in pairs)
+    resolved = (10 * wins >= 9 * len(pairs) and scaled > 1.0
+                or 10 * losses >= 9 * len(pairs) and scaled < -1.0)
+    return {
         "name": metric["name"], "unit": metric["unit"], "better": metric["better"],
         "base_median": base_median, "base_q1": q1, "base_q3": q3, "head_median": head_median,
-        "change_pct": change, "wins": sum(sign * (b - h) > 0 for b, h in pairs),
-        "pairs": len(pairs), "scaled_gap": scaled,
+        "change_pct": change, "wins": wins, "pairs": len(pairs), "scaled_gap": scaled,
+        "resolved": resolved,
     }
-    noise = {s["name"]: s["change_pct"] for s in floor["summary"]} if floor else {}
-    if metric["name"] in noise:
-        aa = noise[metric["name"]]
-        out["aa_change_pct"] = aa
-        out["resolved"] = aa is not None and abs(change) > abs(aa)
-    return out
 
 
 def report(s: dict, pairs: list[tuple[float, float]]) -> list[str]:
@@ -157,16 +135,8 @@ def report(s: dict, pairs: list[tuple[float, float]]) -> list[str]:
         f"  BASE median {s['base_median']:.6g} [{s['base_q1']:.6g}, {s['base_q3']:.6g}] -> HEAD "
         f"median {s['head_median']:.6g} ({s['change_pct']:+.2f}%)",
         f"  HEAD better in {s['wins']} of {s['pairs']} pairs; median gap {s['scaled_gap']:+.2f} "
-        "of BASE's quartile spread" + _resolution(s),
+        f"of BASE's quartile spread: {'resolved' if s['resolved'] else 'unresolved'}",
     ]
-
-
-def _resolution(s: dict) -> str:
-    # the A/A comparison's change beside the gap, where there is one
-    if "resolved" not in s:
-        return ""
-    aa = "n/a" if s["aa_change_pct"] is None else f"{s['aa_change_pct']:+.2f}%"
-    return f"; A/A change {aa}: {'resolved' if s['resolved'] else 'unresolved'}"
 
 
 def values(result: dict, metrics: list[dict]) -> dict:
@@ -203,15 +173,11 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     # each with its name, unit and better direction
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
-    floor = noise_floor(args.json, args.workload) if args.json else None
     with tempfile.TemporaryDirectory(prefix="pairs-") as scratch:
         trees = {"BASE": checkout(args.base, Path(scratch)),
                  "HEAD": checkout(args.head, Path(scratch))}
         print(f"# BASE {args.base} ({trees['BASE']}), HEAD {args.head} ({trees['HEAD']}), "
               f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs", flush=True)
-        if floor:
-            print(f"# A/A noise floor: {_tree_name(floor['base'])} on both sides, "
-                  f"seed {floor['seed']}, {len(floor['pairs'])} pairs", flush=True)
         runs: list[dict[str, dict]] = []
         for index in range(args.pairs):
             order = ("BASE", "HEAD") if index % 2 == 0 else ("HEAD", "BASE")
@@ -230,7 +196,7 @@ def main(argv=None) -> int:
             continue
         pairs = [(run["BASE"]["metrics"][name]["value"], run["HEAD"]["metrics"][name]["value"])
                  for run in runs]
-        summaries.append(summary(metric, pairs, floor))
+        summaries.append(summary(metric, pairs))
         print("\n".join(report(summaries[-1], pairs)))
     if args.json:
         specs = {"base": args.base, "head": args.head}
