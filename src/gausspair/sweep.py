@@ -219,7 +219,7 @@ def _sci_table(values) -> np.ndarray:
     return table
 
 
-# grid points in one block of the writers: a CSV block buffer is ~0.38 MB, a
+# grid points in one block of the writers: a CSV block buffer is ~0.34 MB, a
 # matrix one ~0.1 MB, and formatting a block's degrees takes ~0.3 MB of scratch
 _BLOCK_POINTS = 6000
 
