@@ -50,29 +50,30 @@ def _check_tol(tol) -> float:
     # and finite, since a NaN makes each bound comparison False and would flip
     # verdicts without an error
     if type(tol) is not float:
-        try:
-            (tol,) = _finite_numbers("tol", (float,), tol)
-        except ValueError:  # non-finite, or an int beyond float64
-            raise ValueError("tol must be positive and finite") from None
+        tol = _number(tol)
     if not 0.0 < tol <= sys.float_info.max:
         raise ValueError("tol must be positive and finite")
     return tol
 
 
-def _finite_numbers(what: str, kinds: tuple, *values) -> tuple:
-    # The admission rule of every value type: each value converted to its
-    # kind (float or complex), numbers only (float() reads "1.5" and True),
-    # and finite, an int beyond float64 being refused as "<what> must be finite"
+def _number(value, kind=float):
+    # The value types' type rule, numbers only (float() reads "1.5" and
+    # True), then kind(value), finite or not, an int beyond float64 read as NaN
     import numbers
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, numbers.Number):
-            raise TypeError(f"expected a number, got {type(value).__name__}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Number):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
     try:
-        converted = tuple(kind(value) for kind, value in zip(kinds, values))
-        if all(map(cmath.isfinite, converted)):
-            return converted
+        return kind(value)
     except OverflowError:  # an int beyond float64
-        pass
+        return kind(math.nan)
+
+
+def _finite_numbers(what: str, kinds: tuple, *values) -> tuple:
+    # The admission rule of every value type: each value by _number to its kind
+    # (float or complex), and finite, an int beyond float64 included
+    converted = tuple(map(_number, values, kinds))
+    if all(map(cmath.isfinite, converted)):
+        return converted
     raise ValueError(f"{what} must be finite")
 
 

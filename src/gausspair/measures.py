@@ -17,6 +17,7 @@ scores 1 and the correlation-free state scores 0.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import sys
@@ -24,8 +25,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .classicality import ModeParams
-from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, _finite_numbers, is_separable
+from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, _number, is_separable
 from .errors import DegenerateStateError, NumericDomainError
+from .tmtss import _symmetric_point
 
 if TYPE_CHECKING:
     import numpy as np
@@ -39,6 +41,18 @@ class MeasureReport:
     bures: float
     degree: float
     separable: bool
+
+
+@contextlib.contextmanager
+def _float64_errors(what: str = "float64 arithmetic failed"):
+    # numpy's float64 overflow, division by zero and invalid results in the block
+    # as NumericDomainError("<what>: <numpy's message>") where they happen, not a warning
+    import numpy as np
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError as err:
+        raise NumericDomainError(f"{what}: {err}") from None
 
 
 def trace_overlap(va: np.ndarray, vb: np.ndarray) -> float:
@@ -55,11 +69,8 @@ def trace_overlap(va: np.ndarray, vb: np.ndarray) -> float:
     vb = np.asarray(vb, dtype=complex)
     if va.shape != vb.shape or va.shape not in {(2, 2), (4, 4)}:
         raise ValueError("need two covariance matrices of equal shape (2x2 or 4x4)")
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            det = np.linalg.det(va + vb)
-    except FloatingPointError as err:
-        raise NumericDomainError(f"overlap determinant is not finite in float64: {err}") from None
+    with _float64_errors("overlap determinant is not finite in float64"):
+        det = np.linalg.det(va + vb)
     if abs(det.imag) > 1e-9 * max(1.0, abs(det)):
         raise NumericDomainError("overlap determinant is not real")
     if det.real <= 0.0:
@@ -96,10 +107,7 @@ def bures_from_fidelity(f: float) -> float:
     """Bures distance ``2 - 2 sqrt(F)`` for a fidelity in (0, 1]; a ``bool``
     or a non-number is a ``TypeError``."""
     if type(f) is not float:
-        try:
-            f, = _finite_numbers("fidelity", (float,), f)
-        except ValueError:  # not finite, so refused below
-            f = math.nan
+        f = _number(f)
     if 1.0 < f <= 1.0 + 1e-12:
         f = 1.0
     if not 0.0 < f <= 1.0:
@@ -119,8 +127,8 @@ def _symmetric_distance(n, m, big_n: float, big_m: float, a: float, b: float):
     # distance is this function at (N, 0), so that point scores exactly 0.
     # ** 0.5 serves floats without numpy and arrays as numpy's sqrt.  A scalar
     # det must be positive and finite, and so must a scalar distance, whose
-    # small-r excess overflows (inf - inf) where det does not; the sweep's
-    # arrays hold physical points.
+    # small-r excess overflows (inf - inf) where det does not; arrays meet
+    # the same failures as numpy's, under symmetric_degree's float64 guard.
     det = (n - m + a) * (n + m + b)
     scalar = not getattr(det, "ndim", 0)
     if scalar and not 0.0 < det < math.inf:
@@ -168,14 +176,10 @@ def _squeezing(r) -> float:
     # pass, for _reference to type; an int beyond float64 is typed here.
     if type(r) is float:
         return r
-    try:
-        return _finite_numbers("reference squeezing r", (float,), r)[0]
-    except ValueError:  # not finite
-        pass
-    try:
-        return float(r)
-    except OverflowError:
-        raise NumericDomainError("reference squeezing r is an int beyond float64") from None
+    value = _number(r)
+    if isinstance(r, int) and math.isnan(value):
+        raise NumericDomainError("reference squeezing r is an int beyond float64")
+    return value
 
 
 def _reference_terms(r) -> tuple[float, float, float, float, float]:
@@ -203,19 +207,22 @@ def symmetric_degree(n, m, r: float):
     Takes floats or arrays (elementwise) of physical points; the caller
     classifies them first.  A scalar point, numpy's included, is taken in
     Python floats, admitted as :func:`~gausspair.tmtss.classify_symmetric`
-    admits it: a ``bool`` or a non-number is a ``TypeError``, and a value
-    that is not finite, an int beyond float64 included, is "n and m must be
-    finite".  Raises :class:`DegenerateStateError` for ``r <= 0``, and
+    admits it: a ``bool`` or a non-number is a ``TypeError``, a value that
+    is not finite, an int beyond float64 included, is "n and m must be
+    finite", and a negative ``m`` is a ``ValueError``.  Raises
+    :class:`DegenerateStateError` for ``r <= 0``, and
     :class:`NumericDomainError` for a scalar point whose determinant
     ``(n - m + a)(n + m + b)`` is not positive and finite, or whose distance
-    is not finite.
+    is not finite.  Arrays are held to the same contract: numpy's float64
+    failures raise :class:`NumericDomainError`, not a warning.
     """
     d_sep, *terms = _reference_terms(r)
-    if not (getattr(n, "ndim", 0) or getattr(m, "ndim", 0)):
-        # a point: numpy scalars and 0-d arrays as Python floats, whose
-        # arithmetic meets the typed error without numpy's warning first
-        n, m = _finite_numbers("n and m", (float, float),
-                               *(x.item() if hasattr(x, "item") else x for x in (n, m)))
+    if getattr(n, "ndim", 0) or getattr(m, "ndim", 0):
+        with _float64_errors():
+            return 1.0 - _symmetric_distance(n, m, *terms) / d_sep
+    # a point: numpy scalars and 0-d arrays as Python floats, whose
+    # arithmetic meets the typed error without numpy's warning first
+    n, m = _symmetric_point(*(x.item() if hasattr(x, "item") else x for x in (n, m)))
     return 1.0 - _symmetric_distance(n, m, *terms) / d_sep
 
 
@@ -228,10 +235,7 @@ def compose_bures(d1: float, d2: float) -> float:
     included, is a :class:`NumericDomainError`; a ``bool`` or a non-number
     is a ``TypeError``.
     """
-    try:
-        d1, d2 = _finite_numbers("Bures distances", (float, float), d1, d2)
-    except ValueError:  # not finite, so refused below
-        d1 = math.nan
+    d1, d2 = _number(d1), _number(d2)
     if not (0.0 <= d1 <= 2.0 and 0.0 <= d2 <= 2.0):
         raise NumericDomainError("Bures distances must lie in [0, 2]")
     return d1 + d2 - 0.5 * d1 * d2

@@ -23,7 +23,6 @@ about 6 NULs a line on the default grid, not about 12.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import io
 import sys
@@ -32,7 +31,6 @@ from typing import TYPE_CHECKING
 
 from . import measures, tmtss
 from .covariance import DEFAULT_TOL, _check_tol, _finite_numbers
-from .errors import NumericDomainError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -79,25 +77,13 @@ class SweepConfig:
 
     def n_values(self) -> np.ndarray:
         import numpy as np
-        with _float64_errors():
+        with measures._float64_errors():
             return np.linspace(self.n_min, self.n_max, self.n_steps)
 
     def m_values(self) -> np.ndarray:
         import numpy as np
-        with _float64_errors():
+        with measures._float64_errors():
             return np.linspace(self.m_min, self.m_max, self.m_steps)
-
-
-@contextlib.contextmanager
-def _float64_errors():
-    # numpy's float64 overflow, division by zero and invalid results in the
-    # block as NumericDomainError, raised where they happen, not a warning
-    import numpy as np
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            yield
-    except FloatingPointError as err:
-        raise NumericDomainError(f"float64 arithmetic failed: {err}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,19 +102,19 @@ class SweepResult:
 def sweep_grid(cfg: SweepConfig) -> SweepResult:
     """Classify and score every grid point in one array pass.
 
-    float64 overflow and invalid results raise :class:`NumericDomainError`,
-    not a warning.
+    float64 failures raise :class:`~gausspair.errors.NumericDomainError`, not a
+    warning: the axes and :func:`~gausspair.measures.symmetric_degree` guard
+    their own arithmetic, and the classification between them cannot fail.
     """
     import numpy as np
-    with _float64_errors():
-        n, m = cfg.n_values(), cfg.m_values()
-        # the bounds of tmtss.classify_symmetric, on the (n_steps, m_steps) grid
-        physical = n[:, None] >= np.hypot(m, 0.5) - cfg.tol
-        codes = np.add(physical, physical & (n[:, None] >= m + 0.5 - cfg.tol), dtype=np.uint8)
-        degree = np.full(codes.shape, np.nan)
-        degree[physical] = measures.symmetric_degree(
-            np.broadcast_to(n[:, None], codes.shape)[physical],
-            np.broadcast_to(m, codes.shape)[physical], cfg.r)
+    n, m = cfg.n_values(), cfg.m_values()
+    # the bounds of tmtss.classify_symmetric, on the (n_steps, m_steps) grid
+    physical = n[:, None] >= np.hypot(m, 0.5) - cfg.tol
+    codes = np.add(physical, physical & (n[:, None] >= m + 0.5 - cfg.tol), dtype=np.uint8)
+    degree = np.full(codes.shape, np.nan)
+    degree[physical] = measures.symmetric_degree(
+        np.broadcast_to(n[:, None], codes.shape)[physical],
+        np.broadcast_to(m, codes.shape)[physical], cfg.r)
     return SweepResult(n=n, m=m, codes=codes, degree=degree)
 
 

@@ -95,6 +95,14 @@ def tmtss_params(inputs: TmtssInputs, tol: float = DEFAULT_TOL) -> GaussianParam
 SYMMETRIC_CLASSES: tuple[StateClass, ...] = ("nonphysical", "entangled", "separable")
 
 
+def _symmetric_point(n, m) -> tuple[float, float]:
+    # the point rule of classify_symmetric and a scalar symmetric_degree
+    n, m = _finite_numbers("n and m", (float, float), n, m)
+    if m < 0.0:
+        raise ValueError("m must be nonnegative (phase removed)")
+    return n, m
+
+
 def classify_symmetric(n: float, m: float, tol: float = DEFAULT_TOL) -> StateClass:
     """Classify a symmetric-class point (m taken nonnegative, phase removed).
 
@@ -106,9 +114,7 @@ def classify_symmetric(n: float, m: float, tol: float = DEFAULT_TOL) -> StateCla
     or a non-number, and ValueError for a non-finite ``n`` or ``m`` and a
     negative ``m``.
     """
-    n, m = _finite_numbers("n and m", (float, float), n, m)
-    if m < 0.0:
-        raise ValueError("m must be nonnegative (phase removed)")
+    n, m = _symmetric_point(n, m)
     port = ModeParams(n, complex(m))
     physical = mode_is_physical(port, tol)
     return SYMMETRIC_CLASSES[physical + (physical and is_p_representable_mode(port, tol))]

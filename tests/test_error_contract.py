@@ -7,8 +7,8 @@ numpy ``float64`` and ``float32`` scalars, 0-d arrays, signed zeros,
 subnormals (also as imaginary parts), values up to 1.8e308 and the
 non-finite ones.  The value types a function takes are built from finite
 inputs, since their constructors are called with the raw ones on their own.
-``symmetric_degree`` is called on scalar points: its arrays are the sweep's,
-classified as physical before they are scored.
+``symmetric_degree`` is called on scalar points and on 1-element arrays of
+finite numbers, which are held to the same contract.
 """
 
 import cmath
@@ -80,6 +80,7 @@ def physical_params(draw):
 PARAMS = _either(st.builds(GaussianParams, FINITE, FINITE, COMPLEX, COMPLEX, COMPLEX, COMPLEX),
                  physical_params())
 MODES = st.builds(ModeParams, FINITE, COMPLEX)
+POINTS = FINITE.map(lambda x: np.array([x]))  # a symmetric_degree array of one point
 MIXERS = st.builds(MixerConfig, FINITE, FINITE, FINITE)
 MODELS = st.builds(lambda d, r, nbar: TmtssInputs(abs(d), r, abs(nbar)), FINITE, FINITE, FINITE)
 def _blocks(entries):
@@ -151,7 +152,8 @@ CALLS = {
     "schur_terms": (gausspair.schur_terms, st.tuples(PARAMS, TOLS)),
     "separable_distance": (gausspair.separable_distance, st.tuples(RS)),
     "solve_decoupling_phases": (gausspair.solve_decoupling_phases, st.tuples(PARAMS, TOLS)),
-    "symmetric_degree": (gausspair.symmetric_degree, st.tuples(NUMBERS, NUMBERS, RS)),
+    "symmetric_degree": (gausspair.symmetric_degree,
+                         _either(st.tuples(NUMBERS, NUMBERS, RS), st.tuples(POINTS, POINTS, RS))),
     "tmtss_params": (gausspair.tmtss_params, st.tuples(MODELS, TOLS)),
     "trace_overlap": (gausspair.trace_overlap, MATRICES),
     "transform_blocks": (gausspair.transform_blocks, st.tuples(PARAMS, MIXERS)),
@@ -230,6 +232,8 @@ def test_finite_result_or_typed_error(name, data):
 @example(call=("symmetric_degree", (1e300, 1e300, 1e-6)))
 @example(call=("symmetric_degree", (np.float64(1e300), np.float64(1e300), 1e-6)))
 @example(call=("symmetric_degree", (0.0, 10**400, 1.0)))
+# a separable array point whose determinant overflows
+@example(call=("symmetric_degree", (np.array([1e200]), np.array([1e199]), 1.0)))
 # a numpy tol that the Schur terms' powers overflow with
 @example(call=("schur_terms", (GaussianParams(1e200, 1.0), np.float64(0.0))))
 # a phase of a subnormal imaginary part that underflows

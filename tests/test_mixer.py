@@ -525,11 +525,21 @@ class TestColdStart:
         assert "gausspair" in loaded
         assert "numpy" not in loaded
 
-    def test_classify_symmetric_leaves_numpy_unloaded(self):
+    @pytest.mark.parametrize("call, want", [
         # the scalar class reads its port mode's one-mode criteria
+        ("classify_symmetric(2.0, 1.4)", "separable"),
+        # and the scalar measures are float math, also where they admit or guard
+        ("round(symmetric_degree(2.0, 1.4, 1.0), 3)", "0.224"),
+        ("round(separable_distance(1.0), 3)", "1.393"),
+        ("bures_from_fidelity(0.25)", "1.0"),
+        ("compose_bures(1.0, 1.0)", "1.5"),
+        ("output_port_fidelity(gp.ModeParams(0.5), 0.0)", "1.0"),
+    ], ids=["classify_symmetric", "symmetric_degree", "separable_distance",
+            "bures_from_fidelity", "compose_bures", "output_port_fidelity"])
+    def test_scalar_calls_leave_numpy_unloaded(self, call, want):
         out, loaded = self._importtime(
-            "-c", "import gausspair as gp; print(gp.classify_symmetric(2.0, 1.4))")
-        assert out.split() == ["separable"]
+            "-c", f"import gausspair as gp; from gausspair import *; print({call})")
+        assert out.split() == [want]
         assert "gausspair" in loaded
         assert "numpy" not in loaded
 

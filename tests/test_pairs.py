@@ -194,6 +194,18 @@ def test_resolution_is_read_from_the_pairs(tmp_path, wins, ties, resolved):
     assert result.stdout.count(verdict) == len(METRICS)
 
 
+def test_fewer_than_ten_pairs_resolve_nothing(tmp_path):
+    # HEAD better in 5 of 5 pairs by a tenth, far beyond BASE's quartile
+    # spread of 2: at 5 pairs, a step between two exports looks like this
+    base = [100.0 + i for i in range(5)]
+    result = _pairs(tmp_path, _values(base, base),
+                    _values([0.9 * b for b in base], [1.1 * b for b in base]),
+                    "--workload", "sweep-surface", "--pairs", "5")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count("HEAD better in 5 of 5 pairs") == len(METRICS)
+    assert result.stdout.count(": unresolved") == len(METRICS)
+
+
 def test_a_resolved_loss_reads_resolved(tmp_path):
     base = [100.0 + i for i in range(10)]
     worse = [1.1 * b for b in base]

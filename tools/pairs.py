@@ -12,8 +12,10 @@ For each end-to-end metric of ``BENCHMARK.json`` it prints every pair's
 values, BASE's median and quartiles, HEAD's median, the pairs in which HEAD is
 better, the median gap in units of BASE's quartile spread (positive where
 HEAD is better), and whether the comparison resolves the change: it does
-when one side is better in at least 9 of 10 pairs, ties counting for
-neither, and the median gap in its favour exceeds BASE's quartile spread.
+when it ran at least 10 pairs, one side is better in at least 9 of 10 of
+them, ties counting for neither, and the median gap in its favour exceeds
+BASE's quartile spread.  Fewer pairs resolve nothing: at 5, a step of the
+workers' memory between two exports wins 5 of 5 and clears the spread.
 BASE equal to HEAD gives the run-to-run noise of one tree.
 
 With ``--json PATH`` the comparison is also recorded in PATH, a JSON object
@@ -100,8 +102,9 @@ def summary(metric: dict, pairs: list[tuple[float, float]]) -> dict:
     """One metric over the pairs (BASE value, HEAD value): BASE's median and
     quartiles, HEAD's median, the % change, HEAD's wins, the median gap in
     units of BASE's quartile spread (positive where HEAD is better), and
-    whether the pairs resolve the change: one side better in at least 9 of 10
-    pairs, ties counting for neither, with the gap in its favour above 1."""
+    whether the pairs resolve the change: at least 10 pairs, one side better
+    in at least 9 of 10 of them, ties counting for neither, with the gap in
+    its favour above 1."""
     # sign * (base - head) > 0 where HEAD is better
     sign = 1.0 if metric["better"] == "lower" else -1.0
     base = [b for b, _ in pairs]
@@ -117,8 +120,8 @@ def summary(metric: dict, pairs: list[tuple[float, float]]) -> dict:
     change = (head_median / base_median - 1.0) * 100.0 if base_median else math.nan
     wins = sum(sign * (b - h) > 0 for b, h in pairs)
     losses = sum(sign * (b - h) < 0 for b, h in pairs)
-    resolved = (10 * wins >= 9 * len(pairs) and scaled > 1.0
-                or 10 * losses >= 9 * len(pairs) and scaled < -1.0)
+    resolved = len(pairs) >= 10 and (10 * wins >= 9 * len(pairs) and scaled > 1.0
+                                     or 10 * losses >= 9 * len(pairs) and scaled < -1.0)
     return {
         "name": metric["name"], "unit": metric["unit"], "better": metric["better"],
         "base_median": base_median, "base_q1": q1, "base_q3": q3, "head_median": head_median,
