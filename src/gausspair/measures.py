@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 from .classicality import ModeParams
 from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, _number, is_separable
 from .errors import DegenerateStateError, NumericDomainError
-from .tmtss import _symmetric_point
+from .tmtss import _symmetric_points
 
 if TYPE_CHECKING:
     import numpy as np
@@ -110,6 +110,11 @@ def bures_from_fidelity(f: float) -> float:
         f = _number(f)
     if 1.0 < f <= 1.0 + 1e-12:
         f = 1.0
+    return _bures(f)
+
+
+def _bures(f: float) -> float:
+    # 2 - 2 sqrt(F) for a float fidelity, the one refusal of any outside (0, 1]
     if not 0.0 < f <= 1.0:
         raise NumericDomainError("fidelity must lie in (0, 1]")
     return 2.0 - 2.0 * math.sqrt(f)
@@ -128,7 +133,7 @@ def _symmetric_distance(n, m, big_n: float, big_m: float, a: float, b: float):
     # ** 0.5 serves floats without numpy and arrays as numpy's sqrt.  A scalar
     # det must be positive and finite, and so must a scalar distance, whose
     # small-r excess overflows (inf - inf) where det does not; arrays meet
-    # the same failures as numpy's, under symmetric_degree's float64 guard.
+    # the same failures as numpy's, under _symmetric_degrees's float64 guard.
     det = (n - m + a) * (n + m + b)
     scalar = not getattr(det, "ndim", 0)
     if scalar and not 0.0 < det < math.inf:
@@ -205,24 +210,30 @@ def symmetric_degree(n, m, r: float):
     The closed form of :func:`entanglement_degree` on that class: the state
     overlaps the phase-aligned reference as ``F = 1/((n+N)^2 - (m+M)^2)``.
     Takes floats or arrays (elementwise) of physical points; the caller
-    classifies them first.  A scalar point, numpy's included, is taken in
-    Python floats, admitted as :func:`~gausspair.tmtss.classify_symmetric`
-    admits it: a ``bool`` or a non-number is a ``TypeError``, a value that
-    is not finite, an int beyond float64 included, is "n and m must be
-    finite", and a negative ``m`` is a ``ValueError``.  Raises
-    :class:`DegenerateStateError` for ``r <= 0``, and
-    :class:`NumericDomainError` for a scalar point whose determinant
-    ``(n - m + a)(n + m + b)`` is not positive and finite, or whose distance
-    is not finite.  Arrays are held to the same contract: numpy's float64
-    failures raise :class:`NumericDomainError`, not a warning.
+    classifies them first.  A point, and every entry of an array, is admitted
+    as :func:`~gausspair.tmtss.classify_symmetric` admits a point: a ``bool``
+    or a non-number is a ``TypeError``, a value that is not finite, an int
+    beyond float64 included, is "n and m must be finite", and a negative
+    ``m`` is a ``ValueError``.  A point, numpy scalars and 0-d arrays
+    included, is taken in Python floats.  Raises :class:`DegenerateStateError`
+    for ``r <= 0``, and :class:`NumericDomainError` for a point whose
+    determinant ``(n - m + a)(n + m + b)`` is not positive and finite, or
+    whose distance is not finite.  Arrays are held to the same contract:
+    numpy's float64 failures raise :class:`NumericDomainError`, not a warning.
     """
-    d_sep, *terms = _reference_terms(r)
+    terms = _reference_terms(r)  # a bad r is refused before a bad point
+    return _symmetric_degrees(*_symmetric_points(n, m), terms)
+
+
+def _symmetric_degrees(n, m, terms):
+    # symmetric_degree of admitted points at the terms of _reference_terms: a
+    # point in Python floats, whose arithmetic meets the typed error without
+    # numpy's warning first, arrays elementwise under the float64 guard.
+    # sweep_grid calls it on its classified grid, which SweepConfig admitted.
+    d_sep, *terms = terms
     if getattr(n, "ndim", 0) or getattr(m, "ndim", 0):
         with _float64_errors():
             return 1.0 - _symmetric_distance(n, m, *terms) / d_sep
-    # a point: numpy scalars and 0-d arrays as Python floats, whose
-    # arithmetic meets the typed error without numpy's warning first
-    n, m = _symmetric_point(*(x.item() if hasattr(x, "item") else x for x in (n, m)))
     return 1.0 - _symmetric_distance(n, m, *terms) / d_sep
 
 
@@ -297,14 +308,15 @@ def _degree_terms(p: GaussianParams, r: float, tol: float) -> tuple[float, float
     # overlaps the pure reference sigma by at most 1.  As sigma >= a I,
     # V + sigma >= (1 - tol/a)(V + tol I + sigma), so where a > tol the
     # state's own fidelity is at most (a/(a - tol))^2, and up to that bound
-    # a fidelity past 1 is rounding, read as 1.
+    # a fidelity past 1 is rounding, read as 1.  Past it, or where a <= tol,
+    # _bures refuses it: bures_from_fidelity's fixed slack is not applied.
     d_sep, _, _, a, b = _reference_terms(r)  # typed errors for a bad r
     fid = _reference_overlap(p, a, b)
     if fid > 1.0:
         tol = _check_tol(tol)
         if a > tol and fid <= (a / (a - tol)) ** 2:
             fid = 1.0
-    bures = bures_from_fidelity(fid)
+    bures = _bures(fid)
     return fid, bures, 1.0 - bures / d_sep
 
 

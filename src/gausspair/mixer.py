@@ -21,10 +21,6 @@ from .covariance import DEFAULT_TOL, GaussianParams, _blocks, _check_tol, is_phy
 from .covariance import _finite_numbers
 from .errors import DegenerateStateError, NonPhysicalStateError, NumericDomainError
 
-# the kernel's angle terms at the 50:50 angle: 2.0 * (math.pi / 4) == math.pi / 2
-_S2T_5050, _C2T_5050 = math.sin(math.pi / 2), math.cos(math.pi / 2)
-
-
 @dataclass(frozen=True, init=False)
 class MixerConfig:
     """Mixing angle and arm phases, all in radians."""
@@ -59,6 +55,10 @@ class MixerConfig:
     def inverse(self) -> "MixerConfig":
         """Configuration whose matrix is the inverse of this one's."""
         return MixerConfig(theta=-self.theta, phi0=-self.phi0, phi1=self.phi1)
+
+
+# the kernel's angle terms sin and cos of 2 theta at the 50:50 angle
+_S2T_5050, _C2T_5050 = MixerConfig(math.pi / 4)._terms[2:4]
 
 
 @dataclass(frozen=True, eq=False)

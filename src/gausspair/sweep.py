@@ -69,8 +69,7 @@ class SweepConfig:
             raise ValueError("sweep grid is too large")
         if not (n_max > n_min and m_max > m_min):
             raise ValueError("grid maxima must exceed minima")
-        if m_min < 0.0:
-            raise ValueError("m must be nonnegative (phase removed)")
+        tmtss._symmetric_point(n_min, m_min)  # the grid's least m, by the point rule
         tol = _check_tol(tol)
         self.__dict__.update(r=r, n_min=n_min, n_max=n_max, n_steps=n_steps, m_min=m_min,
                              m_max=m_max, m_steps=m_steps, tol=tol)  # past the frozen __setattr__
@@ -103,8 +102,10 @@ def sweep_grid(cfg: SweepConfig) -> SweepResult:
     """Classify and score every grid point in one array pass.
 
     float64 failures raise :class:`~gausspair.errors.NumericDomainError`, not a
-    warning: the axes and :func:`~gausspair.measures.symmetric_degree` guard
-    their own arithmetic, and the classification between them cannot fail.
+    warning: the axes and the degree guard their own arithmetic, and the
+    classification between them cannot fail.  The points are scored by the
+    kernel of :func:`~gausspair.measures.symmetric_degree` without its
+    admission pass: :class:`SweepConfig` admitted the grid's bounds.
     """
     import numpy as np
     n, m = cfg.n_values(), cfg.m_values()
@@ -112,9 +113,9 @@ def sweep_grid(cfg: SweepConfig) -> SweepResult:
     physical = n[:, None] >= np.hypot(m, 0.5) - cfg.tol
     codes = np.add(physical, physical & (n[:, None] >= m + 0.5 - cfg.tol), dtype=np.uint8)
     degree = np.full(codes.shape, np.nan)
-    degree[physical] = measures.symmetric_degree(
+    degree[physical] = measures._symmetric_degrees(
         np.broadcast_to(n[:, None], codes.shape)[physical],
-        np.broadcast_to(m, codes.shape)[physical], cfg.r)
+        np.broadcast_to(m, codes.shape)[physical], measures._reference_terms(cfg.r))
     return SweepResult(n=n, m=m, codes=codes, degree=degree)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from .classicality import ModeParams, is_p_representable_mode, mode_is_physical
-from .covariance import DEFAULT_TOL, GaussianParams, _finite_numbers, is_physical
+from .covariance import DEFAULT_TOL, GaussianParams, _finite_numbers, _number, is_physical
 from .errors import DegenerateStateError, ModelValidityError, NumericDomainError
 
 StateClass = Literal["nonphysical", "entangled", "separable"]
@@ -96,10 +96,35 @@ SYMMETRIC_CLASSES: tuple[StateClass, ...] = ("nonphysical", "entangled", "separa
 
 
 def _symmetric_point(n, m) -> tuple[float, float]:
-    # the point rule of classify_symmetric and a scalar symmetric_degree
+    # The point rule of classify_symmetric, symmetric_degree and SweepConfig's
+    # least m: n and m admitted as the value types admit numbers, finite (an
+    # int beyond float64 is not) and m >= 0, as Python floats.
     n, m = _finite_numbers("n and m", (float, float), n, m)
     if m < 0.0:
         raise ValueError("m must be nonnegative (phase removed)")
+    return n, m
+
+
+def _symmetric_points(n, m):
+    # symmetric_degree's points by _symmetric_point's rule: a point, numpy
+    # scalars and 0-d arrays by their items, as Python floats, and arrays, with
+    # a number beside one, entry by entry.  An int or float operand comes back
+    # as it is, so numpy computes in its dtype; any other is read entry by
+    # entry by _number into float64, which refuses all but an object array of
+    # real numbers.  The rule meets, of n and of m, the first entry that is
+    # not finite, else the least.
+    if not (getattr(n, "ndim", 0) or getattr(m, "ndim", 0)):
+        return _symmetric_point(*(x.item() if hasattr(x, "item") else x for x in (n, m)))
+    import numpy as np
+    n, m = (x if np.asarray(x).dtype.kind in "iuf" else np.reshape(
+        [_number(v) for v in np.ravel(x).tolist()], np.shape(x)) for x in (n, m))
+
+    def decisive(x):
+        x = np.asarray(x)
+        bad = np.flatnonzero(~np.isfinite(x))
+        return x.flat[bad[0]] if bad.size else np.min(x, initial=0.0)
+
+    _symmetric_point(decisive(n), decisive(m))
     return n, m
 
 

@@ -8,7 +8,7 @@ subnormals (also as imaginary parts), values up to 1.8e308 and the
 non-finite ones.  The value types a function takes are built from finite
 inputs, since their constructors are called with the raw ones on their own.
 ``symmetric_degree`` is called on scalar points and on 1-element arrays of
-finite numbers, which are held to the same contract.
+the same numbers, which are held to the same contract.
 """
 
 import cmath
@@ -80,7 +80,7 @@ def physical_params(draw):
 PARAMS = _either(st.builds(GaussianParams, FINITE, FINITE, COMPLEX, COMPLEX, COMPLEX, COMPLEX),
                  physical_params())
 MODES = st.builds(ModeParams, FINITE, COMPLEX)
-POINTS = FINITE.map(lambda x: np.array([x]))  # a symmetric_degree array of one point
+POINTS = NUMBERS.map(lambda x: np.array([x]))  # a symmetric_degree array of one point
 MIXERS = st.builds(MixerConfig, FINITE, FINITE, FINITE)
 MODELS = st.builds(lambda d, r, nbar: TmtssInputs(abs(d), r, abs(nbar)), FINITE, FINITE, FINITE)
 def _blocks(entries):

@@ -434,6 +434,22 @@ class TestFidelitySlack:
         with pytest.raises(NumericDomainError, match=r"^fidelity must lie in \(0, 1\]$"):
             measures._degree_terms(p, r, 1e-12)
 
+    @pytest.mark.parametrize("tol", [1e-15, 1e-9])
+    def test_no_fidelity_past_1_is_reported(self, monkeypatch, tol):
+        # an overlap of 1 + 5e-13 lies within bures_from_fidelity's fixed 1e-12
+        # slack; at r = 1 the bound (a/(a - tol))^2 is 1 + 3.0e-14 at tol = 1e-15
+        # and 1 + 3.0e-8 at tol = 1e-9
+        monkeypatch.setattr(measures, "_reference_overlap", lambda p, a, b: 1.0 + 5e-13)
+        p = GaussianParams(n1=2.0, n2=2.0, m_c=0.5)
+        for call in (lambda: entanglement_degree(p, 1.0, tol).fidelity,
+                     lambda: cli.run_check(p, 1.0, tol)["fidelity"]):
+            if tol < 1e-14:
+                with pytest.raises(NumericDomainError, match=r"^fidelity must lie in \(0, 1\]$"):
+                    call()
+            else:
+                assert call() == 1.0
+        assert bures_from_fidelity(1.0 + 5e-13) == 0.0
+
     def test_no_bound_where_a_is_within_tol(self):
         # at r = 4, a = e^-8/2 = 1.7e-4 <= tol = 1e-3: F = 1.05 stays an error
         p = _twin_beam_below(4.0, 1.7e-5)
@@ -621,8 +637,36 @@ class TestSymmetricDegree:
     def test_scalar_points_are_admitted_as_classify_symmetric_admits_them(self, n, m, error):
         with pytest.raises(error) as caught:
             classify_symmetric(n, m)
-        with pytest.raises(error, match=f"^{re.escape(str(caught.value))}$"):
+        for point in ((n, m), (np.array([n]), np.array([m]))):  # and as one-element arrays
+            with pytest.raises(error, match=f"^{re.escape(str(caught.value))}$"):
+                symmetric_degree(*point, 1.0)
+
+    @pytest.mark.parametrize("n, m, message", [
+        (np.array([2.0, math.nan]), np.array([0.5, 0.5]), "n and m must be finite"),
+        (np.array([2.0, 3.0]), np.array([0.5, -1e-300]), "m must be nonnegative (phase removed)"),
+        (np.array([2.0, 3.0]), np.array([0.5, True], dtype=object), "expected a number, got bool"),
+        (np.array([2, 3]), np.array([0.5, 10**400], dtype=object), "n and m must be finite"),
+        # a number beside an array
+        (np.array([2.0, 3.0]), -0.5, "m must be nonnegative (phase removed)"),
+        (np.array([2.0, 3.0]), 10**400, "n and m must be finite"),
+        (np.array([2.0, 3.0]), "0.5", "expected a number, got str"),
+    ], ids=["nan", "negative", "object-bool", "object-huge", "number-negative", "number-huge",
+            "number-str"])
+    def test_every_array_entry_is_admitted(self, n, m, message):
+        with pytest.raises((TypeError, ValueError), match=f"^{re.escape(message)}$"):
             symmetric_degree(n, m, 1.0)
+
+    def test_admitted_arrays_are_scored_as_they_are(self):
+        # int, float32 and float64 arrays keep their dtype, an object array of
+        # floats is scored as float64, and an empty array scores empty
+        n, m = np.array([2.0, 3.0]), np.array([0.5, 1.0])
+        want = measures._symmetric_degrees(n, m, measures._reference_terms(1.0))
+        assert symmetric_degree(n, m, 1.0).tobytes() == want.tobytes()
+        assert symmetric_degree(n.astype(object), m, 1.0).tobytes() == want.tobytes()
+        assert symmetric_degree(np.array([2, 3]), m, 1.0).tobytes() == want.tobytes()
+        single = symmetric_degree(n.astype(np.float32), m.astype(np.float32), 1.0)
+        assert single.dtype == np.float32
+        assert symmetric_degree(np.array([]), np.array([]), 1.0).size == 0
 
 
 @st.composite

@@ -20,6 +20,7 @@ from gausspair import (
     classify_symmetric,
     cli,
     entanglement_degree,
+    measures,
     sweep,
     symmetric_degree,
     tmtss,
@@ -178,6 +179,23 @@ def test_scalar_and_array_forms_agree():
     m = 0.5 * np.sqrt(n * n - 0.25)
     array = symmetric_degree(n, m, 0.7)
     assert [symmetric_degree(a, b, 0.7) for a, b in zip(n.tolist(), m.tolist())] == array.tolist()
+
+
+def test_grid_is_scored_without_a_second_admission(monkeypatch):
+    # SweepConfig admitted the grid's bounds, so sweep_grid scores its
+    # classified points by symmetric_degree's kernel, with no pass that admits
+    # them again, and to the same bits
+    def admit(n, m):
+        raise AssertionError("sweep_grid admitted its points again")
+
+    cfg = sweep.SweepConfig(n_steps=7, m_steps=5)
+    with monkeypatch.context() as patch:
+        patch.setattr(measures, "_symmetric_points", admit)
+        result = sweep.sweep_grid(cfg)
+    physical = result.codes != 0
+    n, m = np.meshgrid(result.n, result.m, indexing="ij")
+    want = symmetric_degree(n[physical], m[physical], cfg.r)
+    assert result.degree[physical].tobytes() == want.tobytes()
 
 
 class TestColumns:
@@ -550,12 +568,13 @@ class TestValidation:
 
     def test_negative_m_is_a_cli_error(self, capsys):
         # the kernel's bounds hold for m >= 0 only (the phase is removed)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^m must be nonnegative \(phase removed\)$"):
             sweep.SweepConfig(m_min=-0.5)
         assert cli.main(["sweep", "--m-min", "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert json.loads(captured.err)["error"] == "ValueError"
+        assert json.loads(captured.err) == {
+            "error": "ValueError", "message": "m must be nonnegative (phase removed)"}
 
     def test_nan_tol_is_a_cli_error(self, capsys):
         assert cli.main(["sweep", "--tol", "nan"]) == 2
