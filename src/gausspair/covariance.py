@@ -49,19 +49,23 @@ def _check_tol(tol) -> float:
     # types' rule (a bool, a string or an array is a TypeError), then positive
     # and finite, since a NaN makes each bound comparison False and would flip
     # verdicts without an error
-    if type(tol) is not float:
-        tol = _number(tol)
+    tol = _number(tol)
     if not 0.0 < tol <= sys.float_info.max:
         raise ValueError("tol must be positive and finite")
     return tol
 
 
 def _number(value, kind=float):
-    # The value types' type rule, numbers only (float() reads "1.5" and
-    # True), then kind(value), finite or not, an int beyond float64 read as NaN
+    # The value types' type rule: a Real for a float, a Complex for a complex,
+    # never a bool (float() reads "1.5" and True, and numpy's complex drops its
+    # imaginary part), then kind(value), finite or not, an int beyond float64
+    # read as NaN.  numpy's str_, bytes_ and bool_ are named as Python's types.
+    if type(value) is kind:  # an exact float or complex: the ABC check costs ~0.3 us
+        return value
     import numbers
-    if isinstance(value, bool) or not isinstance(value, numbers.Number):
-        raise TypeError(f"expected a number, got {type(value).__name__}")
+    abc = numbers.Real if kind is float else numbers.Complex
+    if isinstance(value, bool) or not isinstance(value, abc):
+        raise TypeError(f"expected a number, got {type(value).__name__.rstrip('_')}")
     try:
         return kind(value)
     except OverflowError:  # an int beyond float64

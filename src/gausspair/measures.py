@@ -105,9 +105,8 @@ def output_port_fidelity(md: ModeParams, r: float) -> float:
 
 def bures_from_fidelity(f: float) -> float:
     """Bures distance ``2 - 2 sqrt(F)`` for a fidelity in (0, 1]; a ``bool``
-    or a non-number is a ``TypeError``."""
-    if type(f) is not float:
-        f = _number(f)
+    or anything but a real number is a ``TypeError``."""
+    f = _number(f)
     if 1.0 < f <= 1.0 + 1e-12:
         f = 1.0
     return _bures(f)
@@ -212,14 +211,16 @@ def symmetric_degree(n, m, r: float):
     Takes floats or arrays (elementwise) of physical points; the caller
     classifies them first.  A point, and every entry of an array, is admitted
     as :func:`~gausspair.tmtss.classify_symmetric` admits a point: a ``bool``
-    or a non-number is a ``TypeError``, a value that is not finite, an int
-    beyond float64 included, is "n and m must be finite", and a negative
-    ``m`` is a ``ValueError``.  A point, numpy scalars and 0-d arrays
-    included, is taken in Python floats.  Raises :class:`DegenerateStateError`
-    for ``r <= 0``, and :class:`NumericDomainError` for a point whose
-    determinant ``(n - m + a)(n + m + b)`` is not positive and finite, or
-    whose distance is not finite.  Arrays are held to the same contract:
-    numpy's float64 failures raise :class:`NumericDomainError`, not a warning.
+    or anything but a real number is a ``TypeError``, a value that is not
+    finite, an int beyond float64 included, is "n and m must be finite", and
+    a negative ``m`` is a ``ValueError``.  A point, numpy scalars and 0-d
+    arrays included, is taken in Python floats, an int or float array that
+    float64 holds in its dtype, any other array in float64.  Raises
+    :class:`DegenerateStateError` for ``r <= 0``, and
+    :class:`NumericDomainError` for a point whose determinant
+    ``(n - m + a)(n + m + b)`` is not positive and finite, or whose distance
+    is not finite.  Arrays are held to the same contract: numpy's float64
+    failures raise :class:`NumericDomainError`, not a warning.
     """
     terms = _reference_terms(r)  # a bad r is refused before a bad point
     return _symmetric_degrees(*_symmetric_points(n, m), terms)
@@ -243,8 +244,8 @@ def compose_bures(d1: float, d2: float) -> float:
     ``d1 + d2 - d1*d2/2``, the image of fidelity multiplication under
     ``d = 2 - 2 sqrt(F)``; with one distance zero (an untouched port) the
     other passes through unchanged.  A distance outside [0, 2], NaN
-    included, is a :class:`NumericDomainError`; a ``bool`` or a non-number
-    is a ``TypeError``.
+    included, is a :class:`NumericDomainError`; a ``bool`` or anything but a
+    real number is a ``TypeError``.
     """
     d1, d2 = _number(d1), _number(d2)
     if not (0.0 <= d1 <= 2.0 and 0.0 <= d2 <= 2.0):

@@ -107,24 +107,18 @@ def _symmetric_point(n, m) -> tuple[float, float]:
 
 def _symmetric_points(n, m):
     # symmetric_degree's points by _symmetric_point's rule: a point, numpy
-    # scalars and 0-d arrays by their items, as Python floats, and arrays, with
-    # a number beside one, entry by entry.  An int or float operand comes back
-    # as it is, so numpy computes in its dtype; any other is read entry by
-    # entry by _number into float64, which refuses all but an object array of
-    # real numbers.  The rule meets, of n and of m, the first entry that is
-    # not finite, else the least.
+    # scalars and 0-d arrays by their entries, as Python floats, and arrays,
+    # with a number beside one, entry by entry.  An int or float operand that
+    # float64 holds comes back as it is, so numpy computes in its dtype; any
+    # other is read entry by entry by _number into float64.  The rule meets,
+    # of n and of m, NaN where an entry is not finite, else the least entry.
     if not (getattr(n, "ndim", 0) or getattr(m, "ndim", 0)):
-        return _symmetric_point(*(x.item() if hasattr(x, "item") else x for x in (n, m)))
+        return _symmetric_point(*(x[()] if hasattr(x, "ndim") else x for x in (n, m)))
     import numpy as np
-    n, m = (x if np.asarray(x).dtype.kind in "iuf" else np.reshape(
-        [_number(v) for v in np.ravel(x).tolist()], np.shape(x)) for x in (n, m))
-
-    def decisive(x):
-        x = np.asarray(x)
-        bad = np.flatnonzero(~np.isfinite(x))
-        return x.flat[bad[0]] if bad.size else np.min(x, initial=0.0)
-
-    _symmetric_point(decisive(n), decisive(m))
+    n, m = (x if (a := np.asarray(x)).dtype.kind in "iuf" and a.itemsize <= 8 else
+            np.reshape([_number(v) for v in a.ravel()], a.shape) for x in (n, m))
+    _symmetric_point(*(np.min(x, initial=0.0) if np.isfinite(x).all() else math.nan
+                       for x in (n, m)))
     return n, m
 
 
@@ -136,8 +130,8 @@ def classify_symmetric(n: float, m: float, tol: float = DEFAULT_TOL) -> StateCla
     the class of that mode by :func:`~gausspair.classicality.mode_is_physical`
     and :func:`~gausspair.classicality.is_p_representable_mode`; boundary
     points classify on the accepting side.  Raises TypeError for a ``bool``
-    or a non-number, and ValueError for a non-finite ``n`` or ``m`` and a
-    negative ``m``.
+    or anything but a real number, and ValueError for a non-finite ``n`` or
+    ``m`` and a negative ``m``.
     """
     n, m = _symmetric_point(n, m)
     port = ModeParams(n, complex(m))

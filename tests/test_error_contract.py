@@ -5,8 +5,10 @@ Each call returns a finite result, or raises ``TypeError`` or ``ValueError``
 subclasses), and no warning escapes.  Inputs mix Python floats and ints,
 numpy ``float64`` and ``float32`` scalars, 0-d arrays, signed zeros,
 subnormals (also as imaginary parts), values up to 1.8e308 and the
-non-finite ones.  The value types a function takes are built from finite
-inputs, since their constructors are called with the raw ones on their own.
+non-finite ones, and numpy ``complex64`` and ``complex128`` scalars and
+arrays and a ``longdouble`` past float64, in float parameters too.  The
+value types a function takes are built from finite inputs, since their
+constructors are called with the raw ones on their own.
 ``symmetric_degree`` is called on scalar points and on 1-element arrays of
 the same numbers, which are held to the same contract.
 """
@@ -54,11 +56,15 @@ def _either(common, other):
 
 
 # any argument a scalar parameter may meet: the finite numbers, or the
-# non-finite ones, ints beyond float64 and 0-d arrays
+# non-finite ones, ints and a longdouble beyond float64, 0-d arrays and numpy
+# complex scalars, which a float parameter must refuse, not read as real
 NUMBERS = _either(FINITE, st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan), np.float32(math.inf),
-                     10**400, -10**400]),
+                     10**400, -10**400, np.longdouble("1e400")]),
     FLOATS.map(np.array),
+    st.complex_numbers(width=64, allow_nan=False, allow_infinity=False).map(np.complex64),
+    st.builds(complex, FLOATS, FLOATS).map(np.complex128),
+    st.builds(complex, FLOATS, FLOATS).map(np.array),
 ))
 # tol and r as they are mostly passed, or any number
 TOLS = _either(st.just(DEFAULT_TOL), NUMBERS)
@@ -234,6 +240,10 @@ def test_finite_result_or_typed_error(name, data):
 @example(call=("symmetric_degree", (0.0, 10**400, 1.0)))
 # a separable array point whose determinant overflows
 @example(call=("symmetric_degree", (np.array([1e200]), np.array([1e199]), 1.0)))
+# numpy complex scalars in float fields, which numpy's __float__ read without
+# their imaginary part
+@example(call=("classify_symmetric", (np.complex128(2 + 0.5j), 0.5)))
+@example(call=("GaussianParams", (np.complex128(2 + 0.5j), 2.0)))
 # a numpy tol that the Schur terms' powers overflow with
 @example(call=("schur_terms", (GaussianParams(1e200, 1.0), np.float64(0.0))))
 # a phase of a subnormal imaginary part that underflows

@@ -2,6 +2,7 @@ import cmath
 import math
 import re
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -38,6 +39,10 @@ from conftest import draw_physical, draw_symmetric_physical, reference_states
 # oracles before being frozen here
 F_SEP_R1 = 0.092033681304735
 DB_SEP_R1 = 1.3932589306640435
+# a longdouble past float64, where the platform's longdouble is wider than float64
+LONG_HUGE = np.longdouble("1e400")
+WIDE_LONGDOUBLE = pytest.mark.skipif(np.finfo(np.longdouble).max == np.finfo(np.float64).max,
+                                     reason="longdouble is float64 here")
 ANCHOR_F = 0.3995827299880586
 ANCHOR_DB = 0.7357488699027259
 ANCHOR_E = 0.4719223729992103
@@ -169,7 +174,7 @@ class TestBures:
         with pytest.raises(NumericDomainError, match=r"^fidelity must lie in \(0, 1\]$"):
             bures_from_fidelity(math.nextafter(1.0 + 1e-12, 2.0))
 
-    @pytest.mark.parametrize("bad", ["0.5", True, False, np.True_, None])
+    @pytest.mark.parametrize("bad", ["0.5", True, False, np.True_, None, Decimal("0.5")])
     def test_strings_and_bools_are_refused(self, bad):
         # float() reads "0.5" and True as fidelities
         with pytest.raises(TypeError, match="expected a number"):
@@ -202,7 +207,7 @@ class TestComposeBures:
         with pytest.raises(NumericDomainError, match=r"must lie in \[0, 2\]"):
             compose_bures(*args)
 
-    @pytest.mark.parametrize("bad", ["0.5", True, False, np.True_, None])
+    @pytest.mark.parametrize("bad", ["0.5", True, False, np.True_, None, Decimal("0.5")])
     def test_strings_and_bools_are_refused(self, bad):
         for args in ((bad, 0.0), (0.0, bad)):
             with pytest.raises(TypeError, match="expected a number"):
@@ -633,6 +638,9 @@ class TestSymmetricDegree:
     @pytest.mark.parametrize("n, m, error", [
         (0.0, 10**400, ValueError), (math.nan, 1.0, ValueError), (1.0, math.inf, ValueError),
         (1.0, -0.5, ValueError), (True, 0.0, TypeError), (np.True_, 0.0, TypeError), ("1.0", 0.0, TypeError),
+        (np.complex128(2 + 0.5j), 0.5, TypeError),
+        pytest.param(LONG_HUGE, 0.5, ValueError, marks=WIDE_LONGDOUBLE),
+        pytest.param(2.0, LONG_HUGE, ValueError, marks=WIDE_LONGDOUBLE),
     ])
     def test_scalar_points_are_admitted_as_classify_symmetric_admits_them(self, n, m, error):
         with pytest.raises(error) as caught:
@@ -650,8 +658,11 @@ class TestSymmetricDegree:
         (np.array([2.0, 3.0]), -0.5, "m must be nonnegative (phase removed)"),
         (np.array([2.0, 3.0]), 10**400, "n and m must be finite"),
         (np.array([2.0, 3.0]), "0.5", "expected a number, got str"),
+        (np.array([2.0, 3.0]), np.array([0.5, np.complex128(0.5 + 1j)], dtype=object),
+         "expected a number, got complex128"),
+        (np.array([2.0, 3.0]), np.array([0.5, 0.5 + 1j]), "expected a number, got complex128"),
     ], ids=["nan", "negative", "object-bool", "object-huge", "number-negative", "number-huge",
-            "number-str"])
+            "number-str", "object-complex", "complex"])
     def test_every_array_entry_is_admitted(self, n, m, message):
         with pytest.raises((TypeError, ValueError), match=f"^{re.escape(message)}$"):
             symmetric_degree(n, m, 1.0)

@@ -1,13 +1,15 @@
 """The contract of the converting value types.
 
 ``GaussianParams``, ``ModeParams``, ``MixerConfig``, ``TmtssInputs`` and
-``SweepConfig`` admit their fields through one rule: numbers only (a string
-or a bool is a ``TypeError``), each converted to ``float`` or ``complex``, a
-non-finite one rejected with one message per type.  They are frozen
-dataclasses: equality, hashing, ``repr``, ``dataclasses.replace``/``fields``,
-pickling and copying all work on the converted fields.  ``SweepConfig``'s
-int fields, the grid steps, are held at their defaults here.  Each type's
-field defaults, which the CLI's flags take, are its constructor's.
+``SweepConfig`` admit their fields through one rule: real numbers for a
+float field and complex ones for a complex field (a string, a bool, a
+``Decimal`` or a complex in a float field is a ``TypeError``), each converted
+to ``float`` or ``complex``, a non-finite one rejected with one message per
+type.  They are frozen dataclasses: equality, hashing, ``repr``,
+``dataclasses.replace``/``fields``, pickling and copying all work on the
+converted fields.  ``SweepConfig``'s int fields, the grid steps, are held
+at their defaults here.  Each type's field defaults, which the CLI's flags
+take, are its constructor's.
 """
 
 import copy
@@ -15,6 +17,7 @@ import dataclasses
 import inspect
 import math
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -180,8 +183,9 @@ class TestValueTypeContract:
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=repr)
-@pytest.mark.parametrize("bad", ["1.5", "1+2j", b"1", True, False, np.True_],
-                         ids=["str", "complex-str", "bytes", "True", "False", "numpy-bool"])
+@pytest.mark.parametrize("bad", ["1.5", "1+2j", b"1", True, False, np.True_, Decimal("1.5")],
+                         ids=["str", "complex-str", "bytes", "True", "False", "numpy-bool",
+                              "Decimal"])
 def test_strings_and_bools_are_refused(spec, bad):
     # float() and complex() read these; the value types take numbers only
     base = spec.base
@@ -193,6 +197,21 @@ def test_strings_and_bools_are_refused(spec, bad):
             spec.cls(**{**dict(zip(spec.names, base)), name: bad})
         with pytest.raises(TypeError, match="expected a number"):
             dataclasses.replace(obj, **{name: bad})
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=repr)
+@pytest.mark.parametrize("bad", [2 + 0.5j, np.complex128(2 + 0.5j), np.complex64(2 + 0.5j),
+                                 np.clongdouble(2 + 0.5j)],
+                         ids=["complex", "complex128", "complex64", "clongdouble"])
+def test_complex_numbers_are_refused_in_float_fields(spec, bad):
+    # float() drops a numpy complex's imaginary part with a warning, and
+    # refuses a Python complex with its own message
+    base = spec.base
+    for i, kind in enumerate(spec.kinds):
+        if kind is float:
+            with pytest.raises(TypeError) as info:
+                spec.cls(*spec.args(base[:i] + [bad] + base[i + 1:]))
+            assert str(info.value) == f"expected a number, got {type(bad).__name__}"
 
 
 @pytest.mark.parametrize("cls", [spec.cls for spec in SPECS], ids=lambda cls: cls.__name__)
