@@ -49,7 +49,7 @@ def _check_tol(tol) -> float:
     # types' rule (a bool, a string or an array is a TypeError), then positive
     # and finite, since a NaN makes each bound comparison False and would flip
     # verdicts without an error
-    tol = _number(tol)
+    tol = tol if type(tol) is float else _number(tol)  # no call on the hot path
     if not 0.0 < tol <= sys.float_info.max:
         raise ValueError("tol must be positive and finite")
     return tol
