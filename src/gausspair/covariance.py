@@ -72,6 +72,18 @@ def _number(value, kind=float):
         return kind(math.nan)
 
 
+def _number_array(value, kind=float):
+    # The array form of _number, the one reader of an admitted array: one that
+    # float64 (complex128 for a complex kind) holds whole, bool aside, is cast
+    # at once, a float64 one uncopied; any other is read entry by entry by
+    # _number, so an object, bool, string, complex or longdouble array keeps
+    # its message and its rounding.
+    import numpy as np
+    if (a := np.asarray(value)).dtype.kind != "b" and np.can_cast(a.dtype, kind):
+        return a.astype(kind, copy=False)
+    return np.array([_number(v, kind) for v in a.flat], dtype=kind).reshape(a.shape)
+
+
 def _finite_numbers(what: str, kinds: tuple, *values) -> tuple:
     # The admission rule of every value type: each value by _number to its kind
     # (float or complex), and finite, an int beyond float64 included

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING
 
 from .classicality import ModeParams
 from .covariance import DEFAULT_TOL, GaussianParams, _check_tol, _number, is_separable
+from .covariance import _number_array
 from .errors import DegenerateStateError, NumericDomainError
 from .tmtss import _symmetric_points
 
@@ -61,12 +62,13 @@ def trace_overlap(va: np.ndarray, vb: np.ndarray) -> float:
     Returns ``1/sqrt(det(va + vb))`` in this covariance convention.  Equals
     the Uhlmann fidelity only when at least one of the states is pure, which
     is the caller's contract.  Works for one-mode (2x2) and two-mode (4x4)
-    matrices of equal size.  Raises :class:`NumericDomainError`, without a
-    numpy warning, where the determinant overflows float64.
+    matrices of equal size, admitted as complex fields are (a ``bool`` or a
+    string is a ``TypeError``) and read in complex128.  Raises
+    :class:`NumericDomainError`, without a numpy warning, where the
+    determinant overflows float64.
     """
     import numpy as np
-    va = np.asarray(va, dtype=complex)
-    vb = np.asarray(vb, dtype=complex)
+    va, vb = _number_array(va, complex), _number_array(vb, complex)
     if va.shape != vb.shape or va.shape not in {(2, 2), (4, 4)}:
         raise ValueError("need two covariance matrices of equal shape (2x2 or 4x4)")
     with _float64_errors("overlap determinant is not finite in float64"):
@@ -214,9 +216,8 @@ def symmetric_degree(n, m, r: float):
     or anything but a real number is a ``TypeError``, a value that is not
     finite, an int beyond float64 included, is "n and m must be finite", and
     a negative ``m`` is a ``ValueError``.  A point, numpy scalars and 0-d
-    arrays included, is taken in Python floats, an int or float array that
-    float64 holds in its dtype, any other array in float64.  Raises
-    :class:`DegenerateStateError` for ``r <= 0``, and
+    arrays included, is taken in Python floats, and every array in float64.
+    Raises :class:`DegenerateStateError` for ``r <= 0``, and
     :class:`NumericDomainError` for a point whose determinant
     ``(n - m + a)(n + m + b)`` is not positive and finite, or whose distance
     is not finite.  Arrays are held to the same contract: numpy's float64

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from .classicality import ModeParams, is_p_representable_mode, mode_is_physical
-from .covariance import DEFAULT_TOL, GaussianParams, _finite_numbers, _number, is_physical
+from .covariance import DEFAULT_TOL, GaussianParams, _finite_numbers, _number_array, is_physical
 from .errors import DegenerateStateError, ModelValidityError, NumericDomainError
 
 StateClass = Literal["nonphysical", "entangled", "separable"]
@@ -108,16 +108,13 @@ def _symmetric_point(n, m) -> tuple[float, float]:
 def _symmetric_points(n, m):
     # symmetric_degree's points by _symmetric_point's rule: a point, numpy
     # scalars and 0-d arrays by their entries, as Python floats, and arrays,
-    # with a number beside one, entry by entry.  An int or float operand that
-    # float64 holds comes back as it is, so numpy computes in its dtype; any
-    # other is read entry by entry by _number into float64.  The rule meets,
-    # of n and of m, NaN where an entry is not finite, else the least entry.
+    # with a number beside one, as _number_array reads them, in float64.  The
+    # rule meets, of n and of m, NaN where an entry is not finite, else the
+    # least entry.
     if not (getattr(n, "ndim", 0) or getattr(m, "ndim", 0)):
         return _symmetric_point(*(x[()] if hasattr(x, "ndim") else x for x in (n, m)))
-    import numpy as np
-    n, m = (x if (a := np.asarray(x)).dtype.kind in "iuf" and a.itemsize <= 8 else
-            np.reshape([_number(v) for v in a.ravel()], a.shape) for x in (n, m))
-    _symmetric_point(*(np.min(x, initial=0.0) if np.isfinite(x).all() else math.nan
+    n, m = _number_array(n), _number_array(m)
+    _symmetric_point(*(x.min(initial=0.0) if math.isfinite(x.max(initial=0.0)) else math.nan
                        for x in (n, m)))
     return n, m
 

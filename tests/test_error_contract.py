@@ -10,7 +10,11 @@ arrays and a ``longdouble`` past float64, in float parameters too.  The
 value types a function takes are built from finite inputs, since their
 constructors are called with the raw ones on their own.
 ``symmetric_degree`` is called on scalar points and on 1-element arrays of
-the same numbers, which are held to the same contract.
+the same numbers, which are held to the same contract, and on 1-element
+``int8``, ``uint8``, ``int16``, ``uint16``, ``float16`` and ``float32``
+arrays, each with the outcome of the ``float64`` array of its values.
+``trace_overlap`` is called on complex matrices, and on bool and string
+matrices, which are a ``TypeError``.
 """
 
 import cmath
@@ -22,6 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import gausspair
 from gausspair import (
@@ -96,11 +101,23 @@ def _blocks(entries):
 
 BLOCKS = st.one_of(_blocks(st.one_of(COMPLEX, NUMBERS)),
                    st.builds(lambda p: build_covariance(p)[:2, :2], PARAMS))
+COMPLEX_MATRICES = _blocks(COMPLEX).map(lambda b: np.asarray(b, dtype=complex))
+# a bool or a string matrix beside a complex one, in either order: refused by
+# the type rule, where a cast to complex read True as 1 and "0.5" as 0.5
+NON_NUMERIC_MATRICES = st.tuples(
+    st.one_of(_blocks(st.booleans()).map(np.array), _blocks(FLOATS.map(str)).map(np.array)),
+    COMPLEX_MATRICES,
+).flatmap(lambda pair: st.sampled_from([pair, pair[::-1]]))
 MATRICES = st.one_of(
     st.tuples(PARAMS, PARAMS).map(lambda ps: tuple(map(build_covariance, ps))),
-    st.tuples(_blocks(COMPLEX), _blocks(COMPLEX)).map(
-        lambda bs: tuple(np.asarray(b, dtype=complex) for b in bs)),
+    st.tuples(COMPLEX_MATRICES, COMPLEX_MATRICES),
+    NON_NUMERIC_MATRICES,
 )
+# symmetric_degree's points as 1-element arrays of one narrower dtype, any
+# value it holds, at any r
+NARROW_POINTS = st.sampled_from([np.int8, np.uint8, np.int16, np.uint16, np.float16,
+                                 np.float32]).flatmap(
+    lambda dtype: st.tuples(hnp.arrays(dtype, 1), hnp.arrays(dtype, 1), RS))
 
 
 def _sorted_pair(lo, hi):
@@ -218,6 +235,33 @@ def _check(name, args):
 @given(data=st.data())
 def test_finite_result_or_typed_error(name, data):
     _check(name, data.draw(CALLS[name][1], label="args"))
+
+
+def _outcome(function, *args):
+    # the bytes of the result, or the type and message of the error raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return function(*args).tobytes()
+        except (TypeError, ValueError) as err:
+            return type(err), str(err)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(point=NARROW_POINTS)
+# n + m wrapped to 44 in uint8
+@example(point=(np.array([200], np.uint8), np.array([100], np.uint8), 1.0))
+def test_narrow_arrays_have_the_outcome_of_float64(point):
+    n, m, r = point
+    want = _outcome(gausspair.symmetric_degree, n.astype(float), m.astype(float), r)
+    assert _outcome(gausspair.symmetric_degree, n, m, r) == want
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(pair=NON_NUMERIC_MATRICES)
+def test_non_numeric_matrices_are_type_errors(pair):
+    with pytest.raises(TypeError, match="^expected a number, got (bool|str)$"):
+        gausspair.trace_overlap(*pair)
 
 
 # only these examples run: inputs that once escaped the contract, in regions

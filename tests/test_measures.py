@@ -30,7 +30,7 @@ from gausspair import (
     symmetric_degree,
     trace_overlap,
 )
-from gausspair import cli, measures, oracle
+from gausspair import cli, covariance, measures, oracle
 from gausspair.oracle import mode_covariance, transform_full
 
 from conftest import draw_physical, draw_symmetric_physical, reference_states
@@ -101,6 +101,28 @@ class TestTraceOverlap:
         bad = np.diag([-1.0, 1.0, 1.0, 1.0]).astype(complex)
         with pytest.raises(NumericDomainError):
             trace_overlap(bad, np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("va, name", [
+        ([["0.5", "0"], ["0", "0.5"]], "str"),
+        (np.eye(2, dtype=bool), "bool"),
+        (np.array([[0.5, True], [0, 0.5]], dtype=object), "bool"),
+    ], ids=["str", "bool", "object-bool"])
+    def test_matrices_follow_the_type_rule(self, va, name):
+        # read as complex, a string matrix was its numbers and a bool one 0 and 1
+        for pair in ((va, 0.5 * np.eye(2)), (0.5 * np.eye(2), va)):
+            with pytest.raises(TypeError, match=f"^expected a number, got {name}$"):
+                trace_overlap(*pair)
+
+    @pytest.mark.parametrize("va", [
+        np.array([[1, 0.25], [0.25, 1.5]], dtype=object),
+        [[1.0, 0.25], [0.25, 1.5]],
+        np.array([[1, 0.25], [0.25, 1.5]], dtype=np.longdouble),
+        np.array([[1, 0.25j], [-0.25j, 1.5]], dtype=np.clongdouble),
+    ], ids=["object", "list", "longdouble", "clongdouble"])
+    def test_numeric_matrices_are_scored_in_complex128(self, va):
+        vb = 0.5 * np.eye(2)
+        want = trace_overlap(np.array(va, dtype=complex), vb)
+        assert trace_overlap(va, vb) == want == trace_overlap(vb, va)
 
 
 class TestOutputPortFidelity:
@@ -668,15 +690,32 @@ class TestSymmetricDegree:
             symmetric_degree(n, m, 1.0)
 
     def test_admitted_arrays_are_scored_as_they_are(self):
-        # int, float32 and float64 arrays keep their dtype, an object array of
-        # floats is scored as float64, and an empty array scores empty
+        # int, float32, float64 and object arrays of floats are all scored as
+        # float64, and an empty array scores empty
         n, m = np.array([2.0, 3.0]), np.array([0.5, 1.0])
         want = symmetric_degree(n, m, 1.0).tobytes()
         assert symmetric_degree(n.astype(object), m, 1.0).tobytes() == want
         assert symmetric_degree(np.array([2, 3]), m, 1.0).tobytes() == want
         single = symmetric_degree(n.astype(np.float32), m.astype(np.float32), 1.0)
-        assert single.dtype == np.float32
+        assert single.dtype == np.float64
         assert symmetric_degree(np.array([]), np.array([]), 1.0).size == 0
+        assert covariance._number_array(n) is n  # a float64 array is read uncopied
+
+    @pytest.mark.parametrize("dtype, n, m, r", [
+        (np.uint8, 200, 100, 1.0),  # n + m wrapped to 44 in uint8
+        (np.int8, 100, 100, 1.0),  # n + m wrapped to -56, a NaN square root
+        (np.int16, 20000, 19000, 1.0),
+        (np.uint16, 40000, 30000, 1.0),
+        # n + m wrapped to 2**62 here, where the degree has saturated alike,
+        # and to 0 in the next row, which scored 2.435
+        (np.uint64, 2**63 + 2**62, 2**63, 1.0),
+        (np.uint64, 2**63, 2**63, 1.0),
+        (np.float16, 2.0, 0.5, 6.0),  # b = e^12 / 2 overflowed float16
+    ], ids=["uint8", "int8", "int16", "uint16", "uint64", "uint64-sum-0", "float16"])
+    def test_narrow_dtypes_score_as_float64(self, dtype, n, m, r):
+        n, m = np.array([n], dtype), np.array([m], dtype)
+        want = symmetric_degree(n.astype(float), m.astype(float), r)
+        assert symmetric_degree(n, m, r).tobytes() == want.tobytes()
 
 
 @st.composite
