@@ -14,6 +14,7 @@ import tempfile
 import warnings
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +71,7 @@ class TestCheck:
         payload = json.loads(out)
         assert payload["separable"] is True
         assert payload["p_representable"] is True
+        assert payload["r"] == 1.0  # the default reference squeezing
 
     def test_nearly_unmixed_pure_state_is_physical(self, capsys):
         # two squeezed vacua mixed at theta ~ pi: a pure state whose party-1
@@ -370,22 +372,27 @@ class TestRunCheck:
         with pytest.raises(NonPhysicalStateError, match="violates the uncertainty principle"):
             cli.run_check(GaussianParams(n1=1, n2=1, m_c=1.8), 1.0)
 
-    @pytest.mark.parametrize("p, separable", [
-        (GaussianParams(n1=2, n2=2, m1=0.3, m2=0.2j, m_s=0.4, m_c=1.2), True),
-        (GaussianParams(n1=2, n2=2, m1=0.3, m2=0.2j, m_s=0.4, m_c=1.5), False),
+    @pytest.mark.parametrize("p, verdicts", [
+        (GaussianParams(n1=2, n2=2, m1=0.3, m2=0.2j, m_s=0.4, m_c=1.2), [True, True]),
+        (GaussianParams(n1=2, n2=2, m1=0.3, m2=0.2j, m_s=0.4, m_c=1.5), [False, False]),
         # nonphysical, with a physical party-2 mirror
         (GaussianParams(n1=2, n2=2, m_s=1.8), None),
-    ], ids=["separable", "entangled", "nonphysical"])
-    def test_each_pass_runs_at_most_once(self, kernel_passes, p, separable):
+        # separable, with a squeezed party 1 that is not classical
+        (GaussianParams(n1=1.1, n2=0.5, m1=0.8660254037844386), [True, False]),
+    ], ids=["separable", "entangled", "nonphysical", "separable-nonclassical"])
+    def test_each_pass_runs_at_most_once(self, kernel_passes, p, verdicts):
         # one uncertainty pass decides the state and its party-2 mirror at the
         # checked tol; the joint pass runs once, and only on a physical
-        # separable state, since joint classicality implies both
-        if separable is None:
+        # separable state, since joint classicality implies both; verdicts
+        # are (separable, p_representable)
+        if verdicts is None:
             with pytest.raises(NonPhysicalStateError):
                 cli.run_check(p, 1.0, Fraction(1, 10**6))
         else:
-            assert cli.run_check(p, 1.0, Fraction(1, 10**6))["separable"] is separable
-        assert kernel_passes == [(1e-6, 0.5)] + [(1e-6 - 0.5, 0.0)] * bool(separable)
+            payload = cli.run_check(p, 1.0, Fraction(1, 10**6))
+            assert [payload["separable"], payload["p_representable"]] == verdicts
+        separable = bool(verdicts and verdicts[0])
+        assert kernel_passes == [(1e-6, 0.5)] + [(1e-6 - 0.5, 0.0)] * separable
         assert all(type(shift) is float for shift, _ in kernel_passes)
 
     def test_matrix_route_stays_off_the_check_path(self, monkeypatch):
@@ -1018,6 +1025,20 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["physical"] is True
+
+
+def test_readme_command_line_block_runs_as_written(tmp_path):
+    # the README's "Command line" block verbatim, in an empty directory, with
+    # `python -m gausspair` standing in for the console script
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    script = 'gausspair() { "$PY" -m gausspair "$@"; }\n' + block
+    env = {**os.environ, "PY": sys.executable, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run(["sh", "-e", "-c", script], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    for name, key in (("surface.csv", "default_csv"), ("surface.dat", "default_matrix")):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == GOLDEN[key]
 
 
 class TestUnwritableStdout:

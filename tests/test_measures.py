@@ -736,8 +736,12 @@ def general_physical_states(draw):
 # determinant of its frame entries and against the former minor-sum route on
 # the scaled states, and against the decimal referee on the near-pure states.
 # Hypothesis seeds its derandomized draws from a test's source and its own
-# version, so an edit to that test or another hypothesis asks for the bound
-# to be measured again (these are from hypothesis 6.155.2).
+# version, and takes about 15% of its float draws from the numeric literals of
+# the loaded modules outside tests and site-packages, src/gausspair's among
+# them. So an edit to that test, another hypothesis, a literal added to or
+# removed from src/, or the package loaded from site-packages asks for the
+# bounds to be measured again (these are from hypothesis 6.155.2, with the
+# package imported from src/).
 EXACT_FRAME_REL = 2.1e-15  # measured 2.10e-15
 MINOR_SUM_REL = 1.8e-14  # measured 1.80e-14
 NEAR_PURE_REL = 4.9e-11  # measured 4.87e-11

@@ -259,6 +259,8 @@ def test_repr_is_pinned(obj, text):
     (TmtssInputs, "thermal occupation must be nonnegative", {"d": 0.1, "r": 1.0, "nbar": -1}),
     (TmtssInputs, "model inputs must be finite", {"d": -math.inf, "r": 1.0}),
     (TmtssInputs, "model inputs must be finite", {"d": -1.0, "r": math.nan}),
+    # tmtss --d 1e400: the flag's float() overflows to inf
+    (TmtssInputs, "model inputs must be finite", {"d": float("1e400"), "r": 1.0}),
 ])
 def test_finiteness_is_checked_before_signs(cls, message, kwargs):
     with pytest.raises(ValueError) as info:
