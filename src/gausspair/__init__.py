@@ -23,7 +23,6 @@ from .covariance import (
     build_covariance,
     is_physical,
     is_separable,
-    mirror_party2,
     schur_terms,
 )
 from .errors import (
@@ -82,7 +81,6 @@ __all__ = [
     "is_separable",
     "is_ssld",
     "local_normal_form",
-    "mirror_party2",
     "mix_params",
     "mode_is_physical",
     "mode_params",

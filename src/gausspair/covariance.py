@@ -13,7 +13,7 @@ quadrature basis ``(x1, p1, x2, p2)``, read off the six moments, plus a
 multiple of the symplectic form.  At ``(tol, 1/2)`` one pass decides
 physicality (``V`` plus half the commutator signature is positive) and
 separability, i.e. physicality after mirroring the second party in phase
-space (:func:`mirror_party2`; the PPT test, necessary and sufficient for
+space (the partial transpose; the PPT test, necessary and sufficient for
 these states), since the mirror only flips the sign of the ``(x2, p2)``
 commutator entry.  At ``(tol - 1/2, 0)`` it decides joint classicality
 (:mod:`gausspair.classicality`), ``V_q - (1/2 - tol) I > 0``, which implies
@@ -129,16 +129,6 @@ def build_covariance(p: GaussianParams) -> np.ndarray:
     import numpy as np
     v1, v2, c = np.array(_blocks(p.n1, p.n2, p.m1, p.m2, p.m_s, p.m_c), dtype=complex)
     return np.block([[v1, c], [c.conj().T, v2]])
-
-
-def mirror_party2(p: GaussianParams) -> GaussianParams:
-    """The partial transpose on the six moments: mirror party 2 in phase space.
-
-    Exchanging ``a2+`` with ``a2`` conjugates ``m2`` and swaps ``m_s`` with
-    ``m_c``; :func:`build_covariance` of the result is the partially
-    transposed matrix entry for entry.  An involution.
-    """
-    return GaussianParams(n1=p.n1, n2=p.n2, m1=p.m1, m2=p.m2.conjugate(), m_s=p.m_c, m_c=p.m_s)
 
 
 def schur_terms(p: GaussianParams, tol: float) -> tuple[float, complex, float]:
@@ -259,9 +249,9 @@ def is_physical(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
 def is_separable(p: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
     """PPT separability test; defined only for physical states.
 
-    A physical state is separable exactly when its party-2 mirror
-    (:func:`mirror_party2`) is physical too; one elimination pass decides
-    both.  Raises :class:`NonPhysicalStateError` for a nonphysical state.
+    A physical state is separable exactly when its party-2 mirror, the
+    partial transpose, is physical too; one elimination pass decides both.
+    Raises :class:`NonPhysicalStateError` for a nonphysical state.
     """
     physical, separable = _elimination_verdicts(p, _check_tol(tol), 0.5)
     if not physical:

@@ -131,11 +131,15 @@ def _symmetric_distance(n, m, big_n: float, big_m: float, a: float, b: float):
     # small r, det - 1 is taken relative to the traced-out reference (N, 0),
     # where it is 3M^2 and a plain det - 1 would cancel.  The separable
     # distance is this function at (N, 0), so that point scores exactly 0.
-    # ** 0.5 serves floats without numpy and arrays as numpy's sqrt.  A scalar
-    # det must be positive and finite, and so must a scalar distance, whose
-    # small-r excess overflows (inf - inf) where det does not; arrays meet
-    # the same failures as numpy's, under _symmetric_degrees's float64 guard.
-    det = (n - m + a) * (n + m + b)
+    # ** 0.5 serves floats without numpy and arrays as numpy's sqrt, and arrays
+    # made here are updated in place (n and m never; a float rebinds).  A scalar
+    # det must be positive and finite, and a scalar distance finite (its small-r
+    # excess is inf - inf where det is not); arrays fail under the float64 guard.
+    det = n - m
+    det += a
+    t = n + m
+    t += b
+    det *= t
     scalar = not getattr(det, "ndim", 0)
     if scalar and not 0.0 < det < math.inf:
         raise _overlap_refused(det)
@@ -144,10 +148,15 @@ def _symmetric_distance(n, m, big_n: float, big_m: float, a: float, b: float):
         excess = sep_excess + (n - big_n) * (n + 3.0 * big_n) - m * (m + 2.0 * big_m)
     else:
         excess = det - 1.0
-    distance = 2.0 * (excess / det) / (1.0 + (1.0 / det) ** 0.5)
-    if scalar and not math.isfinite(distance):
+    excess /= det
+    excess *= 2.0
+    t = 1.0 / det
+    t **= 0.5
+    t += 1.0
+    excess /= t
+    if scalar and not math.isfinite(excess):
         raise NumericDomainError("Bures distance is not finite in float64")
-    return distance
+    return excess
 
 
 @functools.lru_cache(maxsize=128)
@@ -235,7 +244,9 @@ def _symmetric_degrees(n, m, terms):
     d_sep, *terms = terms
     if getattr(n, "ndim", 0) or getattr(m, "ndim", 0):
         with _float64_errors():
-            return 1.0 - _symmetric_distance(n, m, *terms) / d_sep
+            distance = _symmetric_distance(n, m, *terms)
+            distance /= d_sep
+            return 1.0 - distance  # not -(distance - 1.0), which signs a zero
     return 1.0 - _symmetric_distance(n, m, *terms) / d_sep
 
 

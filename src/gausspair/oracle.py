@@ -230,8 +230,8 @@ def transform_full(v: np.ndarray, cfg: MixerConfig) -> np.ndarray:
 def partial_transpose(v: np.ndarray) -> np.ndarray:
     """Mirror party 2 in phase space: swap rows 2 and 3 and columns 2 and 3.
 
-    The matrix route to what :func:`gausspair.covariance.mirror_party2`
-    computes on the moments; an involution.
+    The PPT referee: a state is separable exactly when its party-2 mirror,
+    the partial transpose, is physical.  An involution.
     """
     v = np.asarray(v, dtype=complex)
     if v.shape != (4, 4):

@@ -23,7 +23,6 @@ from gausspair import (
     is_physical,
     is_separable,
     is_ssld,
-    mirror_party2,
     mix_params,
     mode_is_physical,
     schur_terms,
@@ -311,7 +310,7 @@ def schur_band_states(draw, mirrored):
         m1=m1, m2=draw(moments(2.0 * scale)),
         m_s=draw(moments(2.0 * scale)), m_c=draw(moments(2.0 * scale)),
     )
-    target = mirror_party2(base) if mirrored else base
+    target = replace(base, m2=base.m2.conjugate(), m_s=base.m_c, m_c=base.m_s) if mirrored else base
     s, c, d = schur_terms(target, 0.0)
     k = abs(target.m_c) ** 2 - abs(target.m_s) ** 2
     bound = s / d + math.sqrt((k / d - 1.0) ** 2 / 4 + abs(target.m2 - c / d) ** 2)
@@ -322,22 +321,6 @@ def schur_band_states(draw, mirrored):
 
 def _eig(h: np.ndarray) -> float:
     return float(oracle.eig_min_hermitian(h))
-
-
-class TestMirrorParty2:
-    """The partial transpose on the moments, refereed by the matrix route."""
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.builds(
-        GaussianParams,
-        n1=st.floats(-10.0, 10.0), n2=st.floats(-10.0, 10.0),
-        m1=moments(10.0), m2=moments(10.0), m_s=moments(10.0), m_c=moments(10.0),
-    ))
-    def test_matches_matrix_partial_transpose_and_is_an_involution(self, p):
-        assert np.array_equal(
-            build_covariance(mirror_party2(p)), oracle.partial_transpose(build_covariance(p))
-        )
-        assert mirror_party2(mirror_party2(p)) == p
 
 
 class TestSchurTermsAgainstMatrixRoute:

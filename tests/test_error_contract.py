@@ -166,7 +166,6 @@ CALLS = {
     "is_separable": (gausspair.is_separable, st.tuples(PARAMS, TOLS)),
     "is_ssld": (gausspair.is_ssld, st.tuples(PARAMS, TOLS)),
     "local_normal_form": (gausspair.local_normal_form, st.tuples(PARAMS, TOLS)),
-    "mirror_party2": (gausspair.mirror_party2, st.tuples(PARAMS)),
     "mix_params": (gausspair.mix_params, st.tuples(PARAMS, MIXERS)),
     "mode_is_physical": (gausspair.mode_is_physical, st.tuples(MODES, TOLS)),
     "mode_params": (gausspair.mode_params, st.tuples(BLOCKS)),

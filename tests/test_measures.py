@@ -701,6 +701,22 @@ class TestSymmetricDegree:
         assert symmetric_degree(np.array([]), np.array([]), 1.0).size == 0
         assert covariance._number_array(n) is n  # a float64 array is read uncopied
 
+    @pytest.mark.parametrize("r", [0.1, 1.0], ids=["small-r", "r-1"])
+    def test_float64_arrays_are_left_as_they_were(self, r):
+        # the kernel updates its own arrays in place, never the caller's, which
+        # a float64 array reaches uncopied; r = 0.1 takes the small-r branch
+        n, m = np.array([2.0, 3.0, 0.5]), np.array([0.5, 1.0, 0.0])
+        before = n.tobytes(), m.tobytes()
+        symmetric_degree(n, m, r)
+        assert (n.tobytes(), m.tobytes()) == before
+
+    @pytest.mark.parametrize("r", [0.1, 1.0], ids=["small-r", "r-1"])
+    def test_arrays_broadcast_as_points(self, r):
+        # one n beside several m: the in-place updates keep numpy's broadcasting
+        want = [symmetric_degree(2.0, m, r) for m in (0.5, 1.0, 1.5)]
+        assert symmetric_degree(np.array([2.0]), np.array([0.5, 1.0, 1.5]), r).tolist() == want
+        assert symmetric_degree(np.array([[2.0]]), np.array([0.5, 1.0, 1.5]), r).tolist() == [want]
+
     @pytest.mark.parametrize("dtype, n, m, r", [
         (np.uint8, 200, 100, 1.0),  # n + m wrapped to 44 in uint8
         (np.int8, 100, 100, 1.0),  # n + m wrapped to -56, a NaN square root

@@ -458,13 +458,26 @@ def test_writer_memory_is_bounded_by_the_block(writer):
 
 
 def test_sweep_grid_memory_peak():
-    # 45 bytes a point on the default grid (numpy 2.4): the one-byte codes,
-    # the degrees and the scoring's temporaries; int64 codes (52 bytes a
-    # point) or the class names as a <U11 array (44 more) would take it past
-    # the bound
+    # 40 bytes a point on the default grid (numpy 2.4): the one-byte codes,
+    # the degrees and the scoring's temporaries; int64 codes (47 bytes a
+    # point), the class names as a <U11 array (44 more) or a degree kernel
+    # that allocates each intermediate anew (45) would take it past the bound
     cfg = sweep.SweepConfig()
     sweep.sweep_grid(cfg)  # once untraced
-    assert _traced_peak(lambda: sweep.sweep_grid(cfg)) <= 48 * cfg.n_steps * cfg.m_steps
+    assert _traced_peak(lambda: sweep.sweep_grid(cfg)) <= 43 * cfg.n_steps * cfg.m_steps
+
+
+def test_symmetric_degree_memory_peak():
+    # 32 bytes a point on the default grid's physical points (numpy 2.4):
+    # four float64 arrays, the kernel's intermediates updated in place; one
+    # allocated anew at each step (40 bytes a point) would take it past the bound
+    cfg = sweep.SweepConfig()
+    n, m = cfg.n_values(), cfg.m_values()
+    physical = n[:, None] >= np.hypot(m, 0.5) - cfg.tol
+    nn = np.broadcast_to(n[:, None], physical.shape)[physical]
+    mm = np.broadcast_to(m, physical.shape)[physical]
+    symmetric_degree(nn, mm, cfg.r)  # once untraced
+    assert _traced_peak(lambda: symmetric_degree(nn, mm, cfg.r)) <= 35 * nn.size
 
 
 def _kernel_mismatches(values):
