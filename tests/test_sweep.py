@@ -472,12 +472,12 @@ def test_symmetric_degree_memory_peak():
     # four float64 arrays, the kernel's intermediates updated in place; one
     # allocated anew at each step (40 bytes a point) would take it past the bound
     cfg = sweep.SweepConfig()
-    n, m = cfg.n_values(), cfg.m_values()
-    physical = n[:, None] >= np.hypot(m, 0.5) - cfg.tol
-    nn = np.broadcast_to(n[:, None], physical.shape)[physical]
-    mm = np.broadcast_to(m, physical.shape)[physical]
-    symmetric_degree(nn, mm, cfg.r)  # once untraced
-    assert _traced_peak(lambda: symmetric_degree(nn, mm, cfg.r)) <= 35 * nn.size
+    result = sweep.sweep_grid(cfg)
+    physical = result.codes != 0
+    n, m = np.meshgrid(result.n, result.m, indexing="ij")
+    n, m = n[physical], m[physical]
+    symmetric_degree(n, m, cfg.r)  # once untraced
+    assert _traced_peak(lambda: symmetric_degree(n, m, cfg.r)) <= 35 * n.size
 
 
 def _kernel_mismatches(values):

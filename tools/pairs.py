@@ -18,6 +18,13 @@ BASE's quartile spread.  Fewer pairs resolve nothing: at 5, a step of the
 workers' memory between two exports wins 5 of 5 and clears the spread.
 BASE equal to HEAD gives the run-to-run noise of one tree.
 
+A resolved ``peak_rss_mb`` is not by itself evidence of a code effect: the
+resident high-water mark also follows the layout of the code.  A prototype of
+an in-place degree kernel read -0.91% on sweep-surface, better in 10 of 10
+pairs, while ``VmHWM`` after 30 ops in one process did not move; and
+check-ensemble, whose ops run none of that kernel, read +0.40%, worse in 10
+of 10, a step that a different import order removes.
+
 With ``--json PATH`` the comparison is also recorded in PATH, a JSON object
 whose ``comparisons`` list gains one entry per call, so that one file holds
 every run of a change: the specs (with the commit of a revision), each
