@@ -23,7 +23,8 @@ from .errors import DegenerateStateError, NonPhysicalStateError, NumericDomainEr
 
 @dataclass(frozen=True, init=False)
 class MixerConfig:
-    """Mixing angle and arm phases, all in radians."""
+    """Mixing angle and arm phases, all in radians; an angle whose double
+    passes float64 (``|theta|`` > ~8.99e307) is a :class:`NumericDomainError`."""
 
     theta: float = field(metadata={"help": "mixing angle, radians"})
     phi0: float = 0.0
@@ -33,23 +34,15 @@ class MixerConfig:
         if not (type(theta) is type(phi0) is type(phi1) is float
                 and math.isfinite(theta + phi0 + phi1)):
             theta, phi0, phi1 = _finite_numbers("mixer angles", (float,) * 3, theta, phi0, phi1)
+        if math.isinf(2.0 * theta):
+            raise NumericDomainError("mixer angle theta is too large: 2 theta overflows float64")
         # the kernel's angle terms, stored past the frozen __setattr__ beside
         # the fields but not as one, so ==, hash, repr and replace never see
         # them: cos and sin of theta, sin and cos of 2 theta, e^{i phi0} and
-        # e^{i phi1}.  None where 2 theta passes float64 (|theta| > ~8.99e307),
-        # which every entry point refuses when it reads them.
-        terms = None
-        if not math.isinf(2.0 * theta):
-            terms = (math.cos(theta), math.sin(theta), math.sin(2.0 * theta),
-                     math.cos(2.0 * theta), cmath.exp(1j * phi0), cmath.exp(1j * phi1))
+        # e^{i phi1}
+        terms = (math.cos(theta), math.sin(theta), math.sin(2.0 * theta),
+                 math.cos(2.0 * theta), cmath.exp(1j * phi0), cmath.exp(1j * phi1))
         self.__dict__.update(theta=theta, phi0=phi0, phi1=phi1, _terms=terms)
-
-    def __getstate__(self):
-        # a pickle holds the fields alone, and loading one recomputes the terms
-        return {"theta": self.theta, "phi0": self.phi0, "phi1": self.phi1}
-
-    def __setstate__(self, state):
-        MixerConfig.__init__(self, **state)
 
     @property
     def inverse(self) -> "MixerConfig":
@@ -118,23 +111,16 @@ def coupling_residuals(p: GaussianParams, cfg: MixerConfig) -> tuple[complex, co
     Both vanish exactly when the cross block of the transformed covariance
     vanishes: the first is -2 times its anomalous entry, the second +2 times
     its occupation entry.  Raises :class:`NumericDomainError` where a residual
-    or its modulus is not finite in float64, or where ``2 theta`` is not.
+    or its modulus is not finite in float64.
     """
-    _, _, s2t, c2t, rho, sigma = _angle_terms(cfg)
+    _, _, s2t, c2t, rho, sigma = cfg._terms
     return _residuals(p, s2t, c2t, rho, sigma)
-
-
-def _angle_terms(cfg: MixerConfig) -> tuple:
-    terms = cfg._terms
-    if terms is None:
-        raise NumericDomainError("mixer angle theta is too large: 2 theta overflows float64")
-    return terms
 
 
 def _mixed(p: GaussianParams, cfg: MixerConfig) -> tuple:
     # the mixing kernel: the output moments (n1, n2, m1, m2, m_s, m_c), two
     # floats then four complexes, each finite in float64
-    c, s, s2t, c2t, rho, sigma = _angle_terms(cfg)
+    c, s, s2t, c2t, rho, sigma = cfg._terms
     cc, ss, cs = c * c, s * s, c * s
     rho2, sigma2 = rho * rho, sigma * sigma
     e_dif = sigma * rho.conjugate()  # e^{i(phi1 - phi0)}

@@ -22,6 +22,9 @@ GOLDEN = {
     # tests/test_sweep.py::MIXED_ARGS, whose axis cells are 14 to 16 bytes wide
     "mixed_csv": "6ff487f1690a5b660fd8539bbeb727ae6fd04e8789dc2e20471a3a41bd941aff",
     "mixed_matrix": "9ca48fe389f0d48841a5b1895dea9e26d97d59bea7a33a32b00833c56e099b95",
+    # SHA-256 of tests/test_cli.py::test_transform_corpus_bytes's 3,000 transform
+    # runs; its docstring has the command that prints a new one
+    "transform_corpus": "70a095abccbb312e0a0f16c4eeb7a68616e5fb62c54362462b2880f78f87fa7a",
 }
 
 

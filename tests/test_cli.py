@@ -1018,6 +1018,99 @@ class TestCliFuzz:
             _assert_clean_outcome(argv, *_run_guarded(argv, capsys))
 
 
+HALF_MAX = sys.float_info.max / 2  # the largest angle whose double is finite
+PAST_HALF_MAX = math.nextafter(HALF_MAX, math.inf)
+CORPUS_ANGLES = ["0", "-0", "0.7853981633974483", "-1.5707963267948966", "1e-300", "5e-324",
+                 "1e308", "-1e308", "8.99e307", repr(HALF_MAX), repr(-HALF_MAX),
+                 repr(PAST_HALF_MAX), repr(-PAST_HALF_MAX), "nan", "-nan", "inf", "-inf",
+                 "1e400", "oops", "1,2", ""]
+CORPUS_TOLS = ["1e-9", "0", "-0", "1e-300", "0.5", "1e308", "-1", "nan", "inf", "1e400", "oops"]
+# JSON values no state-file key admits
+CORPUS_GARBAGE = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400, '"x"',
+                  "true", "null", "[]", "[1]", "[1, 2, 3]", "{}", "[NaN, 0]", '["1", 0]']
+CORPUS_FILES = ["", "{", "null", "[]", "3", '{"n1": 2}']
+
+
+def _corpus_number(rng, huge) -> str:
+    # a JSON number: ordinary, up to 1e308 either sign, a signed zero or a
+    # subnormal; past 1e300 where huge
+    kind = rng.random()
+    if huge:
+        x = math.copysign(10.0 ** rng.uniform(300.0, 308.0), kind - 0.5)
+    elif kind < 0.5:
+        x = rng.uniform(-3.0, 3.0)
+    elif kind < 0.75:
+        x = rng.choice([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 0.5, 2.0,
+                        1e154, 1e308, -1e308, sys.float_info.max])
+    else:
+        x = math.copysign(10.0 ** rng.uniform(-323.0, 308.0), rng.random() - 0.5)
+    return repr(x)
+
+
+def _corpus_state(rng) -> str | None:
+    # a state file's text, None for no file: each key missing, garbage, a
+    # number or, for a moment, [re, im]
+    if rng.random() < 0.04:
+        return rng.choice(CORPUS_FILES + [None])
+    huge, items = rng.random() < 0.15, []
+    for key in ("n1", "n2", "m1", "m2", "ms", "mc"):
+        pick = rng.random()
+        if pick < 0.08:
+            continue
+        if pick < 0.12:
+            value = rng.choice(CORPUS_GARBAGE)
+        elif key.startswith("m") and pick < 0.6:
+            value = f"[{_corpus_number(rng, huge)}, {_corpus_number(rng, huge)}]"
+        else:
+            value = _corpus_number(rng, huge)
+        items.append(f'"{key}": {value}')
+    return "{" + ", ".join(items) + "}"
+
+
+def _corpus_flag(rng, flag, value) -> list:
+    # "--flag=value", or "--flag value", where a leading "-" must read as a number
+    return [f"{flag}={value}"] if rng.random() < 0.5 else [flag, value]
+
+
+def test_transform_corpus_bytes(tmp_path, monkeypatch, capsys):
+    """3,000 seeded ``transform`` runs, hashed: exit code, stdout and stderr,
+    with the state file's path as ``<state>``.
+
+    States hold moments up to 1e308, signed zeros, subnormals, missing keys
+    and garbage values; angles sit at ``sys.float_info.max / 2`` and one ulp
+    past it; angles, phases and ``tol`` take ``nan``, ``inf``, ``1e400`` and
+    garbage too.  The hash pins CPython's float formatting and libm, and
+    argparse's usage line at 80 columns.  After a change meant to move these
+    bytes, the failure prints the new hash for ``GOLDEN``:
+    ``PYTHONPATH=src python -m pytest -q tests/test_cli.py -k transform_corpus``.
+    """
+    monkeypatch.setenv("COLUMNS", "80")
+    rng = random.Random(45)
+    path = tmp_path / "state.json"
+    digest, codes, refused = hashlib.sha256(), Counter(), 0
+    for _ in range(3000):
+        text = _corpus_state(rng)
+        if text is None:
+            path.unlink(missing_ok=True)
+        else:
+            path.write_text(text, encoding="utf-8")
+        argv = ["transform", "--state", str(path)]
+        argv += _corpus_flag(rng, "--theta", rng.choice(CORPUS_ANGLES) if rng.random() < 0.6
+                             else repr(rng.uniform(-7.0, 7.0)))
+        for flag in ("--phi0", "--phi1"):
+            if rng.random() < 0.4:
+                argv += _corpus_flag(rng, flag, rng.choice(CORPUS_ANGLES) if rng.random() < 0.5
+                                     else repr(rng.uniform(-7.0, 7.0)))
+        if rng.random() < 0.3:
+            argv += _corpus_flag(rng, "--tol", rng.choice(CORPUS_TOLS))
+        code, out, err = _run_guarded(argv, capsys)
+        digest.update(f"{code}\n{out}\n{err}\n".replace(str(path), "<state>").encode())
+        codes[code] += 1
+        refused += "2 theta overflows" in err
+    assert min(codes[0], codes[1], codes[2], refused) >= 100, (codes, refused)
+    assert digest.hexdigest() == GOLDEN["transform_corpus"], digest.hexdigest()
+
+
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "gausspair", "check", "--n1", "0.5", "--n2", "0.5"],

@@ -8,7 +8,8 @@ subnormals (also as imaginary parts), values up to 1.8e308 and the
 non-finite ones, and numpy ``complex64`` and ``complex128`` scalars and
 arrays and a ``longdouble`` past float64, in float parameters too.  The
 value types a function takes are built from finite inputs, since their
-constructors are called with the raw ones on their own.
+constructors are called with the raw ones on their own; the mixer entries
+build their ``MixerConfig`` in the call, since it refuses finite angles too.
 ``symmetric_degree`` is called on scalar points and on 1-element arrays of
 the same numbers, which are held to the same contract, and on 1-element
 ``int8``, ``uint8``, ``int16``, ``uint16``, ``float16`` and ``float32``
@@ -92,7 +93,9 @@ PARAMS = _either(st.builds(GaussianParams, FINITE, FINITE, COMPLEX, COMPLEX, COM
                  physical_params())
 MODES = st.builds(ModeParams, FINITE, COMPLEX)
 POINTS = NUMBERS.map(lambda x: np.array([x]))  # a symmetric_degree array of one point
-MIXERS = st.builds(MixerConfig, FINITE, FINITE, FINITE)
+# the angles of a MixerConfig, which the mixer entries build in the call, so
+# that an angle it refuses is a typed outcome of the entry
+MIXERS = st.tuples(FINITE, FINITE, FINITE)
 MODELS = st.builds(lambda d, r, nbar: TmtssInputs(abs(d), r, abs(nbar)), FINITE, FINITE, FINITE)
 def _blocks(entries):
     # 2x2 nested lists of entries
@@ -142,6 +145,12 @@ def sweep_configs(draw):
 
 CONFIGS = sweep_configs().filter(lambda cfg: cfg is not None)
 
+
+def _mixing(entry):
+    # a mixer entry called on a state and the angles of its config
+    return lambda p, angles: entry(p, MixerConfig(*angles))
+
+
 # each public function, and the sweep's and the CLI's library entry points,
 # with the arguments they are called on
 CALLS = {
@@ -158,7 +167,7 @@ CALLS = {
     "classify_symmetric": (gausspair.classify_symmetric, st.tuples(NUMBERS, NUMBERS, TOLS)),
     "compose_bures": (gausspair.compose_bures,
                       st.tuples(*[st.one_of(NUMBERS, st.floats(0.0, 2.0))] * 2)),
-    "coupling_residuals": (gausspair.coupling_residuals, st.tuples(PARAMS, MIXERS)),
+    "coupling_residuals": (_mixing(gausspair.coupling_residuals), st.tuples(PARAMS, MIXERS)),
     "entanglement_degree": (gausspair.entanglement_degree, st.tuples(PARAMS, RS, TOLS)),
     "is_p_representable_joint": (gausspair.is_p_representable_joint, st.tuples(PARAMS, TOLS)),
     "is_p_representable_mode": (gausspair.is_p_representable_mode, st.tuples(MODES, TOLS)),
@@ -166,7 +175,7 @@ CALLS = {
     "is_separable": (gausspair.is_separable, st.tuples(PARAMS, TOLS)),
     "is_ssld": (gausspair.is_ssld, st.tuples(PARAMS, TOLS)),
     "local_normal_form": (gausspair.local_normal_form, st.tuples(PARAMS, TOLS)),
-    "mix_params": (gausspair.mix_params, st.tuples(PARAMS, MIXERS)),
+    "mix_params": (_mixing(gausspair.mix_params), st.tuples(PARAMS, MIXERS)),
     "mode_is_physical": (gausspair.mode_is_physical, st.tuples(MODES, TOLS)),
     "mode_params": (gausspair.mode_params, st.tuples(BLOCKS)),
     "nonclassicality_margin": (gausspair.nonclassicality_margin, st.tuples(MODES)),
@@ -178,7 +187,7 @@ CALLS = {
                          _either(st.tuples(NUMBERS, NUMBERS, RS), st.tuples(POINTS, POINTS, RS))),
     "tmtss_params": (gausspair.tmtss_params, st.tuples(MODELS, TOLS)),
     "trace_overlap": (gausspair.trace_overlap, MATRICES),
-    "transform_blocks": (gausspair.transform_blocks, st.tuples(PARAMS, MIXERS)),
+    "transform_blocks": (_mixing(gausspair.transform_blocks), st.tuples(PARAMS, MIXERS)),
     "sweep.sweep_grid": (sweep_grid, st.tuples(CONFIGS)),
     "SweepConfig.n_values": (SweepConfig.n_values, st.tuples(CONFIGS)),
     "SweepConfig.m_values": (SweepConfig.m_values, st.tuples(CONFIGS)),

@@ -6,14 +6,17 @@ import pytest
 
 from gausspair import (
     GaussianParams,
+    LocalOperations,
+    MixerConfig,
     ModeParams,
     NumericDomainError,
     build_covariance,
     trace_overlap,
 )
 from gausspair.oracle import (
-    QuadratureSpec, eig_min_hermitian, mode_covariance, overlap_fock_tmsv, overlap_minors_exact,
-    overlap_numint, reference_overlap_decimal,
+    QuadratureSpec, eig_min_hermitian, is_p_representable_joint_eig, local_operation_matrix,
+    mode_covariance, overlap_fock_tmsv, overlap_minors_exact, overlap_numint, partial_transpose,
+    reference_overlap_decimal, reference_overlap_minors, transform_full,
 )
 
 from conftest import reference_states
@@ -141,3 +144,30 @@ class TestOverlapMinorsExact:
     def test_a_nonphysical_state_is_not_positive_definite(self):
         # n = 1/2 with |m_c| = 3/4: the first pivot is exactly 0 at a = 1/4
         assert overlap_minors_exact(GaussianParams(0.5, 0.5, m_c=0.75), 0.25, 1.0)[0] == 0
+
+
+# a state whose x1 variance 6 and p1 variance -4 leave one negative
+# eigenvalue in the sum with any reference
+_INDEFINITE = GaussianParams(1.0, 1.0, m1=5.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: local_operation_matrix(LocalOperations(0.1, 0.2, 0.3, 0.4), 3), ValueError,
+     "party must be 1 or 2"),
+    (lambda: transform_full(np.eye(2), MixerConfig(0.3)), ValueError,
+     r"expected a 4x4 matrix, got shape \(2, 2\)"),
+    (lambda: partial_transpose(np.eye(3)), ValueError,
+     r"expected a 4x4 matrix, got shape \(3, 3\)"),
+    (lambda: is_p_representable_joint_eig(np.eye(4)[:, :3]), ValueError,
+     r"expected a 4x4 matrix, got shape \(4, 3\)"),
+    (lambda: reference_overlap_decimal(_INDEFINITE, 0.5), NumericDomainError,
+     "summed covariance is not positive definite"),
+    (lambda: reference_overlap_minors(GaussianParams(1e300, 1e300), 0.5, 0.5),
+     NumericDomainError, "overlap determinant is not finite in float64"),
+    (lambda: reference_overlap_minors(_INDEFINITE, 0.5, 0.5), NumericDomainError,
+     "overlap determinant is not positive"),
+], ids=["party", "transform-shape", "transpose-shape", "joint-eig-shape", "decimal-det",
+        "minors-overflow", "minors-det"])
+def test_referees_refuse_what_they_cannot_judge(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
